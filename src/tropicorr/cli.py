@@ -241,7 +241,8 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         p, constraints, file_char, raw = curvefile.load(args.file)
-        char = file_char if args.char is None else args.char
+        char = (file_char if args.char is None
+                else curvefile.parse_char(args.char, "--char"))
         warnings = []
         if args.char is not None and file_char and args.char != file_char:
             warnings.append(

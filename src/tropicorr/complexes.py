@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from . import paramcurve as pc
 from .errors import (
     ConstraintUnsatisfied,
+    CrossCheckFailed,
     GenusNotOne,
     NotASubdivision,
     ZeroSlopeCycleEdge,
@@ -39,8 +40,11 @@ from .exactla import (
     cokernel_group,
     combine_sizes,
     freeze,
+    identity,
     kernel_basis,
     quotient_presentation,
+    rank,
+    rank_mod_p,
 )
 from .paramcurve import AffineConstraintSet, ParamTropicalCurve
 
@@ -157,15 +161,26 @@ def build_matrix(p: ParamTropicalCurve, spec: ComplexSpec) -> Mat:
 
 @dataclass(frozen=True)
 class ComplexReport:
+    """The complex over Z (E1_rank, E2) from one transform-free reduction
+    of its matrix, with the sizes over ``group`` derived from them."""
+
     matrix: Mat
     layout: ComplexLayout
     E1_rank: int
-    E1_lattice: Sublattice        # kernel inside the domain Z^domain_dim
     E2: FGAbelianGroup
     c_gamma: int                  # number of zero-slope bounded edges
     group: CoeffGroup
     E1_size: GroupSize
     E2_size: GroupSize
+
+    @property
+    def E1_lattice(self) -> Sublattice:
+        """The kernel inside the domain Z^domain_dim.  It needs the SNF
+        transforms, so it is computed on each read, never by ``compute``."""
+        dim = self.layout.domain_dim
+        if not self.matrix:   # no rows: the kernel is the whole domain
+            return Sublattice(dim, identity(dim))
+        return Sublattice(dim, kernel_basis(self.matrix))
 
 
 def sizes_over(e1_rank: int, e2: FGAbelianGroup, g: CoeffGroup):
@@ -179,18 +194,12 @@ def sizes_over(e1_rank: int, e2: FGAbelianGroup, g: CoeffGroup):
 def compute(p: ParamTropicalCurve, spec: ComplexSpec,
             group: CoeffGroup = CoeffGroup.integers()) -> ComplexReport:
     mat, layout = _assemble(p, spec)
-    if mat:
-        ker = kernel_basis(mat)
-        e2 = cokernel_group(mat)
-    else:  # no rows: the kernel is the whole domain, the cokernel vanishes
-        from .exactla import identity
-
-        ker = identity(layout.domain_dim)
-        e2 = FGAbelianGroup(0)
-    e1s, e2s = sizes_over(len(ker), e2, group)
+    e2 = cokernel_group(mat)
+    # rank-nullity: the matrix has rank rows - rank E^2
+    e1_rank = layout.domain_dim - (len(mat) - e2.rank)
+    e1s, e2s = sizes_over(e1_rank, e2, group)
     return ComplexReport(
-        matrix=mat, layout=layout, E1_rank=len(ker),
-        E1_lattice=Sublattice(layout.domain_dim, ker), E2=e2,
+        matrix=mat, layout=layout, E1_rank=e1_rank, E2=e2,
         c_gamma=pc.zero_slope_bounded_count(p),
         group=group, E1_size=e1s, E2_size=e2s,
     )
@@ -207,12 +216,22 @@ def regularity(p: ParamTropicalCurve, constraints: AffineConstraintSet | None,
                group: CoeffGroup, elliptic: bool = False) -> RegularityVerdict:
     """G-regularity is the vanishing of the stacky obstruction CE^2_G; the
     elliptic variant asks the same of the j-augmented complex."""
-    plain = compute(p, ComplexSpec("beta", constraints), group)
-    if not elliptic:
-        return RegularityVerdict(plain.E2_size.is_trivial, None, plain.E2_size)
-    ell = compute(p, ComplexSpec("beta", constraints, elliptic=True), group)
-    return RegularityVerdict(plain.E2_size.is_trivial,
-                             ell.E2_size.is_trivial, ell.E2_size)
+    ce = compute(p, ComplexSpec("beta", constraints))
+    ce_j = (compute(p, ComplexSpec("beta", constraints, elliptic=True))
+            if elliptic else None)
+    return regularity_of(ce, ce_j, group)
+
+
+def regularity_of(ce: ComplexReport, ce_j: ComplexReport | None,
+                  group: CoeffGroup) -> RegularityVerdict:
+    """The verdict of ``regularity`` read off already computed stacky
+    reports: ce for (beta, A) and ce_j for (beta, A, j), or None when the
+    elliptic variant is not asked for."""
+    obstruction = base_change(ce.E2, group, "tensor")
+    if ce_j is None:
+        return RegularityVerdict(obstruction.is_trivial, None, obstruction)
+    ell = base_change(ce_j.E2, group, "tensor")
+    return RegularityVerdict(obstruction.is_trivial, ell.is_trivial, ell)
 
 
 def _field_dim(size: GroupSize) -> int:
@@ -228,8 +247,8 @@ def six_term_check(p: ParamTropicalCurve,
 
     0 -> sum mu_l(e)(G) -> CE^1_G -> E^1_G -> sum G/l(e)G -> CE^2_G -> E^2_G -> 0
 
-    over a field G; returns the six dimensions and asserts the alternating
-    sum vanishes.
+    over a field G; returns the six dimensions and raises
+    CrossCheckFailed unless the alternating sum vanishes.
     """
     if group.kind not in ("Q", "field"):
         raise ValueError("six-term ledger needs a field of coefficients")
@@ -251,7 +270,8 @@ def six_term_check(p: ParamTropicalCurve,
     }
     alternating = (ledger["mu"] - ledger["CE1"] + ledger["E1"]
                    - ledger["quot"] + ledger["CE2"] - ledger["E2"])
-    assert alternating == 0, ledger
+    if alternating != 0:
+        raise CrossCheckFailed("six_term_ledger", f"alternating sum {ledger}")
     ledger["alternating_sum"] = alternating
     return ledger
 
@@ -367,34 +387,6 @@ def quotient_form_dims(p: ParamTropicalCurve,
                 for k in range(n):
                     row[n * vindex[vfin] + k] = prow[k]
                 rows.append(row)
-    mat = freeze(rows) if rows else ()
-    if not mat:
-        return n * len(vertices), 0
-    if p_char == 0:
-        from .exactla import rank as zrank
-
-        r = zrank(mat)
-        return n * len(vertices) - r, len(mat) - r
-    r = _rank_mod_p(mat, p_char)
+    mat = freeze(rows)
+    r = rank_mod_p(mat, p_char) if p_char else rank(mat)
     return n * len(vertices) - r, len(mat) - r
-
-
-def _rank_mod_p(mat, p_char: int) -> int:
-    m = [[x % p_char for x in row] for row in mat]
-    rank_ = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(m)) if m[i][col] % p_char), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = pow(m[row][col], -1, p_char)
-        m[row] = [(x * inv) % p_char for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col]:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p_char for x, y in zip(m[i], m[row])]
-        row += 1
-        rank_ += 1
-    return rank_

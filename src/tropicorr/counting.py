@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from . import complexes as cx
 from . import paramcurve as pc
 from . import tropgraph
-from .errors import GenusNotOne, HypothesisFailed, ObstructionNonzero
+from .errors import (
+    CrossCheckFailed,
+    GenusNotOne,
+    HypothesisFailed,
+    ObstructionNonzero,
+)
 from .exactla import CoeffGroup, GroupSize
 from .paramcurve import AffineConstraintSet, ParamTropicalCurve
 
@@ -84,6 +89,9 @@ class CountResult:
 
 
 def _hypotheses(p_st, constraints, char_p, elliptic):
+    """The hypothesis flags, and the stacky reports over Z they were read
+    from: (beta, A) and, when elliptic, (beta, A, j).  The reports are None
+    when the curve does not satisfy A; the counts reuse them."""
     con = pc.check_constraint(p_st, constraints)
     trivalent = all(tropgraph.valency(p_st.curve, v) == 3
                     for v in p_st.curve.finite_vertices)
@@ -95,13 +103,17 @@ def _hypotheses(p_st, constraints, char_p, elliptic):
     codim_match = pc.rank(p_st) == want_rank
     regular = None
     elliptic_regular = None
+    ce = ce_j = None
     if con.satisfies:
-        verdict = cx.regularity(p_st, constraints, CoeffGroup.field(char_p),
-                                elliptic=elliptic)
+        ce = cx.compute(p_st, cx.ComplexSpec("beta", constraints))
+        if elliptic:
+            ce_j = cx.compute(p_st, cx.ComplexSpec("beta", constraints,
+                                                   elliptic=True))
+        verdict = cx.regularity_of(ce, ce_j, CoeffGroup.field(char_p))
         regular = con.simple and verdict.g_regular
         if elliptic:
             elliptic_regular = con.simple and bool(verdict.elliptically_regular)
-    return CountHypotheses(
+    hyp = CountHypotheses(
         trivalent=trivalent,
         satisfies_A=con.satisfies,
         codim_match=codim_match,
@@ -110,6 +122,7 @@ def _hypotheses(p_st, constraints, char_p, elliptic):
         regular=bool(regular),
         elliptic_regular=elliptic_regular,
     )
+    return hyp, ce, ce_j
 
 
 def correspondence_count(p: ParamTropicalCurve,
@@ -125,23 +138,24 @@ def correspondence_count(p: ParamTropicalCurve,
     normal form of the assembled matrix.
     """
     p_st = pc.stabilize_param(p)
-    hyp = _hypotheses(p_st, constraints, char_p, elliptic=False)
+    hyp, ce_rep, _ = _hypotheses(p_st, constraints, char_p, elliptic=False)
     bad = hyp.first_violated()
     if bad is not None:
         raise HypothesisFailed(bad)
 
     e_rep = cx.compute(p_st, cx.ComplexSpec("b", constraints),
                        CoeffGroup.units(char_p))
-    ce_rep = cx.compute(p_st, cx.ComplexSpec("beta", constraints),
-                        CoeffGroup.units(char_p))
     torsor = e_rep.E1_size.finite_order
     mult = stacky_multiplier(p_st)
-    assert torsor is not None
+    if torsor is None:
+        raise CrossCheckFailed("torsor_finite", f"E1 over k* is {e_rep.E1_size}")
     route_kstar = torsor * mult
     route_e2 = e_rep.E2.torsion_order * mult if e_rep.E2.rank == 0 else None
     route_snf = ce_rep.E2.torsion_order if ce_rep.E2.rank == 0 else None
-    assert route_kstar == route_e2 == route_snf, \
-        (route_kstar, route_e2, route_snf)
+    if not route_kstar == route_e2 == route_snf:
+        raise CrossCheckFailed(
+            "count_routes",
+            f"k* {route_kstar}, E2 {route_e2}, direct SNF {route_snf}")
     checks = (
         f"|E1_kstar| * prod l(e) = {torsor} * {mult} = {route_kstar}",
         f"|E2(Gamma,A)| * prod l(e) = {e_rep.E2.torsion_order} * {mult}",
@@ -160,17 +174,22 @@ def elliptic_count(p: ParamTropicalCurve,
     if tropgraph.genus(p.curve) != 1:
         raise GenusNotOne(f"genus is {tropgraph.genus(p.curve)}")
     p_st = pc.stabilize_param(p)
-    hyp = _hypotheses(p_st, constraints, char_p, elliptic=True)
+    hyp, _, rep = _hypotheses(p_st, constraints, char_p, elliptic=True)
     bad = hyp.first_violated()
     if bad is not None:
         raise HypothesisFailed(bad)
 
-    rep = cx.compute(p_st, cx.ComplexSpec("beta", constraints, elliptic=True),
-                     CoeffGroup.units(char_p))
-    assert rep.E2.rank == 0 and rep.E1_rank == 0
+    if rep.E2.rank or rep.E1_rank:
+        raise CrossCheckFailed(
+            "elliptic_finite",
+            f"CE(Gamma,A,j): E1 rank {rep.E1_rank}, E2 {rep.E2}")
     route_snf = rep.E2.torsion_order
-    route_tor = rep.E1_size.finite_order  # |Tor(CE^2(...,j), k*)|
-    assert route_snf == route_tor, (route_snf, route_tor)
+    # |Tor(CE^2(...,j), k*)|
+    route_tor = cx.sizes_over(rep.E1_rank, rep.E2,
+                              CoeffGroup.units(char_p))[0].finite_order
+    if route_snf != route_tor:
+        raise CrossCheckFailed("elliptic_routes",
+                               f"direct SNF {route_snf}, Tor {route_tor}")
     checks = (
         f"|CE2(Gamma,A,j)| by direct SNF = {route_snf}",
         f"|CE1_kstar(Gamma,A,j)| via Tor = {route_tor}",

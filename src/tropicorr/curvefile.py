@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
+from .exactla import CoeffGroup
 from .paramcurve import AffineConstraintSet, ParamTropicalCurve, constraint_set
 from .tropgraph import Edge, TropicalCurve
 
@@ -36,6 +37,22 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _required(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ParseError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def parse_char(value, where: str) -> int:
+    """A residue characteristic: zero or a prime, else a ParseError."""
+    char = _int(value, where)
+    try:
+        CoeffGroup.field(char)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}, got {char}") from exc
+    return char
+
+
 def _check_fields(obj: dict, allowed, where: str):
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
@@ -52,16 +69,14 @@ def parse_curve(data: dict):
     n = _int(data.get("lattice_rank"), "lattice_rank")
     if n < 1:
         raise ParseError("lattice_rank must be positive")
-    char = _int(data.get("char", 0), "char")
-    if char < 0:
-        raise ParseError("char must be a natural number")
+    char = parse_char(data.get("char", 0), "char")
 
     h = {}
     finite = []
     for item in data.get("finite_vertices", ()):
         _check_fields(item, {"id", "h"}, "finite vertex")
-        vid = str(item["id"])
-        vec = item.get("h", ())
+        vid = str(_required(item, "id", "finite vertex"))
+        vec = _required(item, "h", f"vertex {vid}")
         if len(vec) != n:
             raise ParseError(f"vertex {vid}: h must have {n} entries")
         finite.append(vid)
@@ -69,8 +84,8 @@ def parse_curve(data: dict):
     infinite = []
     for item in data.get("infinite_vertices", ()):
         _check_fields(item, {"id", "h"}, "infinite vertex")
-        vid = str(item["id"])
-        vec = item.get("h", ())
+        vid = str(_required(item, "id", "infinite vertex"))
+        vec = _required(item, "h", f"vertex {vid}")
         if len(vec) != n:
             raise ParseError(f"vertex {vid}: h must have {n} entries")
         infinite.append(vid)
@@ -79,11 +94,11 @@ def parse_curve(data: dict):
     edges = []
     for item in data.get("edges", ()):
         _check_fields(item, {"id", "ends", "length"}, "edge")
-        eid = str(item["id"])
-        ends = item.get("ends", ())
+        eid = str(_required(item, "id", "edge"))
+        ends = _required(item, "ends", f"edge {eid}")
         if len(ends) != 2:
             raise ParseError(f"edge {eid}: ends must list two vertices")
-        ln = item.get("length")
+        ln = _required(item, "length", f"edge {eid}")
         if ln == "inf":
             length = None
         else:

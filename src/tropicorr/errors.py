@@ -78,5 +78,16 @@ class HypothesisFailed(TropicorrError):
         super().__init__(message or self.code)
 
 
+class CrossCheckFailed(TropicorrError):
+    """Two independent routes to the same quantity disagree; ``check`` names
+    the cross-check.  Raised instead of an ``assert`` so that it survives
+    ``python -O``."""
+
+    def __init__(self, check, message=""):
+        self.check = check
+        self.code = "CrossCheckFailed:" + check
+        super().__init__(message or self.code)
+
+
 class ParseError(TropicorrError):
     code = "ParseError"

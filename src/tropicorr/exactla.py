@@ -116,57 +116,72 @@ class SNFResult:
     divisors: tuple[int, ...]
 
 
-def snf(a: Mat) -> SNFResult:
-    """Smith normal form over Z.
+def _smith(a, transforms: bool):
+    """The elimination behind snf and invariant_factors, with snf's pivot
+    rule.  Reduces a copy of A to Smith form D and returns (D, U, V) as
+    lists of rows; U and V are recorded only when transforms is set (None
+    otherwise)."""
+    d = [[int(x) for x in row] for row in a]
+    m = len(d)
+    n = len(d[0]) if d else 0
+    u = [list(row) for row in identity(m)] if transforms else None
+    v = [list(row) for row in identity(n)] if transforms else None
+    t = 0
 
-    Pivoting is deterministic: the smallest nonzero absolute value in the
-    remaining submatrix wins, ties broken in row-major order.
-    """
-    a = freeze(a)
-    m, n = shape(a)
-    d = [list(row) for row in a]
-    u = [list(row) for row in identity(m)]
-    v = [list(row) for row in identity(n)]
+    # Rows above t are zero outside the diagonal, and so are columns left of
+    # t below the diagonal: column operations on D need only rows t..m-1.
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in d:
+        for k in range(t, m):
+            row = d[k]
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):
         # row dst -= q * row src
         d[dst] = [x - q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, q):
-        for row in d:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
+        for k in range(t, m):
+            row = d[k]
+            if row[src]:
+                row[dst] -= q * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] -= q * row[src]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
-    def pick_pivot(t):
+    def pick_pivot():
+        # a unit is the smallest possible value, so the first one met in
+        # row-major order is the pivot and the scan can stop there
         best = None
         pos = None
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                val = abs(d[i][j])
+                val = abs(row[j])
                 if val and (best is None or val < best):
+                    if val == 1:
+                        return i, j
                     best = val
                     pos = (i, j)
         return pos
 
-    t = 0
     while t < min(m, n):
-        pos = pick_pivot(t)
+        pos = pick_pivot()
         if pos is None:
             break
         while True:
@@ -190,26 +205,45 @@ def snf(a: Mat) -> SNFResult:
                     if d[t][j]:
                         dirty = True
             if dirty:
-                pos = pick_pivot(t)
+                pos = pick_pivot()
                 continue
-            # cross is clear; enforce the divisibility chain
+            # cross is clear; enforce the divisibility chain (a unit pivot
+            # divides everything)
             p = d[t][t]
             offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % p:
+            if p != 1:
+                for i in range(t + 1, m):
+                    if any(x % p for x in d[i][t + 1:]):
                         offender = i
                         break
-                if offender is not None:
-                    break
             if offender is None:
                 break
             add_row(offender, t, -1)
-            pos = pick_pivot(t)
+            pos = pick_pivot()
         t += 1
+    return d, u, v
 
-    divisors = tuple(d[i][i] for i in range(min(m, n)) if d[i][i] != 0)
-    return SNFResult(freeze(u), freeze(d), freeze(v), divisors)
+
+def _divisors(d) -> tuple[int, ...]:
+    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))
+                 if d[i][i] != 0)
+
+
+def snf(a: Mat) -> SNFResult:
+    """Smith normal form over Z, with the transforms U and V.
+
+    Pivoting is deterministic: the smallest nonzero absolute value in the
+    remaining submatrix wins, ties broken in row-major order.
+    """
+    d, u, v = _smith(a, transforms=True)
+    return SNFResult(freeze(u), freeze(d), freeze(v), _divisors(d))
+
+
+def invariant_factors(a: Mat) -> tuple[int, ...]:
+    """The invariant factors d1 | d2 | ... of A, i.e. ``snf(a).divisors``,
+    computed without building U and V."""
+    d, _, _ = _smith(a, transforms=False)
+    return _divisors(d)
 
 
 def kernel_basis(a: Mat) -> Mat:
@@ -226,7 +260,27 @@ def kernel_basis(a: Mat) -> Mat:
 
 
 def rank(a: Mat) -> int:
-    return len(snf(a).divisors)
+    return len(invariant_factors(a))
+
+
+def rank_mod_p(a: Mat, p: int) -> int:
+    """Rank of A over the prime field F_p, by Gauss-Jordan elimination."""
+    m = [[x % p for x in row] for row in a]
+    ncols = len(m[0]) if m else 0
+    row = 0
+    for col in range(ncols):
+        piv = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = pow(m[row][col], -1, p)
+        m[row] = [(x * inv) % p for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col]:
+                f = m[i][col]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[row])]
+        row += 1
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +403,9 @@ class FGAbelianGroup:
 
 def cokernel_group(a: Mat) -> FGAbelianGroup:
     """Z^rows / column span of A, in canonical form."""
-    a = freeze(a)
-    m, _ = shape(a)
-    divisors = snf(a).divisors
-    return FGAbelianGroup(m - len(divisors), tuple(d for d in divisors if d > 1))
+    divisors = invariant_factors(a)
+    return FGAbelianGroup(len(a) - len(divisors),
+                          tuple(d for d in divisors if d > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +685,8 @@ def combine_sizes(a: GroupSize, b: GroupSize) -> GroupSize:
 __all__ = [
     "Mat", "Vec", "freeze", "zeros", "identity", "shape", "transpose",
     "mat_mul", "mat_vec", "det", "vec_gcd", "integral_length",
-    "primitive_vector", "SNFResult", "snf", "kernel_basis", "rank", "hnf",
+    "primitive_vector", "SNFResult", "snf", "invariant_factors",
+    "kernel_basis", "rank", "rank_mod_p", "hnf",
     "solve_rational", "FGAbelianGroup", "cokernel_group", "Sublattice",
     "zero_lattice", "full_lattice", "saturation", "is_saturated",
     "lattice_intersect", "lattice_sum", "lattice_index",

@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import tropgraph
 from .errors import (
     ConstraintCountMismatch,
+    CrossCheckFailed,
     GenusNotOne,
     NonCollinear,
     NotASubdivision,
@@ -333,8 +334,8 @@ def overvalency(c: TropicalCurve) -> int:
 def rank(p: ParamTropicalCurve) -> int:
     """Dimension of the universal deformation: c(Gamma) + rank E^1(Gamma).
 
-    The closed formula (rank N - 3) chi + |E_inf| - ov + rank E^2 is asserted
-    as a cross-check, never used as the definition.
+    The closed formula (rank N - 3) chi + |E_inf| - ov + rank E^2 is checked
+    against it (CrossCheckFailed otherwise), never used as the definition.
     """
     from . import complexes
 
@@ -344,7 +345,8 @@ def rank(p: ParamTropicalCurve) -> int:
     chi = 1 - tropgraph.genus(p.curve)
     formula = ((p.lattice_rank - 3) * chi + len(p.curve.unbounded_edges())
                - overvalency(p.curve) + rep.E2.rank)
-    assert r == formula, (r, formula)
+    if r != formula:
+        raise CrossCheckFailed("rank_formula", f"rank {r}, formula {formula}")
     return r
 
 

@@ -72,6 +72,42 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert run(["info", str(f), "--json"]) == 2
 
 
+def test_missing_required_field_exit_2(tmp_path, capsys):
+    fixture = json.loads((FIXTURES / "line2pts.json").read_text())
+    cases = [("finite_vertices", "id"), ("finite_vertices", "h"),
+             ("infinite_vertices", "id"), ("edges", "id"),
+             ("edges", "ends"), ("edges", "length")]
+    for section, field in cases:
+        data = json.loads(json.dumps(fixture))
+        del data[section][0][field]
+        f = tmp_path / f"no-{section}-{field}.json"
+        f.write_text(json.dumps(data))
+        assert run(["info", str(f), "--json"]) == 2, (section, field)
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["code"] == "ParseError"
+        assert repr(field) in err["error"]["message"]
+
+
+def test_bad_char_exit_2(tmp_path, capsys):
+    line2pts = str(FIXTURES / "line2pts.json")
+    for char in ("4", "1", "-3"):
+        assert run(["count", line2pts, "--char", char, "--json"]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["code"] == "ParseError"
+        assert "--char" in err["error"]["message"]
+    data = json.loads((FIXTURES / "line2pts.json").read_text())
+    data["char"] = 4
+    f = tmp_path / "char4.json"
+    f.write_text(json.dumps(data))
+    for cmd in ("count", "info"):
+        assert run([cmd, str(f), "--json"]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["code"] == "ParseError"
+    # a valid --char does not rescue a bad char in the file
+    assert run(["count", str(f), "--char", "0", "--json"]) == 2
+    capsys.readouterr()
+
+
 def test_info_fields(capsys):
     code, rep = run_json(capsys, "info", str(FIXTURES / "line2pts.json"))
     assert code == 0

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fixture_curves import (
@@ -6,6 +10,8 @@ from fixture_curves import (
     triangle_elliptic,
     tropical_line,
 )
+from tropicorr import counting, exactla
+from tropicorr import paramcurve as pc
 from tropicorr.counting import (
     correspondence_count,
     elliptic_count,
@@ -13,7 +19,13 @@ from tropicorr.counting import (
     reduction_torsor,
     stacky_multiplier,
 )
-from tropicorr.errors import GenusNotOne, HypothesisFailed, ObstructionNonzero
+from tropicorr.curvefile import load
+from tropicorr.errors import (
+    CrossCheckFailed,
+    GenusNotOne,
+    HypothesisFailed,
+    ObstructionNonzero,
+)
 from tropicorr.paramcurve import constraint_set, extend_parameterization, param_curve
 from tropicorr.tropgraph import SubdivideBounded, curve
 
@@ -150,3 +162,84 @@ def test_elliptic_count_genus_errors():
     with pytest.raises(HypothesisFailed) as err:
         elliptic_count(tri, constraint_set([((), (-1, -1))], 2), 0)
     assert err.value.flag == "codim_match"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap exactla functions in every tropicorr namespace that bound them
+    and return the live call counters."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(exactla, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("tropicorr")
+                    and getattr(mod, name, None) is fn):
+                monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("count, fixture, expected", [
+    (correspondence_count, "line2pts.json", 1),
+    (correspondence_count, "dblline.json", 4),
+    (elliptic_count, "triangle_elliptic.json", 9),
+])
+def test_count_reduces_each_matrix_once(monkeypatch, count, fixture, expected):
+    # (b, none) for the rank, then (b, A) and (beta, A) for a plane count or
+    # (beta, A) and (beta, A, j) for an elliptic one; no transforms needed
+    p, a, _, _ = load(str(FIXTURES / fixture))
+    calls = _count_calls(monkeypatch, ("invariant_factors", "snf"))
+    assert count(p, a, 0).count == expected
+    assert calls == {"invariant_factors": 3, "snf": 0}
+
+
+# cross-check -> (module, function to break, its broken stand-in, fixture);
+# the stand-in makes one route disagree with the others
+BROKEN_ROUTES = {
+    "count_routes": (counting, "stacky_multiplier", lambda p: 2,
+                     "dblline.json"),
+    "rank_formula": (pc, "overvalency", lambda c: -1, "line2pts.json"),
+}
+
+
+def broken_route_code(check):
+    """Count with one route of the named cross-check broken, and return the
+    code of the CrossCheckFailed raised (None when nothing is raised)."""
+    module, name, broken, fixture = BROKEN_ROUTES[check]
+    p, a, _, _ = load(str(FIXTURES / fixture))
+    original = getattr(module, name)
+    setattr(module, name, broken)
+    try:
+        correspondence_count(p, a, 0)
+    except CrossCheckFailed as exc:
+        return exc.code
+    finally:
+        setattr(module, name, original)
+    return None
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN_ROUTES))
+def test_cross_check_failure_raises(check):
+    assert broken_route_code(check) == f"CrossCheckFailed:{check}"
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN_ROUTES))
+def test_cross_check_failure_survives_optimize(check):
+    # under -O every bare assert is gone, so only a raised error can report
+    script = ("import sys; sys.path[:0] = sys.argv[1:3]; "
+              "assert False, 'asserts must be stripped'; "
+              "import test_counting; "
+              "print(test_counting.broken_route_code(sys.argv[3]))")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(ROOT / "src"),
+         str(ROOT / "tests"), check],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"CrossCheckFailed:{check}"

@@ -16,6 +16,7 @@ from tropicorr.exactla import (
     hnf,
     identity,
     integral_length,
+    invariant_factors,
     kernel_basis,
     lattice_index,
     lattice_intersect,
@@ -29,6 +30,7 @@ from tropicorr.exactla import (
     snf,
     solve_rational,
     zero_lattice,
+    zeros,
 )
 
 
@@ -106,6 +108,21 @@ def test_snf_deterministic():
     rng = random.Random(5)
     a = [[rng.randint(-10, 10) for _ in range(6)] for _ in range(5)]
     assert snf(a) == snf(a)
+
+
+def test_invariant_factors_match_snf_divisors():
+    rng = random.Random(1001)
+    cases = [(), ((), (), ()), zeros(3, 3), zeros(2, 5), zeros(6, 1)]
+    for _ in range(400):
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 8)
+        bound = rng.choice((1, 3, 2**40))
+        density = rng.choice((0.2, 0.6, 1.0))
+        cases.append(freeze(
+            [[rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(m)]))
+    for a in cases:
+        assert invariant_factors(a) == snf(a).divisors, a
 
 
 def test_kernel_basis_examples():
