@@ -94,9 +94,10 @@ def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
 
     constraint_rows = []
     if spec.constraints is not None:
-        rep = pc.check_constraint(p, spec.constraints)
-        if not rep.satisfies:
-            raise ConstraintUnsatisfied("; ".join(rep.problems))
+        # simplicity is a count hypothesis, checked once by the count itself
+        problems = pc._unsatisfied(p, spec.constraints)
+        if problems:
+            raise ConstraintUnsatisfied("; ".join(problems))
         for (vinf, vfin), con in zip(pc.marked_pairs(p, len(spec.constraints)),
                                      spec.constraints.items):
             constraint_rows.append((vfin, quotient_presentation(con.space)))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import paramcurve as pc
-from .errors import RayNotInFan
+from .errors import CrossCheckFailed, RayNotInFan
 from .exactla import integral_length, kernel_basis, primitive_vector
 from .paramcurve import ParamTropicalCurve
 
@@ -279,7 +279,11 @@ def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
         for r in rays:
             coords = _coords_in(c, r)
             if coords is not None and coords[0] > 0 and coords[1] > 0:
-                assert r[n] > 0, "interior ray of an edge cone has height 0"
+                if r[n] <= 0:
+                    raise CrossCheckFailed(
+                        "interior_ray_height",
+                        f"interior ray {r} of the cone of edge {e.id} has "
+                        "height 0")
                 pts.append(tuple(Fraction(x, r[n]) for x in r[:n]))
         if pts:
             positions[e.id] = pts
@@ -316,7 +320,10 @@ def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
     and edges."""
     cones = build_K(p_tr)
     bad = check_fan(cones)
-    assert not bad, "curve cones do not form a fan; apply gamma_tr first"
+    if bad:
+        raise CrossCheckFailed(
+            "fan_axiom", "curve cones do not form a fan (apply gamma_tr "
+            "first): " + "; ".join(bad))
     ray_vertices: dict[Ray, list] = {}
     for v in p_tr.curve.finite_vertices:
         ray_vertices.setdefault(vertex_ray(p_tr, v), []).append(v)
@@ -440,21 +447,16 @@ def reduction_exponents(p_tr: ParamTropicalCurve, v: str):
     vector per incident edge end (the character exponents of the restriction
     to the component).  The entries sum to zero by balancing."""
     pc.require_balanced(p_tr)
-    inf_set = set(p_tr.curve.infinite_vertices)
     out = []
-    for e in sorted(p_tr.curve.edges, key=lambda e: e.id):
-        for a, b in (e.ends, e.ends[::-1]):
-            if a != v:
-                continue
-            if e.is_bounded:
-                vec = pc.vscale(Fraction(1) / e.length, pc.vsub(p_tr.hv(b), p_tr.hv(a)))
-            elif b in inf_set:
-                vec = p_tr.hv(b)
-            else:
-                continue
-            ivec = pc.as_int_vec(vec)
-            assert ivec is not None
-            out.append((e.id, ivec))
+    ends = pc._outgoing(p_tr, v, set(p_tr.curve.infinite_vertices))
+    # the sort is stable, so the two ends of a loop keep their order
+    for e, vec in sorted(ends, key=lambda end: end[0].id):
+        ivec = pc.as_int_vec(vec)
+        if ivec is None:
+            raise CrossCheckFailed(
+                "integral_exponents",
+                f"edge {e.id} leaves {v} along {tuple(map(str, vec))}")
+        out.append((e.id, ivec))
     return out
 
 

@@ -9,8 +9,11 @@ vector marks a contracted end, i.e. a marked point).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from . import tropgraph
 from .errors import (
@@ -68,15 +71,33 @@ def as_int_vec(a):
 
 @dataclass(frozen=True)
 class ParamTropicalCurve:
+    """A curve with its vertex map.  h is a read-only copy of the mapping
+    given, so the facts derived from the object (its violation list and
+    the geometry of each edge) are computed once and live exactly as long
+    as the object."""
+
     curve: TropicalCurve
     lattice_rank: int
-    h: dict[str, QVec]
+    h: Mapping[str, QVec]
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", MappingProxyType(dict(self.h)))
 
     def hv(self, v: str) -> QVec:
         return self.h[v]
 
     def zero(self) -> QVec:
         return (Fraction(0),) * self.lattice_rank
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """What ``param_violations`` reports; empty iff balanced."""
+        return tuple(_collect_violations(self))
+
+    @cached_property
+    def _geometry(self) -> dict[str, EdgeGeometry]:
+        """Memo of ``edge_geometry``, filled one edge at a time."""
+        return {}
 
 
 def param_curve(c: TropicalCurve, lattice_rank: int, h) -> ParamTropicalCurve:
@@ -104,6 +125,10 @@ def edge_direction(p: ParamTropicalCurve, e: tropgraph.Edge) -> QVec:
 
 def param_violations(p: ParamTropicalCurve) -> list[str]:
     """Structural violations plus integrality and balancing defects."""
+    return list(p._violations)
+
+
+def _collect_violations(p: ParamTropicalCurve) -> list[str]:
     out = list(tropgraph.validate(p.curve))
     n = p.lattice_rank
     for v in p.curve.vertex_ids():
@@ -124,34 +149,37 @@ def param_violations(p: ParamTropicalCurve) -> list[str]:
     return out
 
 
+def _outgoing(p: ParamTropicalCurve, v: str, inf_set):
+    """(edge, outgoing vector) for each edge end at v, read off the
+    incidence lists: (h(w)-h(v))/|e| along a bounded edge to w, and h(w)
+    along an unbounded edge to a vertex w of inf_set."""
+    for e, w in p.curve.incidence.get(v, ()):
+        if e.is_bounded:
+            yield e, vscale(Fraction(1) / e.length, vsub(p.hv(w), p.hv(v)))
+        elif w in inf_set:
+            yield e, p.hv(w)
+
+
 def balancing_defects(p: ParamTropicalCurve) -> dict[str, QVec]:
     """Nonzero balancing sums per finite vertex."""
     inf_set = set(p.curve.infinite_vertices)
     out = {}
     for v in p.curve.finite_vertices:
         total = p.zero()
-        for e in p.curve.edges:
-            for a, b in (e.ends, e.ends[::-1]):
-                if a != v:
-                    continue
-                if e.is_bounded:
-                    total = vadd(total, vscale(Fraction(1) / e.length,
-                                               vsub(p.hv(b), p.hv(a))))
-                elif b in inf_set:
-                    total = vadd(total, p.hv(b))
+        for _, vec in _outgoing(p, v, inf_set):
+            total = vadd(total, vec)
         if not is_zero(total):
             out[v] = total
     return out
 
 
 def is_balanced(p: ParamTropicalCurve) -> bool:
-    return not param_violations(p)
+    return not p._violations
 
 
 def require_balanced(p: ParamTropicalCurve):
-    bad = param_violations(p)
-    if bad:
-        raise NotBalanced("; ".join(bad))
+    if p._violations:
+        raise NotBalanced("; ".join(p._violations))
 
 
 @dataclass(frozen=True)
@@ -162,6 +190,13 @@ class EdgeGeometry:
 
 
 def edge_geometry(p: ParamTropicalCurve, eid: str) -> EdgeGeometry:
+    geo = p._geometry.get(eid)
+    if geo is None:
+        geo = p._geometry[eid] = _edge_geometry(p, eid)
+    return geo
+
+
+def _edge_geometry(p: ParamTropicalCurve, eid: str) -> EdgeGeometry:
     e = p.curve.edge(eid)
     d = as_int_vec(edge_direction(p, e))
     if d is None:
@@ -273,28 +308,41 @@ def subdivide_at_positions(p: ParamTropicalCurve, positions) -> ParamTropicalCur
     return extend_parameterization(p, steps)
 
 
+class _Classes:
+    """Union-find over vertex ids; each class is named by its least id."""
+
+    def __init__(self, vertices):
+        self.parent = {v: v for v in vertices}
+
+    def find(self, v: str) -> str:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(self, u: str, w: str) -> bool:
+        """Merge the classes of u and w; False when they were one already."""
+        a, b = self.find(u), self.find(w)
+        if a == b:
+            return False
+        self.parent[max(a, b)] = min(a, b)
+        return True
+
+
 def contract_zero_slope(p: ParamTropicalCurve):
     """Contract the maximal subgraph of bounded zero-slope edges.
 
     Returns (contracted curve, vertex surjection).  Vertices joined by
     zero-slope edges share their h value, so h descends.
     """
-    parent = {v: v for v in p.curve.finite_vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    classes = _Classes(p.curve.finite_vertices)
     contracted = set()
     for e in p.curve.bounded_edges():
         if edge_geometry(p, e.id).slope is None:
             contracted.add(e.id)
-            a, b = find(e.ends[0]), find(e.ends[1])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    vmap = {v: find(v) for v in p.curve.finite_vertices}
+            classes.union(*e.ends)
+    vmap = {v: classes.find(v) for v in p.curve.finite_vertices}
     vmap.update({v: v for v in p.curve.infinite_vertices})
     finite = tuple(sorted(set(vmap[v] for v in p.curve.finite_vertices),
                           key=p.curve.finite_vertices.index))
@@ -401,11 +449,8 @@ def marked_pairs(p: ParamTropicalCurve, k: int):
     if k > len(p.curve.infinite_vertices):
         raise ConstraintCountMismatch(
             f"{k} constraints but only {len(p.curve.infinite_vertices)} infinite vertices")
-    out = []
-    for v in p.curve.infinite_vertices[:k]:
-        e = next(e for e in p.curve.edges if v in e.ends)
-        out.append((v, e.ends[0] if e.ends[1] == v else e.ends[1]))
-    return out
+    return [(v, p.curve.incidence[v][0][1])
+            for v in p.curve.infinite_vertices[:k]]
 
 
 def check_constraint(p: ParamTropicalCurve, a: AffineConstraintSet) -> ConstraintReport:
@@ -417,8 +462,16 @@ def check_constraint(p: ParamTropicalCurve, a: AffineConstraintSet) -> Constrain
     slope meeting the constraint space trivially.
     """
     require_balanced(p)
+    problems = tuple(_unsatisfied(p, a))
+    satisfied = not problems
+    return ConstraintReport(satisfied, satisfied and _simple(p, a), a.codim,
+                            problems)
+
+
+def _unsatisfied(p: ParamTropicalCurve, a: AffineConstraintSet) -> list[str]:
+    """The satisfaction part of ``check_constraint``: its problems, none
+    when the curve satisfies the constraint."""
     problems = []
-    simple = True
     for i, ((vinf, vfin), con) in enumerate(zip(marked_pairs(p, len(a)), a.items)):
         if con.space.ambient_rank != p.lattice_rank:
             raise ValueError("constraint ambient rank mismatch")
@@ -426,16 +479,22 @@ def check_constraint(p: ParamTropicalCurve, a: AffineConstraintSet) -> Constrain
             problems.append(f"constraint {i}: h({vinf}) != 0")
         if not con.space.spans(vsub(p.hv(vfin), con.point)):
             problems.append(f"constraint {i}: h({vfin}) not on the translate")
+    return problems
+
+
+def _simple(p: ParamTropicalCurve, a: AffineConstraintSet) -> bool:
+    """The simplicity part of ``check_constraint``, for a curve that
+    satisfies the constraint."""
+    for (_, vfin), con in zip(marked_pairs(p, len(a)), a.items):
         if tropgraph.valency(p.curve, vfin) != 3:
-            simple = False
-        for e in p.curve.bounded_edges():
-            if vfin not in e.ends:
+            return False
+        for e, _ in p.curve.incidence[vfin]:
+            if not e.is_bounded:
                 continue
             lat = slope_lattice(p, e.id)
             if lat.rank == 0 or lattice_intersect(lat, con.space).rank != 0:
-                simple = False
-    satisfied = not problems
-    return ConstraintReport(satisfied, satisfied and simple, a.codim, tuple(problems))
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +508,17 @@ def find_cycle(p: ParamTropicalCurve):
     c = p.curve
     if tropgraph.genus(c) != 1:
         raise GenusNotOne(f"genus is {tropgraph.genus(c)}")
-    parent = {v: v for v in c.vertex_ids()}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    classes = _Classes(c.vertex_ids())
     tree = []
     closer = None
     for e in c.edges:
-        a, b = find(e.ends[0]), find(e.ends[1])
-        if a == b:
-            closer = e
-        else:
-            parent[a] = b
+        if classes.union(*e.ends):
             tree.append(e)
-    assert closer is not None
+        else:
+            closer = e
+    if closer is None:
+        raise CrossCheckFailed("cycle_closer",
+                               "genus one but no edge closes a cycle")
     if closer.ends[0] == closer.ends[1]:
         return [(closer, 1)]
     # path from closer.ends[1] back to closer.ends[0] through the forest

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import fanmodel as fan
 from . import paramcurve as pc
-from .errors import NotReduced
+from .errors import CrossCheckFailed, NotReduced
 from .exactla import (
     Sublattice,
     integral_length,
@@ -170,7 +170,10 @@ def node_stack(p_tr: ParamTropicalCurve) -> NodeStackData:
             e = p_tr.curve.edge(eid)
             if e.is_bounded:
                 mult = pc.edge_geometry(p_tr, eid).multiplicity
-                assert l_sigma[c] % mult == 0
+                if l_sigma[c] % mult:
+                    raise CrossCheckFailed(
+                        "node_order", f"l(sigma) = {l_sigma[c]} is not a "
+                        f"multiple of l({eid}) = {mult}")
                 node_orders[eid] = l_sigma[c] // mult
     marked_orders = {}
     for v in p_tr.curve.infinite_vertices:
@@ -179,7 +182,10 @@ def node_stack(p_tr: ParamTropicalCurve) -> NodeStackData:
         if mult == 0:
             continue
         r = primitive_vector(direction) + (0,)
-        assert l_rho[r] % mult == 0
+        if l_rho[r] % mult:
+            raise CrossCheckFailed(
+                "marked_order", f"l(rho) = {l_rho[r]} is not a multiple of "
+                f"l({v}) = {mult}")
         marked_orders[v] = l_rho[r] // mult
     return NodeStackData(node_orders, marked_orders)
 

@@ -9,8 +9,10 @@ rational lengths.  Loops and multi-edges are allowed; a loop counts once in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BadSubdivision, NotStabilizable
 
@@ -30,6 +32,9 @@ class Edge:
 
 @dataclass(frozen=True)
 class TropicalCurve:
+    """An immutable curve.  The edge index and the incidence lists are
+    built on first use and live as long as the curve object."""
+
     finite_vertices: tuple[str, ...]
     infinite_vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -40,11 +45,27 @@ class TropicalCurve:
     def is_finite(self, v: str) -> bool:
         return v in set(self.finite_vertices)
 
-    def edge(self, eid: str) -> Edge:
+    @cached_property
+    def _edge_index(self) -> dict[str, Edge]:
+        index: dict[str, Edge] = {}
         for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
+            index.setdefault(e.id, e)   # the first of duplicate ids wins
+        return index
+
+    @cached_property
+    def incidence(self) -> dict[str, tuple[tuple[Edge, str], ...]]:
+        """(edge, far end) for every edge end at each vertex, in edge order
+        and ends[0] before ends[1]; a loop is listed twice.  Endpoints
+        unknown to the vertex lists get entries too."""
+        inc: dict[str, list] = {v: [] for v in self.vertex_ids()}
+        for e in self.edges:
+            u, w = e.ends
+            inc.setdefault(u, []).append((e, w))
+            inc.setdefault(w, []).append((e, u))
+        return {v: tuple(ends) for v, ends in inc.items()}
+
+    def edge(self, eid: str) -> Edge:
+        return self._edge_index[eid]
 
     def bounded_edges(self):
         return tuple(e for e in self.edges if e.is_bounded)
@@ -64,15 +85,8 @@ def curve(finite, infinite=(), edges=()) -> TropicalCurve:
                          tuple(str(v) for v in infinite), tuple(es))
 
 
-def incident_edges(c: TropicalCurve, v: str):
-    return [e for e in c.edges if v in e.ends]
-
-
 def valency(c: TropicalCurve, v: str) -> int:
-    n = 0
-    for e in c.edges:
-        n += (e.ends[0] == v) + (e.ends[1] == v)
-    return n
+    return len(c.incidence.get(v, ()))
 
 
 def is_connected(c: TropicalCurve) -> bool:
@@ -120,9 +134,12 @@ def validate(c: TropicalCurve) -> list[str]:
             if n_inf != 1:
                 out.append(f"(p2): unbounded edge {e.id} must join a finite and "
                            "an infinite vertex")
+    # counted here rather than through the incidence lists, so that a curve
+    # that is only validated (a caller's input, say) keeps no derived data
+    ends = Counter(x for e in c.edges for x in e.ends)
     for v in c.infinite_vertices:
-        if valency(c, v) != 1:
-            out.append(f"(p2): infinite vertex {v} has valency {valency(c, v)}")
+        if ends[v] != 1:
+            out.append(f"(p2): infinite vertex {v} has valency {ends[v]}")
     if not is_connected(c):
         out.append("disconnected")
     return out
@@ -260,8 +277,9 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
     """The unique stable curve from which c arises by subdivision and tree
     attachment: prune the maximal forest with finite leaves, then smooth
     2-valent vertices, adding lengths."""
-    if validate(c):
-        raise NotStabilizable("input curve is invalid")
+    bad = validate(c)
+    if bad:
+        raise NotStabilizable("input curve is invalid: " + "; ".join(bad))
     if not satisfies_stability_bound(c):
         raise NotStabilizable(
             "genus and infinite-vertex count violate the stability bound")

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from tropicorr.cli import run
 from tropicorr.curvefile import curve_to_json, parse_curve
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 
 
 def run_json(capsys, *argv):
@@ -106,6 +110,28 @@ def test_bad_char_exit_2(tmp_path, capsys):
     # a valid --char does not rescue a bad char in the file
     assert run(["count", str(f), "--char", "0", "--json"]) == 2
     capsys.readouterr()
+
+
+def cli_process(*argv, timeout=30):
+    """The CLI in a fresh process, killed (and the test failed) when it
+    outlives the timeout."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "tropicorr.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def test_huge_char_terminates():
+    line2pts = str(FIXTURES / "line2pts.json")
+    mersenne = 2**61 - 1
+    out = cli_process("count", line2pts, "--char", str(mersenne), "--json")
+    assert out.returncode == 0, out.stdout
+    assert json.loads(out.stdout)["result"]["count"] == "1"
+    # beyond the proven range of the primality test: refused, not guessed
+    out = cli_process("count", line2pts, "--char",
+                      str((2**31 - 1) * mersenne), "--json")
+    assert out.returncode == 2
+    assert json.loads(out.stdout)["error"]["code"] == "ParseError"
 
 
 def test_info_fields(capsys):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from fixture_curves import (
     triangle_elliptic,
     tropical_line,
 )
-from tropicorr import counting, exactla
+from tropicorr import counting, exactla, fanmodel
 from tropicorr import paramcurve as pc
 from tropicorr.counting import (
     correspondence_count,
@@ -186,11 +187,14 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("count, fixture, expected", [
+FIXTURE_COUNTS = [
     (correspondence_count, "line2pts.json", 1),
     (correspondence_count, "dblline.json", 4),
     (elliptic_count, "triangle_elliptic.json", 9),
-])
+]
+
+
+@pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)
 def test_count_reduces_each_matrix_once(monkeypatch, count, fixture, expected):
     # (b, none) for the rank, then (b, A) and (beta, A) for a plane count or
     # (beta, A) and (beta, A, j) for an elliptic one; no transforms needed
@@ -200,24 +204,65 @@ def test_count_reduces_each_matrix_once(monkeypatch, count, fixture, expected):
     assert calls == {"invariant_factors": 3, "snf": 0}
 
 
-# cross-check -> (module, function to break, its broken stand-in, fixture);
-# the stand-in makes one route disagree with the others
+@pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)
+def test_count_computes_each_fact_once(monkeypatch, count, fixture, expected):
+    # per curve object: one violation list, at most one geometry derivation
+    # per edge; per count: one simplicity check of the constraint
+    p, a, _, _ = load(str(FIXTURES / fixture))
+    alive = []      # holds every object seen, so no id is reused meanwhile
+    violations, geometry, simple = Counter(), Counter(), Counter()
+
+    def counted(counter, fn, key):
+        def wrapper(q, *args):
+            alive.append(q)
+            counter[key(q, *args)] += 1
+            return fn(q, *args)
+        return wrapper
+
+    monkeypatch.setattr(pc, "_collect_violations",
+                        counted(violations, pc._collect_violations, id))
+    monkeypatch.setattr(pc, "_edge_geometry",
+                        counted(geometry, pc._edge_geometry,
+                                lambda q, eid: (id(q), eid)))
+    monkeypatch.setattr(pc, "_simple",
+                        counted(simple, pc._simple, lambda q, a: None))
+    assert count(p, a, 0).count == expected
+    assert violations and set(violations.values()) == {1}
+    assert geometry and set(geometry.values()) == {1}
+    assert simple == {None: 1}
+
+
+def _count(p, a):
+    return correspondence_count(p, a, 0)
+
+
+def _fan(p, a):
+    return fanmodel.fan_model(fanmodel.gamma_tr(p))
+
+
+# cross-check -> (module, function to break, its broken stand-in, fixture,
+# the call that must report it); the stand-in makes one route disagree with
+# the others
 BROKEN_ROUTES = {
     "count_routes": (counting, "stacky_multiplier", lambda p: 2,
-                     "dblline.json"),
-    "rank_formula": (pc, "overvalency", lambda c: -1, "line2pts.json"),
+                     "dblline.json", _count),
+    "rank_formula": (pc, "overvalency", lambda c: -1, "line2pts.json",
+                     _count),
+    "fan_axiom": (fanmodel, "check_fan", lambda cones: ["broken"],
+                  "dblline.json", _fan),
 }
 
 
 def broken_route_code(check):
-    """Count with one route of the named cross-check broken, and return the
-    code of the CrossCheckFailed raised (None when nothing is raised)."""
-    module, name, broken, fixture = BROKEN_ROUTES[check]
+    """Run the named cross-check's call with one of its routes broken, and
+    return the code of the CrossCheckFailed raised (None when nothing is
+    raised)."""
+    module, name, broken, fixture, call = BROKEN_ROUTES[check]
     p, a, _, _ = load(str(FIXTURES / fixture))
     original = getattr(module, name)
     setattr(module, name, broken)
     try:
-        correspondence_count(p, a, 0)
+        call(p, a)
     except CrossCheckFailed as exc:
         return exc.code
     finally:

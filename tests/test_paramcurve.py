@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from corpus import corpus, elliptic_corpus
 from fixture_curves import (
     doubled_line,
     line_through_two_points,
@@ -9,8 +11,10 @@ from fixture_curves import (
     tropical_line,
     two_vertex_curve,
 )
+from tropicorr import paramcurve as pc
 from tropicorr.errors import GenusNotOne, NonCollinear
 from tropicorr.paramcurve import (
+    ParamTropicalCurve,
     balancing_defects,
     check_constraint,
     constraint_set,
@@ -21,6 +25,7 @@ from tropicorr.paramcurve import (
     find_cycle,
     is_balanced,
     param_curve,
+    param_violations,
     rank,
     stabilize_param,
     subdivide_at_positions,
@@ -40,10 +45,70 @@ F = Fraction
 
 def test_balancing_examples():
     assert is_balanced(tropical_line())
-    skew = tropical_line()
-    skew.h["u3"] = (F(1), F(2))
+    line = tropical_line()
+    skew = replace(line, h={**line.h, "u3": (F(1), F(2))})
     assert balancing_defects(skew) == {"v0": (F(0), F(1))}
     assert is_balanced(two_vertex_curve())
+
+
+def test_h_is_read_only():
+    p = tropical_line()
+    with pytest.raises(TypeError):
+        p.h["u3"] = (F(1), F(2))
+    assert is_balanced(p)
+
+
+def _balancing_reference(p):
+    """The balancing sums by a scan of every edge at every vertex."""
+    inf_set = set(p.curve.infinite_vertices)
+    out = {}
+    for v in p.curve.finite_vertices:
+        total = p.zero()
+        for e in p.curve.edges:
+            for a, b in (e.ends, e.ends[::-1]):
+                if a != v:
+                    continue
+                if e.is_bounded:
+                    step = tuple((y - x) / e.length
+                                 for x, y in zip(p.hv(a), p.hv(b)))
+                elif b in inf_set:
+                    step = p.hv(b)
+                else:
+                    continue
+                total = tuple(x + y for x, y in zip(total, step))
+        if any(total):
+            out[v] = total
+    return out
+
+
+def _fresh(p, shift=None):
+    """An equal curve built from scratch, so no derived fact is shared; with
+    shift, the first finite vertex is moved by it."""
+    c = p.curve
+    h = dict(p.h)
+    if shift is not None:
+        v = c.finite_vertices[0]
+        h[v] = tuple(x + y for x, y in zip(h[v], shift))
+    return ParamTropicalCurve(
+        type(c)(c.finite_vertices, c.infinite_vertices, c.edges),
+        p.lattice_rank, h)
+
+
+def test_cached_facts_equal_fresh_recomputation():
+    curves = [p for p, _ in corpus(20250521, 40)]
+    curves += [p for p, _ in elliptic_corpus(5150, 10)]
+    skewed = [_fresh(p, (F(1, 2),) + (F(0),) * (p.lattice_rank - 1))
+              for p in curves]
+    for p in curves + skewed:
+        first = param_violations(p)
+        assert param_violations(p) == first == pc._collect_violations(_fresh(p))
+        assert balancing_defects(p) == _balancing_reference(_fresh(p))
+    assert all(param_violations(p) for p in skewed)
+    for p in curves:
+        for e in p.curve.edges:
+            geo = edge_geometry(p, e.id)
+            assert edge_geometry(p, e.id) is geo
+            assert geo == pc._edge_geometry(_fresh(p), e.id)
 
 
 def test_edge_geometry_examples():

@@ -124,6 +124,19 @@ def test_stabilize_rejects_two_ended_line():
         stabilize(c)
 
 
+def test_stabilize_reports_the_violations():
+    bad = curve(["v", "w"], ["a", "b", "c"],
+                [("e1", ("v", "a"), None), ("e2", ("v", "b"), None),
+                 ("e3", ("v", "c"), None), ("e4", ("v", "w"), 0),
+                 ("e5", ("w", "a"), None)])
+    with pytest.raises(NotStabilizable) as info:
+        stabilize(bad)
+    message = str(info.value)
+    assert "input curve is invalid" in message
+    assert "bounded edge e4 has non-positive length" in message
+    assert "infinite vertex a has valency 2" in message
+
+
 def test_stabilize_idempotent_and_preserves_infinite_order():
     c = modify(tripod(), [SubdivideUnbounded("e2", (1, 2))])
     st = stabilize(c)
