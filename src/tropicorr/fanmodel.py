@@ -9,18 +9,19 @@ subdivided at the interior crossing rays realizes the refinement as its own
 cone collection.
 
 All cones here have dimension at most two, so every intersection reduces to
-2x2 rational solves; no general polyhedral machinery is needed.
+2x2 and 3x3 integer minors; no general polyhedral machinery is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from . import paramcurve as pc
 from .errors import CrossCheckFailed, RayNotInFan
-from .exactla import integral_length, kernel_basis, primitive_vector
+from .exactla import integral_length, primitive_vector
 from .paramcurve import ParamTropicalCurve
 
 Ray = tuple[int, ...]
@@ -61,36 +62,44 @@ def _parallel(u, v) -> bool:
     return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(len(u)))
 
 
-def _coords_in(conee: Cone, w) -> tuple[Fraction, Fraction] | None:
-    """Coefficients (a, b) with w = a g1 + b g2 over Q, or None when w is
-    outside the span.  For rays b is reported as 0."""
+def _coords_in(conee: Cone, w) -> tuple[int, int, int] | None:
+    """Integers (na, nb, d) with d > 0 and d w = na g1 + nb g2, or None
+    when w is outside the span.  For rays nb is reported as 0."""
     if conee.dim == 0:
-        return (Fraction(0), Fraction(0)) if all(x == 0 for x in w) else None
+        return (0, 0, 1) if all(x == 0 for x in w) else None
     if conee.dim == 1:
         (g,) = conee.generators
         k = next(i for i, x in enumerate(g) if x)
-        a = Fraction(w[k], g[k])
-        if tuple(a * x for x in g) == tuple(Fraction(x) for x in w):
-            return (a, Fraction(0))
+        if all(x * g[k] == w[k] * y for x, y in zip(w, g)):
+            return (w[k], 0, g[k]) if g[k] > 0 else (-w[k], 0, -g[k])
         return None
     g1, g2 = conee.generators
-    m = len(g1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = g1[i] * g2[j] - g1[j] * g2[i]
-            if d:
-                a = Fraction(w[i] * g2[j] - w[j] * g2[i], d)
-                b = Fraction(g1[i] * w[j] - g1[j] * w[i], d)
-                if all(a * x + b * y == w[k]
-                       for k, (x, y) in enumerate(zip(g1, g2))):
-                    return (a, b)
-                return None
-    raise AssertionError("degenerate 2-cone")
+    for i, j in combinations(range(len(g1)), 2):
+        d = g1[i] * g2[j] - g1[j] * g2[i]
+        if d:
+            na = w[i] * g2[j] - w[j] * g2[i]
+            nb = g1[i] * w[j] - g1[j] * w[i]
+            if d < 0:
+                na, nb, d = -na, -nb, -d
+            if all(na * x + nb * y == d * z for x, y, z in zip(g1, g2, w)):
+                return (na, nb, d)
+            return None
+    raise CrossCheckFailed("cone_generators",
+                           f"the generators of {conee} are parallel")
 
 
 def cone_contains(conee: Cone, w) -> bool:
     coords = _coords_in(conee, w)
     return coords is not None and coords[0] >= 0 and coords[1] >= 0
+
+
+def _interior_position(conee: Cone, w) -> Fraction | None:
+    """b / (a + b) for w = a g1 + b g2 strictly inside the 2-cone, which
+    orders the interior rays from g1 to g2; None for any other w."""
+    coords = _coords_in(conee, w)
+    if coords is None or coords[0] <= 0 or coords[1] <= 0:
+        return None
+    return Fraction(coords[1], coords[0] + coords[1])
 
 
 def _sector_intersection(c1: Cone, c2: Cone) -> Cone:
@@ -104,13 +113,22 @@ def _sector_intersection(c1: Cone, c2: Cone) -> Cone:
         return Cone((cands[0],))
     key = []
     for g in cands:
-        a, b = _coords_in(c1, g)
-        key.append((b / (a + b), g))
+        na, nb, _ = _coords_in(c1, g)
+        key.append((Fraction(nb, na + nb), g))
     key.sort()
     lo, hi = key[0][1], key[-1][1]
     if _parallel(lo, hi):
         return Cone((min(lo, hi),))
     return cone(lo, hi)
+
+
+def _plane_minors(h1, h2, w) -> list[int]:
+    """The 3x3 minors of the columns (h1, h2, w), one per row triple; for
+    independent h1, h2 all vanish iff w lies in span(h1, h2)."""
+    return [w[i] * (h1[j] * h2[k] - h1[k] * h2[j])
+            - w[j] * (h1[i] * h2[k] - h1[k] * h2[i])
+            + w[k] * (h1[i] * h2[j] - h1[j] * h2[i])
+            for i, j, k in combinations(range(len(w)), 3)]
 
 
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:
@@ -123,24 +141,22 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
         if c2.dim == 1:
             return c1 if c1 == c2 else ZERO_CONE
         return c1 if cone_contains(c2, g) else ZERO_CONE
-    # two 2-cones: compare spans via the kernel of [g1 g2 -h1 -h2]
+    # two 2-cones: the minors of (h1, h2, a g1 + b g2) are linear in (a, b).
+    # All vanish iff the spans coincide; otherwise the first nonzero one cuts
+    # out the only line that can be common, and cone_contains checks exactly
+    # that it lies in c2 (so planes meeting only in 0 give 0)
     g1, g2 = c1.generators
     h1, h2 = c2.generators
-    cols = tuple(zip(g1, g2, tuple(-x for x in h1), tuple(-x for x in h2)))
-    ker = kernel_basis(cols)
-    if len(ker) == 0:
-        return ZERO_CONE
-    if len(ker) >= 2:
+    rows = [(x, y) for x, y in zip(_plane_minors(h1, h2, g1),
+                                   _plane_minors(h1, h2, g2)) if x or y]
+    if not rows:
         return _sector_intersection(c1, c2)
-    a1, a2, _, _ = ker[0]
-    w = tuple(a1 * x + a2 * y for x, y in zip(g1, g2))
-    if all(x == 0 for x in w):
-        return ZERO_CONE
-    w = primitive_vector(w)
-    for cand in (w, tuple(-x for x in w)):
-        if cone_contains(c1, cand) and cone_contains(c2, cand):
-            return Cone((cand,))
-    return ZERO_CONE
+    x, y = rows[0]
+    a, b = (y, -x) if y >= 0 and x <= 0 else (-y, x)
+    if a < 0 or b < 0:
+        return ZERO_CONE  # the line meets c1 only in 0
+    w = primitive_vector(tuple(a * s + b * t for s, t in zip(g1, g2)))
+    return Cone((w,)) if cone_contains(c2, w) else ZERO_CONE
 
 
 def is_face(f: Cone, c: Cone) -> bool:
@@ -174,12 +190,15 @@ def check_fan(cones) -> list[str]:
 # the cone collection of a curve
 
 
+def _primitive_rational(vec) -> Ray | None:
+    """The primitive integer vector on the ray through a rational vector
+    (denominators cleared), or None for the zero vector."""
+    den = lcm(*(Fraction(x).denominator for x in vec))
+    return primitive_vector(tuple(int(x * den) for x in vec))
+
+
 def _ray_of_point(h) -> Ray:
-    den = 1
-    for x in h:
-        den = lcm(den, Fraction(x).denominator)
-    vec = tuple(int(x * den) for x in h) + (den,)
-    return primitive_vector(vec)
+    return _primitive_rational(tuple(h) + (1,))
 
 
 def _ray_of_direction(d) -> Ray | None:
@@ -252,9 +271,9 @@ def refine_to_fan(cones) -> tuple[Cone, ...]:
     for c in two:
         interior = []
         for r in rays:
-            coords = _coords_in(c, r)
-            if coords is not None and coords[0] > 0 and coords[1] > 0:
-                interior.append((coords[1] / (coords[0] + coords[1]), r))
+            pos = _interior_position(c, r)
+            if pos is not None:
+                interior.append((pos, r))
         interior.sort()
         chain = [c.generators[0]] + [r for _, r in interior] + [c.generators[1]]
         for a, b in zip(chain, chain[1:]):
@@ -277,8 +296,7 @@ def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
             continue
         pts = []
         for r in rays:
-            coords = _coords_in(c, r)
-            if coords is not None and coords[0] > 0 and coords[1] > 0:
+            if _interior_position(c, r) is not None:
                 if r[n] <= 0:
                     raise CrossCheckFailed(
                         "interior_ray_height",
@@ -412,33 +430,17 @@ def star_fan(fm: FanModel, ray: Ray) -> tuple[Ray, ...]:
         if other in eta:
             out.add(other[:-1])
         else:
-            diff = pc.vsub(_height_one_point(other), base)
-            den = 1
-            for x in diff:
-                den = lcm(den, x.denominator)
-            out.add(primitive_vector(tuple(int(x * den) for x in diff)))
+            out.add(_primitive_rational(
+                pc.vsub(_height_one_point(other), base)))
     return tuple(sorted(out))
 
 
 def star_vertex(p_tr: ParamTropicalCurve, v: str) -> tuple[Ray, ...]:
-    """The per-vertex subfan: primitive directions toward the neighbours
-    (contracted ends dropped)."""
-    out = set()
-    inf_set = set(p_tr.curve.infinite_vertices)
-    for e in p_tr.curve.edges:
-        for a, b in (e.ends, e.ends[::-1]):
-            if a != v:
-                continue
-            if b in inf_set:
-                d = primitive_vector(tuple(int(x) for x in p_tr.hv(b)))
-            else:
-                diff = pc.vsub(p_tr.hv(b), p_tr.hv(a))
-                den = 1
-                for x in diff:
-                    den = lcm(den, x.denominator)
-                d = primitive_vector(tuple(int(x * den) for x in diff))
-            if d is not None:
-                out.add(d)
+    """The subfan at a finite vertex: primitive directions toward the
+    neighbours (contracted ends dropped)."""
+    ends = pc._outgoing(p_tr, v, set(p_tr.curve.infinite_vertices))
+    out = {_primitive_rational(vec) for _, vec in ends}
+    out.discard(None)
     return tuple(sorted(out))
 
 

@@ -11,7 +11,7 @@ from fixture_curves import (
     triangle_elliptic,
     tropical_line,
 )
-from tropicorr import counting, exactla, fanmodel
+from tropicorr import counting, exactla, fanmodel, stacky
 from tropicorr import paramcurve as pc
 from tropicorr.counting import (
     correspondence_count,
@@ -240,6 +240,11 @@ def _fan(p, a):
     return fanmodel.fan_model(fanmodel.gamma_tr(p))
 
 
+def _stacky(p, a):
+    tr = fanmodel.gamma_tr(p)
+    return stacky.stacky_data(tr, fanmodel.ramification(tr, 1)["minimal_a"])
+
+
 # cross-check -> (module, function to break, its broken stand-in, fixture,
 # the call that must report it); the stand-in makes one route disagree with
 # the others
@@ -250,6 +255,8 @@ BROKEN_ROUTES = {
                      _count),
     "fan_axiom": (fanmodel, "check_fan", lambda cones: ["broken"],
                   "dblline.json", _fan),
+    "stacky_compatibility": (stacky, "lattice_intersect_span",
+                             lambda lat, span: lat, "dblline.json", _stacky),
 }
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,13 @@ from fixture_curves import (
     two_vertex_curve,
     x_configuration,
 )
-from tropicorr.errors import RayNotInFan
+from tropicorr import exactla
+from tropicorr.errors import CrossCheckFailed, RayNotInFan
+from tropicorr.exactla import kernel_basis, primitive_vector
 from tropicorr.fanmodel import (
     Cone,
     ZERO_CONE,
+    _coords_in,
     build_K,
     check_fan,
     component_adjacency,
@@ -56,6 +60,161 @@ def test_intersect_cones_nested_sector():
     small = cone((1, 0, 1), (2, 0, 1))
     inter = intersect_cones(big, small)
     assert inter == small
+
+
+# ---------------------------------------------------------------------------
+# reference route for the cone arithmetic: Fraction coordinates, and spans
+# compared through the integer kernel of [g1 g2 -h1 -h2] (an SNF)
+
+
+def oracle_coords_in(conee, w):
+    """(a, b) in Q with w = a g1 + b g2, or None outside the span."""
+    if conee.dim == 0:
+        return (F(0), F(0)) if all(x == 0 for x in w) else None
+    if conee.dim == 1:
+        (g,) = conee.generators
+        k = next(i for i, x in enumerate(g) if x)
+        a = F(w[k], g[k])
+        return (a, F(0)) if all(a * x == y for x, y in zip(g, w)) else None
+    g1, g2 = conee.generators
+    for i in range(len(g1)):
+        for j in range(i + 1, len(g1)):
+            d = g1[i] * g2[j] - g1[j] * g2[i]
+            if d:
+                a = F(w[i] * g2[j] - w[j] * g2[i], d)
+                b = F(g1[i] * w[j] - g1[j] * w[i], d)
+                if all(a * x + b * y == z for x, y, z in zip(g1, g2, w)):
+                    return (a, b)
+                return None
+    raise ValueError("degenerate 2-cone")
+
+
+def oracle_contains(conee, w):
+    coords = oracle_coords_in(conee, w)
+    return coords is not None and coords[0] >= 0 and coords[1] >= 0
+
+
+def oracle_intersect(c1, c2):
+    if c1.dim > c2.dim:
+        c1, c2 = c2, c1
+    if c1.dim == 0:
+        return ZERO_CONE
+    if c1.dim == 1:
+        if c2.dim == 1:
+            return c1 if c1 == c2 else ZERO_CONE
+        return c1 if oracle_contains(c2, c1.generators[0]) else ZERO_CONE
+    g1, g2 = c1.generators
+    h1, h2 = c2.generators
+    ker = kernel_basis(tuple(zip(g1, g2, tuple(-x for x in h1),
+                                 tuple(-x for x in h2))))
+    if len(ker) == 0:
+        return ZERO_CONE
+    if len(ker) >= 2:  # same plane: order the candidate rays by angle
+        cands = sorted({g for g in c1.generators if oracle_contains(c2, g)}
+                       | {g for g in c2.generators if oracle_contains(c1, g)})
+        if not cands:
+            return ZERO_CONE
+        key = []
+        for g in cands:
+            a, b = oracle_coords_in(c1, g)
+            key.append((b / (a + b), g))
+        lo, hi = min(key)[1], max(key)[1]
+        return Cone((lo,)) if lo == hi else cone(lo, hi)
+    a1, a2, _, _ = ker[0]
+    w = primitive_vector(tuple(a1 * x + a2 * y for x, y in zip(g1, g2)))
+    for cand in (w, tuple(-x for x in w)):
+        if oracle_contains(c1, cand) and oracle_contains(c2, cand):
+            return Cone((cand,))
+    return ZERO_CONE
+
+
+def _random_vec(rng, m, spread=3):
+    while True:
+        v = primitive_vector(tuple(rng.randint(-spread, spread)
+                                   for _ in range(m)))
+        if v is not None:
+            return v
+
+
+def _cone_or_none(*gens):
+    try:
+        return cone(*gens)
+    except ValueError:
+        return None
+
+
+def _combo(rng, g1, g2, lo=-2):
+    return tuple(rng.randint(lo, 2) * x + rng.randint(lo, 2) * y
+                 for x, y in zip(g1, g2))
+
+
+def _cone_pairs(rng, m):
+    """One pair of cones in Z^m of each kind: random cones of any dimension,
+    the same plane, a shared ray, nested sectors, opposite rays, planes
+    meeting in a line outside both cones, and random planes (which meet
+    only in 0 when m >= 4)."""
+    g1, g2, h, w = (_random_vec(rng, m) for _ in range(4))
+    c1 = _cone_or_none(g1, g2)
+    neg = tuple(-x for x in g1)
+    out = [(rng.choice([ZERO_CONE, Cone((h,)), c1]), Cone((g1,))),
+           (c1, _cone_or_none(_combo(rng, g1, g2), _combo(rng, g1, g2))),
+           (c1, _cone_or_none(g1, h)),
+           (c1, _cone_or_none(_combo(rng, g1, g2, 1), _combo(rng, g1, g2, 1))),
+           (c1, _cone_or_none(neg, h)),
+           (c1, _cone_or_none(neg, tuple(-x for x in g2))),
+           (_cone_or_none(g1, tuple(x - y for x, y in zip(g1, w))),
+            _cone_or_none(h, tuple(x + y for x, y in zip(h, w)))),
+           (c1, _cone_or_none(h, w))]
+    return [(a, b) for a, b in out if a is not None and b is not None]
+
+
+def test_cone_arithmetic_matches_reference_route():
+    rng = random.Random(4711)
+    outcomes = set()
+    pairs = 0
+    for _ in range(150):
+        for m in (2, 3, 4):
+            for c1, c2 in _cone_pairs(rng, m):
+                for x, y in ((c1, c2), (c2, c1)):
+                    inter = intersect_cones(x, y)
+                    assert inter == oracle_intersect(x, y), (x, y)
+                    outcomes.add((x.dim, y.dim, inter.dim))
+                pairs += 1
+                for w in c2.generators + (_random_vec(rng, m),):
+                    coords = _coords_in(c1, w)
+                    expect = oracle_coords_in(c1, w)
+                    if expect is None:
+                        assert coords is None
+                    else:
+                        na, nb, d = coords
+                        assert d > 0 and (F(na, d), F(nb, d)) == expect
+                    assert cone_contains(c1, w) == oracle_contains(c1, w)
+    assert pairs > 2000
+    assert {(2, 2, 0), (2, 2, 1), (2, 2, 2), (1, 2, 1), (1, 2, 0)} <= outcomes
+
+
+def test_intersect_cones_makes_no_smith_reduction(monkeypatch):
+    # _smith is the elimination behind both snf and invariant_factors
+    calls = []
+    smith = exactla._smith
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return smith(*args, **kwargs)
+
+    monkeypatch.setattr(exactla, "_smith", counted)
+    rng = random.Random(17)
+    for m in (2, 3, 4):
+        for c1, c2 in _cone_pairs(rng, m):
+            intersect_cones(c1, c2)
+    fan_model(gamma_tr(x_configuration()))
+    assert calls == []
+
+
+def test_degenerate_cone_raises():
+    with pytest.raises(CrossCheckFailed) as info:
+        cone_contains(Cone(((1, 0, 0), (2, 0, 0))), (1, 0, 0))
+    assert info.value.code == "CrossCheckFailed:cone_generators"
 
 
 def test_fan_eta_examples():

@@ -1,18 +1,27 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from corpus import corpus
 from fixture_curves import (
     doubled_line,
     line_through_two_points,
     triangle_elliptic,
     x_configuration,
 )
-from tropicorr.errors import NotReduced
-from tropicorr.exactla import Sublattice
-from tropicorr.fanmodel import gamma_tr, ramification
+from tropicorr import stacky
+from tropicorr.errors import CrossCheckFailed, NotReduced
+from tropicorr.exactla import Sublattice, lattice_intersect_span
+from tropicorr.fanmodel import Cone, gamma_tr, intersect_cones, ramification
 from tropicorr.paramcurve import param_curve
-from tropicorr.stacky import is_dm, node_stack, stacky_data, stacky_to_json
+from tropicorr.stacky import (
+    _verify_compatibility,
+    is_dm,
+    node_stack,
+    stacky_data,
+    stacky_to_json,
+)
 from tropicorr.tropgraph import curve
 
 F = Fraction
@@ -98,3 +107,83 @@ def test_stacky_json():
     data = stacky_to_json(st)
     assert data["a"] == 2
     assert set(data["assignment"]) == set(data["stabilizer_orders"])
+
+
+def all_pairs_compatible(st):
+    """Reference route: restricted to the span of every pairwise
+    intersection, the sublattices of the two cones agree."""
+    cones = list(st.fan.cones)
+    for i, c1 in enumerate(cones):
+        for c2 in cones[i:]:
+            inter = intersect_cones(st.scaled_of[c1], st.scaled_of[c2])
+            span = Sublattice(st.fan.ambient_rank, inter.generators)
+            if (lattice_intersect_span(st.assignment[c1], span)
+                    != lattice_intersect_span(st.assignment[c2], span)):
+                return False
+    return True
+
+
+def face_local_compatible(st):
+    try:
+        _verify_compatibility(st)
+    except CrossCheckFailed as exc:
+        assert exc.code == "CrossCheckFailed:stacky_compatibility"
+        return False
+    return True
+
+
+def corrupted(st):
+    """Copies of st with one cone's sublattice replaced: one basis row
+    scaled by 2 or 3."""
+    for c, lat in st.assignment.items():
+        for i in range(lat.rank):
+            for k in (2, 3):
+                rows = list(lat.basis)
+                rows[i] = tuple(k * x for x in rows[i])
+                bad = Sublattice(lat.ambient_rank, tuple(rows))
+                yield dataclasses.replace(
+                    st, assignment={**st.assignment, c: bad})
+
+
+def _stacky_of(p):
+    tr = gamma_tr(p)
+    return stacky_data(tr, ramification(tr, 1)["minimal_a"])
+
+
+def test_face_local_compatibility_matches_all_pairs():
+    verdicts = []
+    for p, _ in corpus(8086, 12, constrained=False):
+        st = _stacky_of(p)
+        assert all_pairs_compatible(st) and face_local_compatible(st)
+        for bad in corrupted(st):
+            verdict = face_local_compatible(bad)
+            assert verdict == all_pairs_compatible(bad)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_compatibility_restricts_twice_per_two_cone(monkeypatch):
+    calls = []
+    monkeypatch.setattr(stacky, "lattice_intersect_span",
+                        lambda *args: calls.append(1)
+                        or lattice_intersect_span(*args))
+    for p in (doubled_line()[0], triangle_elliptic()[0], x_configuration()):
+        st = _stacky_of(p)
+        calls.clear()
+        _verify_compatibility(st)
+        assert len(calls) == 2 * len(st.fan.two_cones()) > 0
+
+
+def test_compatibility_failure_names_cone_ray_and_lattices():
+    st = _stacky_of(doubled_line()[0])
+    c = st.fan.two_cones()[0]
+    ray = Cone((c.generators[0],))
+    lat = st.assignment[ray]
+    doubled = Sublattice(lat.ambient_rank,
+                         tuple(tuple(2 * x for x in row) for row in lat.basis))
+    with pytest.raises(CrossCheckFailed) as info:
+        _verify_compatibility(dataclasses.replace(
+            st, assignment={**st.assignment, ray: doubled}))
+    message = str(info.value)
+    for part in (c, ray.generators[0], lat.basis, doubled.basis):
+        assert str(part) in message
