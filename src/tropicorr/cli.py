@@ -96,7 +96,11 @@ def cmd_complex(p, constraints, char, args):
     spec = cx.ComplexSpec(args.variant,
                           _need_constraints(constraints) if args.constrained else None,
                           elliptic=args.elliptic)
-    rep = cx.compute(p, spec, _group_from_args(args, char))
+    group = _group_from_args(args, char)
+    try:
+        rep = cx.compute(p, spec, group)
+    except ValueError as exc:   # the plain elliptic variant needs l(e) = 1
+        raise ParseError(f"--elliptic --variant {args.variant}: {exc}") from exc
     nrows = len(rep.matrix)
     return {
         "variant": args.variant,
@@ -188,8 +192,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become ParseError, reported as JSON with exit 2."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tropicorr",
         description="exact combinatorics of parameterized tropical curves")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -226,8 +237,11 @@ def _flat(prefix, value, lines):
 def _emit(report, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
         return
     if args.json:
         sys.stdout.write(text)
@@ -238,8 +252,8 @@ def _emit(report, args) -> None:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         p, constraints, file_char, raw = curvefile.load(args.file)
         char = (file_char if args.char is None
                 else curvefile.parse_char(args.char, "--char"))

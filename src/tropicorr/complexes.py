@@ -100,7 +100,7 @@ def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
             raise ConstraintUnsatisfied("; ".join(problems))
         for (vinf, vfin), con in zip(pc.marked_pairs(p, len(spec.constraints)),
                                      spec.constraints.items):
-            constraint_rows.append((vfin, quotient_presentation(con.space)))
+            constraint_rows.append((vfin, con.presentation))
 
     # orientation: lexicographic by default; when the elliptic row is
     # present, cycle edges are re-oriented along the cycle so that the slope
@@ -383,7 +383,7 @@ def quotient_form_dims(p: ParamTropicalCurve,
     if constraints is not None:
         for (vinf, vfin), con in zip(pc.marked_pairs(p, len(constraints)),
                                      constraints.items):
-            for prow in quotient_presentation(con.space):
+            for prow in con.presentation:
                 row = [0] * (n * len(vertices))
                 for k in range(n):
                     row[n * vindex[vfin] + k] = prow[k]

@@ -37,6 +37,12 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected an array, got {value!r}")
+    return value
+
+
 def _required(obj: dict, key: str, where: str):
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
@@ -72,30 +78,24 @@ def parse_curve(data: dict):
     char = parse_char(data.get("char", 0), "char")
 
     h = {}
-    finite = []
-    for item in data.get("finite_vertices", ()):
-        _check_fields(item, {"id", "h"}, "finite vertex")
-        vid = str(_required(item, "id", "finite vertex"))
-        vec = _required(item, "h", f"vertex {vid}")
-        if len(vec) != n:
-            raise ParseError(f"vertex {vid}: h must have {n} entries")
-        finite.append(vid)
-        h[vid] = tuple(_rat(x, f"h({vid})") for x in vec)
-    infinite = []
-    for item in data.get("infinite_vertices", ()):
-        _check_fields(item, {"id", "h"}, "infinite vertex")
-        vid = str(_required(item, "id", "infinite vertex"))
-        vec = _required(item, "h", f"vertex {vid}")
-        if len(vec) != n:
-            raise ParseError(f"vertex {vid}: h must have {n} entries")
-        infinite.append(vid)
-        h[vid] = tuple(Fraction(_int(x, f"h({vid})")) for x in vec)
+    finite, infinite = [], []
+    # an infinite vertex's h is a direction, so its entries are integers
+    for kind, ids, entry in (("finite", finite, _rat),
+                             ("infinite", infinite, _int)):
+        for item in _list(data.get(f"{kind}_vertices", []), f"{kind}_vertices"):
+            _check_fields(item, {"id", "h"}, f"{kind} vertex")
+            vid = str(_required(item, "id", f"{kind} vertex"))
+            vec = _list(_required(item, "h", f"vertex {vid}"), f"h({vid})")
+            if len(vec) != n:
+                raise ParseError(f"vertex {vid}: h must have {n} entries")
+            ids.append(vid)
+            h[vid] = tuple(Fraction(entry(x, f"h({vid})")) for x in vec)
 
     edges = []
-    for item in data.get("edges", ()):
+    for item in _list(data.get("edges", []), "edges"):
         _check_fields(item, {"id", "ends", "length"}, "edge")
         eid = str(_required(item, "id", "edge"))
-        ends = _required(item, "ends", f"edge {eid}")
+        ends = _list(_required(item, "ends", f"edge {eid}"), f"edge {eid} ends")
         if len(ends) != 2:
             raise ParseError(f"edge {eid}: ends must list two vertices")
         ln = _required(item, "length", f"edge {eid}")
@@ -111,14 +111,17 @@ def parse_curve(data: dict):
     constraints = None
     if "constraints" in data:
         items = []
-        for i, item in enumerate(data["constraints"]):
+        for i, item in enumerate(_list(data["constraints"], "constraints")):
             _check_fields(item, {"L_basis", "point"}, f"constraint {i}")
-            basis = [[_int(x, f"constraint {i} basis") for x in row]
-                     for row in item.get("L_basis", ())]
-            point = tuple(_rat(x, f"constraint {i} point")
-                          for x in item.get("point", ()))
+            where = f"constraint {i} basis"
+            basis = [[_int(x, where) for x in _list(row, where)]
+                     for row in _list(item.get("L_basis", []), where)]
+            point = tuple(_rat(x, f"constraint {i} point") for x in
+                          _list(item.get("point", []), f"constraint {i} point"))
             if len(point) != n:
                 raise ParseError(f"constraint {i}: point must have {n} entries")
+            if any(len(row) != n for row in basis):
+                raise ParseError(f"constraint {i}: basis rows must have {n} entries")
             items.append((basis, point))
         try:
             constraints = constraint_set(items, n)

@@ -438,10 +438,6 @@ class Sublattice:
         sol = solve_rational(self.basis, v)
         return sol is not None and all(x.denominator == 1 for x in sol)
 
-    def spans(self, v) -> bool:
-        """Membership in the Q-span."""
-        return solve_rational(self.basis, v) is not None
-
 
 def zero_lattice(n: int) -> Sublattice:
     return Sublattice(n, ())
@@ -460,10 +456,6 @@ def saturation(lat: Sublattice) -> Sublattice:
     if not ann:
         return full_lattice(lat.ambient_rank)
     return Sublattice(lat.ambient_rank, kernel_basis(ann))
-
-
-def is_saturated(lat: Sublattice) -> bool:
-    return saturation(lat) == lat
 
 
 def lattice_intersect(l1: Sublattice, l2: Sublattice) -> Sublattice:
@@ -709,7 +701,7 @@ __all__ = [
     "primitive_vector", "SNFResult", "snf", "invariant_factors",
     "kernel_basis", "rank", "rank_mod_p", "hnf",
     "solve_rational", "FGAbelianGroup", "cokernel_group", "Sublattice",
-    "zero_lattice", "full_lattice", "saturation", "is_saturated",
+    "zero_lattice", "full_lattice", "saturation",
     "lattice_intersect", "lattice_sum", "lattice_index",
     "lattice_intersect_span", "quotient_presentation", "CoeffGroup",
     "prime_to_part", "GroupSize", "base_change", "combine_sizes",

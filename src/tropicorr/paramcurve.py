@@ -10,7 +10,7 @@ vector marks a contracted end, i.e. a marked point).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -25,11 +25,12 @@ from .errors import (
     NotBalanced,
 )
 from .exactla import (
+    Mat,
     Sublattice,
     integral_length,
-    is_saturated,
-    lattice_intersect,
+    mat_vec,
     primitive_vector,
+    quotient_presentation,
 )
 from .tropgraph import (
     AttachTree,
@@ -205,12 +206,6 @@ def _edge_geometry(p: ParamTropicalCurve, eid: str) -> EdgeGeometry:
     return EdgeGeometry(prim, integral_length(d), oriented=not e.is_bounded)
 
 
-def slope_lattice(p: ParamTropicalCurve, eid: str) -> Sublattice:
-    geo = edge_geometry(p, eid)
-    basis = () if geo.slope is None else (geo.slope,)
-    return Sublattice(p.lattice_rank, basis)
-
-
 def zero_slope_bounded_count(p: ParamTropicalCurve) -> int:
     """c(Gamma): bounded edges contracted by h."""
     return sum(1 for e in p.curve.bounded_edges()
@@ -357,8 +352,12 @@ def contract_zero_slope(p: ParamTropicalCurve):
 
 def stabilize_param(p: ParamTropicalCurve) -> ParamTropicalCurve:
     """Stabilization with the parameterization restricted to the surviving
-    vertices (pruned trees are contracted by h, smoothing respects slopes)."""
+    vertices (pruned trees are contracted by h, smoothing respects slopes).
+    A stable p keyed by exactly its vertices is returned as it is, so the
+    facts derived from it are kept."""
     st = tropgraph.stabilize(p.curve)
+    if st == p.curve and p.h.keys() == set(st.vertex_ids()):
+        return p
     return ParamTropicalCurve(st, p.lattice_rank,
                               {v: p.hv(v) for v in st.vertex_ids()})
 
@@ -404,15 +403,27 @@ def rank(p: ParamTropicalCurve) -> int:
 
 @dataclass(frozen=True)
 class AffineConstraint:
-    space: Sublattice      # saturated, corank >= 2
-    point: QVec            # a_i in N_Q; the constraint is point + space_Q
+    """point + space_Q, space saturated of corank >= 2.  ``presentation``,
+    the matrix of N -> N/space, is computed once, here: over Q its kernel is
+    space_Q, and its Smith divisors are all 1 iff space is saturated."""
+
+    space: Sublattice
+    point: QVec            # a_i in N_Q
+    presentation: Mat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "point", qvec(self.point))
         if self.space.corank < 2:
             raise ValueError("constraint sublattice must have corank >= 2")
-        if not is_saturated(self.space):
-            raise ValueError("constraint sublattice must be saturated")
+        try:
+            pres = quotient_presentation(self.space)
+        except ValueError:
+            raise ValueError("constraint sublattice must be saturated") from None
+        object.__setattr__(self, "presentation", pres)
+
+    def maps_to_zero(self, v) -> bool:
+        """Is v in space_Q?"""
+        return not any(mat_vec(self.presentation, v))
 
 
 @dataclass(frozen=True)
@@ -477,7 +488,7 @@ def _unsatisfied(p: ParamTropicalCurve, a: AffineConstraintSet) -> list[str]:
             raise ValueError("constraint ambient rank mismatch")
         if not is_zero(p.hv(vinf)):
             problems.append(f"constraint {i}: h({vinf}) != 0")
-        if not con.space.spans(vsub(p.hv(vfin), con.point)):
+        if not con.maps_to_zero(vsub(p.hv(vfin), con.point)):
             problems.append(f"constraint {i}: h({vfin}) not on the translate")
     return problems
 
@@ -491,8 +502,8 @@ def _simple(p: ParamTropicalCurve, a: AffineConstraintSet) -> bool:
         for e, _ in p.curve.incidence[vfin]:
             if not e.is_bounded:
                 continue
-            lat = slope_lattice(p, e.id)
-            if lat.rank == 0 or lattice_intersect(lat, con.space).rank != 0:
+            slope = edge_geometry(p, e.id).slope
+            if slope is None or con.maps_to_zero(slope):
                 return False
     return True
 

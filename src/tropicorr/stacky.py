@@ -11,6 +11,7 @@ vectors stay integral once the configuration is reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import fanmodel as fan
 from . import paramcurve as pc
@@ -18,11 +19,10 @@ from .errors import CrossCheckFailed, NotReduced
 from .exactla import (
     Sublattice,
     integral_length,
-    lattice_index,
+    invariant_factors,
     lattice_intersect_span,
     lattice_sum,
     primitive_vector,
-    saturation,
 )
 from .fanmodel import Cone, FanModel
 from .paramcurve import ParamTropicalCurve
@@ -52,16 +52,14 @@ class StackySigma:
         return sorted(self.stabilizer_order.values())
 
 
-def _cone_lattice(c: Cone, rank: int) -> Sublattice:
-    """N_sigma: all lattice points of the cone's span."""
-    if c.dim == 0:
-        return Sublattice(rank, ())
-    return saturation(Sublattice(rank, c.generators))
-
-
 def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
     """Assign the stacky sublattices on the fan of a reduced configuration
-    and compute the stabilizer orders as lattice indices.
+    and compute the stabilizer orders.
+
+    The order at a cone sigma is the index [N_sigma : N'_sigma], where
+    N_sigma is the lattice of all points of sigma's span.  Each N'_sigma is
+    built to span sigma, so N_sigma is its saturation, and the index is the
+    product of the invariant factors of a basis of N'_sigma.
 
     Raises NotReduced when a h(v) or a |e| fails to be integral, or when the
     defensive divisibility check l(sigma) | len(a(n2 - n1)) fails.
@@ -83,24 +81,16 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
         sc = _scaled_cone(c, a)
         scaled_of[c] = sc
         if c.dim == 0:
-            assignment[c] = Sublattice(n1, ())
-            orders[c] = 1
-            continue
-        if c.dim == 1:
+            lat = Sublattice(n1, ())
+        elif c.dim == 1:
             g = c.generators[0]
-            sg = sc.generators[0]
-            if g in eta:
-                lat = Sublattice(n1, (tuple(l_rho[g] * x for x in sg),))
-            else:
-                lat = Sublattice(n1, (sg,))
-            ray_primes[g] = lat
-            assignment[c] = lat
-            orders[c] = lattice_index(_cone_lattice(sc, n1), lat)
-            continue
-        g1, g2 = c.generators
-        if g1 in eta or g2 in eta:
-            lat = lattice_sum(ray_primes[g1], ray_primes[g2])
+            k = l_rho[g] if g in eta else 1
+            lat = ray_primes[g] = Sublattice(
+                n1, (tuple(k * x for x in sc.generators[0]),))
+        elif c.generators[0] in eta or c.generators[1] in eta:
+            lat = lattice_sum(*(ray_primes[g] for g in c.generators))
         else:
+            g1, g2 = c.generators
             m = l_sigma[c]
             p1 = fan._height_one_point(g1)
             p2 = fan._height_one_point(g2)
@@ -117,7 +107,7 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
             gen2 = tuple(m * x for x in primitive_vector(diff)) + (0,)
             lat = Sublattice(n1, (gen1, gen2))
         assignment[c] = lat
-        orders[c] = lattice_index(_cone_lattice(sc, n1), lat)
+        orders[c] = prod(invariant_factors(lat.basis))
 
     st = StackySigma(fm, a, assignment, orders, scaled_of)
     _verify_compatibility(st)

@@ -96,8 +96,9 @@ def is_connected(c: TropicalCurve) -> bool:
     adj: dict[str, list[str]] = {v: [] for v in verts}
     for e in c.edges:
         u, w = e.ends
-        adj[u].append(w)
-        adj[w].append(u)
+        if u in adj and w in adj:   # validate reports unknown endpoints
+            adj[u].append(w)
+            adj[w].append(u)
     seen = set()
     stack = [next(iter(verts))]
     while stack:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tropicorr.cli import run
 from tropicorr.curvefile import curve_to_json, parse_curve
 
@@ -248,3 +250,92 @@ def test_corpus_roundtrip_through_cli(tmp_path, capsys):
         reparsed, cons, char = parse_curve(rep["result"]["curve"])
         assert run(["validate", str(f)]) == 0
         capsys.readouterr()
+
+
+def _edited_fixture(tmp_path, edit, name="line2pts.json"):
+    data = json.loads((FIXTURES / name).read_text())
+    edit(data)
+    f = tmp_path / "edited.json"
+    f.write_text(json.dumps(data))
+    return str(f)
+
+
+def _set(path, value):
+    def edit(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+def test_unknown_endpoint_exits_1_with_json(tmp_path, capsys):
+    f = _edited_fixture(tmp_path, _set(("edges", 0, "ends"), ["v0", "zz"]))
+    code, rep = run_json(capsys, "validate", f)
+    assert code == 1
+    assert "edge e1 has unknown endpoint" in rep["result"]["violations"]
+    for cmd in ("info", "count"):
+        code, err = run_json(capsys, cmd, f)
+        assert code == 1 and "unknown endpoint" in err["error"]["message"]
+
+
+# a field that is not an array, or an array-like string, must be refused
+NOT_ARRAYS = {
+    "finite_vertices": (("finite_vertices",), {"id": "v0"}),
+    "infinite_vertices": (("infinite_vertices",), 3),
+    "edges": (("edges",), "e1"),
+    "constraints": (("constraints",), {}),
+    "h": (("finite_vertices", 0, "h"), 0),
+    "h-string": (("finite_vertices", 0, "h"), "00"),
+    "infinite-h": (("infinite_vertices", 0, "h"), None),
+    "ends": (("edges", 0, "ends"), "ab"),
+    "L_basis": (("constraints", 0, "L_basis"), 1),
+    "L_basis-row": (("constraints", 0, "L_basis"), [5]),
+    "L_basis-row-length": (("constraints", 0, "L_basis"), [[1]]),
+    "point": (("constraints", 0, "point"), "-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ARRAYS))
+def test_non_array_field_exit_2(tmp_path, capsys, case):
+    path, value = NOT_ARRAYS[case]
+    f = _edited_fixture(tmp_path, _set(path, value))
+    code, err = run_json(capsys, "info", f)
+    assert code == 2 and err["error"]["code"] == "ParseError", err
+
+
+LINE2PTS = str(FIXTURES / "line2pts.json")
+BAD_ARGV = {
+    "no-command": [],
+    "unknown-command": ["bogus", LINE2PTS],
+    "missing-file": ["count"],
+    "char-not-int": ["count", LINE2PTS, "--char", "abc"],
+    "unknown-group": ["complex", LINE2PTS, "--group", "foo"],
+    "unknown-flag": ["count", LINE2PTS, "--frobnicate"],
+    "plain-elliptic-multiplicity": ["complex", str(FIXTURES / "dblline.json"),
+                                    "--elliptic", "--variant", "b"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGV))
+def test_bad_arguments_exit_2_with_json(capsys, case):
+    assert run(BAD_ARGV[case] + ["--json"]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)
+    assert err["error"]["code"] == "ParseError" and err["error"]["message"]
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(["count", "-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tropicorr count")
+
+
+@pytest.mark.parametrize("target", ["missing-dir/out.json", "."])
+def test_unwritable_out_exit_2(tmp_path, capsys, target):
+    path = str(tmp_path / target)
+    assert run(["info", LINE2PTS, "--out", path]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == "ParseError"
+    assert path in err["error"]["message"]

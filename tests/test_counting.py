@@ -11,7 +11,7 @@ from fixture_curves import (
     triangle_elliptic,
     tropical_line,
 )
-from tropicorr import counting, exactla, fanmodel, stacky
+from tropicorr import counting, exactla, fanmodel, stacky, tropgraph
 from tropicorr import paramcurve as pc
 from tropicorr.counting import (
     correspondence_count,
@@ -197,20 +197,27 @@ FIXTURE_COUNTS = [
 @pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)
 def test_count_reduces_each_matrix_once(monkeypatch, count, fixture, expected):
     # (b, none) for the rank, then (b, A) and (beta, A) for a plane count or
-    # (beta, A) and (beta, A, j) for an elliptic one; no transforms needed
+    # (beta, A) and (beta, A, j) for an elliptic one; no transforms needed.
+    # The constraint was presented once, when it was built, and satisfaction
+    # and simplicity read that presentation
     p, a, _, _ = load(str(FIXTURES / fixture))
-    calls = _count_calls(monkeypatch, ("invariant_factors", "snf"))
+    general = ("quotient_presentation", "lattice_intersect", "solve_rational")
+    calls = _count_calls(monkeypatch, ("invariant_factors", "snf") + general)
     assert count(p, a, 0).count == expected
-    assert calls == {"invariant_factors": 3, "snf": 0}
+    assert calls == {"invariant_factors": 3, "snf": 0, **dict.fromkeys(general, 0)}
 
 
 @pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)
 def test_count_computes_each_fact_once(monkeypatch, count, fixture, expected):
     # per curve object: one violation list, at most one geometry derivation
-    # per edge; per count: one simplicity check of the constraint
+    # per edge; per count: one simplicity check of the constraint.  The
+    # fixtures are stable, so their stabilization is the curve itself and
+    # each edge's geometry is derived once per count, whatever the object
     p, a, _, _ = load(str(FIXTURES / fixture))
+    assert tropgraph.is_stable(p.curve)
     alive = []      # holds every object seen, so no id is reused meanwhile
     violations, geometry, simple = Counter(), Counter(), Counter()
+    by_edge = Counter()
 
     def counted(counter, fn, key):
         def wrapper(q, *args):
@@ -222,13 +229,16 @@ def test_count_computes_each_fact_once(monkeypatch, count, fixture, expected):
     monkeypatch.setattr(pc, "_collect_violations",
                         counted(violations, pc._collect_violations, id))
     monkeypatch.setattr(pc, "_edge_geometry",
-                        counted(geometry, pc._edge_geometry,
-                                lambda q, eid: (id(q), eid)))
+                        counted(by_edge, counted(geometry, pc._edge_geometry,
+                                                 lambda q, eid: (id(q), eid)),
+                                lambda q, eid: eid))
     monkeypatch.setattr(pc, "_simple",
                         counted(simple, pc._simple, lambda q, a: None))
     assert count(p, a, 0).count == expected
     assert violations and set(violations.values()) == {1}
     assert geometry and set(geometry.values()) == {1}
+    assert set(by_edge) == {e.id for e in p.curve.edges}
+    assert set(by_edge.values()) == {1}
     assert simple == {None: 1}
 
 

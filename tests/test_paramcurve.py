@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +14,12 @@ from fixture_curves import (
 )
 from tropicorr import paramcurve as pc
 from tropicorr.errors import GenusNotOne, NonCollinear
+from tropicorr.exactla import (
+    Sublattice,
+    lattice_intersect,
+    saturation,
+    solve_rational,
+)
 from tropicorr.paramcurve import (
     ParamTropicalCurve,
     balancing_defects,
@@ -229,9 +236,11 @@ def test_check_constraint_examples():
     bad = constraint_set([((), (-1, 1)), ((), (1, 1))], 2)
     rep = check_constraint(p, bad)
     assert not rep.satisfies
-    # corank-1 constraint spaces are rejected at construction
+    # corank-1 and non-saturated constraint spaces are rejected at construction
     with pytest.raises(ValueError):
         constraint_set([([(0, 1)], (-1, -5))], 2)
+    with pytest.raises(ValueError, match="constraint sublattice must be saturated"):
+        constraint_set([([(2, 0, 0)], (0, 0, 0))], 3)
 
 
 def test_check_constraint_simple_flags():
@@ -283,6 +292,10 @@ def test_stabilize_param():
     assert is_balanced(st)
     assert len(st.curve.finite_vertices) == 1
     assert st.curve.infinite_vertices == p.curve.infinite_vertices
+    # a stable curve keyed by exactly its vertices is its own
+    # stabilization, so the facts derived from it are kept
+    q, _ = line_through_two_points()
+    assert stabilize_param(q) is q
 
 
 def test_reorder_infinite():
@@ -307,3 +320,60 @@ def test_zero_slope_count():
                ("r3", ("w", "c"), None)]),
         2, {"v": (1, 1), "w": (1, 1), "a": (1, 0), "b": (-1, 0), "c": (0, 0)})
     assert zero_slope_bounded_count(flat) == 1
+
+
+def _random_saturated(rng, n, r):
+    """A saturated rank-r sublattice of Z^n, found by the reference route."""
+    while True:
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(r)]
+        try:
+            lat = saturation(Sublattice(n, rows)) if r else Sublattice(n, ())
+        except ValueError:      # dependent rows
+            continue
+        if lat.rank == r:
+            return lat
+
+
+def test_presentation_agrees_with_general_lattice_routes():
+    # membership in space_Q and trivial meeting with a slope, read off the
+    # presentation, against solve_rational and lattice_intersect
+    rng = random.Random(5)
+    seen = set()
+    for n in range(2, 6):
+        for r in range(n - 1):
+            for _ in range(12):
+                space = _random_saturated(rng, n, r)
+                con = constraint_set([(space.basis, (0,) * n)], n).items[0]
+                for _ in range(12):
+                    coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(r)]
+                    v = tuple(sum((c * row[k] for c, row in zip(coeffs, space.basis)),
+                                  F(0)) for k in range(n))
+                    if rng.random() < 0.5:
+                        v = tuple(x + F(rng.randint(-1, 1), rng.randint(1, 3))
+                                  for x in v)
+                    member = solve_rational(space.basis, v) is not None
+                    assert con.maps_to_zero(v) == member, (space, v)
+                    s = tuple(int(x * 6) for x in v)
+                    if not any(s):
+                        continue
+                    trivial = lattice_intersect(Sublattice(n, (s,)), space).rank == 0
+                    assert con.maps_to_zero(s) != trivial, (space, s)
+                    seen.add((member, trivial))
+    assert seen == {(True, False), (False, True)}
+
+
+def test_simplicity_asks_slopes_to_leave_the_constraint_space():
+    # v0 carries the marked end m; its bounded edge e has slope (1, 0, 0)
+    c = curve(["v0", "v1"], ["m", "a", "b", "c"],
+              [("e", ("v0", "v1"), 1), ("g", ("v0", "m"), None),
+               ("f", ("v0", "a"), None), ("r1", ("v1", "b"), None),
+               ("r2", ("v1", "c"), None)])
+    p = param_curve(c, 3, {"v0": (0, 0, 0), "v1": (1, 0, 0), "m": (0, 0, 0),
+                           "a": (-1, 0, 0), "b": (0, 1, 0), "c": (1, -1, 0)})
+    along = check_constraint(p, constraint_set([([(1, 0, 0)], (5, 0, 0))], 3))
+    assert along.satisfies and not along.simple
+    across = check_constraint(p, constraint_set([([(0, 0, 1)], (0, 0, 7))], 3))
+    assert across.satisfies and across.simple
+    off = check_constraint(p, constraint_set([([(0, 0, 1)], (0, 1, 0))], 3))
+    assert not off.satisfies

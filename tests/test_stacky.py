@@ -10,9 +10,14 @@ from fixture_curves import (
     triangle_elliptic,
     x_configuration,
 )
-from tropicorr import stacky
+from tropicorr import exactla, stacky
 from tropicorr.errors import CrossCheckFailed, NotReduced
-from tropicorr.exactla import Sublattice, lattice_intersect_span
+from tropicorr.exactla import (
+    Sublattice,
+    lattice_index,
+    lattice_intersect_span,
+    saturation,
+)
 from tropicorr.fanmodel import Cone, gamma_tr, intersect_cones, ramification
 from tropicorr.paramcurve import param_curve
 from tropicorr.stacky import (
@@ -187,3 +192,35 @@ def test_compatibility_failure_names_cone_ray_and_lattices():
     message = str(info.value)
     for part in (c, ray.generators[0], lat.basis, doubled.basis):
         assert str(part) in message
+
+
+def test_orders_match_lattice_index_in_the_cone_lattice():
+    # the order read off the invariant factors of N'_sigma against the
+    # index of N'_sigma in N_sigma, the saturated span of the scaled cone
+    curves = [p for p, _ in corpus(8086, 12, constrained=False)]
+    curves += [doubled_line()[0], triangle_elliptic()[0], x_configuration()]
+    orders = []
+    for p in curves:
+        st = _stacky_of(p)
+        n1 = st.fan.ambient_rank
+        for c, order in st.stabilizer_order.items():
+            sc = st.scaled_of[c]
+            outer = (saturation(Sublattice(n1, sc.generators)) if c.dim
+                     else Sublattice(n1, ()))
+            assert order == lattice_index(outer, st.assignment[c]), c
+            orders.append(order)
+    assert max(orders) > 1
+
+
+def test_stacky_data_needs_no_saturation_or_index(monkeypatch):
+    calls = []
+    for name in ("saturation", "lattice_index"):
+        fn = getattr(exactla, name)
+        for mod in (exactla, stacky):   # wherever the name is bound
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name,
+                                    lambda *args, _fn=fn, _name=name:
+                                    calls.append(_name) or _fn(*args))
+    for p in (doubled_line()[0], triangle_elliptic()[0], x_configuration()):
+        _stacky_of(p)
+    assert calls == []

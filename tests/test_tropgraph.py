@@ -41,6 +41,9 @@ def test_validate_examples():
     assert any("(p2)" in msg for msg in validate(bad))
     zero = curve(["v", "w"], [], [("e", ("v", "w"), 0)])
     assert any("(p3)" in msg for msg in validate(zero))
+    stray = curve(["v", "w"], ["a"], [("e", ("v", "zz"), 1),
+                                      ("f", ("v", "w"), 1), ("r", ("w", "a"), None)])
+    assert "edge e has unknown endpoint" in validate(stray)
 
 
 def test_validate_disconnected():
