@@ -97,10 +97,7 @@ def cmd_complex(p, constraints, char, args):
                           _need_constraints(constraints) if args.constrained else None,
                           elliptic=args.elliptic)
     group = _group_from_args(args, char)
-    try:
-        rep = cx.compute(p, spec, group)
-    except ValueError as exc:   # the plain elliptic variant needs l(e) = 1
-        raise ParseError(f"--elliptic --variant {args.variant}: {exc}") from exc
+    rep = cx.compute(p, spec, group)
     nrows = len(rep.matrix)
     return {
         "variant": args.variant,

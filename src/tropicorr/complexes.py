@@ -21,12 +21,14 @@ tests use it as an independent cross-check over fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import paramcurve as pc
 from .errors import (
     ConstraintUnsatisfied,
     CrossCheckFailed,
     GenusNotOne,
+    NonUnitMultiplicity,
     NotASubdivision,
     ZeroSlopeCycleEdge,
 )
@@ -79,8 +81,13 @@ class ComplexLayout:
         i = self.vertices.index(v)
         return range(self.n * i, self.n * (i + 1))
 
+    @cached_property
+    def _edge_cols(self) -> dict[str, int]:
+        first = self.n * len(self.vertices)
+        return {eid: first + k for k, eid in enumerate(self.slope_edges)}
+
     def edge_col(self, eid: str) -> int:
-        return self.n * len(self.vertices) + self.slope_edges.index(eid)
+        return self._edge_cols[eid]
 
 
 def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
@@ -108,8 +115,12 @@ def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
     # row agree (the complex is wrong otherwise)
     orientation = {e.id: pc._orient(e) for e in bounded}
     if spec.elliptic:
-        if spec.variant == "b" and any(geo[eid].multiplicity > 1 for eid in geo):
-            raise ValueError("elliptic plain variant needs unit multiplicities")
+        heavy = [f"edge {eid} has l(e) = {g.multiplicity}"
+                 for eid, g in geo.items() if g.multiplicity > 1]
+        if spec.variant == "b" and heavy:
+            raise NonUnitMultiplicity(
+                "elliptic plain variant needs unit multiplicities; "
+                + ", ".join(heavy))
         cycle = pc.find_cycle(p)
         for e, sign in cycle:
             if geo[e.id].slope is None:
@@ -151,7 +162,7 @@ def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
         for eid in sorted(cycle_ids):
             row[layout.edge_col(eid)] = 1
         rows.append(row)
-    return freeze(rows), layout
+    return tuple(map(tuple, rows)), layout   # every entry is already an int
 
 
 def build_matrix(p: ParamTropicalCurve, spec: ComplexSpec) -> Mat:

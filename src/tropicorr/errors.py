@@ -44,6 +44,11 @@ class ZeroSlopeCycleEdge(TropicorrError):
     code = "ZeroSlopeCycleEdge"
 
 
+class NonUnitMultiplicity(TropicorrError):
+    """The plain elliptic complex needs every edge multiplicity l(e) = 1."""
+    code = "NonUnitMultiplicity"
+
+
 class NotASubdivision(TropicorrError):
     code = "NotASubdivision"
 

@@ -7,12 +7,18 @@ and cokernels, sublattices with saturation/intersection/sum/index, and base
 change of finitely generated abelian groups along the coefficient groups used
 downstream (Z, Q, a field of characteristic p, and the units k* of an
 algebraically closed field).
+
+``snf`` (with the transforms U and V) reduces the whole matrix densely.
+``invariant_factors`` first eliminates unit pivots over sparse rows and
+hands only the remaining core to the same dense elimination, which suits
+the sparse, mostly +-1 matrices of the obstruction complexes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 from .errors import IndexInfinite, SublatticeNotContained
@@ -241,9 +247,80 @@ def snf(a: Mat) -> SNFResult:
 
 def invariant_factors(a: Mat) -> tuple[int, ...]:
     """The invariant factors d1 | d2 | ... of A, i.e. ``snf(a).divisors``,
-    computed without building U and V."""
-    d, _, _ = _smith(a, transforms=False)
-    return _divisors(d)
+    computed without building U and V.
+
+    Unit pivots are eliminated first, over sparse rows (Dumas, Saunders and
+    Villard, J. Symbolic Comput. 2001).  A pivot +-1 at (i, j) is taken with
+    the least Markowitz cost (r - 1)(c - 1), r and c the nonzeros in its row
+    and column; zero-cost pivots (a singleton row or column) come off a
+    worklist.  Row operations clear column j; the pivot divides all of row
+    i, and column operations clearing it touch no other row, so A becomes
+    diag(1, A') and row i and column j are dropped.  Every step multiplies
+    by unimodular matrices, which leave the invariant factors alone, so the
+    pivot order cannot change the result.  The core left without unit
+    entries goes to the dense elimination."""
+    rows = {}                      # row -> {col: nonzero entry}
+    cols = {}                      # col -> rows with a nonzero there
+    for i, row in enumerate(a):
+        if any(row):
+            rows[i] = r = {j: row[j] for j in compress(range(len(row)), row)}
+            for j in r:
+                cols.setdefault(j, set()).add(i)
+    # (row, None) or (None, col) that may hold a single nonzero
+    todo = [(i, None) for i, r in rows.items() if len(r) == 1]
+    todo += [(None, j) for j, c in cols.items() if len(c) == 1]
+    units = 0
+    while True:
+        pos = None
+        while todo and pos is None:
+            i, j = todo.pop()
+            if i is None and len(cols.get(j, ())) == 1:
+                (i,) = cols[j]
+            elif j is None and len(rows.get(i, ())) == 1:
+                (j,) = rows[i]
+            else:
+                continue
+            if rows[i][j] in (1, -1):
+                pos = i, j
+        if pos is None:
+            best = None
+            for i, r in rows.items():
+                for j, x in r.items():
+                    if x == 1 or x == -1:
+                        cost = (len(r) - 1) * (len(cols[j]) - 1)
+                        if best is None or cost < best:
+                            best, pos = cost, (i, j)
+            if pos is None:
+                break
+        i, j = pos
+        piv = rows.pop(i)
+        p = piv.pop(j)
+        for c in piv:
+            cols[c].discard(i)
+            todo.append((None, c))
+        for k in cols.pop(j) - {i}:
+            r = rows[k]
+            q = r.pop(j) * p           # p = 1/p for a unit
+            for c, x in piv.items():
+                y = r.get(c, 0) - q * x
+                if y:
+                    r[c] = y
+                    cols[c].add(k)
+                else:
+                    del r[c]
+                    cols[c].discard(k)
+                    todo.append((None, c))
+            if r:
+                todo.append((k, None))
+            else:
+                del rows[k]
+        units += 1
+    if not rows:
+        return (1,) * units
+    order = sorted({j for r in rows.values() for j in r})
+    d, _, _ = _smith([[r.get(j, 0) for j in order] for r in rows.values()],
+                     transforms=False)
+    return (1,) * units + _divisors(d)
 
 
 def kernel_basis(a: Mat) -> Mat:

@@ -277,13 +277,15 @@ def is_stable(c: TropicalCurve) -> bool:
 def stabilize(c: TropicalCurve) -> TropicalCurve:
     """The unique stable curve from which c arises by subdivision and tree
     attachment: prune the maximal forest with finite leaves, then smooth
-    2-valent vertices, adding lengths."""
+    2-valent vertices, adding lengths.  A stable c is returned itself."""
     bad = validate(c)
     if bad:
         raise NotStabilizable("input curve is invalid: " + "; ".join(bad))
     if not satisfies_stability_bound(c):
         raise NotStabilizable(
             "genus and infinite-vertex count violate the stability bound")
+    if is_stable(c):   # no finite leaf and no 2-valent vertex to remove
+        return c
     finite = list(c.finite_vertices)
     infinite = list(c.infinite_vertices)
     edges = {e.id: e for e in c.edges}

@@ -312,8 +312,6 @@ BAD_ARGV = {
     "char-not-int": ["count", LINE2PTS, "--char", "abc"],
     "unknown-group": ["complex", LINE2PTS, "--group", "foo"],
     "unknown-flag": ["count", LINE2PTS, "--frobnicate"],
-    "plain-elliptic-multiplicity": ["complex", str(FIXTURES / "dblline.json"),
-                                    "--elliptic", "--variant", "b"],
 }
 
 
@@ -323,6 +321,14 @@ def test_bad_arguments_exit_2_with_json(capsys, case):
     captured = capsys.readouterr()
     err = json.loads(captured.out)
     assert err["error"]["code"] == "ParseError" and err["error"]["message"]
+
+
+def test_plain_elliptic_multiplicity_exit_1_with_code(capsys):
+    # a condition on the curve, not on the arguments: a domain error
+    code, err = run_json(capsys, "complex", str(FIXTURES / "dblline.json"),
+                         "--elliptic", "--variant", "b")
+    assert code == 1 and err["error"]["code"] == "NonUnitMultiplicity", err
+    assert "edge e1 has l(e) = 2" in err["error"]["message"]
 
 
 def test_help_still_prints_usage(capsys):

@@ -2,7 +2,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
+from corpus import corpus, elliptic_corpus
+from tropicorr.complexes import ComplexSpec, build_matrix
+from tropicorr.curvefile import load
+from tropicorr.errors import TropicorrError
 from tropicorr.exactla import (
     CoeffGroup,
     FGAbelianGroup,
@@ -32,6 +37,7 @@ from tropicorr.exactla import (
     zero_lattice,
     zeros,
 )
+from tropicorr.tropgraph import genus
 
 
 def submatrix_det(a, rows, cols):
@@ -123,6 +129,56 @@ def test_invariant_factors_match_snf_divisors():
               for _ in range(n)] for _ in range(m)]))
     for a in cases:
         assert invariant_factors(a) == snf(a).divisors, a
+
+
+SMALL_ENTRIES = (0, 1, -1, 2, -2, 3, -4, 6)
+
+
+def permuted(rng, a):
+    rows = list(a)
+    rng.shuffle(rows)
+    order = list(range(len(a[0]) if a else 0))
+    rng.shuffle(order)
+    return freeze([[row[j] for j in order] for row in rows])
+
+
+def test_unit_elimination_matches_dense_route_in_any_pivot_order():
+    rng = random.Random(6006)
+    cases = [(), ((),) * 4, zeros(1, 1), zeros(5, 9),
+             freeze([[2**40, 1, 0], [1, -2**40, 3], [0, 2**40, 1]])]
+    for _ in range(600):
+        m, n = rng.randint(0, 12), rng.randint(0, 12)
+        entries = rng.choice((SMALL_ENTRIES,
+                              (0, 2, -2, 3, -4, 6),      # no unit: all core
+                              (1, -1),
+                              (0, 1, -1, 2**40, -2**40)))
+        density = rng.choice((0.15, 0.4, 1.0))
+        cases.append(freeze(
+            [[rng.choice(entries) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(m)]))
+    for a in cases:
+        want = snf(a).divisors
+        assert invariant_factors(a) == want, a
+        for _ in range(3):
+            assert invariant_factors(permuted(rng, a)) == want, a
+
+
+def test_unit_elimination_on_every_complex_matrix():
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    curves = [load(str(f))[:2] for f in sorted(fixtures.glob("*.json"))]
+    curves += corpus(5005, 60) + elliptic_corpus(5006, 30)
+    seen = 0
+    for p, a in curves:
+        for variant in ("b", "beta"):
+            for cons in {None, a}:
+                for elliptic in {False, genus(p.curve) == 1}:
+                    try:
+                        mat = build_matrix(p, ComplexSpec(variant, cons, elliptic))
+                    except TropicorrError:
+                        continue
+                    assert invariant_factors(mat) == snf(mat).divisors, mat
+                    seen += 1
+    assert seen >= 450, seen
 
 
 def test_kernel_basis_examples():
