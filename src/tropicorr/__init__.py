@@ -26,7 +26,16 @@ from .paramcurve import (
     rank,
     tropical_j,
 )
-from .complexes import ComplexSpec, build_matrix, compute, regularity, six_term_check
+from .complexes import (
+    ComplexSpec,
+    build_matrix,
+    compute,
+    contraction_transport,
+    regularity,
+    six_term_check,
+    sizes_over,
+    subdivision_transport,
+)
 from .fanmodel import build_K, fan_model, gamma_tr, ramification, refine_to_fan
 from .stacky import is_dm, node_stack, stacky_data
 from .counting import (

@@ -97,17 +97,17 @@ def cmd_complex(p, constraints, char, args):
                           _need_constraints(constraints) if args.constrained else None,
                           elliptic=args.elliptic)
     group = _group_from_args(args, char)
-    rep = cx.compute(p, spec, group)
-    nrows = len(rep.matrix)
+    rep = cx.compute(p, spec)
+    e1_size, e2_size = cx.sizes_over(rep.E1_rank, rep.E2, group)
     return {
         "variant": args.variant,
-        "group": str(rep.group),
-        "matrix_shape": [nrows, rep.layout.domain_dim],
+        "group": str(group),
+        "matrix_shape": [len(rep.matrix), rep.layout.domain_dim],
         "E1_rank": rep.E1_rank,
         "E2": _group_json(rep.E2),
         "zero_slope_bounded": rep.c_gamma,
-        "E1_size": _size_json(rep.E1_size),
-        "E2_size": _size_json(rep.E2_size),
+        "E1_size": _size_json(e1_size),
+        "E2_size": _size_json(e2_size),
     }, 0
 
 

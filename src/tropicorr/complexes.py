@@ -13,9 +13,11 @@ one block of rows per constraint, projecting the constrained vertex to the
 free quotient N/L_i; the elliptic augmentation appends a single row summing
 the cycle-edge coordinates with signs along an oriented cycle.
 
-Over Z we keep the full two-term complex; the quotient form (vertices only)
-is valid only when every l(e) acts invertibly on the coefficients, and the
-tests use it as an independent cross-check over fields.
+``compute`` works over Z only: it keeps the full two-term complex and
+returns E^1's rank and E^2 from one transform-free reduction of the matrix.
+A coefficient group enters only at the final base change, ``sizes_over``
+for the sizes of E^1_G and E^2_G and ``base_change`` for the regularity
+verdicts.
 """
 
 from __future__ import annotations
@@ -41,12 +43,8 @@ from .exactla import (
     base_change,
     cokernel_group,
     combine_sizes,
-    freeze,
     identity,
     kernel_basis,
-    quotient_presentation,
-    rank,
-    rank_mod_p,
 )
 from .paramcurve import AffineConstraintSet, ParamTropicalCurve
 
@@ -76,10 +74,6 @@ class ComplexLayout:
     @property
     def domain_dim(self) -> int:
         return self.n * len(self.vertices) + len(self.slope_edges)
-
-    def vertex_cols(self, v: str) -> range:
-        i = self.vertices.index(v)
-        return range(self.n * i, self.n * (i + 1))
 
     @cached_property
     def _edge_cols(self) -> dict[str, int]:
@@ -174,16 +168,14 @@ def build_matrix(p: ParamTropicalCurve, spec: ComplexSpec) -> Mat:
 @dataclass(frozen=True)
 class ComplexReport:
     """The complex over Z (E1_rank, E2) from one transform-free reduction
-    of its matrix, with the sizes over ``group`` derived from them."""
+    of its matrix; ``sizes_over`` base-changes it to any coefficient
+    group."""
 
     matrix: Mat
     layout: ComplexLayout
     E1_rank: int
     E2: FGAbelianGroup
     c_gamma: int                  # number of zero-slope bounded edges
-    group: CoeffGroup
-    E1_size: GroupSize
-    E2_size: GroupSize
 
     @property
     def E1_lattice(self) -> Sublattice:
@@ -203,17 +195,14 @@ def sizes_over(e1_rank: int, e2: FGAbelianGroup, g: CoeffGroup):
     return combine_sizes(e1_free, e1_tor), base_change(e2, g, "tensor")
 
 
-def compute(p: ParamTropicalCurve, spec: ComplexSpec,
-            group: CoeffGroup = CoeffGroup.integers()) -> ComplexReport:
+def compute(p: ParamTropicalCurve, spec: ComplexSpec) -> ComplexReport:
     mat, layout = _assemble(p, spec)
     e2 = cokernel_group(mat)
     # rank-nullity: the matrix has rank rows - rank E^2
     e1_rank = layout.domain_dim - (len(mat) - e2.rank)
-    e1s, e2s = sizes_over(e1_rank, e2, group)
     return ComplexReport(
         matrix=mat, layout=layout, E1_rank=e1_rank, E2=e2,
         c_gamma=pc.zero_slope_bounded_count(p),
-        group=group, E1_size=e1s, E2_size=e2s,
     )
 
 
@@ -270,15 +259,17 @@ def six_term_check(p: ParamTropicalCurve,
     mults = [m for m in mults if m > 0]
     mu = sum(1 for m in mults if p_char and m % p_char == 0)
     quot = mu  # dim ker(l: G -> G) = dim G/lG for a field
-    ce = compute(p, ComplexSpec("beta", constraints), group)
-    ee = compute(p, ComplexSpec("b", constraints), group)
+    ce = compute(p, ComplexSpec("beta", constraints))
+    ee = compute(p, ComplexSpec("b", constraints))
+    ce1, ce2 = sizes_over(ce.E1_rank, ce.E2, group)
+    e1, e2 = sizes_over(ee.E1_rank, ee.E2, group)
     ledger = {
         "mu": mu,
-        "CE1": _field_dim(ce.E1_size),
-        "E1": _field_dim(ee.E1_size),
+        "CE1": _field_dim(ce1),
+        "E1": _field_dim(e1),
         "quot": quot,
-        "CE2": _field_dim(ce.E2_size),
-        "E2": _field_dim(ee.E2_size),
+        "CE2": _field_dim(ce2),
+        "E2": _field_dim(e2),
     }
     alternating = (ledger["mu"] - ledger["CE1"] + ledger["E1"]
                    - ledger["quot"] + ledger["CE2"] - ledger["E2"])
@@ -356,49 +347,3 @@ def contraction_transport(p: ParamTropicalCurve,
         out["checks"]["CEj"] = {"canonical_forms_equal": same}
         out["ok"] = out["ok"] and same
     return out
-
-
-# ---------------------------------------------------------------------------
-# independent cross-check: the quotient-form complex over a field
-
-
-def quotient_form_dims(p: ParamTropicalCurve,
-                       constraints: AffineConstraintSet | None,
-                       group: CoeffGroup) -> tuple[int, int]:
-    """Kernel/cokernel dimensions of the one-term quotient complex
-
-        sum_v N_G -> sum_{E^b} (N/N_e)_G  (+ constraint blocks)
-
-    quasi-isomorphic to the plain two-term complex over any coefficients,
-    and to the stacky one as well when every l(e) is invertible.  The tests
-    use it as an independent route to the same dimensions."""
-    if group.kind not in ("Q", "field"):
-        raise ValueError("quotient form needs a field")
-    p_char = 0 if group.kind == "Q" else group.p
-    n = p.lattice_rank
-    vertices = tuple(p.curve.finite_vertices)
-    vindex = {v: i for i, v in enumerate(vertices)}
-    rows = []
-    for e in p.curve.bounded_edges():
-        geo = pc.edge_geometry(p, e.id)
-        sub = Sublattice(n, (geo.slope,) if geo.slope is not None else ())
-        proj = quotient_presentation(sub)
-        init, target = pc._orient(e)
-        for prow in proj:
-            row = [0] * (n * len(vertices))
-            if init != target:
-                for k in range(n):
-                    row[n * vindex[init] + k] -= prow[k]
-                    row[n * vindex[target] + k] += prow[k]
-            rows.append(row)
-    if constraints is not None:
-        for (vinf, vfin), con in zip(pc.marked_pairs(p, len(constraints)),
-                                     constraints.items):
-            for prow in con.presentation:
-                row = [0] * (n * len(vertices))
-                for k in range(n):
-                    row[n * vindex[vfin] + k] = prow[k]
-                rows.append(row)
-    mat = freeze(rows)
-    r = rank_mod_p(mat, p_char) if p_char else rank(mat)
-    return n * len(vertices) - r, len(mat) - r

@@ -40,11 +40,11 @@ def reduction_torsor(p: ParamTropicalCurve,
     if pc.zero_slope_bounded_count(p):
         raise ObstructionNonzero("zero-slope bounded edges present")
     p_st = pc.stabilize_param(p)
-    rep = cx.compute(p_st, cx.ComplexSpec("b", constraints),
-                     CoeffGroup.units(char_p))
-    if not rep.E2_size.is_trivial:
-        raise ObstructionNonzero(f"E2 over k* has size {rep.E2_size}")
-    return rep.E1_size
+    rep = cx.compute(p_st, cx.ComplexSpec("b", constraints))
+    e1, e2 = cx.sizes_over(rep.E1_rank, rep.E2, CoeffGroup.units(char_p))
+    if not e2.is_trivial:
+        raise ObstructionNonzero(f"E2 over k* has size {e2}")
+    return e1
 
 
 def stacky_multiplier(p: ParamTropicalCurve) -> int:
@@ -134,8 +134,8 @@ def correspondence_count(p: ParamTropicalCurve,
         |CE^1_{k*}(Gamma, A)| = |E^1_{k*}(Gamma, A)| * prod l(e).
 
     Three routes must agree: the k*-order law, |E^2(Gamma,A)| times the
-    stacky multiplier, and the order of CE^2(Gamma,A) from a direct Smith
-    normal form of the assembled matrix.
+    stacky multiplier, and the order of CE^2(Gamma,A) read off the
+    invariant factors of the assembled matrix.
     """
     p_st = pc.stabilize_param(p)
     hyp, ce_rep, _ = _hypotheses(p_st, constraints, char_p, elliptic=False)
@@ -143,12 +143,13 @@ def correspondence_count(p: ParamTropicalCurve,
     if bad is not None:
         raise HypothesisFailed(bad)
 
-    e_rep = cx.compute(p_st, cx.ComplexSpec("b", constraints),
-                       CoeffGroup.units(char_p))
-    torsor = e_rep.E1_size.finite_order
+    e_rep = cx.compute(p_st, cx.ComplexSpec("b", constraints))
+    e1_kstar, _ = cx.sizes_over(e_rep.E1_rank, e_rep.E2,
+                                CoeffGroup.units(char_p))
+    torsor = e1_kstar.finite_order
     mult = stacky_multiplier(p_st)
     if torsor is None:
-        raise CrossCheckFailed("torsor_finite", f"E1 over k* is {e_rep.E1_size}")
+        raise CrossCheckFailed("torsor_finite", f"E1 over k* is {e1_kstar}")
     route_kstar = torsor * mult
     route_e2 = e_rep.E2.torsion_order * mult if e_rep.E2.rank == 0 else None
     route_snf = ce_rep.E2.torsion_order if ce_rep.E2.rank == 0 else None

@@ -145,10 +145,6 @@ def load(path: str):
     return p, constraints, char, raw
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def curve_to_json(p: ParamTropicalCurve,
                   constraints: AffineConstraintSet | None = None,
                   char: int = 0) -> dict:
@@ -157,7 +153,7 @@ def curve_to_json(p: ParamTropicalCurve,
         "lattice_rank": p.lattice_rank,
         "char": char,
         "finite_vertices": [
-            {"id": v, "h": [_rat_str(x) for x in p.hv(v)]}
+            {"id": v, "h": [str(x) for x in p.hv(v)]}
             for v in p.curve.finite_vertices
         ],
         "infinite_vertices": [
@@ -166,14 +162,14 @@ def curve_to_json(p: ParamTropicalCurve,
         ],
         "edges": [
             {"id": e.id, "ends": list(e.ends),
-             "length": "inf" if e.length is None else _rat_str(e.length)}
+             "length": "inf" if e.length is None else str(e.length)}
             for e in p.curve.edges
         ],
     }
     if constraints is not None:
         data["constraints"] = [
             {"L_basis": [list(row) for row in con.space.basis],
-             "point": [_rat_str(x) for x in con.point]}
+             "point": [str(x) for x in con.point]}
             for con in constraints.items
         ]
     return data

@@ -53,18 +53,6 @@ class NotASubdivision(TropicorrError):
     code = "NotASubdivision"
 
 
-class IndexInfinite(TropicorrError):
-    code = "IndexInfinite"
-
-
-class SublatticeNotContained(TropicorrError):
-    code = "SublatticeNotContained"
-
-
-class RayNotInFan(TropicorrError):
-    code = "RayNotInFan"
-
-
 class NotReduced(TropicorrError):
     code = "NotReduced"
 

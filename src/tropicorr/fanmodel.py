@@ -20,7 +20,7 @@ from itertools import combinations
 from math import lcm
 
 from . import paramcurve as pc
-from .errors import CrossCheckFailed, RayNotInFan
+from .errors import CrossCheckFailed
 from .exactla import integral_length, primitive_vector
 from .paramcurve import ParamTropicalCurve
 
@@ -62,18 +62,19 @@ def _parallel(u, v) -> bool:
     return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(len(u)))
 
 
-def _coords_in(conee: Cone, w) -> tuple[int, int, int] | None:
+def _coords_in(gens, w) -> tuple[int, int, int] | None:
     """Integers (na, nb, d) with d > 0 and d w = na g1 + nb g2, or None
-    when w is outside the span.  For rays nb is reported as 0."""
-    if conee.dim == 0:
+    when w is outside the span of the at most two independent vectors
+    gens = (g1, g2).  For a single vector nb is reported as 0."""
+    if not gens:
         return (0, 0, 1) if all(x == 0 for x in w) else None
-    if conee.dim == 1:
-        (g,) = conee.generators
+    if len(gens) == 1:
+        (g,) = gens
         k = next(i for i, x in enumerate(g) if x)
         if all(x * g[k] == w[k] * y for x, y in zip(w, g)):
             return (w[k], 0, g[k]) if g[k] > 0 else (-w[k], 0, -g[k])
         return None
-    g1, g2 = conee.generators
+    g1, g2 = gens
     for i, j in combinations(range(len(g1)), 2):
         d = g1[i] * g2[j] - g1[j] * g2[i]
         if d:
@@ -85,18 +86,18 @@ def _coords_in(conee: Cone, w) -> tuple[int, int, int] | None:
                 return (na, nb, d)
             return None
     raise CrossCheckFailed("cone_generators",
-                           f"the generators of {conee} are parallel")
+                           f"the generators {gens} are parallel")
 
 
 def cone_contains(conee: Cone, w) -> bool:
-    coords = _coords_in(conee, w)
+    coords = _coords_in(conee.generators, w)
     return coords is not None and coords[0] >= 0 and coords[1] >= 0
 
 
 def _interior_position(conee: Cone, w) -> Fraction | None:
     """b / (a + b) for w = a g1 + b g2 strictly inside the 2-cone, which
     orders the interior rays from g1 to g2; None for any other w."""
-    coords = _coords_in(conee, w)
+    coords = _coords_in(conee.generators, w)
     if coords is None or coords[0] <= 0 or coords[1] <= 0:
         return None
     return Fraction(coords[1], coords[0] + coords[1])
@@ -113,7 +114,7 @@ def _sector_intersection(c1: Cone, c2: Cone) -> Cone:
         return Cone((cands[0],))
     key = []
     for g in cands:
-        na, nb, _ = _coords_in(c1, g)
+        na, nb, _ = _coords_in(c1.generators, g)
         key.append((Fraction(nb, na + nb), g))
     key.sort()
     lo, hi = key[0][1], key[-1][1]
@@ -204,17 +205,6 @@ def _ray_of_point(h) -> Ray:
 def _ray_of_direction(d) -> Ray | None:
     vec = tuple(int(x) for x in d) + (0,)
     return primitive_vector(vec)
-
-
-def fan_eta(p: ParamTropicalCurve) -> tuple[Ray, ...]:
-    """Deduplicated primitive rays through the unbounded directions."""
-    pc.require_balanced(p)
-    rays = set()
-    for v in p.curve.infinite_vertices:
-        prim = primitive_vector(tuple(int(x) for x in p.hv(v)))
-        if prim is not None:
-            rays.add(prim)
-    return tuple(sorted(rays))
 
 
 def vertex_ray(p: ParamTropicalCurve, v: str) -> Ray:
@@ -325,10 +315,6 @@ class FanModel:
     def rays(self) -> tuple[Ray, ...]:
         return tuple(c.generators[0] for c in self.cones if c.dim == 1)
 
-    def non_eta_rays(self) -> tuple[Ray, ...]:
-        eta = set(self.eta_rays)
-        return tuple(r for r in self.rays() if r not in eta)
-
     def two_cones(self) -> tuple[Cone, ...]:
         return tuple(c for c in self.cones if c.dim == 2)
 
@@ -395,53 +381,11 @@ def ramification(p_tr: ParamTropicalCurve, a: int):
     return {"reduced": a % minimal == 0, "minimal_a": minimal}
 
 
-def component_adjacency(fm: FanModel):
-    """Nodes are the non-eta rays (components of the degenerate fiber); one
-    edge per 2-cone whose two facets are both non-eta."""
-    eta = set(fm.eta_rays)
-    nodes = fm.non_eta_rays()
-    edges = []
-    for c in fm.two_cones():
-        r1, r2 = c.generators
-        if r1 not in eta and r2 not in eta:
-            edges.append((r1, r2, c))
-    return nodes, tuple(edges)
-
-
 def _height_one_point(r: Ray):
     n = len(r) - 1
     if r[n] <= 0:
         raise ValueError("not a positive-height ray")
     return tuple(Fraction(x, r[n]) for x in r[:n])
-
-
-def star_fan(fm: FanModel, ray: Ray) -> tuple[Ray, ...]:
-    """Rays of the star of a non-eta ray: the directions of the adjacent
-    eta rays, and n_rho' - n_rho for adjacent non-eta rays."""
-    eta = set(fm.eta_rays)
-    if ray in eta or ray not in fm.rays():
-        raise RayNotInFan(str(ray))
-    base = _height_one_point(ray)
-    out = set()
-    for c in fm.two_cones():
-        if ray not in c.generators:
-            continue
-        other = c.generators[0] if c.generators[1] == ray else c.generators[1]
-        if other in eta:
-            out.add(other[:-1])
-        else:
-            out.add(_primitive_rational(
-                pc.vsub(_height_one_point(other), base)))
-    return tuple(sorted(out))
-
-
-def star_vertex(p_tr: ParamTropicalCurve, v: str) -> tuple[Ray, ...]:
-    """The subfan at a finite vertex: primitive directions toward the
-    neighbours (contracted ends dropped)."""
-    ends = pc._outgoing(p_tr, v, set(p_tr.curve.infinite_vertices))
-    out = {_primitive_rational(vec) for _, vec in ends}
-    out.discard(None)
-    return tuple(sorted(out))
 
 
 def reduction_exponents(p_tr: ParamTropicalCurve, v: str):

@@ -174,10 +174,6 @@ def balancing_defects(p: ParamTropicalCurve) -> dict[str, QVec]:
     return out
 
 
-def is_balanced(p: ParamTropicalCurve) -> bool:
-    return not p._violations
-
-
 def require_balanced(p: ParamTropicalCurve):
     if p._violations:
         raise NotBalanced("; ".join(p._violations))
@@ -360,14 +356,6 @@ def stabilize_param(p: ParamTropicalCurve) -> ParamTropicalCurve:
         return p
     return ParamTropicalCurve(st, p.lattice_rank,
                               {v: p.hv(v) for v in st.vertex_ids()})
-
-
-def reorder_infinite(p: ParamTropicalCurve, order) -> ParamTropicalCurve:
-    order = tuple(order)
-    if sorted(order) != sorted(p.curve.infinite_vertices):
-        raise ValueError("order must permute the infinite vertices")
-    c = TropicalCurve(p.curve.finite_vertices, order, p.curve.edges)
-    return ParamTropicalCurve(c, p.lattice_rank, dict(p.h))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ either the sum of the facet lattices or, between two component rays, the
 lattice spanned by (a n_rho1, a) and (l(sigma) n, 0).  The ambient lattice
 is N + aZ; internally the last coordinate counts multiples of a, so all
 vectors stay integral once the configuration is reduced.
+
+Every cone has dimension at most 2, so the compatibility check restricts a
+2-cone's sublattice to a facet ray through the gcd of 2x2 minors, and each
+stabilizer order is read off the invariant factors of a basis: no kernel,
+saturation or transformed Smith form is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from . import fanmodel as fan
 from . import paramcurve as pc
@@ -20,7 +25,6 @@ from .exactla import (
     Sublattice,
     integral_length,
     invariant_factors,
-    lattice_intersect_span,
     lattice_sum,
     primitive_vector,
 )
@@ -114,6 +118,26 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
     return st
 
 
+def _ray_restriction(lat: Sublattice, s) -> Sublattice:
+    """lat intersected with the line through the primitive vector s, for
+    lat of rank at most 2.
+
+    Cramer's rule on the 2x2 minors of the basis (b1, b2) gives integers
+    (na, nb, d) with d > 0 and d s = na b1 + nb b2 (nb = 0 for rank 1),
+    or shows that s is outside the span, where only 0 is left.  b1 and b2 are independent, so
+    (na/d, nb/d) are the only coordinates of s: k s lies in lat iff d
+    divides k na and k nb, i.e. iff m = d / gcd(na, nb, d) divides k.  So
+    m s is the least positive multiple of s in lat, and as s is primitive
+    no other rational multiple of s is integral: the restriction is Z m s.
+    """
+    coords = fan._coords_in(lat.basis, s)
+    if coords is None:
+        return Sublattice(lat.ambient_rank, ())
+    na, nb, d = coords
+    m = d // gcd(na, nb, d)
+    return Sublattice(lat.ambient_rank, (tuple(m * x for x in s),))
+
+
 def _verify_compatibility(st: StackySigma):
     """The defining compatibility: restricted to the span of any pairwise
     intersection, the sublattices of the two cones agree.
@@ -123,14 +147,14 @@ def _verify_compatibility(st: StackySigma):
     A face of a 2-cone is 0, a facet ray or the cone itself, and every
     restriction to 0 is 0.  Each ray's sublattice lies on the ray's span, so
     the pairwise condition holds iff each 2-cone's sublattice restricts to
-    each facet ray's sublattice on that ray's span: 2 checks per 2-cone.
+    each facet ray's sublattice on that ray's span: 2 checks per 2-cone,
+    each by ``_ray_restriction``.
     """
     for c in st.fan.two_cones():
         for g in c.generators:
             ray = Cone((g,))
-            restricted = lattice_intersect_span(
-                st.assignment[c],
-                Sublattice(st.fan.ambient_rank, st.scaled_of[ray].generators))
+            restricted = _ray_restriction(st.assignment[c],
+                                          st.scaled_of[ray].generators[0])
             if restricted != st.assignment[ray]:
                 raise CrossCheckFailed(
                     "stacky_compatibility",

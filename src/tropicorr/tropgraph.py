@@ -42,9 +42,6 @@ class TropicalCurve:
     def vertex_ids(self):
         return self.finite_vertices + self.infinite_vertices
 
-    def is_finite(self, v: str) -> bool:
-        return v in set(self.finite_vertices)
-
     @cached_property
     def _edge_index(self) -> dict[str, Edge]:
         index: dict[str, Edge] = {}
@@ -149,10 +146,6 @@ def validate(c: TropicalCurve) -> list[str]:
 def genus(c: TropicalCurve) -> int:
     """1 - |V| + |E|; the first Betti number for connected curves."""
     return 1 - len(c.vertex_ids()) + len(c.edges)
-
-
-def bounded_length(c: TropicalCurve) -> Fraction:
-    return sum((e.length for e in c.bounded_edges()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -341,77 +334,3 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
     if not is_stable(out):
         raise NotStabilizable("no stable curve under this input")
     return out
-
-
-# ---------------------------------------------------------------------------
-# isomorphism of metric graphs (infinite vertices matched in order)
-
-
-def _lenkey(ln):
-    return (1, Fraction(0)) if ln is None else (0, ln)
-
-
-def _refine_colors(c: TropicalCurve, colors):
-    infinite = {v: i for i, v in enumerate(c.infinite_vertices)}
-    while True:
-        sig = {}
-        for v in c.vertex_ids():
-            around = []
-            for e in c.edges:
-                for a, b in (e.ends, e.ends[::-1]):
-                    if a == v:
-                        around.append((_lenkey(e.length), colors[b]))
-            sig[v] = (colors[v], infinite.get(v, -1), tuple(sorted(around)))
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: palette[sig[v]] for v in sig}
-        if new == colors:
-            return colors
-        colors = new
-
-
-def tropical_isomorphic(c1: TropicalCurve, c2: TropicalCurve) -> bool:
-    """Isomorphism of metric graphs matching edge lengths and the order of
-    the infinite vertices."""
-    if (len(c1.finite_vertices) != len(c2.finite_vertices)
-            or len(c1.infinite_vertices) != len(c2.infinite_vertices)
-            or len(c1.edges) != len(c2.edges)):
-        return False
-    col1 = _refine_colors(c1, {v: 0 for v in c1.vertex_ids()})
-    col2 = _refine_colors(c2, {v: 0 for v in c2.vertex_ids()})
-    if sorted(col1.values()) != sorted(col2.values()):
-        return False
-
-    def edge_multiset(c, u, v):
-        return sorted((e.length for e in c.edges
-                       if set(e.ends) == {u, v} or (u == v and e.ends == (u, u))),
-                      key=_lenkey)
-
-    mapping = dict(zip(c1.infinite_vertices, c2.infinite_vertices))
-    for a, b in mapping.items():
-        if col1[a] != col2[b]:
-            return False
-    free1 = [v for v in sorted(c1.finite_vertices)]
-    used = set(mapping.values())
-
-    def consistent(a, b):
-        for x, y in mapping.items():
-            if edge_multiset(c1, a, x) != edge_multiset(c2, b, y):
-                return False
-        return edge_multiset(c1, a, a) == edge_multiset(c2, b, b)
-
-    def backtrack(k):
-        if k == len(free1):
-            return True
-        a = free1[k]
-        for b in sorted(c2.finite_vertices):
-            if b in used or col1[a] != col2[b] or not consistent(a, b):
-                continue
-            mapping[a] = b
-            used.add(b)
-            if backtrack(k + 1):
-                return True
-            del mapping[a]
-            used.discard(b)
-        return False
-
-    return backtrack(0)

@@ -16,8 +16,8 @@ from tropicorr.exactla import integral_length
 from tropicorr.paramcurve import (
     ParamTropicalCurve,
     constraint_set,
-    is_balanced,
     marked_pairs,
+    param_violations,
     rank,
 )
 from tropicorr.tropgraph import Edge, TropicalCurve
@@ -74,7 +74,7 @@ class Builder:
         c = TropicalCurve(tuple(self.finite), tuple(self.infinite),
                           tuple(self.edges))
         p = ParamTropicalCurve(c, self.n, dict(self.h))
-        assert is_balanced(p), "generator produced an unbalanced curve"
+        assert not param_violations(p), "generator produced an unbalanced curve"
         return p
 
 

@@ -1,0 +1,477 @@
+"""Reference routes the tests compare the engine against.
+
+Each route here computes the same quantity as an engine path by a more
+general or more direct method: lattice membership, intersection, saturation
+and index by rational solving and integer kernels; ranks by Gauss-Jordan
+elimination and determinants by Bareiss; the one-term quotient complex;
+cone coordinates in Fractions; the all-pairs stacky compatibility;
+isomorphism of metric graphs; and stabilization by rescanning every edge.
+The engine calls none of them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from tropicorr import paramcurve as pc
+from tropicorr.errors import NotStabilizable
+from tropicorr.exactla import (
+    CoeffGroup,
+    Mat,
+    Sublattice,
+    freeze,
+    hnf,
+    identity,
+    invariant_factors,
+    kernel_basis,
+    primitive_vector,
+    quotient_presentation,
+    transpose,
+)
+from tropicorr.fanmodel import ZERO_CONE, Cone, cone, intersect_cones
+from tropicorr.paramcurve import AffineConstraintSet, ParamTropicalCurve
+from tropicorr.tropgraph import (
+    Edge,
+    TropicalCurve,
+    is_stable,
+    satisfies_stability_bound,
+    validate,
+)
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# matrices
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    bt = transpose(b)
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def det(a: Mat) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def rank(a) -> int:
+    return len(invariant_factors(a))
+
+
+def rank_mod_p(a: Mat, p: int) -> int:
+    """Rank of A over the prime field F_p, by Gauss-Jordan elimination."""
+    m = [[x % p for x in row] for row in a]
+    ncols = len(m[0]) if m else 0
+    row = 0
+    for col in range(ncols):
+        piv = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = pow(m[row][col], -1, p)
+        m[row] = [(x * inv) % p for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col]:
+                f = m[i][col]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[row])]
+        row += 1
+    return row
+
+
+def solve_rational(a_rows, target):
+    """Solve x @ A = target over Q for the row vector x, where A is given by
+    its rows.  Returns a tuple of Fractions or None when inconsistent."""
+    rows = [[Fraction(x) for x in r] for r in a_rows]
+    t = [Fraction(x) for x in target]
+    ncols = len(t)
+    # Gaussian elimination on the transposed system A^T x^T = target^T
+    aug = [[rows[j][i] for j in range(len(rows))] + [t[i]] for i in range(ncols)]
+    nvars = len(rows)
+    pivot_of_var = [-1] * nvars
+    r = 0
+    for c in range(nvars):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivot_of_var[c] = r
+        r += 1
+    for i in range(r, len(aug)):
+        if aug[i][-1] != 0:
+            return None
+    sol = []
+    for c in range(nvars):
+        sol.append(aug[pivot_of_var[c]][-1] if pivot_of_var[c] >= 0 else Fraction(0))
+    return tuple(sol)
+
+
+# ---------------------------------------------------------------------------
+# sublattices
+
+
+def contains(lat: Sublattice, v) -> bool:
+    """Is the integer vector v in lat?"""
+    sol = solve_rational(lat.basis, v)
+    return sol is not None and all(x.denominator == 1 for x in sol)
+
+
+def zero_lattice(n: int) -> Sublattice:
+    return Sublattice(n, ())
+
+
+def full_lattice(n: int) -> Sublattice:
+    return Sublattice(n, identity(n))
+
+
+def saturation(lat: Sublattice) -> Sublattice:
+    """Smallest sublattice containing lat with torsion-free quotient:
+    the Q-span intersected with Z^n, computed as a double kernel."""
+    if lat.rank == 0:
+        return lat
+    ann = kernel_basis(lat.basis)
+    if not ann:
+        return full_lattice(lat.ambient_rank)
+    return Sublattice(lat.ambient_rank, kernel_basis(ann))
+
+
+def lattice_intersect(l1: Sublattice, l2: Sublattice) -> Sublattice:
+    if l1.ambient_rank != l2.ambient_rank:
+        raise ValueError("ambient ranks differ")
+    if l1.rank == 0 or l2.rank == 0:
+        return zero_lattice(l1.ambient_rank)
+    cols = [list(row) for row in transpose(l1.basis)]
+    for i, row in enumerate(transpose(l2.basis)):
+        cols[i].extend(-x for x in row)
+    combos = kernel_basis(freeze(cols))
+    gens = []
+    for combo in combos:
+        coeffs = combo[: l1.rank]
+        gens.append(tuple(
+            sum(c * row[j] for c, row in zip(coeffs, l1.basis))
+            for j in range(l1.ambient_rank)
+        ))
+    return Sublattice(l1.ambient_rank, hnf(gens, l1.ambient_rank))
+
+
+def lattice_index(outer: Sublattice, inner: Sublattice) -> int:
+    """Index [outer : inner] for inner a finite-index sublattice of outer."""
+    if outer.ambient_rank != inner.ambient_rank:
+        raise ValueError("ambient ranks differ")
+    if outer.rank != inner.rank:
+        raise ValueError("sublattice ranks differ, index is infinite")
+    coords = []
+    for row in inner.basis:
+        sol = solve_rational(outer.basis, row)
+        if sol is None or any(x.denominator != 1 for x in sol):
+            raise ValueError("inner lattice not contained in outer")
+        coords.append(tuple(int(x) for x in sol))
+    d = det(freeze(coords))
+    if d == 0:
+        raise ValueError("degenerate basis")
+    return abs(d)
+
+
+def lattice_intersect_span(lat: Sublattice, space: Sublattice) -> Sublattice:
+    """lat intersected with the Q-span of space."""
+    if space.rank == 0 or lat.rank == 0:
+        return zero_lattice(lat.ambient_rank)
+    ann = kernel_basis(space.basis)
+    if not ann:
+        return lat
+    # rows of lat.basis whose combos are killed by every annihilator
+    m = mat_mul(freeze(ann), transpose(lat.basis))
+    combos = kernel_basis(m)
+    gens = []
+    for combo in combos:
+        gens.append(tuple(
+            sum(c * row[j] for c, row in zip(combo, lat.basis))
+            for j in range(lat.ambient_rank)
+        ))
+    return Sublattice(lat.ambient_rank, hnf(gens, lat.ambient_rank))
+
+
+# ---------------------------------------------------------------------------
+# complexes: the one-term quotient form over a field
+
+
+def quotient_form_dims(p: ParamTropicalCurve,
+                       constraints: AffineConstraintSet | None,
+                       group: CoeffGroup) -> tuple[int, int]:
+    """Kernel/cokernel dimensions of the one-term quotient complex
+
+        sum_v N_G -> sum_{E^b} (N/N_e)_G  (+ constraint blocks)
+
+    quasi-isomorphic to the plain two-term complex over any coefficients,
+    and to the stacky one as well when every l(e) is invertible.  The tests
+    use it as an independent route to the same dimensions."""
+    if group.kind not in ("Q", "field"):
+        raise ValueError("quotient form needs a field")
+    p_char = 0 if group.kind == "Q" else group.p
+    n = p.lattice_rank
+    vertices = tuple(p.curve.finite_vertices)
+    vindex = {v: i for i, v in enumerate(vertices)}
+    rows = []
+    for e in p.curve.bounded_edges():
+        geo = pc.edge_geometry(p, e.id)
+        sub = Sublattice(n, (geo.slope,) if geo.slope is not None else ())
+        proj = quotient_presentation(sub)
+        init, target = pc._orient(e)
+        for prow in proj:
+            row = [0] * (n * len(vertices))
+            if init != target:
+                for k in range(n):
+                    row[n * vindex[init] + k] -= prow[k]
+                    row[n * vindex[target] + k] += prow[k]
+            rows.append(row)
+    if constraints is not None:
+        for (vinf, vfin), con in zip(pc.marked_pairs(p, len(constraints)),
+                                     constraints.items):
+            for prow in con.presentation:
+                row = [0] * (n * len(vertices))
+                for k in range(n):
+                    row[n * vindex[vfin] + k] = prow[k]
+                rows.append(row)
+    mat = freeze(rows)
+    r = rank_mod_p(mat, p_char) if p_char else rank(mat)
+    return n * len(vertices) - r, len(mat) - r
+
+
+# ---------------------------------------------------------------------------
+# cones: Fraction coordinates, spans compared through the integer kernel
+# of [g1 g2 -h1 -h2]
+
+
+def oracle_coords_in(conee, w):
+    """(a, b) in Q with w = a g1 + b g2, or None outside the span."""
+    if conee.dim == 0:
+        return (F(0), F(0)) if all(x == 0 for x in w) else None
+    if conee.dim == 1:
+        (g,) = conee.generators
+        k = next(i for i, x in enumerate(g) if x)
+        a = F(w[k], g[k])
+        return (a, F(0)) if all(a * x == y for x, y in zip(g, w)) else None
+    g1, g2 = conee.generators
+    for i in range(len(g1)):
+        for j in range(i + 1, len(g1)):
+            d = g1[i] * g2[j] - g1[j] * g2[i]
+            if d:
+                a = F(w[i] * g2[j] - w[j] * g2[i], d)
+                b = F(g1[i] * w[j] - g1[j] * w[i], d)
+                if all(a * x + b * y == z for x, y, z in zip(g1, g2, w)):
+                    return (a, b)
+                return None
+    raise ValueError("degenerate 2-cone")
+
+
+def oracle_contains(conee, w):
+    coords = oracle_coords_in(conee, w)
+    return coords is not None and coords[0] >= 0 and coords[1] >= 0
+
+
+def oracle_intersect(c1, c2):
+    if c1.dim > c2.dim:
+        c1, c2 = c2, c1
+    if c1.dim == 0:
+        return ZERO_CONE
+    if c1.dim == 1:
+        if c2.dim == 1:
+            return c1 if c1 == c2 else ZERO_CONE
+        return c1 if oracle_contains(c2, c1.generators[0]) else ZERO_CONE
+    g1, g2 = c1.generators
+    h1, h2 = c2.generators
+    ker = kernel_basis(tuple(zip(g1, g2, tuple(-x for x in h1),
+                                 tuple(-x for x in h2))))
+    if len(ker) == 0:
+        return ZERO_CONE
+    if len(ker) >= 2:  # same plane: order the candidate rays by angle
+        cands = sorted({g for g in c1.generators if oracle_contains(c2, g)}
+                       | {g for g in c2.generators if oracle_contains(c1, g)})
+        if not cands:
+            return ZERO_CONE
+        key = []
+        for g in cands:
+            a, b = oracle_coords_in(c1, g)
+            key.append((b / (a + b), g))
+        lo, hi = min(key)[1], max(key)[1]
+        return Cone((lo,)) if lo == hi else cone(lo, hi)
+    a1, a2, _, _ = ker[0]
+    w = primitive_vector(tuple(a1 * x + a2 * y for x, y in zip(g1, g2)))
+    for cand in (w, tuple(-x for x in w)):
+        if oracle_contains(c1, cand) and oracle_contains(c2, cand):
+            return Cone((cand,))
+    return ZERO_CONE
+
+
+# ---------------------------------------------------------------------------
+# stacky compatibility over every pair of cones
+
+
+def all_pairs_compatible(st):
+    """Reference route: restricted to the span of every pairwise
+    intersection, the sublattices of the two cones agree."""
+    cones = list(st.fan.cones)
+    for i, c1 in enumerate(cones):
+        for c2 in cones[i:]:
+            inter = intersect_cones(st.scaled_of[c1], st.scaled_of[c2])
+            span = Sublattice(st.fan.ambient_rank, inter.generators)
+            if (lattice_intersect_span(st.assignment[c1], span)
+                    != lattice_intersect_span(st.assignment[c2], span)):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# metric graphs: isomorphism (infinite vertices matched in order) and
+# stabilization by rescanning
+
+
+def _lenkey(ln):
+    return (1, Fraction(0)) if ln is None else (0, ln)
+
+
+def _refine_colors(c: TropicalCurve, colors):
+    infinite = {v: i for i, v in enumerate(c.infinite_vertices)}
+    while True:
+        sig = {}
+        for v in c.vertex_ids():
+            around = []
+            for e in c.edges:
+                for a, b in (e.ends, e.ends[::-1]):
+                    if a == v:
+                        around.append((_lenkey(e.length), colors[b]))
+            sig[v] = (colors[v], infinite.get(v, -1), tuple(sorted(around)))
+        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        new = {v: palette[sig[v]] for v in sig}
+        if new == colors:
+            return colors
+        colors = new
+
+
+def tropical_isomorphic(c1: TropicalCurve, c2: TropicalCurve) -> bool:
+    """Isomorphism of metric graphs matching edge lengths and the order of
+    the infinite vertices."""
+    if (len(c1.finite_vertices) != len(c2.finite_vertices)
+            or len(c1.infinite_vertices) != len(c2.infinite_vertices)
+            or len(c1.edges) != len(c2.edges)):
+        return False
+    col1 = _refine_colors(c1, {v: 0 for v in c1.vertex_ids()})
+    col2 = _refine_colors(c2, {v: 0 for v in c2.vertex_ids()})
+    if sorted(col1.values()) != sorted(col2.values()):
+        return False
+
+    def edge_multiset(c, u, v):
+        return sorted((e.length for e in c.edges
+                       if set(e.ends) == {u, v} or (u == v and e.ends == (u, u))),
+                      key=_lenkey)
+
+    mapping = dict(zip(c1.infinite_vertices, c2.infinite_vertices))
+    for a, b in mapping.items():
+        if col1[a] != col2[b]:
+            return False
+    free1 = [v for v in sorted(c1.finite_vertices)]
+    used = set(mapping.values())
+
+    def consistent(a, b):
+        for x, y in mapping.items():
+            if edge_multiset(c1, a, x) != edge_multiset(c2, b, y):
+                return False
+        return edge_multiset(c1, a, a) == edge_multiset(c2, b, b)
+
+    def backtrack(k):
+        if k == len(free1):
+            return True
+        a = free1[k]
+        for b in sorted(c2.finite_vertices):
+            if b in used or col1[a] != col2[b] or not consistent(a, b):
+                continue
+            mapping[a] = b
+            used.add(b)
+            if backtrack(k + 1):
+                return True
+            del mapping[a]
+            used.discard(b)
+        return False
+
+    return backtrack(0)
+
+
+def stabilize_by_rescanning(c):
+    """The prune and smooth loops as they ran on every input, stable or not,
+    rescanning every edge for each vertex; kept as the oracle."""
+    if validate(c) or not satisfies_stability_bound(c):
+        raise NotStabilizable("oracle: invalid or unstabilizable")
+    finite = list(c.finite_vertices)
+    edges = {e.id: e for e in c.edges}
+
+    def val(v):
+        return sum((e.ends[0] == v) + (e.ends[1] == v) for e in edges.values())
+
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(finite):
+            if val(v) == 1:
+                del edges[next(i for i, e in edges.items() if v in e.ends)]
+                finite.remove(v)
+                changed = True
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(finite):
+            inc = [e for e in edges.values() if v in e.ends]
+            if sum((e.ends[0] == v) + (e.ends[1] == v) for e in inc) != 2:
+                continue
+            if len(inc) == 1:
+                raise NotStabilizable("oracle: degenerate loop")
+            e1, e2 = inc
+            u = e1.ends[0] if e1.ends[1] == v else e1.ends[1]
+            w = e2.ends[0] if e2.ends[1] == v else e2.ends[1]
+            if e1.is_bounded and e2.is_bounded:
+                ln = e1.length + e2.length
+            elif e1.is_bounded != e2.is_bounded:
+                ln = None
+            else:
+                raise NotStabilizable("oracle: two unbounded edges")
+            if ln is None and u in set(c.infinite_vertices):
+                u, w = w, u
+            nid = f"{e1.id}+{e2.id}"
+            del edges[e1.id]
+            del edges[e2.id]
+            while nid in edges:
+                nid += "'"
+            edges[nid] = Edge(nid, (u, w), ln)
+            finite.remove(v)
+            changed = True
+    out = TropicalCurve(tuple(finite), c.infinite_vertices, tuple(edges.values()))
+    if not is_stable(out):
+        raise NotStabilizable("oracle: not stable")
+    return out

@@ -201,7 +201,7 @@ def test_count_reduces_each_matrix_once(monkeypatch, count, fixture, expected):
     # The constraint was presented once, when it was built, and satisfaction
     # and simplicity read that presentation
     p, a, _, _ = load(str(FIXTURES / fixture))
-    general = ("quotient_presentation", "lattice_intersect", "solve_rational")
+    general = ("quotient_presentation",)
     calls = _count_calls(monkeypatch, ("invariant_factors", "snf") + general)
     assert count(p, a, 0).count == expected
     assert calls == {"invariant_factors": 3, "snf": 0, **dict.fromkeys(general, 0)}
@@ -265,8 +265,8 @@ BROKEN_ROUTES = {
                      _count),
     "fan_axiom": (fanmodel, "check_fan", lambda cones: ["broken"],
                   "dblline.json", _fan),
-    "stacky_compatibility": (stacky, "lattice_intersect_span",
-                             lambda lat, span: lat, "dblline.json", _stacky),
+    "stacky_compatibility": (stacky, "_ray_restriction",
+                             lambda lat, s: lat, "dblline.json", _stacky),
 }
 
 

@@ -5,6 +5,19 @@ from math import gcd
 from pathlib import Path
 
 from corpus import corpus, elliptic_corpus
+from oracles import (
+    contains,
+    det,
+    full_lattice,
+    lattice_index,
+    lattice_intersect,
+    lattice_intersect_span,
+    mat_mul,
+    rank,
+    saturation,
+    solve_rational,
+    zero_lattice,
+)
 from tropicorr.complexes import ComplexSpec, build_matrix
 from tropicorr.curvefile import load
 from tropicorr.errors import TropicorrError
@@ -15,27 +28,16 @@ from tropicorr.exactla import (
     Sublattice,
     base_change,
     cokernel_group,
-    det,
     freeze,
-    full_lattice,
     hnf,
     identity,
     integral_length,
     invariant_factors,
     kernel_basis,
-    lattice_index,
-    lattice_intersect,
-    lattice_intersect_span,
     lattice_sum,
-    mat_mul,
     primitive_vector,
     quotient_presentation,
-    rank,
-    saturation,
     snf,
-    solve_rational,
-    zero_lattice,
-    zeros,
 )
 from tropicorr.tropgraph import genus
 
@@ -60,6 +62,10 @@ def divisors_by_minor_gcds(a):
         out.append(g // prev)
         prev = g
     return out
+
+
+def zeros(rows, cols):
+    return ((0,) * cols,) * rows
 
 
 def is_diagonal(a):
@@ -268,10 +274,10 @@ def test_lattice_intersect_sum_random():
                                 for _ in range(rng.randint(1, n))], n))
         inter = lattice_intersect(l1, l2)
         for row in inter.basis:
-            assert l1.contains(row) and l2.contains(row)
+            assert contains(l1, row) and contains(l2, row)
         s = lattice_sum(l1, l2)
         for row in l1.basis + l2.basis:
-            assert s.contains(row)
+            assert contains(s, row)
         # Grassmann identity at the level of ranks
         assert l1.rank + l2.rank == inter.rank + s.rank
 
@@ -288,8 +294,8 @@ def test_lattice_intersect_brute_force_oracle():
                                 for _ in range(rng.randint(1, 2))], 2))
         inter = lattice_intersect(l1, l2)
         for v in product(range(-6, 7), repeat=2):
-            both = l1.contains(v) and l2.contains(v)
-            assert inter.contains(v) == both, (l1, l2, v)
+            both = contains(l1, v) and contains(l2, v)
+            assert contains(inter, v) == both, (l1, l2, v)
 
 
 def test_lattice_intersect_span():

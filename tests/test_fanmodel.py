@@ -10,20 +10,19 @@ from fixture_curves import (
     two_vertex_curve,
     x_configuration,
 )
+from oracles import oracle_contains, oracle_coords_in, oracle_intersect
 from tropicorr import exactla
-from tropicorr.errors import CrossCheckFailed, RayNotInFan
-from tropicorr.exactla import kernel_basis, primitive_vector
+from tropicorr.errors import CrossCheckFailed
+from tropicorr.exactla import primitive_vector
 from tropicorr.fanmodel import (
     Cone,
     ZERO_CONE,
     _coords_in,
     build_K,
     check_fan,
-    component_adjacency,
     cone,
     cone_contains,
     cone_multiplicities,
-    fan_eta,
     fan_model,
     fan_to_json,
     gamma_tr,
@@ -31,8 +30,6 @@ from tropicorr.fanmodel import (
     ramification,
     reduction_exponents,
     refine_to_fan,
-    star_fan,
-    star_vertex,
 )
 from tropicorr.paramcurve import param_curve
 from tropicorr.tropgraph import curve
@@ -60,72 +57,6 @@ def test_intersect_cones_nested_sector():
     small = cone((1, 0, 1), (2, 0, 1))
     inter = intersect_cones(big, small)
     assert inter == small
-
-
-# ---------------------------------------------------------------------------
-# reference route for the cone arithmetic: Fraction coordinates, and spans
-# compared through the integer kernel of [g1 g2 -h1 -h2] (an SNF)
-
-
-def oracle_coords_in(conee, w):
-    """(a, b) in Q with w = a g1 + b g2, or None outside the span."""
-    if conee.dim == 0:
-        return (F(0), F(0)) if all(x == 0 for x in w) else None
-    if conee.dim == 1:
-        (g,) = conee.generators
-        k = next(i for i, x in enumerate(g) if x)
-        a = F(w[k], g[k])
-        return (a, F(0)) if all(a * x == y for x, y in zip(g, w)) else None
-    g1, g2 = conee.generators
-    for i in range(len(g1)):
-        for j in range(i + 1, len(g1)):
-            d = g1[i] * g2[j] - g1[j] * g2[i]
-            if d:
-                a = F(w[i] * g2[j] - w[j] * g2[i], d)
-                b = F(g1[i] * w[j] - g1[j] * w[i], d)
-                if all(a * x + b * y == z for x, y, z in zip(g1, g2, w)):
-                    return (a, b)
-                return None
-    raise ValueError("degenerate 2-cone")
-
-
-def oracle_contains(conee, w):
-    coords = oracle_coords_in(conee, w)
-    return coords is not None and coords[0] >= 0 and coords[1] >= 0
-
-
-def oracle_intersect(c1, c2):
-    if c1.dim > c2.dim:
-        c1, c2 = c2, c1
-    if c1.dim == 0:
-        return ZERO_CONE
-    if c1.dim == 1:
-        if c2.dim == 1:
-            return c1 if c1 == c2 else ZERO_CONE
-        return c1 if oracle_contains(c2, c1.generators[0]) else ZERO_CONE
-    g1, g2 = c1.generators
-    h1, h2 = c2.generators
-    ker = kernel_basis(tuple(zip(g1, g2, tuple(-x for x in h1),
-                                 tuple(-x for x in h2))))
-    if len(ker) == 0:
-        return ZERO_CONE
-    if len(ker) >= 2:  # same plane: order the candidate rays by angle
-        cands = sorted({g for g in c1.generators if oracle_contains(c2, g)}
-                       | {g for g in c2.generators if oracle_contains(c1, g)})
-        if not cands:
-            return ZERO_CONE
-        key = []
-        for g in cands:
-            a, b = oracle_coords_in(c1, g)
-            key.append((b / (a + b), g))
-        lo, hi = min(key)[1], max(key)[1]
-        return Cone((lo,)) if lo == hi else cone(lo, hi)
-    a1, a2, _, _ = ker[0]
-    w = primitive_vector(tuple(a1 * x + a2 * y for x, y in zip(g1, g2)))
-    for cand in (w, tuple(-x for x in w)):
-        if oracle_contains(c1, cand) and oracle_contains(c2, cand):
-            return Cone((cand,))
-    return ZERO_CONE
 
 
 def _random_vec(rng, m, spread=3):
@@ -181,7 +112,7 @@ def test_cone_arithmetic_matches_reference_route():
                     outcomes.add((x.dim, y.dim, inter.dim))
                 pairs += 1
                 for w in c2.generators + (_random_vec(rng, m),):
-                    coords = _coords_in(c1, w)
+                    coords = _coords_in(c1.generators, w)
                     expect = oracle_coords_in(c1, w)
                     if expect is None:
                         assert coords is None
@@ -217,15 +148,22 @@ def test_degenerate_cone_raises():
     assert info.value.code == "CrossCheckFailed:cone_generators"
 
 
+def eta_rays(p):
+    """The rays of K with last coordinate 0: the unbounded directions."""
+    return tuple(sorted(c.generators[0] for c in build_K(p)
+                        if c.dim == 1 and c.generators[0][-1] == 0))
+
+
 def test_fan_eta_examples():
-    assert fan_eta(tropical_line()) == ((-1, 0), (0, -1), (1, 1))
+    eta = ((-1, 0, 0), (0, -1, 0), (1, 1, 0))
+    assert fan_model(tropical_line()).eta_rays == eta
     dbl, _ = doubled_line()
-    assert fan_eta(dbl) == ((-1, 0), (0, -1), (1, 1))
+    assert fan_model(gamma_tr(dbl)).eta_rays == eta == eta_rays(dbl)
     marked_only = param_curve(
         curve(["v"], ["a", "b"],
               [("r1", ("v", "a"), None), ("r2", ("v", "b"), None)]),
         2, {"v": (0, 0), "a": (0, 0), "b": (0, 0)})
-    assert fan_eta(marked_only) == ()
+    assert fan_model(marked_only).eta_rays == ()
 
 
 def test_build_K_tropical_line():
@@ -277,7 +215,7 @@ def test_gamma_tr_realizes_refinement():
     for p in (x_configuration(), doubled_line()[0], two_vertex_curve()):
         tr = gamma_tr(p)
         assert set(build_K(tr)) == set(refine_to_fan(build_K(p)))
-        assert fan_eta(tr) == fan_eta(p)
+        assert fan_model(tr).eta_rays == eta_rays(p)
 
 
 def test_gamma_tr_collinear_overlap():
@@ -323,37 +261,6 @@ def test_ramification():
                ("r1", ("v", "a"), None), ("r2", ("w", "b"), None)]),
         2, {"v": (F(1, 2), 0), "w": (F(5, 6), 0), "a": (-1, 0), "b": (1, 0)})
     assert ramification(halfpoint, 1)["minimal_a"] == 6
-
-
-def test_component_adjacency_x():
-    tr = gamma_tr(x_configuration())
-    fm = fan_model(tr)
-    nodes, edges = component_adjacency(fm)
-    assert len(nodes) == 5
-    crossing = (1, 1, 1)
-    assert crossing in nodes
-    deg = sum(1 for a, b, _ in edges if crossing in (a, b))
-    assert deg == 4
-    assert len(edges) == 5  # the four crossing pieces plus the joining bar
-
-
-def test_star_fan():
-    p = tropical_line()
-    fm = fan_model(p)
-    center = (0, 0, 1)
-    assert star_fan(fm, center) == ((-1, 0), (0, -1), (1, 1))
-    with pytest.raises(RayNotInFan):
-        star_fan(fm, (9, 9, 1))
-    two = two_vertex_curve()
-    fm2 = fan_model(two)
-    stars = star_fan(fm2, (0, 0, 1))
-    assert (1, 1) in stars
-
-
-def test_star_vertex():
-    p, _ = line_through_two_points()
-    assert star_vertex(p, "v1") == ((-1, 0), (1, 0))  # zero direction dropped
-    assert star_vertex(p, "v0") == ((-1, 0), (0, -1), (1, 1))
 
 
 def test_reduction_exponents():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from corpus import corpus, elliptic_corpus, rigid_genus0
 from fixture_curves import doubled_line, line_through_two_points
-from tropicorr.complexes import ComplexSpec, compute, regularity
+from oracles import quotient_form_dims
+from tropicorr.complexes import ComplexSpec, compute, regularity, sizes_over
 from tropicorr.counting import moduli_dimension, stacky_multiplier
 from tropicorr.exactla import CoeffGroup
 from tropicorr.fanmodel import build_K, cone_contains, gamma_tr, ramification, refine_to_fan
@@ -78,13 +79,12 @@ def test_k_regular_implies_kstar_regular_and_orders():
                 assert units_verdict.g_regular
                 # with c = 0 and codim = rank the orders match the Z-side
                 assert zero_slope_bounded_count(p) == 0
-                e_z = compute(p, ComplexSpec("b", a))
-                ce_z = compute(p, ComplexSpec("beta", a))
-                e_ks = compute(p, ComplexSpec("b", a), CoeffGroup.units(char_p))
-                ce_ks = compute(p, ComplexSpec("beta", a), CoeffGroup.units(char_p))
                 if char_p == 0:
-                    assert e_ks.E1_size.finite_order == e_z.E2.torsion_order
-                    assert ce_ks.E1_size.finite_order == ce_z.E2.torsion_order
+                    for variant in ("b", "beta"):
+                        z = compute(p, ComplexSpec(variant, a))
+                        e1_kstar, _ = sizes_over(z.E1_rank, z.E2,
+                                                 CoeffGroup.units(char_p))
+                        assert e1_kstar.finite_order == z.E2.torsion_order
                 seen += 1
     assert seen >= 20
 
@@ -94,9 +94,9 @@ def test_elliptic_regular_kernel_rank():
     # rank(Gamma) - codim(A) - 1
     count = 0
     for p, a in elliptic_corpus(246810, 40):
-        rep = compute(p, ComplexSpec("beta", a, elliptic=True),
-                      CoeffGroup.rationals())
-        if rep.E2_size.kdim != 0:
+        rep = compute(p, ComplexSpec("beta", a, elliptic=True))
+        _, e2_q = sizes_over(rep.E1_rank, rep.E2, CoeffGroup.rationals())
+        if e2_q.kdim != 0:
             continue
         assert rep.E1_rank == rank(p) - a.codim - 1
         count += 1
@@ -160,25 +160,27 @@ def test_fan_support_preserved():
 def test_quotient_form_matches_full_complex_on_corpus():
     # the one-term quotient complex is an independent route to the plain
     # dimensions over any field, and to the stacky ones off bad primes
-    from tropicorr.complexes import quotient_form_dims
+    def dims(rep, grp):
+        e1, e2 = sizes_over(rep.E1_rank, rep.E2, grp)
+        return e1.kdim, e2.kdim
 
     for p, a in corpus(161803, 30):
         mults = [edge_geometry(p, e.id).multiplicity
                  for e in p.curve.bounded_edges()]
+        e_rep = compute(p, ComplexSpec("b", a))
+        ce_rep = compute(p, ComplexSpec("beta", a))
         for grp in (CoeffGroup.rationals(), CoeffGroup.field(2),
                     CoeffGroup.field(3)):
             char_p = 0 if grp.kind == "Q" else grp.p
             k, c = quotient_form_dims(p, a, grp)
-            e_rep = compute(p, ComplexSpec("b", a), grp)
-            assert (e_rep.E1_size.kdim, e_rep.E2_size.kdim) == (k, c)
+            assert dims(e_rep, grp) == (k, c)
             if char_p == 0 or all(m % char_p for m in mults if m):
-                ce_rep = compute(p, ComplexSpec("beta", a), grp)
-                assert (ce_rep.E1_size.kdim, ce_rep.E2_size.kdim) == (k, c)
+                assert dims(ce_rep, grp) == (k, c)
 
 
 def test_regularity_size_consistency_fixtures():
     # |E1_kstar(Gamma, A)| = |E2(Gamma, A)| on the two rigid fixtures
     for (p, a), expect in ((line_through_two_points(), 1), (doubled_line(), 1)):
-        ks = compute(p, ComplexSpec("b", a), CoeffGroup.units(0))
         zz = compute(p, ComplexSpec("b", a))
-        assert ks.E1_size.finite_order == zz.E2.torsion_order == expect
+        e1_kstar, _ = sizes_over(zz.E1_rank, zz.E2, CoeffGroup.units(0))
+        assert e1_kstar.finite_order == zz.E2.torsion_order == expect
