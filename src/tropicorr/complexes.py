@@ -66,10 +66,7 @@ class ComplexLayout:
 
     vertices: tuple[str, ...]       # finite vertices, column blocks of width n
     slope_edges: tuple[str, ...]    # bounded edges with nonzero slope, one column each
-    row_edges: tuple[str, ...]      # all bounded edges, row blocks of width n
     n: int
-    constraint_rows: tuple[tuple[str, Mat], ...]  # (constrained vertex, projection)
-    elliptic: bool
 
     @property
     def domain_dim(self) -> int:
@@ -123,8 +120,7 @@ def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
             orientation[e.id] = (init, target) if sign == 1 else (target, init)
         cycle_ids = {e.id for e, _ in cycle}
 
-    layout = ComplexLayout(vertices, slope_edges, tuple(e.id for e in bounded),
-                           n, tuple(constraint_rows), spec.elliptic)
+    layout = ComplexLayout(vertices, slope_edges, n)
 
     ncols = layout.domain_dim
     rows = []

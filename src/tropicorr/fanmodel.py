@@ -8,6 +8,10 @@ K_Gamma need not be a fan; its common refinement is, and the curve
 subdivided at the interior crossing rays realizes the refinement as its own
 cone collection.
 
+Each vertex ray and edge cone is derived once per call, in ``_curve_cones``;
+the refinement orders the interior rays of every 2-cone into a chain, and
+``gamma_tr`` subdivides each edge at the rays of its cone's chain.
+
 All cones here have dimension at most two, so every intersection reduces to
 2x2 and 3x3 integer minors; no general polyhedral machinery is needed.
 """
@@ -207,43 +211,39 @@ def _ray_of_direction(d) -> Ray | None:
     return primitive_vector(vec)
 
 
-def vertex_ray(p: ParamTropicalCurve, v: str) -> Ray:
-    if v in p.curve.infinite_vertices:
-        return _ray_of_direction(p.hv(v))
-    return _ray_of_point(p.hv(v))
+def _curve_cones(p: ParamTropicalCurve):
+    """The ray of every vertex (None at a contracted end) and the 2-cone of
+    every nonzero-slope edge, both in the curve's order; the one place
+    where either is derived."""
+    pc.require_balanced(p)
+    rays = {v: _ray_of_point(p.hv(v)) for v in p.curve.finite_vertices}
+    rays.update((v, _ray_of_direction(p.hv(v)))
+                for v in p.curve.infinite_vertices)
+    edge_cones = {e.id: cone(rays[e.ends[0]], rays[e.ends[1]])
+                  for e in p.curve.edges
+                  if pc.edge_geometry(p, e.id).slope is not None}
+    return rays, edge_cones
 
 
-def edge_cone(p: ParamTropicalCurve, eid: str) -> Cone | None:
-    """The 2-cone of an edge, or None when the slope is trivial."""
-    e = p.curve.edge(eid)
-    if pc.edge_geometry(p, eid).slope is None:
-        return None
-    r1 = vertex_ray(p, e.ends[0])
-    r2 = vertex_ray(p, e.ends[1])
-    return cone(r1, r2)
+def _sorted_cones(cones) -> tuple[Cone, ...]:
+    return tuple(sorted(cones, key=lambda c: (c.dim, c.generators)))
+
+
+def _collection(rays, edge_cones) -> tuple[Cone, ...]:
+    cones = {ZERO_CONE, *edge_cones.values()}
+    cones.update(Cone((r,)) for r in rays.values() if r is not None)
+    return _sorted_cones(cones)
 
 
 def build_K(p: ParamTropicalCurve) -> tuple[Cone, ...]:
     """The cone collection K: the zero cone, a ray per finite vertex, a ray
     per non-contracted infinite vertex, and a 2-cone per nonzero-slope edge."""
-    pc.require_balanced(p)
-    cones = {ZERO_CONE}
-    for v in p.curve.finite_vertices:
-        cones.add(Cone((_ray_of_point(p.hv(v)),)))
-    for v in p.curve.infinite_vertices:
-        r = _ray_of_direction(p.hv(v))
-        if r is not None:
-            cones.add(Cone((r,)))
-    for e in p.curve.edges:
-        c = edge_cone(p, e.id)
-        if c is not None:
-            cones.add(c)
-    return tuple(sorted(cones, key=lambda c: (c.dim, c.generators)))
+    return _collection(*_curve_cones(p))
 
 
-def refine_to_fan(cones) -> tuple[Cone, ...]:
-    """The unique fan whose rays are the pairwise 1-dimensional
-    intersections and whose support is the union of the input cones."""
+def _refine(cones):
+    """The fan of ``refine_to_fan`` and, for each input 2-cone, the rays
+    strictly inside it, ordered from its first generator to its second."""
     cones = list(dict.fromkeys(cones))
     rays = {c.generators[0] for c in cones if c.dim == 1}
     two = [c for c in cones if c.dim == 2]
@@ -258,6 +258,7 @@ def refine_to_fan(cones) -> tuple[Cone, ...]:
                 rays.update(inter.generators)
     out = {ZERO_CONE}
     out.update(Cone((r,)) for r in rays)
+    chains = {}
     for c in two:
         interior = []
         for r in rays:
@@ -265,36 +266,36 @@ def refine_to_fan(cones) -> tuple[Cone, ...]:
             if pos is not None:
                 interior.append((pos, r))
         interior.sort()
-        chain = [c.generators[0]] + [r for _, r in interior] + [c.generators[1]]
+        chains[c] = tuple(r for _, r in interior)
+        chain = [c.generators[0], *chains[c], c.generators[1]]
         for a, b in zip(chain, chain[1:]):
             out.add(cone(a, b))
-    return tuple(sorted(out, key=lambda c: (c.dim, c.generators)))
+    return _sorted_cones(out), chains
+
+
+def refine_to_fan(cones) -> tuple[Cone, ...]:
+    """The unique fan whose rays are the pairwise 1-dimensional
+    intersections and whose support is the union of the input cones."""
+    return _refine(cones)[0]
 
 
 def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
     """Subdivide every nonzero-slope edge at the interior crossing rays of
     the refined fan, so that the curve's own cone collection becomes that
     fan.  Idempotent."""
-    fan = refine_to_fan(build_K(p))
-    fan_set = set(fan)
-    rays = [c.generators[0] for c in fan if c.dim == 1]
+    rays, edge_cones = _curve_cones(p)
+    chains = _refine(_collection(rays, edge_cones))[1]
     n = p.lattice_rank
     positions = {}
-    for e in p.curve.edges:
-        c = edge_cone(p, e.id)
-        if c is None or c in fan_set:
-            continue
-        pts = []
-        for r in rays:
-            if _interior_position(c, r) is not None:
-                if r[n] <= 0:
-                    raise CrossCheckFailed(
-                        "interior_ray_height",
-                        f"interior ray {r} of the cone of edge {e.id} has "
-                        "height 0")
-                pts.append(tuple(Fraction(x, r[n]) for x in r[:n]))
-        if pts:
-            positions[e.id] = pts
+    for eid, c in edge_cones.items():
+        for r in chains[c]:
+            if r[n] <= 0:
+                raise CrossCheckFailed(
+                    "interior_ray_height",
+                    f"interior ray {r} of the cone of edge {eid} has "
+                    "height 0")
+            positions.setdefault(eid, []).append(
+                tuple(Fraction(x, r[n]) for x in r[:n]))
     if not positions:
         return p
     return pc.subdivide_at_positions(p, positions)
@@ -322,26 +323,21 @@ class FanModel:
 def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
     """Index the fan of a refined curve (a gamma_tr output) by its vertices
     and edges."""
-    cones = build_K(p_tr)
+    rays, edge_cones = _curve_cones(p_tr)
+    cones = _collection(rays, edge_cones)
     bad = check_fan(cones)
     if bad:
         raise CrossCheckFailed(
             "fan_axiom", "curve cones do not form a fan (apply gamma_tr "
             "first): " + "; ".join(bad))
     ray_vertices: dict[Ray, list] = {}
-    for v in p_tr.curve.finite_vertices:
-        ray_vertices.setdefault(vertex_ray(p_tr, v), []).append(v)
-    eta = set()
-    for v in p_tr.curve.infinite_vertices:
-        r = _ray_of_direction(p_tr.hv(v))
+    for v, r in rays.items():
         if r is not None:
-            eta.add(r)
             ray_vertices.setdefault(r, []).append(v)
+    eta = {rays[v] for v in p_tr.curve.infinite_vertices} - {None}
     cone_edges: dict[Cone, list] = {}
-    for e in p_tr.curve.edges:
-        c = edge_cone(p_tr, e.id)
-        if c is not None:
-            cone_edges.setdefault(c, []).append(e.id)
+    for eid, c in edge_cones.items():
+        cone_edges.setdefault(c, []).append(eid)
     return FanModel(
         p_tr.lattice_rank + 1, cones, tuple(sorted(eta)),
         {r: tuple(vs) for r, vs in ray_vertices.items()},

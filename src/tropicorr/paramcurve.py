@@ -119,8 +119,7 @@ def edge_direction(p: ParamTropicalCurve, e: tropgraph.Edge) -> QVec:
     if e.is_bounded:
         u, w = _orient(e)
         return vscale(Fraction(1, 1) / e.length, vsub(p.hv(w), p.hv(u)))
-    inf_set = set(p.curve.infinite_vertices)
-    far = e.ends[0] if e.ends[0] in inf_set else e.ends[1]
+    _, far = tropgraph._unbounded_ends(e, set(p.curve.infinite_vertices))
     return p.hv(far)
 
 
@@ -242,8 +241,7 @@ def extend_parameterization(p: ParamTropicalCurve, steps) -> ParamTropicalCurve:
         elif isinstance(step, SubdivideUnbounded):
             e = cur.edge(step.edge)
             ids = tropgraph._subdivision_ids(step, len(step.distances))
-            start = e.ends[0] if e.ends[1] in inf_set else e.ends[1]
-            far = e.ends[0] if e.ends[0] in inf_set else e.ends[1]
+            start, far = tropgraph._unbounded_ends(e, inf_set)
             for vid, dist in zip(ids, step.distances):
                 h[vid] = vadd(h[start], vscale(dist, h[far]))
         elif isinstance(step, AttachTree):
@@ -274,9 +272,9 @@ def subdivide_at_positions(p: ParamTropicalCurve, positions) -> ParamTropicalCur
             u, w = e.ends
             base, span = p.hv(u), vsub(p.hv(w), p.hv(u))
         else:
-            inf_set = set(p.curve.infinite_vertices)
-            start = e.ends[0] if e.ends[1] in inf_set else e.ends[1]
-            base, span = p.hv(start), p.hv(e.ends[0] if e.ends[0] in inf_set else e.ends[1])
+            start, far = tropgraph._unbounded_ends(
+                e, set(p.curve.infinite_vertices))
+            base, span = p.hv(start), p.hv(far)
         if is_zero(span):
             raise NonCollinear(f"edge {eid} has trivial slope")
         lams = []
@@ -623,4 +621,8 @@ def subdivision_new_vertices(p_sub: ParamTropicalCurve, p: ParamTropicalCurve):
         del unmatched[cand]
     if unmatched:
         raise NotASubdivision(f"original edges unaccounted for: {sorted(unmatched)}")
+    for v in new_vs:
+        if v not in assignment:
+            raise NotASubdivision(
+                f"new vertex {v} lies on no chain between original vertices")
     return [(v, assignment[v]) for v in new_vs]

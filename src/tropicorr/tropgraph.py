@@ -82,6 +82,13 @@ def curve(finite, infinite=(), edges=()) -> TropicalCurve:
                          tuple(str(v) for v in infinite), tuple(es))
 
 
+def _unbounded_ends(e: Edge, infinite) -> tuple[str, str]:
+    """(finite end, infinite end) of an unbounded edge, given the set of
+    infinite vertices."""
+    u, w = e.ends
+    return (u, w) if w in infinite else (w, u)
+
+
 def valency(c: TropicalCurve, v: str) -> int:
     return len(c.incidence.get(v, ()))
 
@@ -209,8 +216,7 @@ def modify(c: TropicalCurve, steps) -> TropicalCurve:
                     raise BadSubdivision(f"{e.id} is not unbounded")
                 if ds[0] <= 0:
                     raise BadSubdivision("distances must be positive")
-                inf_set = set(infinite)
-                start = e.ends[0] if e.ends[1] in inf_set else e.ends[1]
+                start, far = _unbounded_ends(e, set(infinite))
                 chain = [start]
             new_vs = _subdivision_ids(step, len(ds))
             finite.extend(new_vs)
@@ -220,7 +226,6 @@ def modify(c: TropicalCurve, steps) -> TropicalCurve:
                 bounds = [Fraction(0)] + ds + [e.length]
                 lengths = [b - a for a, b in zip(bounds, bounds[1:])]
             else:
-                far = e.ends[1] if e.ends[1] in set(infinite) else e.ends[0]
                 chain.append(far)
                 bounds = [Fraction(0)] + ds
                 lengths = [b - a for a, b in zip(bounds, bounds[1:])] + [None]

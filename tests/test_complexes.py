@@ -186,6 +186,21 @@ def test_subdivision_transport_rejects_non_subdivision():
         subdivision_transport(p, q)
 
 
+@pytest.mark.parametrize("finite, edges", [
+    (["x", "y"], [("c1", ("x", "y"), 1), ("c2", ("y", "x"), 1)]),
+    (["x"], [("l", ("x", "x"), 1)]),
+], ids=["separate_cycle", "lone_loop"])
+def test_subdivision_transport_rejects_vertex_off_every_chain(finite, edges):
+    # every new vertex is 2-valent, but none lies between original vertices
+    p = two_vertex_curve()
+    extra = curve(finite, (), edges)
+    c = TropicalCurve(p.curve.finite_vertices + extra.finite_vertices,
+                      p.curve.infinite_vertices, p.curve.edges + extra.edges)
+    q = param_curve(c, 2, {**p.h, **{v: (0, 0) for v in finite}})
+    with pytest.raises(NotASubdivision, match="new vertex x lies on no chain"):
+        subdivision_transport(p, q)
+
+
 def test_contraction_transport():
     p = two_vertex_curve()
     rep = contraction_transport(p)

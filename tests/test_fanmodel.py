@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from corpus import corpus, elliptic_corpus
 from fixture_curves import (
     doubled_line,
     line_through_two_points,
@@ -11,7 +13,8 @@ from fixture_curves import (
     x_configuration,
 )
 from oracles import oracle_contains, oracle_coords_in, oracle_intersect
-from tropicorr import exactla
+from tropicorr import exactla, fanmodel
+from tropicorr.curvefile import load
 from tropicorr.errors import CrossCheckFailed
 from tropicorr.exactla import primitive_vector
 from tropicorr.fanmodel import (
@@ -209,24 +212,51 @@ def test_gamma_tr_generic_identity():
     assert gamma_tr(p2).curve == p2.curve
 
 
-def test_gamma_tr_realizes_refinement():
-    # the refined curve's own cone collection IS the refined fan, and the
-    # eta rays are untouched
-    for p in (x_configuration(), doubled_line()[0], two_vertex_curve()):
-        tr = gamma_tr(p)
-        assert set(build_K(tr)) == set(refine_to_fan(build_K(p)))
-        assert fan_model(tr).eta_rays == eta_rays(p)
-
-
-def test_gamma_tr_collinear_overlap():
-    # a path doubling back over itself: [0,3] then back over [3,1], with the
-    # ray at c passing back over a
+def collinear_overlap():
+    """A path doubling back over itself: [0,3] then back over [3,1], with
+    the ray at c passing back over a."""
     c = curve(["a", "b", "c"], ["z1", "z2", "z3"],
               [("e1", ("a", "b"), 3), ("e2", ("b", "c"), 2),
                ("r1", ("a", "z1"), None), ("r2", ("c", "z2"), None),
                ("r3", ("b", "z3"), None)])
-    p = param_curve(c, 2, {"a": (0, 0), "b": (3, 0), "c": (1, 0),
-                           "z1": (-1, 0), "z2": (-1, 0), "z3": (2, 0)})
+    return param_curve(c, 2, {"a": (0, 0), "b": (3, 0), "c": (1, 0),
+                              "z1": (-1, 0), "z2": (-1, 0), "z3": (2, 0)})
+
+
+def test_gamma_tr_realizes_refinement():
+    # the refined curve's own cone collection IS the refined fan, and the
+    # eta rays are untouched
+    curves = [x_configuration(), doubled_line()[0], two_vertex_curve(),
+              collinear_overlap()]
+    curves += [p for p, _ in corpus(8, 30) + elliptic_corpus(8, 15)]
+    for p in curves:
+        tr = gamma_tr(p)
+        assert set(build_K(tr)) == set(refine_to_fan(build_K(p)))
+        assert not check_fan(build_K(tr))
+        assert gamma_tr(tr).curve == tr.curve
+        assert fan_model(tr).eta_rays == eta_rays(p)
+
+
+def test_vertex_rays_derived_once_per_call(monkeypatch):
+    calls = []
+    ray_of_point = fanmodel._ray_of_point
+
+    def counted(h):
+        calls.append(h)
+        return ray_of_point(h)
+
+    monkeypatch.setattr(fanmodel, "_ray_of_point", counted)
+    fixture = Path(__file__).resolve().parent.parent / "fixtures/xconfig.json"
+    p = load(str(fixture))[0]
+    tr = gamma_tr(p)
+    assert len(calls) == len(p.curve.finite_vertices) == 4
+    calls.clear()
+    fan_model(tr)
+    assert len(calls) == len(tr.curve.finite_vertices) == 6
+
+
+def test_gamma_tr_collinear_overlap():
+    p = collinear_overlap()
     tr = gamma_tr(p)
     # e1 is subdivided over c's position, the ray at c over a's position
     new = sorted(v for v in tr.curve.finite_vertices
