@@ -9,6 +9,7 @@ fields are rejected.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -22,9 +23,16 @@ _TOP_FIELDS = {"schema", "lattice_rank", "char", "finite_vertices",
                "infinite_vertices", "edges", "constraints"}
 
 
+# the form str(Fraction) writes; Fraction itself would also take exponents,
+# and "1e400000000" would build a 400-million-digit integer
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _rat(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ParseError(f"{where}: expected a rational string, got {value!r}")
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ParseError(f"{where}: bad rational {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -136,10 +144,13 @@ def load(path: str):
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        data = json.loads(raw)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        data = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError and the integer-digit limit
+        # are all ValueErrors; deep nesting is a RecursionError
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     p, constraints, char = parse_curve(data)
     return p, constraints, char, raw

@@ -407,12 +407,6 @@ class Sublattice:
         return self.ambient_rank - self.rank
 
 
-def lattice_sum(l1: Sublattice, l2: Sublattice) -> Sublattice:
-    if l1.ambient_rank != l2.ambient_rank:
-        raise ValueError("ambient ranks differ")
-    return Sublattice(l1.ambient_rank, hnf(l1.basis + l2.basis, l1.ambient_rank))
-
-
 def quotient_presentation(lat: Sublattice) -> Mat:
     """Matrix Q (corank x n) presenting Z^n / lat -> Z^corank for a
     saturated lat: x maps to Q @ x.  Deterministic via the SNF of the basis."""
@@ -592,7 +586,7 @@ __all__ = [
     "Mat", "Vec", "freeze", "identity", "shape", "transpose", "mat_vec",
     "integral_length", "primitive_vector", "SNFResult", "snf",
     "invariant_factors", "kernel_basis", "hnf", "FGAbelianGroup",
-    "cokernel_group", "Sublattice", "lattice_sum", "quotient_presentation",
+    "cokernel_group", "Sublattice", "quotient_presentation",
     "CoeffGroup", "prime_to_part", "GroupSize", "base_change",
     "combine_sizes",
 ]

@@ -6,7 +6,10 @@ gives the ray through (h(v), 0), and every edge with nonzero slope gives the
 two-dimensional cone over its image segment or ray.  This cone collection
 K_Gamma need not be a fan; its common refinement is, and the curve
 subdivided at the interior crossing rays realizes the refinement as its own
-cone collection.
+cone collection.  K_Gamma holds the zero cone and the facet rays of its
+2-cones, so it is a fan exactly when it is the refinement's fixed point:
+``fan_model`` checks the fan axiom with one refinement and no second pass
+over pairs of cones.
 
 Each vertex ray and edge cone is derived once per call, in ``_curve_cones``;
 the refinement orders the interior rays of every 2-cone into a chain, and
@@ -164,33 +167,6 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
     return Cone((w,)) if cone_contains(c2, w) else ZERO_CONE
 
 
-def is_face(f: Cone, c: Cone) -> bool:
-    if f.dim == 0 or f == c:
-        return True
-    if c.dim == 2 and f.dim == 1:
-        return f.generators[0] in c.generators
-    return False
-
-
-def check_fan(cones) -> list[str]:
-    """Violations of the fan axiom: the faces of every cone belong to the
-    collection, and every pairwise intersection is a common face."""
-    out = []
-    cones = list(dict.fromkeys(cones))
-    present = set(cones)
-    for c in cones:
-        if c.dim == 2:
-            for g in c.generators:
-                if Cone((g,)) not in present:
-                    out.append(f"facet ray of {c} missing from the fan")
-    for i, c1 in enumerate(cones):
-        for c2 in cones[i + 1:]:
-            inter = intersect_cones(c1, c2)
-            if not (is_face(inter, c1) and is_face(inter, c2)):
-                out.append(f"{c1} and {c2} meet in {inter}, not a common face")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the cone collection of a curve
 
@@ -279,6 +255,20 @@ def refine_to_fan(cones) -> tuple[Cone, ...]:
     return _refine(cones)[0]
 
 
+def _require_fan(cones) -> None:
+    """Raise fan_axiom unless the collection is its own refinement, which
+    for a collection holding the zero cone and its facet rays is the fan
+    axiom.  The evidence is each 2-cone the refinement splits, with the
+    rays inside it."""
+    fan, chains = _refine(cones)
+    if set(fan) != set(cones):
+        bad = [f"{c} contains {', '.join(map(str, chain))}"
+               for c, chain in chains.items() if chain]
+        raise CrossCheckFailed(
+            "fan_axiom", "curve cones do not form a fan (apply gamma_tr "
+            "first): " + "; ".join(bad))
+
+
 def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
     """Subdivide every nonzero-slope edge at the interior crossing rays of
     the refined fan, so that the curve's own cone collection becomes that
@@ -325,11 +315,7 @@ def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
     and edges."""
     rays, edge_cones = _curve_cones(p_tr)
     cones = _collection(rays, edge_cones)
-    bad = check_fan(cones)
-    if bad:
-        raise CrossCheckFailed(
-            "fan_axiom", "curve cones do not form a fan (apply gamma_tr "
-            "first): " + "; ".join(bad))
+    _require_fan(cones)
     ray_vertices: dict[Ray, list] = {}
     for v, r in rays.items():
         if r is not None:

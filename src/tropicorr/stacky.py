@@ -25,7 +25,6 @@ from .exactla import (
     Sublattice,
     integral_length,
     invariant_factors,
-    lattice_sum,
     primitive_vector,
 )
 from .fanmodel import Cone, FanModel
@@ -92,7 +91,8 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
             lat = ray_primes[g] = Sublattice(
                 n1, (tuple(k * x for x in sc.generators[0]),))
         elif c.generators[0] in eta or c.generators[1] in eta:
-            lat = lattice_sum(*(ray_primes[g] for g in c.generators))
+            lat = Sublattice(n1, tuple(ray_primes[g].basis[0]
+                                       for g in c.generators))
         else:
             g1, g2 = c.generators
             m = l_sigma[c]

@@ -4,8 +4,9 @@ Each route here computes the same quantity as an engine path by a more
 general or more direct method: lattice membership, intersection, saturation
 and index by rational solving and integer kernels; ranks by Gauss-Jordan
 elimination and determinants by Bareiss; the one-term quotient complex;
-cone coordinates in Fractions; the all-pairs stacky compatibility;
-isomorphism of metric graphs; and stabilization by rescanning every edge.
+cone coordinates in Fractions; the fan axiom over every pair of cones;
+the all-pairs stacky compatibility; isomorphism of metric graphs; and
+stabilization by rescanning every edge.
 The engine calls none of them.
 """
 
@@ -329,6 +330,34 @@ def oracle_intersect(c1, c2):
         if oracle_contains(c1, cand) and oracle_contains(c2, cand):
             return Cone((cand,))
     return ZERO_CONE
+
+
+def is_face(f, c):
+    if f.dim == 0 or f == c:
+        return True
+    if c.dim == 2 and f.dim == 1:
+        return f.generators[0] in c.generators
+    return False
+
+
+def check_fan(cones):
+    """Violations of the fan axiom, over every pair of cones: the faces of
+    every cone belong to the collection, and every pairwise intersection
+    is a common face."""
+    out = []
+    cones = list(dict.fromkeys(cones))
+    present = set(cones)
+    for c in cones:
+        if c.dim == 2:
+            for g in c.generators:
+                if Cone((g,)) not in present:
+                    out.append(f"facet ray of {c} missing from the fan")
+    for i, c1 in enumerate(cones):
+        for c2 in cones[i + 1:]:
+            inter = oracle_intersect(c1, c2)
+            if not (is_face(inter, c1) and is_face(inter, c2)):
+                out.append(f"{c1} and {c2} meet in {inter}, not a common face")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from corpus import corpus, elliptic_corpus, elliptic_rigid, rigid_genus0
 from fixture_curves import doubled_line, line_through_two_points, x_configuration
-from oracles import det, mat_mul
+from oracles import check_fan, det, mat_mul
 from tropicorr.complexes import (
     ComplexSpec,
     compute,
@@ -21,7 +21,7 @@ from tropicorr.complexes import (
 from tropicorr.counting import correspondence_count, elliptic_count
 from tropicorr.errors import HypothesisFailed
 from tropicorr.exactla import CoeffGroup, FGAbelianGroup
-from tropicorr.fanmodel import build_K, check_fan, gamma_tr, ramification, refine_to_fan
+from tropicorr.fanmodel import build_K, gamma_tr, ramification, refine_to_fan
 from tropicorr.paramcurve import (
     contract_zero_slope,
     edge_geometry,

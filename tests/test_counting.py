@@ -263,8 +263,7 @@ BROKEN_ROUTES = {
                      "dblline.json", _count),
     "rank_formula": (pc, "overvalency", lambda c: -1, "line2pts.json",
                      _count),
-    "fan_axiom": (fanmodel, "check_fan", lambda cones: ["broken"],
-                  "dblline.json", _fan),
+    "fan_axiom": (fanmodel, "gamma_tr", lambda p: p, "xconfig.json", _fan),
     "stacky_compatibility": (stacky, "_ray_restriction",
                              lambda lat, s: lat, "dblline.json", _stacky),
 }

@@ -34,7 +34,6 @@ from tropicorr.exactla import (
     integral_length,
     invariant_factors,
     kernel_basis,
-    lattice_sum,
     primitive_vector,
     quotient_presentation,
     snf,
@@ -275,7 +274,7 @@ def test_lattice_intersect_sum_random():
         inter = lattice_intersect(l1, l2)
         for row in inter.basis:
             assert contains(l1, row) and contains(l2, row)
-        s = lattice_sum(l1, l2)
+        s = Sublattice(n, hnf(l1.basis + l2.basis, n))
         for row in l1.basis + l2.basis:
             assert contains(s, row)
         # Grassmann identity at the level of ranks

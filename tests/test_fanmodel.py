@@ -12,7 +12,7 @@ from fixture_curves import (
     two_vertex_curve,
     x_configuration,
 )
-from oracles import oracle_contains, oracle_coords_in, oracle_intersect
+from oracles import check_fan, oracle_contains, oracle_coords_in, oracle_intersect
 from tropicorr import exactla, fanmodel
 from tropicorr.curvefile import load
 from tropicorr.errors import CrossCheckFailed
@@ -21,8 +21,8 @@ from tropicorr.fanmodel import (
     Cone,
     ZERO_CONE,
     _coords_in,
+    _require_fan,
     build_K,
-    check_fan,
     cone,
     cone_contains,
     cone_multiplicities,
@@ -38,6 +38,7 @@ from tropicorr.paramcurve import param_curve
 from tropicorr.tropgraph import curve
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_cone_primitives_and_contains():
@@ -203,6 +204,107 @@ def test_gamma_tr_x_configuration():
     assert all(tr.hv(v) == (1, 1) for v in new)
     assert gamma_tr(tr).curve == tr.curve
     assert not check_fan(build_K(tr))
+
+
+def _is_fan(cones):
+    """fan_model's verdict on a collection holding the zero cone."""
+    try:
+        _require_fan(cones)
+    except CrossCheckFailed as exc:
+        assert exc.code == "CrossCheckFailed:fan_axiom"
+        return False
+    return True
+
+
+def _with_faces(cones, *extra):
+    """cones with the 2-cones of extra added, each with its facet rays."""
+    out = set(cones)
+    for c in extra:
+        if c is not None:
+            out.add(c)
+            out.update(Cone((g,)) for g in c.generators)
+    return tuple(out)
+
+
+def _vsum(u, v, k=1):
+    return tuple(x + k * y for x, y in zip(u, v))
+
+
+def _corrupted(rng, fan):
+    """The fan with a facet ray dropped, a ray added inside a 2-cone, a
+    coplanar 2-cone overlapping one, and a 2-cone crossing one."""
+    twos = [c for c in fan if c.dim == 2]
+    if not twos:
+        return []
+    c = rng.choice(twos)
+    g1, g2 = c.generators
+    w = primitive_vector(_vsum(g1, g2))
+    beyond = tuple(2 * y - x for x, y in zip(g1, g2))
+    t = _random_vec(rng, len(g1))
+    facet = Cone((rng.choice(c.generators),))
+    return [tuple(x for x in fan if x != facet),
+            _with_faces(fan) + (Cone((w,)),),
+            _with_faces(fan, _cone_or_none(w, beyond)),
+            _with_faces(fan, _cone_or_none(_vsum(w, t), _vsum(w, t, -1)))]
+
+
+def _random_collection(rng, m):
+    """The zero cone, a few rays and a few 2-cones with their facet rays,
+    or a refinement of such a collection with one cone dropped."""
+    cones = [ZERO_CONE] + [Cone((_random_vec(rng, m),))
+                           for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(1, 3)):
+        g = _random_vec(rng, m)
+        h = rng.choice([_random_vec(rng, m), _vsum(g, _random_vec(rng, m, 1))])
+        cones = _with_faces(cones, _cone_or_none(g, h))
+    if rng.random() < 0.5:
+        return cones
+    fan = list(refine_to_fan(cones))
+    fan.remove(rng.choice(fan[1:]))
+    return tuple(fan)
+
+
+def test_fan_axiom_matches_all_pairs_oracle():
+    rng = random.Random(2006)
+    collections = []
+    for p, _ in corpus(9, 24) + elliptic_corpus(9, 6):
+        fan = refine_to_fan(build_K(p))
+        collections += [fan, *_corrupted(rng, fan)]
+    for m in (2, 3, 4):
+        collections += [_random_collection(rng, m) for _ in range(100)]
+    verdicts = []
+    for cones in collections:
+        verdicts.append(_is_fan(cones))
+        assert verdicts[-1] == (not check_fan(cones)), cones
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_fan_axiom_failure_names_split_cones_and_rays():
+    p = load(str(FIXTURES / "xconfig.json"))[0]
+    crossed = [c for c in build_K(p) if c.dim == 2
+               and oracle_contains(c, (1, 1, 1))
+               and (1, 1, 1) not in c.generators]
+    assert len(crossed) == 2
+    with pytest.raises(CrossCheckFailed) as info:
+        fan_model(p)
+    assert info.value.code == "CrossCheckFailed:fan_axiom"
+    for c in crossed:
+        assert f"{c} contains (1, 1, 1)" in str(info.value)
+
+
+def test_fan_axiom_intersects_only_pairs_of_two_cones(monkeypatch):
+    tr = gamma_tr(load(str(FIXTURES / "xconfig.json"))[0])
+    pairs = []
+    intersect = fanmodel.intersect_cones
+
+    def counted(c1, c2):
+        pairs.append((c1.dim, c2.dim))
+        return intersect(c1, c2)
+
+    monkeypatch.setattr(fanmodel, "intersect_cones", counted)
+    t = len(fan_model(tr).two_cones())
+    assert set(pairs) == {(2, 2)}
+    assert len(pairs) == t * (t - 1) // 2
 
 
 def test_gamma_tr_generic_identity():
