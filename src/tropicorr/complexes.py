@@ -13,8 +13,10 @@ one block of rows per constraint, projecting the constrained vertex to the
 free quotient N/L_i; the elliptic augmentation appends a single row summing
 the cycle-edge coordinates with signs along an oriented cycle.
 
-``compute`` works over Z only: it keeps the full two-term complex and
-returns E^1's rank and E^2 from one transform-free reduction of the matrix.
+``compute`` works over Z only: it keeps the full two-term complex, as
+sparse rows of nonzeros, and returns E^1's rank and E^2 from one
+transform-free reduction of those rows; the dense matrix is built only
+when read (``build_matrix``, ``ComplexReport.matrix``).
 A coefficient group enters only at the final base change, ``sizes_over``
 for the sizes of E^1_G and E^2_G and ``base_change`` for the regularity
 verdicts.
@@ -23,7 +25,6 @@ verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import paramcurve as pc
 from .errors import (
@@ -72,14 +73,6 @@ class ComplexLayout:
     def domain_dim(self) -> int:
         return self.n * len(self.vertices) + len(self.slope_edges)
 
-    @cached_property
-    def _edge_cols(self) -> dict[str, int]:
-        first = self.n * len(self.vertices)
-        return {eid: first + k for k, eid in enumerate(self.slope_edges)}
-
-    def edge_col(self, eid: str) -> int:
-        return self._edge_cols[eid]
-
 
 def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
     pc.require_balanced(p)
@@ -122,43 +115,45 @@ def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
 
     layout = ComplexLayout(vertices, slope_edges, n)
 
-    ncols = layout.domain_dim
+    # each row is the tuple of its nonzeros (col, value), sorted by column
     rows = []
-    vindex = {v: i for i, v in enumerate(vertices)}
+    vcol = {v: n * i for i, v in enumerate(vertices)}
+    ecol = dict(zip(slope_edges, range(n * len(vertices), layout.domain_dim)))
     for e in bounded:
         init, target = orientation[e.id]
-        block = [[0] * ncols for _ in range(n)]
-        if init != target:  # loops contribute no vertex coefficients
-            for k in range(n):
-                block[k][n * vindex[init] + k] -= 1
-                block[k][n * vindex[target] + k] += 1
+        # loops contribute no vertex coefficients
+        ends = (sorted(((vcol[init], -1), (vcol[target], 1)))
+                if init != target else ())
         g = geo[e.id]
-        if g.slope is not None:
-            gen = g.slope if (init, target) == pc._orient(e) else tuple(
-                -x for x in g.slope)
-            coef = g.multiplicity if spec.variant == "beta" else 1
-            col = layout.edge_col(e.id)
-            for k in range(n):
-                block[k][col] = coef * gen[k]
-        rows.extend(block)
+        coef = g.multiplicity if spec.variant == "beta" else 1
+        if (init, target) != pc._orient(e):
+            coef = -coef
+        for k in range(n):
+            row = [(c + k, s) for c, s in ends]
+            if g.slope is not None and g.slope[k]:
+                row.append((ecol[e.id], coef * g.slope[k]))
+            rows.append(tuple(row))
     for vfin, proj in constraint_rows:
-        for prow in proj:
-            row = [0] * ncols
-            for k in range(n):
-                row[n * vindex[vfin] + k] = prow[k]
-            rows.append(row)
+        rows.extend(tuple((vcol[vfin] + k, x) for k, x in enumerate(prow) if x)
+                    for prow in proj)
     if spec.elliptic:
-        row = [0] * ncols
-        for eid in sorted(cycle_ids):
-            row[layout.edge_col(eid)] = 1
-        rows.append(row)
-    return tuple(map(tuple, rows)), layout   # every entry is already an int
+        rows.append(tuple(sorted((ecol[eid], 1) for eid in cycle_ids)))
+    return tuple(rows), layout
+
+
+def _dense(rows, ncols: int) -> Mat:
+    out = [[0] * ncols for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row:
+            dense[j] = x
+    return tuple(map(tuple, out))
 
 
 def build_matrix(p: ParamTropicalCurve, spec: ComplexSpec) -> Mat:
     """The integer matrix of the chosen complex (see the module docstring
     for the row/column layout)."""
-    return _assemble(p, spec)[0]
+    rows, layout = _assemble(p, spec)
+    return _dense(rows, layout.domain_dim)
 
 
 @dataclass(frozen=True)
@@ -167,18 +162,23 @@ class ComplexReport:
     of its matrix; ``sizes_over`` base-changes it to any coefficient
     group."""
 
-    matrix: Mat
+    rows: tuple[tuple[tuple[int, int], ...], ...]   # nonzeros (col, value)
     layout: ComplexLayout
     E1_rank: int
     E2: FGAbelianGroup
     c_gamma: int                  # number of zero-slope bounded edges
 
     @property
+    def matrix(self) -> Mat:
+        """The dense matrix, built on each read; the count never reads it."""
+        return _dense(self.rows, self.layout.domain_dim)
+
+    @property
     def E1_lattice(self) -> Sublattice:
         """The kernel inside the domain Z^domain_dim.  It needs the SNF
         transforms, so it is computed on each read, never by ``compute``."""
         dim = self.layout.domain_dim
-        if not self.matrix:   # no rows: the kernel is the whole domain
+        if not self.rows:   # no rows: the kernel is the whole domain
             return Sublattice(dim, identity(dim))
         return Sublattice(dim, kernel_basis(self.matrix))
 
@@ -192,12 +192,12 @@ def sizes_over(e1_rank: int, e2: FGAbelianGroup, g: CoeffGroup):
 
 
 def compute(p: ParamTropicalCurve, spec: ComplexSpec) -> ComplexReport:
-    mat, layout = _assemble(p, spec)
-    e2 = cokernel_group(mat)
+    rows, layout = _assemble(p, spec)
+    e2 = cokernel_group([dict(r) for r in rows])
     # rank-nullity: the matrix has rank rows - rank E^2
-    e1_rank = layout.domain_dim - (len(mat) - e2.rank)
+    e1_rank = layout.domain_dim - (len(rows) - e2.rank)
     return ComplexReport(
-        matrix=mat, layout=layout, E1_rank=e1_rank, E2=e2,
+        rows=rows, layout=layout, E1_rank=e1_rank, E2=e2,
         c_gamma=pc.zero_slope_bounded_count(p),
     )
 

@@ -1,14 +1,15 @@
 """Exact integer linear algebra.
 
 Matrices are immutable tuples of tuples of Python ints (row-major), so all
-arithmetic is arbitrary precision and values can be shared freely across
-threads.  The module provides Smith and Hermite normal forms, integer kernels
-and cokernels, sublattices in canonical (HNF) form with their sum and the
-quotient presentation of a saturated one, and base change of finitely
-generated abelian groups along the coefficient groups used downstream (Z, Q,
-a field of characteristic p, and the units k* of an algebraically closed
-field).  It holds only what the engine calls; the general lattice routes
-the tests compare against live with the tests.
+arithmetic is arbitrary precision and values can be shared freely; the one
+exception is that ``invariant_factors`` also takes sparse rows, dicts
+{col: value} of the nonzeros.  The module provides Smith and Hermite
+normal forms, integer kernels and cokernels, sublattices in canonical (HNF)
+form and the quotient presentation of a saturated one, and base change of
+finitely generated abelian groups along the coefficient groups used
+downstream (Z, Q, a field of characteristic p, and the units k* of an
+algebraically closed field).  It holds only what the engine calls; the
+general lattice routes the tests compare against live with the tests.
 
 ``snf`` (with the transforms U and V) reduces the whole matrix densely.
 ``invariant_factors`` first eliminates unit pivots over sparse rows and
@@ -44,10 +45,6 @@ def shape(a: Mat) -> tuple[int, int]:
 
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
-
-
-def mat_vec(a: Mat, v) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def integral_length(v) -> int:
@@ -201,25 +198,29 @@ def snf(a: Mat) -> SNFResult:
     return SNFResult(freeze(u), freeze(d), freeze(v), _divisors(d))
 
 
-def invariant_factors(a: Mat) -> tuple[int, ...]:
+def invariant_factors(a) -> tuple[int, ...]:
     """The invariant factors d1 | d2 | ... of A, i.e. ``snf(a).divisors``,
-    computed without building U and V.
+    computed without building U and V.  A row is a dict {col: value} of
+    its nonzeros or a dense sequence; either is copied on entry.
 
     Unit pivots are eliminated first, over sparse rows (Dumas, Saunders and
     Villard, J. Symbolic Comput. 2001).  A pivot +-1 at (i, j) is taken with
     the least Markowitz cost (r - 1)(c - 1), r and c the nonzeros in its row
     and column; zero-cost pivots (a singleton row or column) come off a
-    worklist.  Row operations clear column j; the pivot divides all of row
-    i, and column operations clearing it touch no other row, so A becomes
-    diag(1, A') and row i and column j are dropped.  Every step multiplies
-    by unimodular matrices, which leave the invariant factors alone, so the
-    pivot order cannot change the result.  The core left without unit
-    entries goes to the dense elimination."""
+    worklist, and the search for the others stops at the first row holding
+    one of cost 1 or less.  Row operations clear column j; the pivot divides
+    all of row i, and column operations clearing it touch no other row, so
+    A becomes diag(1, A') and row i and column j are dropped.  Every step
+    multiplies by unimodular matrices, which leave the invariant factors
+    alone, so the pivot order cannot change the result.  The core left
+    without unit entries goes to the dense elimination."""
     rows = {}                      # row -> {col: nonzero entry}
     cols = {}                      # col -> rows with a nonzero there
     for i, row in enumerate(a):
-        if any(row):
-            rows[i] = r = {j: row[j] for j in compress(range(len(row)), row)}
+        r = (dict(row) if isinstance(row, dict)
+             else {j: row[j] for j in compress(range(len(row)), row)})
+        if r:
+            rows[i] = r
             for j in r:
                 cols.setdefault(j, set()).add(i)
     # (row, None) or (None, col) that may hold a single nonzero
@@ -246,6 +247,8 @@ def invariant_factors(a: Mat) -> tuple[int, ...]:
                         cost = (len(r) - 1) * (len(cols[j]) - 1)
                         if best is None or cost < best:
                             best, pos = cost, (i, j)
+                if pos is not None and best <= 1:
+                    break          # cost 1 is cheap enough: stop scanning
             if pos is None:
                 break
         i, j = pos
@@ -583,7 +586,7 @@ def combine_sizes(a: GroupSize, b: GroupSize) -> GroupSize:
 
 
 __all__ = [
-    "Mat", "Vec", "freeze", "identity", "shape", "transpose", "mat_vec",
+    "Mat", "Vec", "freeze", "identity", "shape", "transpose",
     "integral_length", "primitive_vector", "SNFResult", "snf",
     "invariant_factors", "kernel_basis", "hnf", "FGAbelianGroup",
     "cokernel_group", "Sublattice", "quotient_presentation",

@@ -13,6 +13,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from types import MappingProxyType
 
 from . import tropgraph
@@ -28,7 +30,6 @@ from .exactla import (
     Mat,
     Sublattice,
     integral_length,
-    mat_vec,
     primitive_vector,
     quotient_presentation,
 )
@@ -396,6 +397,7 @@ class AffineConstraint:
     space: Sublattice
     point: QVec            # a_i in N_Q
     presentation: Mat = field(init=False, repr=False, compare=False)
+    _point_image: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "point", qvec(self.point))
@@ -406,10 +408,24 @@ class AffineConstraint:
         except ValueError:
             raise ValueError("constraint sublattice must be saturated") from None
         object.__setattr__(self, "presentation", pres)
+        object.__setattr__(self, "_point_image", self._image(self.point))
+
+    def _image(self, v):
+        """(d, P w) with v = w / d and w integral: P v in integers."""
+        dens = [x.denominator for x in v]
+        d = lcm(*dens)
+        w = [x.numerator * (d // e) for x, e in zip(v, dens)]
+        return d, [sum(map(mul, row, w)) for row in self.presentation]
 
     def maps_to_zero(self, v) -> bool:
         """Is v in space_Q?"""
-        return not any(mat_vec(self.presentation, v))
+        return not any(self._image(v)[1])
+
+    def on_translate(self, x) -> bool:
+        """Is x in point + space_Q, i.e. P x = P point?"""
+        d, px = self._image(x)
+        da, pa = self._point_image
+        return [da * y for y in px] == [d * z for z in pa]
 
 
 @dataclass(frozen=True)
@@ -474,7 +490,7 @@ def _unsatisfied(p: ParamTropicalCurve, a: AffineConstraintSet) -> list[str]:
             raise ValueError("constraint ambient rank mismatch")
         if not is_zero(p.hv(vinf)):
             problems.append(f"constraint {i}: h({vinf}) != 0")
-        if not con.maps_to_zero(vsub(p.hv(vfin), con.point)):
+        if not con.on_translate(p.hv(vfin)):
             problems.append(f"constraint {i}: h({vfin}) not on the translate")
     return problems
 

@@ -3,7 +3,8 @@
 Each route here computes the same quantity as an engine path by a more
 general or more direct method: lattice membership, intersection, saturation
 and index by rational solving and integer kernels; ranks by Gauss-Jordan
-elimination and determinants by Bareiss; the one-term quotient complex;
+elimination and determinants by Bareiss; constraint membership by
+Fraction products with the presentation; the one-term quotient complex;
 cone coordinates in Fractions; the fan axiom over every pair of cones;
 the all-pairs stacky compatibility; isomorphism of metric graphs; and
 stabilization by rescanning every edge.
@@ -29,7 +30,7 @@ from tropicorr.exactla import (
     quotient_presentation,
     transpose,
 )
-from tropicorr.fanmodel import ZERO_CONE, Cone, cone, intersect_cones
+from tropicorr.fanmodel import ZERO_CONE, Cone, cone
 from tropicorr.paramcurve import AffineConstraintSet, ParamTropicalCurve
 from tropicorr.tropgraph import (
     Edge,
@@ -51,6 +52,17 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
+
+
+def mat_vec(a: Mat, v) -> tuple:
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def fraction_maps_to_zero(presentation: Mat, v) -> bool:
+    """Constraint membership the direct way: v lies in space_Q iff the
+    presentation of N -> N/space sends it to zero, multiplied out in
+    Fractions."""
+    return not any(mat_vec(presentation, v))
 
 
 def det(a: Mat) -> int:
@@ -370,7 +382,7 @@ def all_pairs_compatible(st):
     cones = list(st.fan.cones)
     for i, c1 in enumerate(cones):
         for c2 in cones[i:]:
-            inter = intersect_cones(st.scaled_of[c1], st.scaled_of[c2])
+            inter = oracle_intersect(st.scaled_of[c1], st.scaled_of[c2])
             span = Sublattice(st.fan.ambient_rank, inter.generators)
             if (lattice_intersect_span(st.assignment[c1], span)
                     != lattice_intersect_span(st.assignment[c2], span)):

@@ -11,7 +11,7 @@ from fixture_curves import (
     triangle_elliptic,
     tropical_line,
 )
-from tropicorr import counting, exactla, fanmodel, stacky, tropgraph
+from tropicorr import complexes, counting, exactla, fanmodel, stacky, tropgraph
 from tropicorr import paramcurve as pc
 from tropicorr.counting import (
     correspondence_count,
@@ -205,6 +205,30 @@ def test_count_reduces_each_matrix_once(monkeypatch, count, fixture, expected):
     calls = _count_calls(monkeypatch, ("invariant_factors", "snf") + general)
     assert count(p, a, 0).count == expected
     assert calls == {"invariant_factors": 3, "snf": 0, **dict.fromkeys(general, 0)}
+
+
+@pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)
+def test_count_builds_no_dense_complex_matrix(monkeypatch, count, fixture,
+                                              expected):
+    # each complex is assembled and reduced as sparse rows, its nonzeros
+    # only; the dense matrix is built only when a report's matrix is read
+    p, a, _, _ = load(str(FIXTURES / fixture))
+    reports, dense = [], []
+    compute, to_dense = complexes.compute, complexes._dense
+
+    def recorded(*args):
+        reports.append(compute(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(complexes, "compute", recorded)
+    monkeypatch.setattr(complexes, "_dense",
+                        lambda *args: dense.append(args) or to_dense(*args))
+    assert count(p, a, 0).count == expected
+    assert len(reports) == 3 and dense == []
+    for rep in reports:
+        nonzeros = [x for row in rep.matrix for x in row if x]
+        assert [x for row in rep.rows for _, x in row] == nonzeros
+    assert len(dense) == 3
 
 
 @pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)

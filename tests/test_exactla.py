@@ -4,7 +4,16 @@ from itertools import combinations
 from math import gcd
 from pathlib import Path
 
-from corpus import corpus, elliptic_corpus
+from corpus import (
+    Builder,
+    Retry,
+    constraints_at_marks,
+    corpus,
+    elliptic_corpus,
+    mark,
+    sprout,
+    star,
+)
 from oracles import (
     contains,
     det,
@@ -18,7 +27,7 @@ from oracles import (
     solve_rational,
     zero_lattice,
 )
-from tropicorr.complexes import ComplexSpec, build_matrix
+from tropicorr.complexes import ComplexSpec, build_matrix, compute
 from tropicorr.curvefile import load
 from tropicorr.errors import TropicorrError
 from tropicorr.exactla import (
@@ -168,22 +177,71 @@ def test_unit_elimination_matches_dense_route_in_any_pivot_order():
             assert invariant_factors(permuted(rng, a)) == want, a
 
 
-def test_unit_elimination_on_every_complex_matrix():
+def marked_trees(seed, count, size=13, marks=4):
+    """Trees with at least ``size`` finite vertices and ``marks`` point or
+    line constraints: large enough that unit elimination takes pivots of
+    positive Markowitz cost (fill-in) and hands a torsion core to the dense
+    elimination."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        b = Builder(rng.choice((2, 3)))
+        try:
+            star(rng, b, 3)
+            while len(b.finite) < size - marks:
+                sprout(rng, b, extra=rng.randint(1, 2))
+            if mark(rng, b, marks) < marks:
+                continue
+        except Retry:
+            continue
+        p = b.build()
+        out.append((p, constraints_at_marks(rng, p, marks)))
+    return out
+
+
+def every_complex():
+    """(curve, spec, dense matrix) for every complex of the fixtures, the
+    corpora and a few large marked trees that assembles."""
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     curves = [load(str(f))[:2] for f in sorted(fixtures.glob("*.json"))]
     curves += corpus(5005, 60) + elliptic_corpus(5006, 30)
-    seen = 0
+    curves += marked_trees(5007, 6)
     for p, a in curves:
         for variant in ("b", "beta"):
             for cons in {None, a}:
                 for elliptic in {False, genus(p.curve) == 1}:
+                    spec = ComplexSpec(variant, cons, elliptic)
                     try:
-                        mat = build_matrix(p, ComplexSpec(variant, cons, elliptic))
+                        yield p, spec, build_matrix(p, spec)
                     except TropicorrError:
                         continue
-                    assert invariant_factors(mat) == snf(mat).divisors, mat
-                    seen += 1
+
+
+def test_unit_elimination_on_every_complex_matrix():
+    seen = 0
+    for _, _, mat in every_complex():
+        assert invariant_factors(mat) == snf(mat).divisors, mat
+        seen += 1
     assert seen >= 450, seen
+
+
+def test_sparse_count_route_matches_dense_reference():
+    # compute reduces the assembled sparse rows; the reference reduces the
+    # dense matrix with snf and reads E^1's rank and E^2 off its divisors
+    seen = 0
+    large_torsion = set()
+    for p, spec, mat in every_complex():
+        rep = compute(p, spec)
+        divisors = snf(mat).divisors
+        assert rep.matrix == mat
+        assert rep.E1_rank == rep.layout.domain_dim - len(divisors)
+        assert rep.E2 == FGAbelianGroup(
+            len(mat) - len(divisors), tuple(d for d in divisors if d > 1))
+        if len(p.curve.finite_vertices) >= 13 and rep.E2.torsion:
+            large_torsion.add(rep.E2.torsion)
+        seen += 1
+    assert seen >= 450, seen
+    assert len(large_torsion) >= 3, large_torsion
 
 
 def test_kernel_basis_examples():

@@ -14,7 +14,12 @@ from fixture_curves import (
 )
 from tropicorr import paramcurve as pc
 from tropicorr.errors import GenusNotOne, NonCollinear
-from oracles import lattice_intersect, saturation, solve_rational
+from oracles import (
+    fraction_maps_to_zero,
+    lattice_intersect,
+    saturation,
+    solve_rational,
+)
 from tropicorr.exactla import Sublattice
 from tropicorr.paramcurve import (
     ParamTropicalCurve,
@@ -344,6 +349,52 @@ def test_presentation_agrees_with_general_lattice_routes():
                     assert con.maps_to_zero(s) != trivial, (space, s)
                     seen.add((member, trivial))
     assert seen == {(True, False), (False, True)}
+
+
+DENOMINATORS = (1, 2, 3, 7, 10**12 + 39, 2**64)
+
+
+def _rational(rng, bound):
+    return F(rng.randint(-bound, bound), rng.choice(DENOMINATORS))
+
+
+def _membership_vectors(rng, con, count):
+    """Vectors around space_Q: zero, integral values held as Fractions,
+    rational points of the span with mixed and large denominators, the
+    same points moved just off the span, and arbitrary rational vectors."""
+    n = con.space.ambient_rank
+    out = [(F(0, 1),) * n, (0,) * n, (F(-3, 1),) + (F(0, 1),) * (n - 1),
+           tuple(F(rng.randint(-9, 9), 1) for _ in range(n))]
+    for _ in range(count):
+        coeffs = [_rational(rng, 10**6) for _ in con.space.basis]
+        v = tuple(sum((c * row[k] for c, row in zip(coeffs, con.space.basis)),
+                      F(0, 1)) for k in range(n))
+        k = rng.randrange(n)
+        nudge = F(1, rng.choice(DENOMINATORS[1:]))
+        out += [v, tuple(x + nudge if i == k else x for i, x in enumerate(v)),
+                tuple(_rational(rng, 50) for _ in range(n))]
+    return out
+
+
+def test_integer_membership_matches_fraction_route():
+    # maps_to_zero and on_translate clear denominators and multiply in
+    # integers; the reference multiplies the presentation out in Fractions
+    rng = random.Random(7007)
+    cons = [con for _, a in corpus(7008, 80) for con in a.items]
+    assert {(c.space.ambient_rank, c.space.corank) for c in cons} == {
+        (2, 2), (3, 2), (3, 3)}
+    cons += [constraint_set([(c.space.basis,
+                              tuple(_rational(rng, 10**9) for _ in c.point))],
+                            c.space.ambient_rank).items[0] for c in cons]
+    outcomes = set()
+    for con in cons:
+        for v in _membership_vectors(rng, con, 6):
+            want = fraction_maps_to_zero(con.presentation, v)
+            assert con.maps_to_zero(v) == want, (con, v)
+            x = tuple(a + y for a, y in zip(con.point, v))
+            assert con.on_translate(x) == want, (con, x)
+            outcomes.add((con.space.rank > 0, want))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_simplicity_asks_slopes_to_leave_the_constraint_space():
