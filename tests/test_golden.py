@@ -1,0 +1,29 @@
+"""Every CLI output in tests/golden/ is replayed byte for byte.
+
+The files are written by tests/make_golden.py; a change that alters one of
+them must regenerate it and say why.
+"""
+
+import json
+
+import pytest
+
+from make_golden import GOLDEN, cases, run_case
+
+CASES = list(cases())
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+def test_golden_set_is_complete():
+    # 11 subcommands x 4 fixtures x 3 chars, no stale file left over
+    assert len(CASES) == 132
+    assert set(EXIT_CODES) == {name for name, _ in CASES}
+    assert {p.stem for p in GOLDEN.glob("*.out")} == set(EXIT_CODES)
+    assert set(EXIT_CODES.values()) == {0, 1}
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_output_matches_golden(name, argv):
+    code, text = run_case(argv)
+    assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert code == EXIT_CODES[name]
