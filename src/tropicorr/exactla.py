@@ -304,6 +304,9 @@ def hnf(rows, ncols: int) -> Mat:
     right as you go down, entries above a pivot reduced into [0, pivot).
     Zero rows are dropped, so equal lattices have equal HNFs."""
     work = [list(r) for r in rows if any(r)]
+    if len(work) == 1:   # a single row only gets a positive pivot
+        sign = 1 if next(x for x in work[0] if x) > 0 else -1
+        return freeze([[sign * x for x in work[0]]])
     pr = 0
     for col in range(ncols):
         if pr >= len(work):

@@ -4,16 +4,27 @@ The curve's vertices and edges span cones in N_R + R: a finite vertex v
 gives the ray through (h(v), 1), an infinite vertex with nonzero direction
 gives the ray through (h(v), 0), and every edge with nonzero slope gives the
 two-dimensional cone over its image segment or ray.  This cone collection
-K_Gamma need not be a fan; its common refinement is, and the curve
-subdivided at the interior crossing rays realizes the refinement as its own
-cone collection.  K_Gamma holds the zero cone and the facet rays of its
-2-cones, so it is a fan exactly when it is the refinement's fixed point:
-``fan_model`` checks the fan axiom with one refinement and no second pass
-over pairs of cones.
+K(p) need not be a fan; its common refinement is, and the curve subdivided
+at the interior crossing rays (``gamma_tr``) realizes the refinement as its
+own cone collection.  K(p) holds the zero cone and the facet rays of its
+2-cones, so it is a fan exactly when the refinement puts no ray strictly
+inside any 2-cone: the fan axiom is the refinement's fixed point.
 
-Each vertex ray and edge cone is derived once per call, in ``_curve_cones``;
-the refinement orders the interior rays of every 2-cone into a chain, and
-``gamma_tr`` subdivides each edge at the rays of its cone's chain.
+Each curve object is refined at most once.  When ``gamma_tr`` finds no
+interior ray it returns its input, after a refinement that was the fan-axiom
+check of the collection ``fan_model`` builds; that verdict (not the fan) is
+kept on the curve object, and ``fan_model`` refines only a curve without it.
+
+Only pairs of 2-cones that can meet are intersected.  A cone whose
+generators have heights (last coordinates) >= 0, one of them > 0, meets
+height one in a segment or half-line, its slice.  Two such cones meet only
+in 0 if they share no generator and their slices' bounding boxes (integers
+over a common denominator) are disjoint: a common vector of height 0 would
+lie on a height-0 generator of each.  A cone with a negative-height
+generator, or none of positive height, is intersected with every cone.  A
+2-cone's interior rays are extreme rays of its nonzero intersections, or
+lone 1-cone rays, so only those are tested, and chains are ordered by
+cross-multiplied integers.
 
 All cones here have dimension at most two, so every intersection reduces to
 2x2 and 3x3 integer minors; no general polyhedral machinery is needed.
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import lcm
 
@@ -66,7 +78,13 @@ def cone(*gens) -> Cone:
 
 
 def _parallel(u, v) -> bool:
-    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(len(u)))
+    return all(u[i] * v[j] == u[j] * v[i]
+               for i, j in combinations(range(len(u)), 2))
+
+
+def _pair_cone(a: Ray, b: Ray) -> Cone:
+    """The 2-cone over two primitive, non-parallel rays."""
+    return Cone((a, b) if a < b else (b, a))
 
 
 def _coords_in(gens, w) -> tuple[int, int, int] | None:
@@ -101,33 +119,32 @@ def cone_contains(conee: Cone, w) -> bool:
     return coords is not None and coords[0] >= 0 and coords[1] >= 0
 
 
-def _interior_position(conee: Cone, w) -> Fraction | None:
-    """b / (a + b) for w = a g1 + b g2 strictly inside the 2-cone, which
-    orders the interior rays from g1 to g2; None for any other w."""
+def _interior_position(conee: Cone, w) -> tuple[int, int] | None:
+    """(na, nb) of ``_coords_in`` for w strictly inside the 2-cone (both
+    positive), None for any other w."""
     coords = _coords_in(conee.generators, w)
     if coords is None or coords[0] <= 0 or coords[1] <= 0:
         return None
-    return Fraction(coords[1], coords[0] + coords[1])
+    return coords[:2]
+
+
+def _by_position(x, y) -> int:
+    """Order ((na, nb), ray) pairs from g1 to g2, by nb / na."""
+    (xa, xb), (ya, yb) = x[0], y[0]
+    return xb * ya - yb * xa
 
 
 def _sector_intersection(c1: Cone, c2: Cone) -> Cone:
-    """Intersection of two 2-cones with a common span."""
-    cands = [g for g in c1.generators if cone_contains(c2, g)]
-    cands += [g for g in c2.generators if cone_contains(c1, g)]
-    cands = sorted(set(cands))
-    if not cands:
-        return ZERO_CONE
-    if len(cands) == 1 or all(_parallel(cands[0], g) for g in cands[1:]):
-        return Cone((cands[0],))
-    key = []
-    for g in cands:
-        na, nb, _ = _coords_in(c1.generators, g)
-        key.append((Fraction(nb, na + nb), g))
-    key.sort()
-    lo, hi = key[0][1], key[-1][1]
-    if _parallel(lo, hi):
-        return Cone((min(lo, hi),))
-    return cone(lo, hi)
+    """Intersection of two 2-cones with a common span: the cone over the
+    first and the last, from g1 to g2 of c1, of the generators of either
+    that lie in the other."""
+    cands = {g for g in c1.generators if cone_contains(c2, g)}
+    cands |= {g for g in c2.generators if cone_contains(c1, g)}
+    if len(cands) < 2:
+        return Cone(tuple(cands))
+    chain = sorted(((_coords_in(c1.generators, g)[:2], g) for g in cands),
+                   key=cmp_to_key(_by_position))
+    return cone(chain[0][1], chain[-1][1])
 
 
 def _plane_minors(h1, h2, w) -> list[int]:
@@ -172,19 +189,15 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
 
 
 def _primitive_rational(vec) -> Ray | None:
-    """The primitive integer vector on the ray through a rational vector
-    (denominators cleared), or None for the zero vector."""
-    den = lcm(*(Fraction(x).denominator for x in vec))
-    return primitive_vector(tuple(int(x * den) for x in vec))
+    """The primitive integer vector on the ray through a vector of ints and
+    Fractions (denominators cleared), or None for the zero vector."""
+    den = lcm(*(x.denominator for x in vec))
+    return primitive_vector(tuple(x.numerator * (den // x.denominator)
+                                  for x in vec))
 
 
 def _ray_of_point(h) -> Ray:
     return _primitive_rational(tuple(h) + (1,))
-
-
-def _ray_of_direction(d) -> Ray | None:
-    vec = tuple(int(x) for x in d) + (0,)
-    return primitive_vector(vec)
 
 
 def _curve_cones(p: ParamTropicalCurve):
@@ -193,9 +206,11 @@ def _curve_cones(p: ParamTropicalCurve):
     where either is derived."""
     pc.require_balanced(p)
     rays = {v: _ray_of_point(p.hv(v)) for v in p.curve.finite_vertices}
-    rays.update((v, _ray_of_direction(p.hv(v)))
+    rays.update((v, _primitive_rational(tuple(p.hv(v)) + (0,)))
                 for v in p.curve.infinite_vertices)
-    edge_cones = {e.id: cone(rays[e.ends[0]], rays[e.ends[1]])
+    # the rays are primitive, and a nonzero-slope edge joins two distinct
+    # rays of height 1, or one of height 1 and one of height 0: never parallel
+    edge_cones = {e.id: _pair_cone(rays[e.ends[0]], rays[e.ends[1]])
                   for e in p.curve.edges
                   if pc.edge_geometry(p, e.id).slope is not None}
     return rays, edge_cones
@@ -217,35 +232,66 @@ def build_K(p: ParamTropicalCurve) -> tuple[Cone, ...]:
     return _collection(*_curve_cones(p))
 
 
+def _slice_box(c: Cone, scale: int):
+    """(lows, highs) bounding the slice at height one, times ``scale`` (a
+    common multiple of the heights), None on an unbounded side; None for a
+    cone outside the closed upper half-space or inside height 0."""
+    heights = [g[-1] for g in c.generators]
+    if min(heights) < 0 or max(heights) == 0:
+        return None
+    points = [tuple(x * (scale // g[-1]) for x in g[:-1])
+              for g in c.generators if g[-1]]
+    lows = [min(xs) for xs in zip(*points)]
+    highs = [max(xs) for xs in zip(*points)]
+    for g in c.generators:
+        if g[-1] == 0:      # the slice is a half-line along g
+            for i, x in enumerate(g[:-1]):
+                if x > 0:
+                    highs[i] = None
+                elif x < 0:
+                    lows[i] = None
+    return lows, highs
+
+
+def _apart(box1, box2) -> bool:
+    """Do the boxes miss each other in some coordinate?"""
+    (lo1, hi1), (lo2, hi2) = box1, box2
+    return any(h is not None and lo is not None and h < lo
+               for h, lo in zip(hi1 + hi2, lo2 + lo1))
+
+
 def _refine(cones):
     """The fan of ``refine_to_fan`` and, for each input 2-cone, the rays
     strictly inside it, ordered from its first generator to its second."""
     cones = list(dict.fromkeys(cones))
-    rays = {c.generators[0] for c in cones if c.dim == 1}
     two = [c for c in cones if c.dim == 2]
-    for c in two:
-        rays.update(c.generators)
+    gens = {g for c in two for g in c.generators}
+    lone = {c.generators[0] for c in cones if c.dim == 1} - gens
+    scale = lcm(*(g[-1] for g in gens if g[-1] > 0))
+    boxes = [_slice_box(c, scale) for c in two]
+    met = {c: set() for c in two}    # generators of c's nonzero intersections
     for i, c1 in enumerate(two):
-        for c2 in two[i + 1:]:
+        for j in range(i + 1, len(two)):
+            c2 = two[j]
+            if (boxes[i] and boxes[j] and _apart(boxes[i], boxes[j])
+                    and not set(c1.generators) & set(c2.generators)):
+                continue
             inter = intersect_cones(c1, c2)
-            if inter.dim == 1:
-                rays.add(inter.generators[0])
-            elif inter.dim == 2:
-                rays.update(inter.generators)
+            met[c1].update(inter.generators)
+            met[c2].update(inter.generators)
     out = {ZERO_CONE}
-    out.update(Cone((r,)) for r in rays)
+    out.update(Cone((r,)) for r in gens.union(lone, *met.values()))
     chains = {}
     for c in two:
         interior = []
-        for r in rays:
+        for r in met[c] | lone:
             pos = _interior_position(c, r)
             if pos is not None:
                 interior.append((pos, r))
-        interior.sort()
+        interior.sort(key=cmp_to_key(_by_position))
         chains[c] = tuple(r for _, r in interior)
         chain = [c.generators[0], *chains[c], c.generators[1]]
-        for a, b in zip(chain, chain[1:]):
-            out.add(cone(a, b))
+        out.update(_pair_cone(a, b) for a, b in zip(chain, chain[1:]))
     return _sorted_cones(out), chains
 
 
@@ -287,6 +333,8 @@ def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
             positions.setdefault(eid, []).append(
                 tuple(Fraction(x, r[n]) for x in r[:n]))
     if not positions:
+        # K(p) is its own refinement: keep the verdict (not the fan) on p
+        object.__setattr__(p, "_is_fan", True)
         return p
     return pc.subdivide_at_positions(p, positions)
 
@@ -312,10 +360,12 @@ class FanModel:
 
 def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
     """Index the fan of a refined curve (a gamma_tr output) by its vertices
-    and edges."""
+    and edges.  The fan axiom is checked once per curve object."""
     rays, edge_cones = _curve_cones(p_tr)
     cones = _collection(rays, edge_cones)
-    _require_fan(cones)
+    if not getattr(p_tr, "_is_fan", False):
+        _require_fan(cones)
+        object.__setattr__(p_tr, "_is_fan", True)
     ray_vertices: dict[Ray, list] = {}
     for v, r in rays.items():
         if r is not None:
@@ -334,17 +384,13 @@ def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
 def cone_multiplicities(fm: FanModel, p_tr: ParamTropicalCurve):
     """l(sigma) = lcm of the edge multiplicities over a 2-cone, and
     l(rho) = lcm of the vertex multiplicities over an eta-ray."""
-    l_sigma = {}
-    for c, eids in fm.cone_edges.items():
-        l_sigma[c] = lcm(*(pc.edge_geometry(p_tr, eid).multiplicity
-                           for eid in eids))
-    l_rho = {}
-    for r in fm.eta_rays:
-        mults = []
-        for v in fm.ray_vertices.get(r, ()):
-            if v in p_tr.curve.infinite_vertices:
-                mults.append(integral_length(pc.as_int_vec(p_tr.hv(v))))
-        l_rho[r] = lcm(*mults) if mults else 1
+    l_sigma = {c: lcm(*(pc.edge_geometry(p_tr, eid).multiplicity
+                        for eid in eids))
+               for c, eids in fm.cone_edges.items()}
+    infinite = p_tr.curve.infinite_vertices
+    l_rho = {r: lcm(*(integral_length(pc.as_int_vec(p_tr.hv(v)))
+                      for v in fm.ray_vertices.get(r, ()) if v in infinite))
+             for r in fm.eta_rays}     # the lcm of nothing is 1
     return l_sigma, l_rho
 
 
@@ -361,13 +407,6 @@ def ramification(p_tr: ParamTropicalCurve, a: int):
         dens.append(e.length.denominator)
     minimal = lcm(*dens)
     return {"reduced": a % minimal == 0, "minimal_a": minimal}
-
-
-def _height_one_point(r: Ray):
-    n = len(r) - 1
-    if r[n] <= 0:
-        raise ValueError("not a positive-height ray")
-    return tuple(Fraction(x, r[n]) for x in r[:n])
 
 
 def reduction_exponents(p_tr: ParamTropicalCurve, v: str):

@@ -7,26 +7,23 @@ lattice spanned by (a n_rho1, a) and (l(sigma) n, 0).  The ambient lattice
 is N + aZ; internally the last coordinate counts multiples of a, so all
 vectors stay integral once the configuration is reduced.
 
-Every cone has dimension at most 2, so the compatibility check restricts a
-2-cone's sublattice to a facet ray through the gcd of 2x2 minors, and each
-stabilizer order is read off the invariant factors of a basis: no kernel,
-saturation or transformed Smith form is needed.
+Every cone has dimension at most 2, so all lattice work is 2x2 minors.  A
+stabilizer order [N_sigma : N'_sigma], the product of the invariant factors
+of a basis of N'_sigma, is the gcd of its maximal minors, and the
+compatibility check restricts a 2-cone's sublattice to a facet ray by
+Cramer's rule.  No Smith form, kernel or saturation is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from itertools import combinations
+from math import gcd
 
 from . import fanmodel as fan
 from . import paramcurve as pc
 from .errors import CrossCheckFailed, NotReduced
-from .exactla import (
-    Sublattice,
-    integral_length,
-    invariant_factors,
-    primitive_vector,
-)
+from .exactla import Sublattice, integral_length, primitive_vector
 from .fanmodel import Cone, FanModel
 from .paramcurve import ParamTropicalCurve
 
@@ -35,12 +32,6 @@ def _scaled_gen(g, a: int):
     """Primitive generator of the same real ray in the basis of N + aZ
     where the last coordinate counts multiples of a."""
     return primitive_vector(tuple(a * x for x in g[:-1]) + (g[-1],))
-
-
-def _scaled_cone(c: Cone, a: int) -> Cone:
-    if c.dim == 0:
-        return c
-    return Cone(tuple(sorted(_scaled_gen(g, a) for g in c.generators)))
 
 
 @dataclass
@@ -62,7 +53,7 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
     The order at a cone sigma is the index [N_sigma : N'_sigma], where
     N_sigma is the lattice of all points of sigma's span.  Each N'_sigma is
     built to span sigma, so N_sigma is its saturation, and the index is the
-    product of the invariant factors of a basis of N'_sigma.
+    gcd of the maximal minors of a basis of N'_sigma (``_index``).
 
     Raises NotReduced when a h(v) or a |e| fails to be integral, or when the
     defensive divisibility check l(sigma) | len(a(n2 - n1)) fails.
@@ -79,43 +70,49 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
     orders: dict[Cone, int] = {}
     scaled_of: dict[Cone, Cone] = {}
 
-    ray_primes: dict[tuple, Sublattice] = {}
     for c in fm.cones:
-        sc = _scaled_cone(c, a)
-        scaled_of[c] = sc
+        sc = scaled_of[c] = Cone(tuple(sorted(_scaled_gen(g, a)
+                                              for g in c.generators)))
         if c.dim == 0:
             lat = Sublattice(n1, ())
         elif c.dim == 1:
             g = c.generators[0]
             k = l_rho[g] if g in eta else 1
-            lat = ray_primes[g] = Sublattice(
+            lat = Sublattice(
                 n1, (tuple(k * x for x in sc.generators[0]),))
         elif c.generators[0] in eta or c.generators[1] in eta:
-            lat = Sublattice(n1, tuple(ray_primes[g].basis[0]
+            # the rays come first in fm.cones
+            lat = Sublattice(n1, tuple(assignment[Cone((g,))].basis[0]
                                        for g in c.generators))
         else:
-            g1, g2 = c.generators
-            m = l_sigma[c]
-            p1 = fan._height_one_point(g1)
-            p2 = fan._height_one_point(g2)
-            an1 = tuple(a * x for x in p1)
-            diff = tuple(a * (y - x) for x, y in zip(p1, p2))
-            if any(x.denominator != 1 for x in an1 + diff):
+            # (a n_rho1, 1) and (a n_rho2, 1) when both are integral
+            s1, s2 = (_scaled_gen(g, a) for g in c.generators)
+            if s1[-1] != 1 or s2[-1] != 1:
                 raise NotReduced("non-integral vertex at this ramification")
-            diff = tuple(int(x) for x in diff)
+            diff = tuple(y - x for x, y in zip(s1[:-1], s2[:-1]))
+            m = l_sigma[c]
             if integral_length(diff) % m:
                 raise NotReduced(
                     f"integral length {integral_length(diff)} of the cone "
                     f"displacement is not divisible by l(sigma) = {m}")
-            gen1 = tuple(int(x) for x in an1) + (1,)
             gen2 = tuple(m * x for x in primitive_vector(diff)) + (0,)
-            lat = Sublattice(n1, (gen1, gen2))
+            lat = Sublattice(n1, (s1, gen2))
         assignment[c] = lat
-        orders[c] = prod(invariant_factors(lat.basis))
+        orders[c] = _index(lat.basis)
 
     st = StackySigma(fm, a, assignment, orders, scaled_of)
     _verify_compatibility(st)
     return st
+
+
+def _index(basis) -> int:
+    """Index of the lattice of at most two independent rows in its
+    saturation: the gcd of the maximal minors."""
+    if len(basis) < 2:
+        return integral_length(basis[0]) if basis else 1
+    b1, b2 = basis
+    return gcd(*(b1[i] * b2[j] - b1[j] * b2[i]
+                 for i, j in combinations(range(len(b1)), 2)))
 
 
 def _ray_restriction(lat: Sublattice, s) -> Sublattice:

@@ -287,21 +287,20 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
     finite = list(c.finite_vertices)
     infinite = list(c.infinite_vertices)
     edges = {e.id: e for e in c.edges}
+    # edge ids at each vertex in the order of ``edges``, a loop twice
+    incident = {v: [e.id for e, _ in ends] for v, ends in c.incidence.items()}
 
-    def val(v):
-        n = 0
-        for e in edges.values():
-            n += (e.ends[0] == v) + (e.ends[1] == v)
-        return n
+    def drop(eid):
+        for x in edges.pop(eid).ends:
+            incident[x].remove(eid)
 
     # prune finite leaves
     changed = True
     while changed:
         changed = False
         for v in sorted(finite):
-            if val(v) == 1:
-                eid = next(i for i, e in edges.items() if v in e.ends)
-                del edges[eid]
+            if len(incident[v]) == 1:
+                drop(incident[v][0])
                 finite.remove(v)
                 changed = True
     # smooth 2-valent finite vertices
@@ -309,9 +308,9 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
     while changed:
         changed = False
         for v in sorted(finite):
-            inc = [e for e in edges.values() if v in e.ends]
-            if sum((e.ends[0] == v) + (e.ends[1] == v) for e in inc) != 2:
+            if len(incident[v]) != 2:
                 continue
+            inc = [edges[i] for i in dict.fromkeys(incident[v])]
             if len(inc) == 1:
                 # lone loop vertex; excluded by the stability bound
                 raise NotStabilizable("degenerate loop survives smoothing")
@@ -328,11 +327,13 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
             if ln is None and u in set(infinite):
                 u, w = w, u
             nid = f"{e1.id}+{e2.id}"
-            del edges[e1.id]
-            del edges[e2.id]
+            drop(e1.id)
+            drop(e2.id)
             while nid in edges:
                 nid += "'"
             edges[nid] = Edge(nid, (u, w), ln)
+            for x in (u, w):
+                incident[x].append(nid)
             finite.remove(v)
             changed = True
     out = TropicalCurve(tuple(finite), tuple(infinite), tuple(edges.values()))
