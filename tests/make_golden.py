@@ -1,8 +1,13 @@
 """Regenerate the golden CLI outputs in tests/golden/.
 
 Every subcommand runs with --json on every fixture, at the file's own char
-and at chars 2 and 3.  Each case is stored as the exact stdout of the run,
-and its exit code goes into exit_codes.json.  Paths are given relative to
+and at chars 2 and 3; ``complex`` and ``regular`` also run with each of
+their options (the plain variant, the constraint, the cycle and each
+coefficient group) at those chars.  The small invalid curves in
+tests/golden/inputs/ go through ``validate``, ``info`` and ``stabilize``,
+so every violation and parse-error message is covered; they live outside
+fixtures/, whose files the benchmark reads.  Each case is stored as the
+exact stdout of the run, and its exit code goes into exit_codes.json.  Paths are given relative to
 the repository root, so the "input.path" field is the same on every
 machine.
 
@@ -25,6 +30,17 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 FIXTURES = ("dblline", "line2pts", "triangle_elliptic", "xconfig")
 CHARS = (None, 2, 3)
+COMPLEX_OPTIONS = (("--variant", "b"), ("--constrained",), ("--elliptic",),
+                   ("--group", "Q"), ("--group", "Fp"), ("--group", "kstar"))
+INPUTS = ("frac_defect", "nonint_edge", "unbalanced_unstable",
+          "nonint_infinite", "wrong_length_h", "missing_h")
+INPUT_COMMANDS = ("validate", "info", "stabilize")
+
+
+def _at_chars(name, argv):
+    for char in CHARS:
+        suffix = [] if char is None else ["--char", str(char)]
+        yield f"{name}.{char or 'file'}", argv + suffix
 
 
 def cases():
@@ -32,12 +48,18 @@ def cases():
     from tropicorr.cli import COMMANDS
 
     for fixture in FIXTURES:
+        path = f"fixtures/{fixture}.json"
         for command in COMMANDS:
-            for char in CHARS:
-                argv = [command, f"fixtures/{fixture}.json", "--json"]
-                if char is not None:
-                    argv += ["--char", str(char)]
-                yield f"{fixture}.{command}.{char or 'file'}", argv
+            yield from _at_chars(f"{fixture}.{command}", [command, path, "--json"])
+        for command in ("complex", "regular"):
+            for option in COMPLEX_OPTIONS:
+                tag = "-".join(x.lstrip("-") for x in option)
+                yield from _at_chars(f"{fixture}.{command}.{tag}",
+                                     [command, path, "--json", *option])
+    for name in INPUTS:
+        for command in INPUT_COMMANDS:
+            yield (f"{name}.{command}",
+                   [command, f"tests/golden/inputs/{name}.json", "--json"])
 
 
 def run_case(argv) -> tuple[int, str]:
