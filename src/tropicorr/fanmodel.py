@@ -40,7 +40,7 @@ from math import lcm
 
 from . import paramcurve as pc
 from .errors import CrossCheckFailed
-from .exactla import integral_length, primitive_vector
+from .exactla import primitive_vector
 from .paramcurve import ParamTropicalCurve
 
 Ray = tuple[int, ...]
@@ -188,26 +188,22 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
 # the cone collection of a curve
 
 
-def _primitive_rational(vec) -> Ray | None:
-    """The primitive integer vector on the ray through a vector of ints and
-    Fractions (denominators cleared), or None for the zero vector."""
-    den = lcm(*(x.denominator for x in vec))
-    return primitive_vector(tuple(x.numerator * (den // x.denominator)
-                                  for x in vec))
-
-
 def _ray_of_point(h) -> Ray:
-    return _primitive_rational(tuple(h) + (1,))
+    """The primitive integer vector on the ray through (h, 1)."""
+    den = lcm(*(x.denominator for x in h))
+    return primitive_vector(
+        tuple(x.numerator * (den // x.denominator) for x in h) + (den,))
 
 
 def _curve_cones(p: ParamTropicalCurve):
     """The ray of every vertex (None at a contracted end) and the 2-cone of
-    every nonzero-slope edge, both in the curve's order; the one place
-    where either is derived."""
+    every edge whose integer direction (``edge_geometry``) is nonzero, both
+    in the curve's order; the one place where either is derived."""
     pc.require_balanced(p)
     rays = {v: _ray_of_point(p.hv(v)) for v in p.curve.finite_vertices}
-    rays.update((v, _primitive_rational(tuple(p.hv(v)) + (0,)))
-                for v in p.curve.infinite_vertices)
+    for v in p.curve.infinite_vertices:
+        slope = pc.end_geometry(p, v).slope     # h(v) made primitive
+        rays[v] = None if slope is None else slope + (0,)
     # the rays are primitive, and a nonzero-slope edge joins two distinct
     # rays of height 1, or one of height 1 and one of height 0: never parallel
     edge_cones = {e.id: _pair_cone(rays[e.ends[0]], rays[e.ends[1]])
@@ -388,7 +384,7 @@ def cone_multiplicities(fm: FanModel, p_tr: ParamTropicalCurve):
                         for eid in eids))
                for c, eids in fm.cone_edges.items()}
     infinite = p_tr.curve.infinite_vertices
-    l_rho = {r: lcm(*(integral_length(pc.as_int_vec(p_tr.hv(v)))
+    l_rho = {r: lcm(*(pc.end_geometry(p_tr, v).multiplicity
                       for v in fm.ray_vertices.get(r, ()) if v in infinite))
              for r in fm.eta_rays}     # the lcm of nothing is 1
     return l_sigma, l_rho
@@ -412,18 +408,22 @@ def ramification(p_tr: ParamTropicalCurve, a: int):
 def reduction_exponents(p_tr: ParamTropicalCurve, v: str):
     """Exponent data of the component map at a finite vertex: one integer
     vector per incident edge end (the character exponents of the restriction
-    to the component).  The entries sum to zero by balancing."""
+    to the component), the edge's integer direction leaving v.  The entries
+    sum to zero by balancing."""
     pc.require_balanced(p_tr)
+    inf_set, zero = set(p_tr.curve.infinite_vertices), (0,) * p_tr.lattice_rank
     out = []
-    ends = pc._outgoing(p_tr, v, set(p_tr.curve.infinite_vertices))
     # the sort is stable, so the two ends of a loop keep their order
-    for e, vec in sorted(ends, key=lambda end: end[0].id):
-        ivec = pc.as_int_vec(vec)
-        if ivec is None:
-            raise CrossCheckFailed(
-                "integral_exponents",
-                f"edge {e.id} leaves {v} along {tuple(map(str, vec))}")
-        out.append((e.id, ivec))
+    for e, w in sorted(p_tr.curve.incidence.get(v, ()), key=lambda x: x[0].id):
+        if not (e.is_bounded or w in inf_set):
+            continue
+        geo = p_tr._slopes.edges[e.id]
+        if geo is None:
+            raise CrossCheckFailed("integral_exponents", f"edge {e.id} "
+                                   f"leaves {v} along a non-integral direction")
+        k = -1 if e.is_bounded and pc._orient(e)[0] != v else 1
+        out.append((e.id, tuple(k * geo.multiplicity * x
+                                for x in geo.slope or zero)))
     return out
 
 

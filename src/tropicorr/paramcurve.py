@@ -4,7 +4,9 @@ slopes and the balancing condition.
 h is stored at vertices only; on edges the map is the implicit straight
 interpolation.  For a finite vertex h(v) is a point of N_Q, for an infinite
 vertex it is the outgoing direction vector of its unbounded edge (the zero
-vector marks a contracted end, i.e. a marked point).
+vector marks a contracted end, i.e. a marked point).  Each edge's direction
+is derived once per curve object, in integers (``_derive_slopes``);
+Fractions remain at parse, in transport and in constraints.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import tropgraph
 from .errors import (
@@ -60,23 +63,23 @@ def vscale(c, a) -> QVec:
     return tuple(c * x for x in a)
 
 
-def is_zero(a) -> bool:
-    return all(x == 0 for x in a)
+@dataclass(frozen=True)
+class EdgeGeometry:
+    slope: tuple[int, ...] | None  # primitive direction, None for zero slope
+    multiplicity: int              # l(e); 0 exactly when the slope is zero
 
 
-def as_int_vec(a):
-    """The vector as a tuple of ints, or None if some entry is not integral."""
-    if any(x.denominator != 1 for x in a):
-        return None
-    return tuple(int(x) for x in a)
+class _Slopes(NamedTuple):
+    edges: dict[str, EdgeGeometry | None]   # None: direction not integral
+    defects: dict[str, QVec]                # nonzero balancing sums
 
 
 @dataclass(frozen=True)
 class ParamTropicalCurve:
     """A curve with its vertex map.  h is a read-only copy of the mapping
-    given, so the facts derived from the object (its violation list and
-    the geometry of each edge) are computed once and live exactly as long
-    as the object."""
+    given, so the facts derived from the object (its violation list, its
+    edge slopes and its stabilization) are computed once and live exactly
+    as long as the object."""
 
     curve: TropicalCurve
     lattice_rank: int
@@ -88,18 +91,24 @@ class ParamTropicalCurve:
     def hv(self, v: str) -> QVec:
         return self.h[v]
 
-    def zero(self) -> QVec:
-        return (Fraction(0),) * self.lattice_rank
-
     @cached_property
     def _violations(self) -> tuple[str, ...]:
         """What ``param_violations`` reports; empty iff balanced."""
         return tuple(_collect_violations(self))
 
     @cached_property
-    def _geometry(self) -> dict[str, EdgeGeometry]:
-        """Memo of ``edge_geometry``, filled one edge at a time."""
-        return {}
+    def _slopes(self) -> _Slopes:
+        return _derive_slopes(self)
+
+    @cached_property
+    def _stabilization(self) -> ParamTropicalCurve | None:
+        """``stabilize_param``'s result, None for the curve itself (so no
+        object refers to itself); NotStabilizable is never cached."""
+        st = tropgraph.stabilize(self.curve)
+        if st == self.curve and self.h.keys() == set(st.vertex_ids()):
+            return None
+        return ParamTropicalCurve(st, self.lattice_rank,
+                                  {v: self.hv(v) for v in st.vertex_ids()})
 
 
 def param_curve(c: TropicalCurve, lattice_rank: int, h) -> ParamTropicalCurve:
@@ -114,14 +123,44 @@ def _orient(e: tropgraph.Edge) -> tuple[str, str]:
     return (u, w) if u <= w else (w, u)
 
 
-def edge_direction(p: ParamTropicalCurve, e: tropgraph.Edge) -> QVec:
-    """Integral direction vector of an edge: (h(target)-h(init))/|e| along
-    the default orientation for bounded e, and h(v_infinity) for unbounded."""
-    if e.is_bounded:
-        u, w = _orient(e)
-        return vscale(Fraction(1, 1) / e.length, vsub(p.hv(w), p.hv(u)))
-    _, far = tropgraph._unbounded_ends(e, set(p.curve.infinite_vertices))
-    return p.hv(far)
+def _derive_slopes(p: ParamTropicalCurve) -> _Slopes:
+    """The one derivation of edge directions.  With d the lcm of the
+    denominators of h and of the edge lengths, the direction of an edge
+    leaving ``start`` ((h(w)-h(start))/|e| for a bounded edge in its default
+    orientation, h(w) for an unbounded one) is the integer vector
+    d h(w) - d h(start) over d |e|, or d h(w) over d; it has an EdgeGeometry
+    iff that is integral.  Balancing sums are over the edges' common
+    denominator, 1 unless some edge is not integral."""
+    c, inf_set = p.curve, set(p.curve.infinite_vertices)
+    d = lcm(*(x.denominator for vec in p.h.values() for x in vec),
+            *(e.length.denominator for e in c.bounded_edges()))
+    hd = {v: [x.numerator * (d // x.denominator) for x in vec]
+          for v, vec in p.h.items()}
+    exact, edges = {}, {}
+    for e in c.edges:
+        if e.is_bounded:
+            start, w = _orient(e)
+            num = [y - x for x, y in zip(hd[start], hd[w])]
+            den = e.length.numerator * (d // e.length.denominator)
+        else:
+            start, w = tropgraph._unbounded_ends(e, inf_set)
+            num, den = hd[w], d
+        g = gcd(den, *num)
+        num, den = [x // g for x in num], den // g
+        exact[e.id] = start, num, den
+        edges[e.id] = None if den != 1 else EdgeGeometry(
+            primitive_vector(num), integral_length(num))
+    scale = lcm(*(den for _, _, den in exact.values()))
+    defects = {}
+    for v in c.finite_vertices:
+        total = [0] * p.lattice_rank
+        for e, _ in c.incidence.get(v, ()):
+            start, num, den = exact[e.id]
+            k = scale // den if start == v else -(scale // den)
+            total = [t + k * x for t, x in zip(total, num)]
+        if any(total):
+            defects[v] = tuple(Fraction(x, scale) for x in total)
+    return _Slopes(edges, defects)
 
 
 def param_violations(p: ParamTropicalCurve) -> list[str]:
@@ -139,38 +178,15 @@ def _collect_violations(p: ParamTropicalCurve) -> list[str]:
             out.append(f"h({v}) has wrong length")
     if out:
         return out
+    slopes = p._slopes
     for v in p.curve.infinite_vertices:
-        if as_int_vec(p.hv(v)) is None:
+        if slopes.edges[p.curve.incidence[v][0][0].id] is None:
             out.append(f"h({v}) must be integral for an infinite vertex")
     for e in p.curve.bounded_edges():
-        if as_int_vec(edge_direction(p, e)) is None:
+        if slopes.edges[e.id] is None:
             out.append(f"edge {e.id}: (h(v)-h(v'))/|e| is not integral")
-    for v, defect in balancing_defects(p).items():
+    for v, defect in slopes.defects.items():
         out.append(f"balancing fails at {v}: defect {tuple(map(str, defect))}")
-    return out
-
-
-def _outgoing(p: ParamTropicalCurve, v: str, inf_set):
-    """(edge, outgoing vector) for each edge end at v, read off the
-    incidence lists: (h(w)-h(v))/|e| along a bounded edge to w, and h(w)
-    along an unbounded edge to a vertex w of inf_set."""
-    for e, w in p.curve.incidence.get(v, ()):
-        if e.is_bounded:
-            yield e, vscale(Fraction(1) / e.length, vsub(p.hv(w), p.hv(v)))
-        elif w in inf_set:
-            yield e, p.hv(w)
-
-
-def balancing_defects(p: ParamTropicalCurve) -> dict[str, QVec]:
-    """Nonzero balancing sums per finite vertex."""
-    inf_set = set(p.curve.infinite_vertices)
-    out = {}
-    for v in p.curve.finite_vertices:
-        total = p.zero()
-        for _, vec in _outgoing(p, v, inf_set):
-            total = vadd(total, vec)
-        if not is_zero(total):
-            out[v] = total
     return out
 
 
@@ -179,27 +195,17 @@ def require_balanced(p: ParamTropicalCurve):
         raise NotBalanced("; ".join(p._violations))
 
 
-@dataclass(frozen=True)
-class EdgeGeometry:
-    slope: tuple[int, ...] | None  # primitive direction, None for zero slope
-    multiplicity: int              # l(e); 0 exactly when the slope is zero
-    oriented: bool                 # True when the generator is distinguished
-
-
 def edge_geometry(p: ParamTropicalCurve, eid: str) -> EdgeGeometry:
-    geo = p._geometry.get(eid)
+    geo = p._slopes.edges[eid]
     if geo is None:
-        geo = p._geometry[eid] = _edge_geometry(p, eid)
+        raise NotBalanced(f"edge {eid} has non-integral direction")
     return geo
 
 
-def _edge_geometry(p: ParamTropicalCurve, eid: str) -> EdgeGeometry:
-    e = p.curve.edge(eid)
-    d = as_int_vec(edge_direction(p, e))
-    if d is None:
-        raise NotBalanced(f"edge {eid} has non-integral direction")
-    prim = primitive_vector(d)
-    return EdgeGeometry(prim, integral_length(d), oriented=not e.is_bounded)
+def end_geometry(p: ParamTropicalCurve, v: str) -> EdgeGeometry:
+    """The geometry of the unbounded edge at the infinite vertex v, whose
+    direction is h(v)."""
+    return edge_geometry(p, p.curve.incidence[v][0][0].id)
 
 
 def zero_slope_bounded_count(p: ParamTropicalCurve) -> int:
@@ -276,7 +282,7 @@ def subdivide_at_positions(p: ParamTropicalCurve, positions) -> ParamTropicalCur
             start, far = tropgraph._unbounded_ends(
                 e, set(p.curve.infinite_vertices))
             base, span = p.hv(start), p.hv(far)
-        if is_zero(span):
+        if not any(span):
             raise NonCollinear(f"edge {eid} has trivial slope")
         lams = []
         for pt in pts:
@@ -347,14 +353,11 @@ def contract_zero_slope(p: ParamTropicalCurve):
 
 def stabilize_param(p: ParamTropicalCurve) -> ParamTropicalCurve:
     """Stabilization with the parameterization restricted to the surviving
-    vertices (pruned trees are contracted by h, smoothing respects slopes).
-    A stable p keyed by exactly its vertices is returned as it is, so the
-    facts derived from it are kept."""
-    st = tropgraph.stabilize(p.curve)
-    if st == p.curve and p.h.keys() == set(st.vertex_ids()):
-        return p
-    return ParamTropicalCurve(st, p.lattice_rank,
-                              {v: p.hv(v) for v in st.vertex_ids()})
+    vertices (pruned trees are contracted by h, smoothing respects slopes),
+    derived once per curve object.  A stable p keyed by exactly its vertices
+    is returned as it is, so the facts derived from it are kept."""
+    st = p._stabilization
+    return p if st is None else st
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +491,7 @@ def _unsatisfied(p: ParamTropicalCurve, a: AffineConstraintSet) -> list[str]:
     for i, ((vinf, vfin), con) in enumerate(zip(marked_pairs(p, len(a)), a.items)):
         if con.space.ambient_rank != p.lattice_rank:
             raise ValueError("constraint ambient rank mismatch")
-        if not is_zero(p.hv(vinf)):
+        if end_geometry(p, vinf).slope is not None:
             problems.append(f"constraint {i}: h({vinf}) != 0")
         if not con.on_translate(p.hv(vfin)):
             problems.append(f"constraint {i}: h({vfin}) not on the translate")
@@ -594,23 +597,19 @@ def subdivision_new_vertices(p_sub: ParamTropicalCurve, p: ParamTropicalCurve):
         if tropgraph.valency(p_sub.curve, v) != 2:
             raise NotASubdivision(f"new vertex {v} is not 2-valent")
     # walk chains between old vertices
-    incident: dict[str, list] = {}
-    for e in p_sub.curve.edges:
-        incident.setdefault(e.ends[0], []).append(e)
-        incident.setdefault(e.ends[1], []).append(e)
+    incidence = p_sub.curve.incidence
     assignment: dict[str, str] = {}
     chains = []
     seen_edges = set()
     for start in sorted(old_vs):
-        for e0 in incident.get(start, ()):
+        for e0, v in incidence.get(start, ()):
             if e0.id in seen_edges:
                 continue
             chain = [e0]
-            v = e0.ends[1] if e0.ends[0] == start else e0.ends[0]
             while v not in old_vs:
-                nxt = next(e for e in incident[v] if e.id != chain[-1].id)
+                nxt, v = next((e, w) for e, w in incidence[v]
+                              if e.id != chain[-1].id)
                 chain.append(nxt)
-                v = nxt.ends[1] if nxt.ends[0] == v else nxt.ends[0]
             seen_edges.update(e.id for e in chain)
             chains.append((start, v, chain))
     unmatched = {e.id: e for e in p.curve.edges}

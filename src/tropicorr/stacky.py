@@ -197,11 +197,11 @@ def node_stack(p_tr: ParamTropicalCurve) -> NodeStackData:
                 node_orders[eid] = l_sigma[c] // mult
     marked_orders = {}
     for v in p_tr.curve.infinite_vertices:
-        direction = pc.as_int_vec(p_tr.hv(v))
-        mult = integral_length(direction)
+        geo = pc.end_geometry(p_tr, v)
+        mult = geo.multiplicity
         if mult == 0:
             continue
-        r = primitive_vector(direction) + (0,)
+        r = geo.slope + (0,)
         if l_rho[r] % mult:
             raise CrossCheckFailed(
                 "marked_order", f"l(rho) = {l_rho[r]} is not a multiple of "

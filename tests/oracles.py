@@ -6,8 +6,10 @@ and index by rational solving and integer kernels; ranks by Gauss-Jordan
 elimination and determinants by Bareiss; constraint membership by
 Fraction products with the presentation; the one-term quotient complex;
 cone coordinates in Fractions; the fan axiom over every pair of cones;
-the all-pairs stacky compatibility; isomorphism of metric graphs; and
-stabilization by rescanning every edge.
+the all-pairs stacky compatibility; isomorphism of metric graphs;
+stabilization by rescanning every edge; and edge directions, balancing,
+violation lists, edge geometry and reduction exponents in Fractions, each
+bounded edge's direction taken from each end.
 The engine calls none of them.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from tropicorr import paramcurve as pc
-from tropicorr.errors import NotStabilizable
+from tropicorr.errors import CrossCheckFailed, NotBalanced, NotStabilizable
 from tropicorr.exactla import (
     CoeffGroup,
     Mat,
@@ -24,6 +26,7 @@ from tropicorr.exactla import (
     freeze,
     hnf,
     identity,
+    integral_length,
     invariant_factors,
     kernel_basis,
     primitive_vector,
@@ -35,6 +38,7 @@ from tropicorr.paramcurve import AffineConstraintSet, ParamTropicalCurve
 from tropicorr.tropgraph import (
     Edge,
     TropicalCurve,
+    _unbounded_ends,
     is_stable,
     satisfies_stability_bound,
     validate,
@@ -230,6 +234,91 @@ def lattice_intersect_span(lat: Sublattice, space: Sublattice) -> Sublattice:
             for j in range(lat.ambient_rank)
         ))
     return Sublattice(lat.ambient_rank, hnf(gens, lat.ambient_rank))
+
+
+# ---------------------------------------------------------------------------
+# parameterized curves: the Fraction route for directions and balancing
+
+
+def _as_int_vec(a):
+    """The vector as a tuple of ints, or None if some entry is not integral."""
+    if any(F(x).denominator != 1 for x in a):
+        return None
+    return tuple(int(x) for x in a)
+
+
+def fraction_direction(p: ParamTropicalCurve, e: Edge):
+    """(h(target)-h(init))/|e| along the default orientation for bounded e,
+    and h(v_infinity) for unbounded e, in Fractions."""
+    if e.is_bounded:
+        u, w = pc._orient(e)
+        return tuple((y - x) / e.length for x, y in zip(p.hv(u), p.hv(w)))
+    _, far = _unbounded_ends(e, set(p.curve.infinite_vertices))
+    return p.hv(far)
+
+
+def fraction_outgoing(p: ParamTropicalCurve, v: str):
+    """(edge, outgoing vector) for each edge end at v: (h(w)-h(v))/|e| along
+    a bounded edge to w, h(w) along an unbounded edge to an infinite w."""
+    inf_set = set(p.curve.infinite_vertices)
+    for e, w in p.curve.incidence.get(v, ()):
+        if e.is_bounded:
+            yield e, tuple((y - x) / e.length for x, y in zip(p.hv(v), p.hv(w)))
+        elif w in inf_set:
+            yield e, p.hv(w)
+
+
+def fraction_balancing_defects(p: ParamTropicalCurve) -> dict:
+    """Nonzero balancing sums per finite vertex."""
+    out = {}
+    for v in p.curve.finite_vertices:
+        total = (F(0),) * p.lattice_rank
+        for _, vec in fraction_outgoing(p, v):
+            total = tuple(x + y for x, y in zip(total, vec))
+        if any(total):
+            out[v] = total
+    return out
+
+
+def fraction_violations(p: ParamTropicalCurve) -> list[str]:
+    """param_violations by the Fraction route, message for message."""
+    out = list(validate(p.curve))
+    for v in p.curve.vertex_ids():
+        if v not in p.h:
+            out.append(f"missing h({v})")
+        elif len(p.h[v]) != p.lattice_rank:
+            out.append(f"h({v}) has wrong length")
+    if out:
+        return out
+    for v in p.curve.infinite_vertices:
+        if _as_int_vec(p.hv(v)) is None:
+            out.append(f"h({v}) must be integral for an infinite vertex")
+    for e in p.curve.bounded_edges():
+        if _as_int_vec(fraction_direction(p, e)) is None:
+            out.append(f"edge {e.id}: (h(v)-h(v'))/|e| is not integral")
+    for v, defect in fraction_balancing_defects(p).items():
+        out.append(f"balancing fails at {v}: defect {tuple(map(str, defect))}")
+    return out
+
+
+def fraction_edge_geometry(p: ParamTropicalCurve, eid: str) -> pc.EdgeGeometry:
+    """edge_geometry from the Fraction direction of the one edge asked."""
+    e = p.curve.edge(eid)
+    d = _as_int_vec(fraction_direction(p, e))
+    if d is None:
+        raise NotBalanced(f"edge {eid} has non-integral direction")
+    return pc.EdgeGeometry(primitive_vector(d), integral_length(d))
+
+
+def fraction_reduction_exponents(p: ParamTropicalCurve, v: str):
+    """reduction_exponents of a balanced curve from the outgoing vectors."""
+    out = []
+    for e, vec in sorted(fraction_outgoing(p, v), key=lambda end: end[0].id):
+        ivec = _as_int_vec(vec)
+        if ivec is None:
+            raise CrossCheckFailed("integral_exponents", f"edge {e.id}")
+        out.append((e.id, ivec))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -233,15 +235,16 @@ def test_count_builds_no_dense_complex_matrix(monkeypatch, count, fixture,
 
 @pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)
 def test_count_computes_each_fact_once(monkeypatch, count, fixture, expected):
-    # per curve object: one violation list, at most one geometry derivation
-    # per edge; per count: one simplicity check of the constraint.  The
-    # fixtures are stable, so their stabilization is the curve itself and
-    # each edge's geometry is derived once per count, whatever the object
+    # per curve object: one violation list and one derivation of the edge
+    # directions, covering every edge; per count: one simplicity check of
+    # the constraint.  The fixtures are stable, so their stabilization is
+    # the curve itself and the directions are derived once per count, on
+    # that one object
     p, a, _, _ = load(str(FIXTURES / fixture))
     assert tropgraph.is_stable(p.curve)
     alive = []      # holds every object seen, so no id is reused meanwhile
-    violations, geometry, simple = Counter(), Counter(), Counter()
-    by_edge = Counter()
+    violations, derived, simple = Counter(), Counter(), Counter()
+    covered = {}
 
     def counted(counter, fn, key):
         def wrapper(q, *args):
@@ -252,17 +255,20 @@ def test_count_computes_each_fact_once(monkeypatch, count, fixture, expected):
 
     monkeypatch.setattr(pc, "_collect_violations",
                         counted(violations, pc._collect_violations, id))
-    monkeypatch.setattr(pc, "_edge_geometry",
-                        counted(by_edge, counted(geometry, pc._edge_geometry,
-                                                 lambda q, eid: (id(q), eid)),
-                                lambda q, eid: eid))
+    derive_slopes = pc._derive_slopes
+
+    def derive(q):
+        slopes = derive_slopes(q)
+        covered[id(q)] = set(slopes.edges)
+        return slopes
+
+    monkeypatch.setattr(pc, "_derive_slopes", counted(derived, derive, id))
     monkeypatch.setattr(pc, "_simple",
                         counted(simple, pc._simple, lambda q, a: None))
     assert count(p, a, 0).count == expected
     assert violations and set(violations.values()) == {1}
-    assert geometry and set(geometry.values()) == {1}
-    assert set(by_edge) == {e.id for e in p.curve.edges}
-    assert set(by_edge.values()) == {1}
+    assert derived == {id(p): 1}
+    assert covered == {id(p): {e.id for e in p.curve.edges}}
     assert simple == {None: 1}
 
 
@@ -279,6 +285,19 @@ def _stacky(p, a):
     return stacky.stacky_data(tr, fanmodel.ramification(tr, 1)["minimal_a"])
 
 
+def _node_stack(p, a):
+    return stacky.node_stack(fanmodel.gamma_tr(p))
+
+
+def _half_edge_exponents(p, a):
+    # dblline's edge e1 from v0 to v1 = (-1/4, 0) has direction (-1/2, 0)
+    return fanmodel.reduction_exponents(
+        replace(p, h={**p.h, "v1": (Fraction(-1, 4), Fraction(0))}), "v0")
+
+
+_cone_multiplicities = fanmodel.cone_multiplicities
+
+
 # cross-check -> (module, function to break, its broken stand-in, fixture,
 # the call that must report it); the stand-in makes one route disagree with
 # the others
@@ -290,6 +309,19 @@ BROKEN_ROUTES = {
     "fan_axiom": (fanmodel, "gamma_tr", lambda p: p, "xconfig.json", _fan),
     "stacky_compatibility": (stacky, "_ray_restriction",
                              lambda lat, s: lat, "dblline.json", _stacky),
+    # l(sigma) = 1 on every cone, below dblline's edge multiplicity 2
+    "node_order": (fanmodel, "cone_multiplicities",
+                   lambda fm, p: ({c: 1 for c in fm.cone_edges},
+                                  _cone_multiplicities(fm, p)[1]),
+                   "dblline.json", _node_stack),
+    # l(rho) = 1 on every eta ray, below dblline's end multiplicity 2
+    "marked_order": (fanmodel, "cone_multiplicities",
+                     lambda fm, p: (_cone_multiplicities(fm, p)[0],
+                                    dict.fromkeys(fm.eta_rays, 1)),
+                     "dblline.json", _node_stack),
+    # the balancing gate lets a curve with a non-integral edge through
+    "integral_exponents": (pc, "require_balanced", lambda p: None,
+                           "dblline.json", _half_edge_exponents),
 }
 
 

@@ -12,9 +12,9 @@ from tropicorr.counting import moduli_dimension, stacky_multiplier
 from tropicorr.exactla import CoeffGroup
 from tropicorr.fanmodel import build_K, cone_contains, gamma_tr, ramification, refine_to_fan
 from tropicorr.paramcurve import (
-    balancing_defects,
     edge_geometry,
     extend_parameterization,
+    param_violations,
     rank,
     stabilize_param,
     zero_slope_bounded_count,
@@ -62,7 +62,7 @@ def test_extend_parameterization_balanced_and_restricts():
     rng = random.Random(7231)
     for p, _ in corpus(909, 30, constrained=False):
         p2 = extend_parameterization(p, random_steps(rng, p, with_attach=True))
-        assert not balancing_defects(p2)
+        assert not param_violations(p2)
         for v in p.curve.vertex_ids():
             assert p2.hv(v) == p.hv(v)
 

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,20 @@ from fixture_curves import (
     tropical_line,
     two_vertex_curve,
 )
+from tropicorr import fanmodel, tropgraph
 from tropicorr import paramcurve as pc
-from tropicorr.errors import GenusNotOne, NonCollinear
+from tropicorr.curvefile import load
+from tropicorr.errors import (
+    GenusNotOne,
+    NonCollinear,
+    NotBalanced,
+    NotStabilizable,
+)
 from oracles import (
+    fraction_edge_geometry,
     fraction_maps_to_zero,
+    fraction_reduction_exponents,
+    fraction_violations,
     lattice_intersect,
     saturation,
     solve_rational,
@@ -23,7 +34,6 @@ from oracles import (
 from tropicorr.exactla import Sublattice
 from tropicorr.paramcurve import (
     ParamTropicalCurve,
-    balancing_defects,
     check_constraint,
     constraint_set,
     contract_zero_slope,
@@ -54,7 +64,7 @@ def test_balancing_examples():
     assert not param_violations(tropical_line())
     line = tropical_line()
     skew = replace(line, h={**line.h, "u3": (F(1), F(2))})
-    assert balancing_defects(skew) == {"v0": (F(0), F(1))}
+    assert param_violations(skew) == ["balancing fails at v0: defect ('0', '1')"]
     assert not param_violations(two_vertex_curve())
 
 
@@ -70,7 +80,7 @@ def _balancing_reference(p):
     inf_set = set(p.curve.infinite_vertices)
     out = {}
     for v in p.curve.finite_vertices:
-        total = p.zero()
+        total = (F(0),) * p.lattice_rank
         for e in p.curve.edges:
             for a, b in (e.ends, e.ends[::-1]):
                 if a != v:
@@ -101,21 +111,94 @@ def _fresh(p, shift=None):
         p.lattice_rank, h)
 
 
+def _stretched(p):
+    """p with its first bounded edge twice as long, so that edge's direction
+    is halved: non-integral wherever it was odd, with fractional defects."""
+    c = p.curve
+    first = c.bounded_edges()[0]
+    edges = tuple(replace(e, length=2 * e.length) if e is first else e
+                  for e in c.edges)
+    return ParamTropicalCurve(type(c)(c.finite_vertices, c.infinite_vertices,
+                                      edges), p.lattice_rank, p.h)
+
+
+def _special_curves():
+    """Loops, contracted ends, non-integral edges and ends, and curves whose
+    structure fails before any direction is derived."""
+    line = tropical_line()
+    golden = Path(__file__).resolve().parent / "golden" / "inputs"
+    return [
+        # a loop (zero slope) at a vertex with three ends
+        param_curve(curve(["v"], ["a", "b", "c"],
+                          [("l", ("v", "v"), 1), ("r1", ("v", "a"), None),
+                           ("r2", ("v", "b"), None), ("r3", ("v", "c"), None)]),
+                    2, {"v": (0, 0), "a": (-1, 0), "b": (0, -1), "c": (1, 1)}),
+        # a loop and a contracted end only
+        param_curve(curve(["v"], ["a"], [("l", ("v", "v"), 1),
+                                         ("r", ("v", "a"), None)]),
+                    2, {"v": (0, 0), "a": (0, 0)}),
+        # two non-integral parallel edges whose sums still balance
+        param_curve(curve(["v", "w"], ["a", "b"],
+                          [("e1", ("v", "w"), 2), ("e2", ("w", "v"), F(2, 3)),
+                           ("r1", ("v", "a"), None), ("r2", ("w", "b"), None)]),
+                    2, {"v": (0, 0), "w": (1, 0), "a": (-2, 0), "b": (2, 0)}),
+        line_through_two_points()[0],
+        doubled_line()[0],
+        triangle_elliptic()[0],
+        load(str(golden / "frac_defect.json"))[0],
+        load(str(golden / "nonint_edge.json"))[0],
+        load(str(golden / "unbalanced_unstable.json"))[0],
+        replace(line, h={**line.h, "u3": (F(1, 2), F(1))}),
+        _fresh(two_vertex_curve(), (F(1, 3), F(0))),
+        # structural failures: every message comes before any direction
+        replace(line, h={k: x for k, x in line.h.items() if k != "u1"}),
+        replace(line, h={**line.h, "u1": (F(-1),)}),
+        replace(line, curve=curve(["v0"], ["u1", "u2", "u3"],
+                                  [("f1", ("v0", "u1"), None),
+                                   ("f2", ("v0", "u2"), None)])),
+    ]
+
+
+def _structure_ok(p):
+    """Is the curve valid and h given, of the right length, everywhere?"""
+    return not tropgraph.validate(p.curve) and all(
+        len(p.h.get(v, ())) == p.lattice_rank for v in p.curve.vertex_ids())
+
+
 def test_cached_facts_equal_fresh_recomputation():
+    # the integer derivation against the Fraction route of tests/oracles.py:
+    # violation messages in order, slopes and multiplicities, and reduction
+    # exponents; each fact is cached on the object
     curves = [p for p, _ in corpus(20250521, 40)]
     curves += [p for p, _ in elliptic_corpus(5150, 10)]
     skewed = [_fresh(p, (F(1, 2),) + (F(0),) * (p.lattice_rank - 1))
               for p in curves]
-    for p in curves + skewed:
+    stretched = [_stretched(p) for p in curves if p.curve.bounded_edges()]
+    assert all(param_violations(p) for p in skewed)
+    assert any(param_violations(p) for p in stretched)
+    special = _special_curves()
+    assert sum(not _structure_ok(p) for p in special) == 3
+    for p in curves + skewed + stretched + special:
         first = param_violations(p)
         assert param_violations(p) == first == pc._collect_violations(_fresh(p))
-        assert balancing_defects(p) == _balancing_reference(_fresh(p))
-    assert all(param_violations(p) for p in skewed)
-    for p in curves:
+        assert first == fraction_violations(_fresh(p))
+        if not _structure_ok(p):
+            continue
+        assert p._slopes.defects == _balancing_reference(_fresh(p))
         for e in p.curve.edges:
+            try:
+                want = fraction_edge_geometry(_fresh(p), e.id)
+            except NotBalanced as exc:
+                with pytest.raises(NotBalanced, match=str(exc)):
+                    edge_geometry(p, e.id)
+                continue
             geo = edge_geometry(p, e.id)
             assert edge_geometry(p, e.id) is geo
-            assert geo == pc._edge_geometry(_fresh(p), e.id)
+            assert geo == want
+        if not first:
+            for v in p.curve.vertex_ids():
+                assert (fanmodel.reduction_exponents(p, v)
+                        == fraction_reduction_exponents(_fresh(p), v))
 
 
 def test_edge_geometry_examples():
@@ -296,6 +379,33 @@ def test_stabilize_param():
     # stabilization, so the facts derived from it are kept
     q, _ = line_through_two_points()
     assert stabilize_param(q) is q
+
+
+def test_stabilization_derived_once_per_object(monkeypatch):
+    calls = []
+    stabilize = tropgraph.stabilize
+    monkeypatch.setattr(tropgraph, "stabilize",
+                        lambda c: calls.append(c) or stabilize(c))
+    p = extend_parameterization(
+        tropical_line(), [SubdivideUnbounded("f1", (1, 2))])
+    st = stabilize_param(p)
+    assert stabilize_param(p) is st and stabilize_param(st) is st
+    assert calls == [p.curve, st.curve]
+    # an unbalanced but valid curve is stabilized too
+    skew = replace(p, h={**p.h, "u3": (F(1), F(2))})
+    assert param_violations(skew)
+    assert stabilize_param(skew).curve == st.curve
+    # a curve with no stabilization raises the same error on every call
+    bad = param_curve(curve(["v"], ["a", "b"], [("r1", ("v", "a"), None),
+                                                ("r2", ("v", "b"), None)]),
+                      2, {"v": (0, 0), "a": (1, 0), "b": (-1, 0)})
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotStabilizable) as exc:
+            stabilize_param(bad)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "_stabilization" not in vars(bad)
 
 
 def test_zero_slope_count():
