@@ -1,30 +1,34 @@
 """The obstruction complexes of a parameterized tropical curve.
 
-Both complexes share the domain (sum over finite vertices of N) + (sum over
-bounded edges with nonzero slope of the rank-one slope lattice) and map to
-(sum over bounded edges of N):
+Both complexes map the domain (sum over finite vertices v of N, coordinates
+x_v) + (one y_e per bounded edge e of nonzero primitive slope s_e) to the
+sum over bounded edges of N.  The n rows of an edge init -> target, in its
+default orientation, are x_target - x_init + coef s_e y_e, with coef = 1 in
+the plain variant (E) and l(e) in the stacky one (CE); a loop has no x
+terms.  E^1/E^2 (resp. CE^1/CE^2) are the kernel and cokernel.  Constraint
+i appends P_i x_v, P_i presenting N -> N/L_i at its vertex v; the elliptic
+augmentation appends one row summing the y_e of the cycle.
 
-  * plain variant: a vertex coordinate x_v goes to eps(e, v) x_v on the rows
-    of each bounded edge e, an edge coordinate x_e goes to n_e;
-  * stacky variant: the edge coordinate goes to l(e) n_e instead.
-
-E^1/E^2 (resp. CE^1/CE^2) are the kernel and cokernel.  Constraints append
-one block of rows per constraint, projecting the constrained vertex to the
-free quotient N/L_i; the elliptic augmentation appends a single row summing
-the cycle-edge coordinates with signs along an oriented cycle.
-
-``compute`` works over Z only: it keeps the full two-term complex, as
-sparse rows of nonzeros, and returns E^1's rank and E^2 from one
-transform-free reduction of those rows; the dense matrix is built only
-when read (``build_matrix``, ``ComplexReport.matrix``).
+``compute`` reduces over Z in tree coordinates.  A BFS spanning tree of the
+bounded edges is rooted at the first finite vertex.  Each tree edge's n rows
+hold +-1 on its child's x columns, so the unimodular substitution
+x_child = x_parent -+ coef s_e y_e turns them into unit rows: n(|V| - 1)
+invariant factors 1, with no elimination.  Only the cycle space, the
+constraints and the j-row can carry an obstruction, so only these rows
+reach ``invariant_factors``: per non-tree edge and coordinate k, its own y
+entry and +-coef s_e[k] on each tree edge of its fundamental cycle; per
+constraint row a, a on x_root and +-coef <a, s_e> along the tree path to
+its vertex; the j-row.  That is n g + sum corank L_i (+1) rows, none for an
+unconstrained genus-0 curve; E^1's rank follows from the full row count.
+The full rows (``_assemble``) and the dense matrix are built only when read.
 A coefficient group enters only at the final base change, ``sizes_over``
-for the sizes of E^1_G and E^2_G and ``base_change`` for the regularity
-verdicts.
+for E^1_G and E^2_G and ``base_change`` for the regularity verdicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 
 from . import paramcurve as pc
 from .errors import (
@@ -74,30 +78,23 @@ class ComplexLayout:
         return self.n * len(self.vertices) + len(self.slope_edges)
 
 
-def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
+def _terms(p: ParamTropicalCurve, spec: ComplexSpec):
+    """The complex written down once, for both routes: the layout, each
+    bounded edge as (id, init, target, y column, coef * slope; both None at
+    zero slope), each constraint as (vertex, P_i), the j-row's columns."""
     pc.require_balanced(p)
-    n = p.lattice_rank
-    curve = p.curve
-    vertices = tuple(curve.finite_vertices)
-    bounded = curve.bounded_edges()
-    geo = {e.id: pc.edge_geometry(p, e.id) for e in bounded}
-    slope_edges = tuple(e.id for e in bounded if geo[e.id].slope is not None)
-
-    constraint_rows = []
+    constraints = []
     if spec.constraints is not None:
-        # simplicity is a count hypothesis, checked once by the count itself
-        problems = pc._unsatisfied(p, spec.constraints)
+        # check_constraint's last report, so a count decides it once
+        problems = pc._constraint_report(p, spec.constraints).problems
         if problems:
             raise ConstraintUnsatisfied("; ".join(problems))
-        for (vinf, vfin), con in zip(pc.marked_pairs(p, len(spec.constraints)),
-                                     spec.constraints.items):
-            constraint_rows.append((vfin, con.presentation))
-
-    # orientation: lexicographic by default; when the elliptic row is
-    # present, cycle edges are re-oriented along the cycle so that the slope
-    # trivialization feeding the edge columns and the one feeding the cycle
-    # row agree (the complex is wrong otherwise)
-    orientation = {e.id: pc._orient(e) for e in bounded}
+        constraints = [(vfin, con.presentation) for (_, vfin), con in zip(
+            pc.marked_pairs(p, len(spec.constraints)), spec.constraints.items)]
+    n = p.lattice_rank
+    bounded = p.curve.bounded_edges()
+    geo = {e.id: pc.edge_geometry(p, e.id) for e in bounded}
+    cycle = ()
     if spec.elliptic:
         heavy = [f"edge {eid} has l(e) = {g.multiplicity}"
                  for eid, g in geo.items() if g.multiplicity > 1]
@@ -105,40 +102,88 @@ def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
             raise NonUnitMultiplicity(
                 "elliptic plain variant needs unit multiplicities; "
                 + ", ".join(heavy))
-        cycle = pc.find_cycle(p)
-        for e, sign in cycle:
-            if geo[e.id].slope is None:
-                raise ZeroSlopeCycleEdge(f"cycle edge {e.id} has zero slope")
-            init, target = orientation[e.id]
-            orientation[e.id] = (init, target) if sign == 1 else (target, init)
-        cycle_ids = {e.id for e, _ in cycle}
-
-    layout = ComplexLayout(vertices, slope_edges, n)
-
-    # each row is the tuple of its nonzeros (col, value), sorted by column
-    rows = []
-    vcol = {v: n * i for i, v in enumerate(vertices)}
-    ecol = dict(zip(slope_edges, range(n * len(vertices), layout.domain_dim)))
+        cycle = [e.id for e, _ in pc.find_cycle(p)]
+        for eid in cycle:
+            if geo[eid].slope is None:
+                raise ZeroSlopeCycleEdge(f"cycle edge {eid} has zero slope")
+    layout = ComplexLayout(tuple(p.curve.finite_vertices), tuple(
+        e.id for e in bounded if geo[e.id].slope is not None), n)
+    ecol = dict(zip(layout.slope_edges,
+                    range(n * len(layout.vertices), layout.domain_dim)))
+    edges = []
     for e in bounded:
-        init, target = orientation[e.id]
-        # loops contribute no vertex coefficients
-        ends = (sorted(((vcol[init], -1), (vcol[target], 1)))
-                if init != target else ())
         g = geo[e.id]
         coef = g.multiplicity if spec.variant == "beta" else 1
-        if (init, target) != pc._orient(e):
-            coef = -coef
-        for k in range(n):
+        edges.append((e.id, *pc._orient(e), ecol.get(e.id), None if g.slope
+                      is None else tuple(coef * s for s in g.slope)))
+    return layout, edges, constraints, sorted(ecol[eid] for eid in cycle)
+
+
+def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
+    """The full rows, each the sorted tuple of its nonzeros (col, value)."""
+    layout, edges, constraints, jrow = _terms(p, spec)
+    vcol = {v: layout.n * i for i, v in enumerate(layout.vertices)}
+    rows = []
+    for _, init, target, col, weight in edges:
+        ends = (sorted(((vcol[init], -1), (vcol[target], 1)))
+                if init != target else ())
+        for k in range(layout.n):
             row = [(c + k, s) for c, s in ends]
-            if g.slope is not None and g.slope[k]:
-                row.append((ecol[e.id], coef * g.slope[k]))
+            if col is not None and weight[k]:
+                row.append((col, weight[k]))
             rows.append(tuple(row))
-    for vfin, proj in constraint_rows:
+    for vfin, proj in constraints:
         rows.extend(tuple((vcol[vfin] + k, x) for k, x in enumerate(prow) if x)
                     for prow in proj)
-    if spec.elliptic:
-        rows.append(tuple(sorted((ecol[eid], 1) for eid in cycle_ids)))
+    if jrow:
+        rows.append(tuple((col, 1) for col in jrow))
     return tuple(rows), layout
+
+
+def _reduced(p: ParamTropicalCurve, layout, edges, constraints, jrow):
+    """The rows left beside the tree's unit pivots, as {col: value} dicts."""
+    weight = {col: w for _, _, _, col, w in edges if col is not None}
+    ends = {eid: (target, col) for eid, _, target, col, _ in edges}
+    # v -> (parent, y column, sign, edge): x_v = x_parent + sign weight y
+    order = list(layout.vertices[:1])
+    up = dict.fromkeys(order)
+    for v in order:
+        for e, w in p.curve.incidence[v]:
+            if w not in up and e.id in ends:
+                target, col = ends[e.id]
+                up[w] = (v, col, -1 if target == w else 1, e.id)
+                order.append(w)
+    tree = {u[3] for u in up.values() if u}
+
+    def carried(v, s, acc):
+        """acc[col] += s * sign along the tree path from v to the root."""
+        while up[v] is not None:
+            v, col, sign, _ = up[v]
+            if col is not None:
+                acc[col] = acc.get(col, 0) + s * sign
+        return acc
+
+    rows = []
+    for eid, init, target, own, w in edges:
+        if eid not in tree:
+            path = carried(init, -1, carried(target, 1, {}))
+            for k in range(layout.n):
+                row = {col: m * weight[col][k] for col, m in path.items()
+                       if m and weight[col][k]}
+                if own is not None and w[k]:
+                    row[own] = w[k]
+                rows.append(row)
+    for vfin, proj in constraints:
+        path = carried(vfin, 1, {})
+        for a in proj:
+            row = {k: x for k, x in enumerate(a) if x}      # on x_root
+            for col, m in path.items():
+                if x := m * sum(map(mul, a, weight[col])):
+                    row[col] = x
+            rows.append(row)
+    if jrow:
+        rows.append(dict.fromkeys(jrow, 1))
+    return rows
 
 
 def _dense(rows, ncols: int) -> Mat:
@@ -159,18 +204,25 @@ def build_matrix(p: ParamTropicalCurve, spec: ComplexSpec) -> Mat:
 @dataclass(frozen=True)
 class ComplexReport:
     """The complex over Z (E1_rank, E2) from one transform-free reduction
-    of its matrix; ``sizes_over`` base-changes it to any coefficient
-    group."""
+    of its tree-reduced rows; ``sizes_over`` base-changes it to any
+    coefficient group."""
 
-    rows: tuple[tuple[tuple[int, int], ...], ...]   # nonzeros (col, value)
+    source: ParamTropicalCurve = field(repr=False, compare=False)
+    spec: ComplexSpec
     layout: ComplexLayout
+    n_rows: int                   # rows of the full matrix
     E1_rank: int
     E2: FGAbelianGroup
     c_gamma: int                  # number of zero-slope bounded edges
 
     @property
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The full rows, assembled on each read; counts never read them."""
+        return _assemble(self.source, self.spec)[0]
+
+    @property
     def matrix(self) -> Mat:
-        """The dense matrix, built on each read; the count never reads it."""
+        """The dense matrix, built on each read."""
         return _dense(self.rows, self.layout.domain_dim)
 
     @property
@@ -178,7 +230,7 @@ class ComplexReport:
         """The kernel inside the domain Z^domain_dim.  It needs the SNF
         transforms, so it is computed on each read, never by ``compute``."""
         dim = self.layout.domain_dim
-        if not self.rows:   # no rows: the kernel is the whole domain
+        if not self.n_rows:   # no rows: the kernel is the whole domain
             return Sublattice(dim, identity(dim))
         return Sublattice(dim, kernel_basis(self.matrix))
 
@@ -192,14 +244,14 @@ def sizes_over(e1_rank: int, e2: FGAbelianGroup, g: CoeffGroup):
 
 
 def compute(p: ParamTropicalCurve, spec: ComplexSpec) -> ComplexReport:
-    rows, layout = _assemble(p, spec)
-    e2 = cokernel_group([dict(r) for r in rows])
+    layout, edges, constraints, jrow = terms = _terms(p, spec)
+    e2 = cokernel_group(_reduced(p, *terms))
+    n_rows = (layout.n * len(edges) + sum(len(a) for _, a in constraints)
+              + bool(jrow))
     # rank-nullity: the matrix has rank rows - rank E^2
-    e1_rank = layout.domain_dim - (len(rows) - e2.rank)
-    return ComplexReport(
-        rows=rows, layout=layout, E1_rank=e1_rank, E2=e2,
-        c_gamma=pc.zero_slope_bounded_count(p),
-    )
+    e1_rank = layout.domain_dim - (n_rows - e2.rank)
+    return ComplexReport(p, spec, layout, n_rows, e1_rank, e2,
+                         pc.zero_slope_bounded_count(p))
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ def vscale(c, a) -> QVec:
     return tuple(c * x for x in a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeGeometry:
     slope: tuple[int, ...] | None  # primitive direction, None for zero slope
     multiplicity: int              # l(e); 0 exactly when the slope is zero
@@ -373,6 +373,9 @@ def rank(p: ParamTropicalCurve) -> int:
 
     The closed formula (rank N - 3) chi + |E_inf| - ov + rank E^2 is checked
     against it (CrossCheckFailed otherwise), never used as the definition.
+    Both sides read the rank of the same matrix, and their difference
+    3|V| - 2|E_b| - |E_inf| + ov vanishes by counting valencies, so the
+    check guards that bookkeeping only: it cannot fail on a valid curve.
     """
     from . import complexes
 
@@ -475,13 +478,22 @@ def check_constraint(p: ParamTropicalCurve, a: AffineConstraintSet) -> Constrain
     Satisfaction: the i-th infinite vertex is contracted (h = 0) and its
     finite neighbour lies on the affine translate.  Simplicity additionally
     needs the neighbour trivalent with every bounded edge there of nonzero
-    slope meeting the constraint space trivially.
+    slope meeting the constraint space trivially.  The report is kept on
+    the curve object, where the complexes read it: a count decides once.
     """
     require_balanced(p)
     problems = tuple(_unsatisfied(p, a))
     satisfied = not problems
-    return ConstraintReport(satisfied, satisfied and _simple(p, a), a.codim,
-                            problems)
+    report = ConstraintReport(satisfied, satisfied and _simple(p, a), a.codim,
+                              problems)
+    object.__setattr__(p, "_constraint_report", (a, report))
+    return report
+
+
+def _constraint_report(p: ParamTropicalCurve, a: AffineConstraintSet):
+    """The last ``check_constraint`` report on p for a, decided if none."""
+    last, report = getattr(p, "_constraint_report", (None, None))
+    return report if last is a else check_constraint(p, a)
 
 
 def _unsatisfied(p: ParamTropicalCurve, a: AffineConstraintSet) -> list[str]:

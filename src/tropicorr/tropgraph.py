@@ -19,7 +19,7 @@ from .errors import BadSubdivision, NotStabilizable
 INF = None  # length of an unbounded edge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: str
     ends: tuple[str, str]
@@ -32,8 +32,8 @@ class Edge:
 
 @dataclass(frozen=True)
 class TropicalCurve:
-    """An immutable curve.  The edge index and the incidence lists are
-    built on first use and live as long as the curve object."""
+    """An immutable curve.  Its edge index, incidence lists and edge split
+    are built on first use and live as long as the curve object."""
 
     finite_vertices: tuple[str, ...]
     infinite_vertices: tuple[str, ...]
@@ -64,11 +64,16 @@ class TropicalCurve:
     def edge(self, eid: str) -> Edge:
         return self._edge_index[eid]
 
+    @cached_property
+    def _split_edges(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+        return (tuple(e for e in self.edges if e.is_bounded),
+                tuple(e for e in self.edges if not e.is_bounded))
+
     def bounded_edges(self):
-        return tuple(e for e in self.edges if e.is_bounded)
+        return self._split_edges[0]
 
     def unbounded_edges(self):
-        return tuple(e for e in self.edges if not e.is_bounded)
+        return self._split_edges[1]
 
 
 def curve(finite, infinite=(), edges=()) -> TropicalCurve:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from tropicorr.errors import (
 from tropicorr.exactla import CoeffGroup, FGAbelianGroup, shape
 from tropicorr.paramcurve import (
     ParamTropicalCurve,
+    check_constraint,
     constraint_set,
     extend_parameterization,
     param_curve,
@@ -89,10 +91,22 @@ def test_doubled_line_stacky_obstruction():
 
 
 def test_constraint_must_be_satisfied():
-    p, _ = line_through_two_points()
+    p, a = line_through_two_points()
     bad = constraint_set([((), (5, 5)), ((), (1, 1))], 2)
     with pytest.raises(ConstraintUnsatisfied):
         build_matrix(p, ComplexSpec("b", bad))
+    # compute raises the same message on a fresh curve object and on one
+    # that already holds the verdict of check_constraint
+    messages = []
+    for q in (replace(p), p):
+        if q is p:
+            assert check_constraint(q, bad).problems
+        for spec in (ComplexSpec("b", bad), ComplexSpec("beta", bad)):
+            with pytest.raises(ConstraintUnsatisfied) as err:
+                compute(q, spec)
+            messages.append(str(err.value))
+    assert set(messages) == {"constraint 0: h(v1) not on the translate"}
+    assert compute(p, ComplexSpec("b", a)).E2.is_trivial
 
 
 def test_regularity_examples():

@@ -272,6 +272,20 @@ def test_count_computes_each_fact_once(monkeypatch, count, fixture, expected):
     assert simple == {None: 1}
 
 
+@pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)
+def test_count_decides_constraint_satisfaction_once(monkeypatch, count,
+                                                    fixture, expected):
+    # check_constraint decides it, and the count's constrained complexes
+    # read that decision instead of deciding again
+    p, a, _, _ = load(str(FIXTURES / fixture))
+    calls = []
+    unsatisfied = pc._unsatisfied
+    monkeypatch.setattr(pc, "_unsatisfied",
+                        lambda q, b: calls.append(q) or unsatisfied(q, b))
+    assert count(p, a, 0).count == expected
+    assert calls == [p]
+
+
 def _count(p, a):
     return correspondence_count(p, a, 0)
 

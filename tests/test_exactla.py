@@ -27,6 +27,7 @@ from oracles import (
     solve_rational,
     zero_lattice,
 )
+from tropicorr import exactla
 from tropicorr.complexes import ComplexSpec, build_matrix, compute
 from tropicorr.curvefile import load
 from tropicorr.errors import TropicorrError
@@ -199,13 +200,68 @@ def marked_trees(seed, count, size=13, marks=4):
     return out
 
 
+def _shape(rng, n, finite, bounded, ends, marked):
+    """A curve from vertex positions (the first roots the spanning tree),
+    bounded edges (u, w, length) and ends (vertex, direction), with a
+    contracted end and a satisfied constraint at each marked vertex."""
+    pad = (0,) * (n - 2)
+    b = Builder(n)
+    ids = {v: b.add_finite(pos + pad) for v, pos in finite.items()}
+    for u, w, length in bounded:
+        b.add_edge(ids[u], ids[w], Fraction(length))
+    for v, direction in ends:
+        b.add_end(ids[v], direction + pad)
+    for v in reversed(marked):
+        b.add_end(ids[v], (0,) * n, front=True)
+    p = b.build()
+    return p, constraints_at_marks(rng, p, len(marked))
+
+
+def tree_route_shapes(seed):
+    """Shapes the spanning-tree reduction treats specially: three parallel
+    bounded edges (genus 2), a genus-2 theta graph without loops or
+    parallel edges, and a zero-slope tree edge at the root that lies on the
+    paths to both marked vertices, and on a fundamental cycle or off the
+    cycle of a curve with a j-row."""
+    rng = random.Random(seed)
+    out = []
+    for n in (2, 3):
+        out.append(_shape(
+            rng, n, {"a": (0, 0), "b": (1, 0)},
+            [("a", "b", 1), ("a", "b", "1/2"), ("a", "b", "1/3")],
+            [("a", (-3, 1)), ("a", (-3, -1)), ("b", (3, 1)), ("b", (3, -1))],
+            ["b"]))
+        out.append(_shape(
+            rng, n, {"a": (0, 0), "b": (2, 0), "c": (1, 1), "d": (1, -1)},
+            [("a", "b", 1), ("a", "c", 1), ("c", "b", 1), ("a", "d", 1),
+             ("d", "b", "1/2")],
+            [("a", (-2, 1)), ("a", (-2, -1)), ("b", (2, 1)), ("b", (3, 0)),
+             ("c", (0, 2)), ("d", (-1, -2)), ("d", (0, -1))],
+            ["d", "c"]))
+        out.append(_shape(
+            rng, n, {"a1": (0, 0), "a2": (0, 0), "b": (1, 0), "c": (0, 1),
+                     "m": (0, -1)},
+            [("a1", "a2", 2), ("a1", "b", 1), ("b", "c", 1), ("c", "a2", 1),
+             ("a2", "m", 1)],
+            [("a1", (-1, 0)), ("b", (2, -1)), ("c", (-1, 2)), ("m", (0, -1))],
+            ["m", "c"]))
+        out.append(_shape(
+            rng, n, {"r": (0, 0), "a": (0, 0), "b": (1, 0), "c": (0, 1)},
+            [("r", "a", 1), ("a", "b", 1), ("b", "c", 1), ("c", "a", 1)],
+            [("r", (1, 1)), ("r", (-1, -1)), ("a", (-1, -1)), ("b", (2, -1)),
+             ("c", (-1, 2))],
+            ["c", "b"]))
+    return out
+
+
 def every_complex():
     """(curve, spec, dense matrix) for every complex of the fixtures, the
-    corpora and a few large marked trees that assembles."""
+    corpora, a few large marked trees and the tree-route shapes that
+    assembles."""
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     curves = [load(str(f))[:2] for f in sorted(fixtures.glob("*.json"))]
     curves += corpus(5005, 60) + elliptic_corpus(5006, 30)
-    curves += marked_trees(5007, 6)
+    curves += marked_trees(5007, 6) + tree_route_shapes(5008)
     for p, a in curves:
         for variant in ("b", "beta"):
             for cons in {None, a}:
@@ -242,6 +298,37 @@ def test_sparse_count_route_matches_dense_reference():
         seen += 1
     assert seen >= 450, seen
     assert len(large_torsion) >= 3, large_torsion
+
+
+def test_only_cycle_constraint_and_j_rows_reach_the_reduction(monkeypatch):
+    # a tree edge's rows are unit pivots on its child's columns, so compute
+    # hands invariant_factors at most n g + sum corank L_i rows, +1 with j
+    seen = []
+    reduce = exactla.invariant_factors
+    monkeypatch.setattr(exactla, "invariant_factors",
+                        lambda a: seen.append(len(a)) or reduce(a))
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    checked = 0
+    for f in sorted(fixtures.glob("*.json")):
+        p, a = load(str(f))[:2]
+        g = genus(p.curve)
+        for variant in ("b", "beta"):
+            for cons in (None, a):
+                for elliptic in {False, g == 1}:
+                    seen.clear()
+                    try:
+                        compute(p, ComplexSpec(variant, cons, elliptic))
+                    except TropicorrError:
+                        continue
+                    bound = (p.lattice_rank * g + elliptic
+                             + (cons.codim if cons else 0))
+                    assert len(seen) == 1 and seen[0] <= bound, (f, seen)
+                    checked += 1
+    assert checked >= 20, checked
+    p = load(str(fixtures / "line2pts.json"))[0]
+    seen.clear()
+    compute(p, ComplexSpec("b"))
+    assert seen == [0]
 
 
 def test_kernel_basis_examples():
