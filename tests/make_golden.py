@@ -5,8 +5,12 @@ and at chars 2 and 3; ``complex`` and ``regular`` also run with each of
 their options (the plain variant, the constraint, the cycle and each
 coefficient group) at those chars.  The small invalid curves in
 tests/golden/inputs/ go through ``validate``, ``info`` and ``stabilize``,
-so every violation and parse-error message is covered; they live outside
-fixtures/, whose files the benchmark reads.  Each case is stored as the
+so every violation and parse-error message is covered.  The genus-one
+shapes there (a loop, two parallel edges over one 2-cone, a 2-valent cycle
+vertex with a hanging tree, two zero-slope cycle edges) go through
+``info``, both elliptic complexes, ``fan``, ``stacky`` and
+``count-elliptic``.  The inputs live outside fixtures/, whose files the
+benchmark reads.  Each case is stored as the
 exact stdout of the run, and its exit code goes into exit_codes.json.  Paths are given relative to
 the repository root, so the "input.path" field is the same on every
 machine.
@@ -35,6 +39,11 @@ COMPLEX_OPTIONS = (("--variant", "b"), ("--constrained",), ("--elliptic",),
 INPUTS = ("frac_defect", "nonint_edge", "unbalanced_unstable",
           "nonint_infinite", "wrong_length_h", "missing_h")
 INPUT_COMMANDS = ("validate", "info", "stabilize")
+SHAPES = ("loop_elliptic", "parallel_elliptic", "pendant_elliptic",
+          "zero_cycle_elliptic")
+SHAPE_COMMANDS = (("info",), ("complex", "--elliptic"),
+                  ("complex", "--elliptic", "--variant", "b"), ("fan",),
+                  ("stacky",), ("count-elliptic",))
 
 
 def _at_chars(name, argv):
@@ -60,6 +69,11 @@ def cases():
         for command in INPUT_COMMANDS:
             yield (f"{name}.{command}",
                    [command, f"tests/golden/inputs/{name}.json", "--json"])
+    for name in SHAPES:
+        for command, *options in SHAPE_COMMANDS:
+            tag = "-".join(x.lstrip("-") for x in (command, *options))
+            yield (f"{name}.{tag}", [command, f"tests/golden/inputs/{name}.json",
+                                     "--json", *options])
 
 
 def run_case(argv) -> tuple[int, str]:
