@@ -21,17 +21,13 @@ from .errors import ConstraintCountMismatch, ParseError, TropicorrError
 from .exactla import CoeffGroup, GroupSize
 
 
+# --group tag -> CoeffGroup kind; the field and k* take the characteristic
+GROUP_KINDS = {"Z": "Z", "Q": "Q", "Fp": "field", "kstar": "kstar"}
+
+
 def _group_from_args(args, char: int) -> CoeffGroup:
-    tag = getattr(args, "group", "Z") or "Z"
-    if tag == "Z":
-        return CoeffGroup.integers()
-    if tag == "Q":
-        return CoeffGroup.rationals()
-    if tag == "Fp":
-        return CoeffGroup.field(char)
-    if tag == "kstar":
-        return CoeffGroup.units(char)
-    raise ParseError(f"unknown group {tag!r}")
+    kind = GROUP_KINDS[args.group]
+    return CoeffGroup(kind, char if kind in ("field", "kstar") else 0)
 
 
 def _size_json(s: GroupSize) -> dict:
@@ -87,9 +83,7 @@ def cmd_tr(p, constraints, char, args):
 
 def cmd_fan(p, constraints, char, args):
     tr = fanmodel.gamma_tr(p)
-    fm = fanmodel.fan_model(tr)
-    mults = fanmodel.cone_multiplicities(fm, tr)
-    return {"fan": fanmodel.fan_to_json(fm, mults)}, 0
+    return {"fan": fanmodel.fan_to_json(fanmodel.fan_model(tr))}, 0
 
 
 def cmd_complex(p, constraints, char, args):
@@ -208,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the full JSON report")
         sp.add_argument("--char", type=int, default=None,
                         help="residue characteristic (overrides the file)")
-        sp.add_argument("--group", choices=["Z", "Q", "Fp", "kstar"],
+        sp.add_argument("--group", choices=list(GROUP_KINDS),
                         default="Z", help="coefficient group")
         sp.add_argument("--constrained", action="store_true",
                         help="use the file's constraints")

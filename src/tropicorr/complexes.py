@@ -9,8 +9,9 @@ terms.  E^1/E^2 (resp. CE^1/CE^2) are the kernel and cokernel.  Constraint
 i appends P_i x_v, P_i presenting N -> N/L_i at its vertex v; the elliptic
 augmentation appends one row summing the y_e of the cycle.
 
-``compute`` reduces over Z in tree coordinates.  A BFS spanning tree of the
-bounded edges is rooted at the first finite vertex.  Each tree edge's n rows
+``compute`` reduces over Z in tree coordinates.  The BFS spanning tree of
+the bounded edges (``tropgraph.spanning_forest``) is rooted at the first
+finite vertex.  Each tree edge's n rows
 hold +-1 on its child's x columns, so the unimodular substitution
 x_child = x_parent -+ coef s_e y_e turns them into unit rows: n(|V| - 1)
 invariant factors 1, with no elimination.  Only the cycle space, the
@@ -102,7 +103,7 @@ def _terms(p: ParamTropicalCurve, spec: ComplexSpec):
             raise NonUnitMultiplicity(
                 "elliptic plain variant needs unit multiplicities; "
                 + ", ".join(heavy))
-        cycle = [e.id for e, _ in pc.find_cycle(p)]
+        cycle = [e.id for e in pc.tropgraph.cycle_edges(p.curve)]
         for eid in cycle:
             if geo[eid].slope is None:
                 raise ZeroSlopeCycleEdge(f"cycle edge {eid} has zero slope")
@@ -144,23 +145,18 @@ def _reduced(p: ParamTropicalCurve, layout, edges, constraints, jrow):
     """The rows left beside the tree's unit pivots, as {col: value} dicts."""
     weight = {col: w for _, _, _, col, w in edges if col is not None}
     ends = {eid: (target, col) for eid, _, target, col, _ in edges}
-    # v -> (parent, y column, sign, edge): x_v = x_parent + sign weight y
-    order = list(layout.vertices[:1])
-    up = dict.fromkeys(order)
-    for v in order:
-        for e, w in p.curve.incidence[v]:
-            if w not in up and e.id in ends:
-                target, col = ends[e.id]
-                up[w] = (v, col, -1 if target == w else 1, e.id)
-                order.append(w)
-    tree = {u[3] for u in up.values() if u}
+    up = pc.tropgraph.spanning_forest(p.curve, lambda e: e.is_bounded)
+    tree = {link[1].id for link in up.values() if link}
 
     def carried(v, s, acc):
-        """acc[col] += s * sign along the tree path from v to the root."""
+        """acc[col] += s * sign along the tree path from v to the root,
+        where x_v = x_parent + sign weight y_col."""
         while up[v] is not None:
-            v, col, sign, _ = up[v]
+            parent, e = up[v]
+            target, col = ends[e.id]
             if col is not None:
-                acc[col] = acc.get(col, 0) + s * sign
+                acc[col] = acc.get(col, 0) + (-s if target == v else s)
+            v = parent
         return acc
 
     rows = []
@@ -360,10 +356,10 @@ def subdivision_transport(p: ParamTropicalCurve, p_sub: ParamTropicalCurve,
 
 def _cycle_has_slopes(p):
     try:
-        cycle = pc.find_cycle(p)
+        cycle = pc.tropgraph.cycle_edges(p.curve)
     except GenusNotOne:
         return False
-    return all(pc.edge_geometry(p, e.id).slope is not None for e, _ in cycle)
+    return all(pc.edge_geometry(p, e.id).slope is not None for e in cycle)
 
 
 def contraction_transport(p: ParamTropicalCurve,

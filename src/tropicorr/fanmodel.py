@@ -346,6 +346,8 @@ class FanModel:
     eta_rays: tuple[Ray, ...]               # rays with last coordinate 0
     ray_vertices: dict[Ray, tuple[str, ...]]
     cone_edges: dict[Cone, tuple[str, ...]]
+    l_sigma: dict[Cone, int]    # lcm of the edge multiplicities over a 2-cone
+    l_rho: dict[Ray, int]       # lcm of the end multiplicities over an eta ray
 
     def rays(self) -> tuple[Ray, ...]:
         return tuple(c.generators[0] for c in self.cones if c.dim == 1)
@@ -356,7 +358,8 @@ class FanModel:
 
 def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
     """Index the fan of a refined curve (a gamma_tr output) by its vertices
-    and edges.  The fan axiom is checked once per curve object."""
+    and edges, with the multiplicities l(sigma) and l(rho).  The fan axiom
+    is checked once per curve object."""
     rays, edge_cones = _curve_cones(p_tr)
     cones = _collection(rays, edge_cones)
     if not getattr(p_tr, "_is_fan", False):
@@ -366,42 +369,33 @@ def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
     for v, r in rays.items():
         if r is not None:
             ray_vertices.setdefault(r, []).append(v)
-    eta = {rays[v] for v in p_tr.curve.infinite_vertices} - {None}
     cone_edges: dict[Cone, list] = {}
+    l_sigma: dict[Cone, int] = {}
     for eid, c in edge_cones.items():
         cone_edges.setdefault(c, []).append(eid)
+        l_sigma[c] = lcm(l_sigma.get(c, 1),
+                         pc.edge_geometry(p_tr, eid).multiplicity)
+    l_rho: dict[Ray, int] = {}
+    for v in p_tr.curve.infinite_vertices:
+        if rays[v] is not None:
+            l_rho[rays[v]] = lcm(l_rho.get(rays[v], 1),
+                                 pc.end_geometry(p_tr, v).multiplicity)
     return FanModel(
-        p_tr.lattice_rank + 1, cones, tuple(sorted(eta)),
+        p_tr.lattice_rank + 1, cones, tuple(sorted(l_rho)),
         {r: tuple(vs) for r, vs in ray_vertices.items()},
-        {c: tuple(es) for c, es in cone_edges.items()},
+        {c: tuple(es) for c, es in cone_edges.items()}, l_sigma, l_rho,
     )
-
-
-def cone_multiplicities(fm: FanModel, p_tr: ParamTropicalCurve):
-    """l(sigma) = lcm of the edge multiplicities over a 2-cone, and
-    l(rho) = lcm of the vertex multiplicities over an eta-ray."""
-    l_sigma = {c: lcm(*(pc.edge_geometry(p_tr, eid).multiplicity
-                        for eid in eids))
-               for c, eids in fm.cone_edges.items()}
-    infinite = p_tr.curve.infinite_vertices
-    l_rho = {r: lcm(*(pc.end_geometry(p_tr, v).multiplicity
-                      for v in fm.ray_vertices.get(r, ()) if v in infinite))
-             for r in fm.eta_rays}     # the lcm of nothing is 1
-    return l_sigma, l_rho
 
 
 def ramification(p_tr: ParamTropicalCurve, a: int):
     """Is the degenerate fiber reduced at ramification a, and the least a
     that works: a h(v) integral for the finite vertices and a |e| integral
-    for the bounded edges."""
+    for the bounded edges.  That is the lcm the slopes are derived over, as
+    a balanced curve's infinite vertices have integral h."""
     if a < 1:
         raise ValueError("ramification index must be positive")
-    dens = [1]
-    for v in p_tr.curve.finite_vertices:
-        dens.extend(x.denominator for x in p_tr.hv(v))
-    for e in p_tr.curve.bounded_edges():
-        dens.append(e.length.denominator)
-    minimal = lcm(*dens)
+    pc.require_balanced(p_tr)
+    minimal = p_tr._slopes.d
     return {"reduced": a % minimal == 0, "minimal_a": minimal}
 
 
@@ -427,7 +421,7 @@ def reduction_exponents(p_tr: ParamTropicalCurve, v: str):
     return out
 
 
-def fan_to_json(fm: FanModel, mults=None) -> dict:
+def fan_to_json(fm: FanModel) -> dict:
     rays = list(fm.rays())
     ray_index = {r: i for i, r in enumerate(rays)}
     eta = set(fm.eta_rays)
@@ -436,7 +430,7 @@ def fan_to_json(fm: FanModel, mults=None) -> dict:
         i, j = sorted((ray_index[c.generators[0]], ray_index[c.generators[1]]))
         return f"{i}-{j}"
 
-    data = {
+    return {
         "rays": [list(r) for r in rays],
         "eta": [r in eta for r in rays],
         "cones": sorted(sorted((ray_index[c.generators[0]],
@@ -447,12 +441,9 @@ def fan_to_json(fm: FanModel, mults=None) -> dict:
         "cone_edges": {ckey(c): sorted(es)
                        for c, es in sorted(fm.cone_edges.items(),
                                            key=lambda kv: kv[0].generators)},
+        "cone_multiplicities": {
+            ckey(c): m for c, m in sorted(fm.l_sigma.items(),
+                                          key=lambda kv: kv[0].generators)},
+        "ray_multiplicities": {str(ray_index[r]): m
+                               for r, m in sorted(fm.l_rho.items())},
     }
-    if mults is not None:
-        l_sigma, l_rho = mults
-        data["cone_multiplicities"] = {
-            ckey(c): m
-            for c, m in sorted(l_sigma.items(), key=lambda kv: kv[0].generators)}
-        data["ray_multiplicities"] = {
-            str(ray_index[r]): m for r, m in sorted(l_rho.items())}
-    return data

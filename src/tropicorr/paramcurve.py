@@ -24,7 +24,6 @@ from . import tropgraph
 from .errors import (
     ConstraintCountMismatch,
     CrossCheckFailed,
-    GenusNotOne,
     NonCollinear,
     NotASubdivision,
     NotBalanced,
@@ -72,6 +71,7 @@ class EdgeGeometry:
 class _Slopes(NamedTuple):
     edges: dict[str, EdgeGeometry | None]   # None: direction not integral
     defects: dict[str, QVec]                # nonzero balancing sums
+    d: int      # lcm of the denominators of h and of the edge lengths
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def _derive_slopes(p: ParamTropicalCurve) -> _Slopes:
             total = [t + k * x for t, x in zip(total, num)]
         if any(total):
             defects[v] = tuple(Fraction(x, scale) for x in total)
-    return _Slopes(edges, defects)
+    return _Slopes(edges, defects, d)
 
 
 def param_violations(p: ParamTropicalCurve) -> list[str]:
@@ -304,41 +304,20 @@ def subdivide_at_positions(p: ParamTropicalCurve, positions) -> ParamTropicalCur
     return extend_parameterization(p, steps)
 
 
-class _Classes:
-    """Union-find over vertex ids; each class is named by its least id."""
-
-    def __init__(self, vertices):
-        self.parent = {v: v for v in vertices}
-
-    def find(self, v: str) -> str:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(self, u: str, w: str) -> bool:
-        """Merge the classes of u and w; False when they were one already."""
-        a, b = self.find(u), self.find(w)
-        if a == b:
-            return False
-        self.parent[max(a, b)] = min(a, b)
-        return True
-
-
 def contract_zero_slope(p: ParamTropicalCurve):
     """Contract the maximal subgraph of bounded zero-slope edges.
 
     Returns (contracted curve, vertex surjection).  Vertices joined by
     zero-slope edges share their h value, so h descends.
     """
-    classes = _Classes(p.curve.finite_vertices)
-    contracted = set()
-    for e in p.curve.bounded_edges():
-        if edge_geometry(p, e.id).slope is None:
-            contracted.add(e.id)
-            classes.union(*e.ends)
-    vmap = {v: classes.find(v) for v in p.curve.finite_vertices}
+    contracted = {e.id for e in p.curve.bounded_edges()
+                  if edge_geometry(p, e.id).slope is None}
+    up = tropgraph.spanning_forest(p.curve, lambda e: e.id in contracted)
+    root, members = {}, {}
+    for v, link in up.items():          # parents come before children
+        root[v] = v if link is None else root[link[0]]
+        members.setdefault(root[v], []).append(v)
+    vmap = {v: min(members[root[v]]) for v in up}   # the class's least id
     vmap.update({v: v for v in p.curve.infinite_vertices})
     finite = tuple(sorted(set(vmap[v] for v in p.curve.finite_vertices),
                           key=p.curve.finite_vertices.index))
@@ -526,66 +505,12 @@ def _simple(p: ParamTropicalCurve, a: AffineConstraintSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# genus one: the cycle and the tropical j-invariant
-
-
-def find_cycle(p: ParamTropicalCurve):
-    """The unique cycle of a genus-one curve as an ordered list of
-    (edge, +1/-1): +1 when the cycle traverses the edge along its default
-    orientation."""
-    c = p.curve
-    if tropgraph.genus(c) != 1:
-        raise GenusNotOne(f"genus is {tropgraph.genus(c)}")
-    classes = _Classes(c.vertex_ids())
-    tree = []
-    closer = None
-    for e in c.edges:
-        if classes.union(*e.ends):
-            tree.append(e)
-        else:
-            closer = e
-    if closer is None:
-        raise CrossCheckFailed("cycle_closer",
-                               "genus one but no edge closes a cycle")
-    if closer.ends[0] == closer.ends[1]:
-        return [(closer, 1)]
-    # path from closer.ends[1] back to closer.ends[0] through the forest
-    adj: dict[str, list] = {}
-    for e in tree:
-        adj.setdefault(e.ends[0], []).append((e, e.ends[1]))
-        adj.setdefault(e.ends[1], []).append((e, e.ends[0]))
-    start, goal = closer.ends[1], closer.ends[0]
-    prev = {start: None}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            break
-        for e, w in adj.get(v, ()):
-            if w not in prev:
-                prev[w] = (e, v)
-                stack.append(w)
-    path = []
-    v = goal
-    while prev[v] is not None:
-        e, u = prev[v]
-        path.append((e, 1 if _orient(e) == (u, v) else -1))
-        v = u
-    path.reverse()
-    cycle = [(closer, 1 if _orient(closer) == closer.ends else -1)]
-    cycle.extend(path)
-    return cycle
+# genus one: the tropical j-invariant
 
 
 def tropical_j(p: ParamTropicalCurve) -> Fraction:
     """Total length of the unique cycle of a genus-one curve."""
-    cycle = find_cycle(p)
-    total = Fraction(0)
-    for e, _ in cycle:
-        if not e.is_bounded:
-            raise GenusNotOne("cycle through an unbounded edge")
-        total += e.length
-    return total
+    return sum((e.length for e in tropgraph.cycle_edges(p.curve)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
     if not ram["reduced"]:
         raise NotReduced(f"minimal ramification is {ram['minimal_a']}")
     fm = fan.fan_model(p_tr)
-    l_sigma, l_rho = fan.cone_multiplicities(fm, p_tr)
     n1 = fm.ambient_rank  # n + 1
     eta = set(fm.eta_rays)
 
@@ -77,7 +76,7 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
             lat = Sublattice(n1, ())
         elif c.dim == 1:
             g = c.generators[0]
-            k = l_rho[g] if g in eta else 1
+            k = fm.l_rho[g] if g in eta else 1
             lat = Sublattice(
                 n1, (tuple(k * x for x in sc.generators[0]),))
         elif c.generators[0] in eta or c.generators[1] in eta:
@@ -90,7 +89,7 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
             if s1[-1] != 1 or s2[-1] != 1:
                 raise NotReduced("non-integral vertex at this ramification")
             diff = tuple(y - x for x, y in zip(s1[:-1], s2[:-1]))
-            m = l_sigma[c]
+            m = fm.l_sigma[c]
             if integral_length(diff) % m:
                 raise NotReduced(
                     f"integral length {integral_length(diff)} of the cone "
@@ -183,18 +182,17 @@ def node_stack(p_tr: ParamTropicalCurve) -> NodeStackData:
     """Orders of the stabilizers at the nodes and marked points of the
     reduction; ratio 1 means the stacky structure there is trivial."""
     fm = fan.fan_model(p_tr)
-    l_sigma, l_rho = fan.cone_multiplicities(fm, p_tr)
     node_orders = {}
     for c, eids in fm.cone_edges.items():
         for eid in eids:
             e = p_tr.curve.edge(eid)
             if e.is_bounded:
                 mult = pc.edge_geometry(p_tr, eid).multiplicity
-                if l_sigma[c] % mult:
+                if fm.l_sigma[c] % mult:
                     raise CrossCheckFailed(
-                        "node_order", f"l(sigma) = {l_sigma[c]} is not a "
+                        "node_order", f"l(sigma) = {fm.l_sigma[c]} is not a "
                         f"multiple of l({eid}) = {mult}")
-                node_orders[eid] = l_sigma[c] // mult
+                node_orders[eid] = fm.l_sigma[c] // mult
     marked_orders = {}
     for v in p_tr.curve.infinite_vertices:
         geo = pc.end_geometry(p_tr, v)
@@ -202,11 +200,11 @@ def node_stack(p_tr: ParamTropicalCurve) -> NodeStackData:
         if mult == 0:
             continue
         r = geo.slope + (0,)
-        if l_rho[r] % mult:
+        if fm.l_rho[r] % mult:
             raise CrossCheckFailed(
-                "marked_order", f"l(rho) = {l_rho[r]} is not a multiple of "
+                "marked_order", f"l(rho) = {fm.l_rho[r]} is not a multiple of "
                 f"l({v}) = {mult}")
-        marked_orders[v] = l_rho[r] // mult
+        marked_orders[v] = fm.l_rho[r] // mult
     return NodeStackData(node_orders, marked_orders)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BadSubdivision, NotStabilizable
+from .errors import BadSubdivision, GenusNotOne, NotStabilizable
 
 INF = None  # length of an unbounded edge
 
@@ -158,6 +158,42 @@ def validate(c: TropicalCurve) -> list[str]:
 def genus(c: TropicalCurve) -> int:
     """1 - |V| + |E|; the first Betti number for connected curves."""
     return 1 - len(c.vertex_ids()) + len(c.edges)
+
+
+def spanning_forest(c: TropicalCurve, keep) -> dict[str, tuple[str, Edge] | None]:
+    """A BFS forest over the finite vertices through the edges e with
+    keep(e), each component rooted at its first finite vertex: every vertex
+    maps to (parent, edge), a root to None, parents before children."""
+    up: dict[str, tuple[str, Edge] | None] = {}
+    for root in c.finite_vertices:
+        if root in up:
+            continue
+        up[root] = None
+        for v in (queue := [root]):
+            for e, w in c.incidence[v]:
+                if w not in up and keep(e):
+                    up[w] = (v, e)
+                    queue.append(w)
+    return up
+
+
+def cycle_edges(c: TropicalCurve) -> tuple[Edge, ...]:
+    """The one cycle of a genus-one curve, in edge order: the bounded edge
+    off the spanning tree of the bounded edges, and the tree edges on
+    exactly one of its two ends' paths to the root."""
+    if genus(c) != 1:
+        raise GenusNotOne(f"genus is {genus(c)}")
+    up = spanning_forest(c, lambda e: e.is_bounded)
+    tree = {link[1].id for link in up.values() if link}
+    off = [e for e in c.bounded_edges() if e.id not in tree]
+    if len(off) != 1:
+        raise GenusNotOne(f"{len(off)} bounded edges lie off the spanning tree")
+    on = {off[0].id}
+    for v in off[0].ends:
+        while up[v] is not None:
+            v, e = up[v]
+            on ^= {e.id}
+    return tuple(e for e in c.edges if e.id in on)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ elimination and determinants by Bareiss; constraint membership by
 Fraction products with the presentation; the one-term quotient complex;
 cone coordinates in Fractions; the fan axiom over every pair of cones;
 the all-pairs stacky compatibility; isomorphism of metric graphs;
-stabilization by rescanning every edge; and edge directions, balancing,
+stabilization by rescanning every edge; edge directions, balancing,
 violation lists, edge geometry and reduction exponents in Fractions, each
-bounded edge's direction taken from each end.
+bounded edge's direction taken from each end; the cycle of a genus-one
+curve by deleting each bounded edge in turn; and zero-slope classes by
+label propagation.
 The engine calls none of them.
 """
 
@@ -605,3 +607,47 @@ def stabilize_by_rescanning(c):
     if not is_stable(out):
         raise NotStabilizable("oracle: not stable")
     return out
+
+
+# ---------------------------------------------------------------------------
+# genus one and zero-slope contraction: no spanning tree
+
+
+def _connected(vertices, pairs) -> bool:
+    """Are the vertices one component through the edges given as end pairs?"""
+    seen, stack = set(), list(vertices[:1])
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(b for x, y in pairs for a, b in ((x, y), (y, x))
+                         if a == v)
+    return seen >= set(vertices)
+
+
+def oracle_cycle_ids(c: TropicalCurve) -> list[str]:
+    """The cycle of a genus-one curve, in edge order: a bounded edge is on
+    it iff the finite vertices stay connected without it."""
+    bounded = c.bounded_edges()
+    return [e.id for e in bounded
+            if _connected(c.finite_vertices,
+                          [f.ends for f in bounded if f.id != e.id])]
+
+
+def oracle_zero_slope_classes(p: ParamTropicalCurve) -> dict[str, str]:
+    """Each finite vertex's class under the bounded edges with h equal at
+    both ends, named by its least id: every vertex starts with its own id
+    as label, and both ends of such an edge take the lesser label until no
+    label changes."""
+    label = {v: v for v in p.curve.finite_vertices}
+    flat = [e.ends for e in p.curve.bounded_edges()
+            if p.hv(e.ends[0]) == p.hv(e.ends[1])]
+    changed = True
+    while changed:
+        changed = False
+        for u, w in flat:
+            least = min(label[u], label[w])
+            if label[u] != least or label[w] != least:
+                label[u] = label[w] = least
+                changed = True
+    return label

@@ -309,7 +309,7 @@ def _half_edge_exponents(p, a):
         replace(p, h={**p.h, "v1": (Fraction(-1, 4), Fraction(0))}), "v0")
 
 
-_cone_multiplicities = fanmodel.cone_multiplicities
+_fan_model = fanmodel.fan_model
 
 
 # cross-check -> (module, function to break, its broken stand-in, fixture,
@@ -324,14 +324,14 @@ BROKEN_ROUTES = {
     "stacky_compatibility": (stacky, "_ray_restriction",
                              lambda lat, s: lat, "dblline.json", _stacky),
     # l(sigma) = 1 on every cone, below dblline's edge multiplicity 2
-    "node_order": (fanmodel, "cone_multiplicities",
-                   lambda fm, p: ({c: 1 for c in fm.cone_edges},
-                                  _cone_multiplicities(fm, p)[1]),
+    "node_order": (fanmodel, "fan_model",
+                   lambda p: replace(fm := _fan_model(p),
+                                     l_sigma=dict.fromkeys(fm.l_sigma, 1)),
                    "dblline.json", _node_stack),
     # l(rho) = 1 on every eta ray, below dblline's end multiplicity 2
-    "marked_order": (fanmodel, "cone_multiplicities",
-                     lambda fm, p: (_cone_multiplicities(fm, p)[0],
-                                    dict.fromkeys(fm.eta_rays, 1)),
+    "marked_order": (fanmodel, "fan_model",
+                     lambda p: replace(fm := _fan_model(p),
+                                       l_rho=dict.fromkeys(fm.l_rho, 1)),
                      "dblline.json", _node_stack),
     # the balancing gate lets a curve with a non-integral edge through
     "integral_exponents": (pc, "require_balanced", lambda p: None,

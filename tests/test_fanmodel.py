@@ -15,7 +15,7 @@ from fixture_curves import (
 from oracles import check_fan, oracle_contains, oracle_coords_in, oracle_intersect
 from tropicorr import exactla, fanmodel
 from tropicorr.curvefile import load
-from tropicorr.errors import CrossCheckFailed
+from tropicorr.errors import CrossCheckFailed, NotBalanced
 from tropicorr.exactla import primitive_vector
 from tropicorr.fanmodel import (
     Cone,
@@ -25,7 +25,6 @@ from tropicorr.fanmodel import (
     build_K,
     cone,
     cone_contains,
-    cone_multiplicities,
     fan_model,
     fan_to_json,
     gamma_tr,
@@ -427,7 +426,7 @@ def test_fan_model_and_multiplicities():
     dbl, _ = doubled_line()
     tr = gamma_tr(dbl)
     fm = fan_model(tr)
-    l_sigma, l_rho = cone_multiplicities(fm, tr)
+    l_sigma, l_rho = fm.l_sigma, fm.l_rho
     bounded_cones = [c for c, es in fm.cone_edges.items()
                      if any(tr.curve.edge(e).is_bounded for e in es)]
     assert len(bounded_cones) == 2
@@ -448,6 +447,10 @@ def test_ramification():
                ("r1", ("v", "a"), None), ("r2", ("w", "b"), None)]),
         2, {"v": (F(1, 2), 0), "w": (F(5, 6), 0), "a": (-1, 0), "b": (1, 0)})
     assert ramification(halfpoint, 1)["minimal_a"] == 6
+    # the lcm is the one the slopes are derived over, so balancing gates it
+    skew = param_curve(halfpoint.curve, 2, {**halfpoint.h, "b": (2, 0)})
+    with pytest.raises(NotBalanced):
+        ramification(skew, 1)
 
 
 def test_reduction_exponents():
@@ -467,7 +470,7 @@ def test_reduction_exponents():
 def test_fan_json_shape():
     tr = gamma_tr(x_configuration())
     fm = fan_model(tr)
-    data = fan_to_json(fm, cone_multiplicities(fm, tr))
+    data = fan_to_json(fm)
     assert len(data["rays"]) == len(data["eta"])
     assert all(len(c) == 2 for c in data["cones"])
     assert set(data["cone_edges"]) == set(data["cone_multiplicities"])

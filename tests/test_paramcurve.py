@@ -28,6 +28,8 @@ from oracles import (
     fraction_reduction_exponents,
     fraction_violations,
     lattice_intersect,
+    oracle_cycle_ids,
+    oracle_zero_slope_classes,
     saturation,
     solve_rational,
 )
@@ -40,7 +42,6 @@ from tropicorr.paramcurve import (
     degree,
     edge_geometry,
     extend_parameterization,
-    find_cycle,
     param_curve,
     param_violations,
     rank,
@@ -355,17 +356,44 @@ def test_tropical_j_subdivision_invariant():
     assert tropical_j(p2) == j
 
 
-def test_find_cycle_orientation_consistent():
-    p, _ = triangle_elliptic()
-    cycle = find_cycle(p)
-    assert sorted(e.id for e, _ in cycle) == ["c12", "c23", "c31"]
-    # signed directions add up to zero around the cycle
-    total = (F(0), F(0))
-    for e, sign in cycle:
-        u, w = sorted(e.ends)
-        d = tuple((p.hv(w)[i] - p.hv(u)[i]) / e.length for i in range(2))
-        total = tuple(t + sign * x for t, x in zip(total, d))
-    assert total == (0, 0)
+def _cycle_and_contraction_cases():
+    """The corpora, each curve subdivided at the middle of every bounded
+    edge, and the genus-one shapes of the golden inputs."""
+    curves = [p for p, _ in corpus(4111, 60) + elliptic_corpus(4112, 40)]
+    halved = [extend_parameterization(p, [
+        SubdivideBounded(e.id, (e.length / 2,))
+        for e in p.curve.bounded_edges()]) for p in curves]
+    golden = Path(__file__).resolve().parent / "golden" / "inputs"
+    shapes = [load(str(golden / f"{name}.json"))[0] for name in (
+        "loop_elliptic", "parallel_elliptic", "pendant_elliptic",
+        "zero_cycle_elliptic")]
+    return curves + halved + shapes + [triangle_elliptic()[0]]
+
+
+def test_cycle_and_contraction_match_oracles():
+    # the BFS forest of tropgraph against a walk per deleted edge and
+    # against label propagation
+    cases = _cycle_and_contraction_cases()
+    assert sum(genus(p.curve) == 1 for p in cases) >= 80
+    for p in cases:
+        if genus(p.curve) == 1:
+            want = oracle_cycle_ids(p.curve)
+            assert [e.id for e in tropgraph.cycle_edges(p.curve)] == want
+            assert tropical_j(p) == sum(p.curve.edge(eid).length
+                                        for eid in want)
+        else:
+            with pytest.raises(GenusNotOne):
+                tropical_j(p)
+        q, vmap = contract_zero_slope(p)
+        classes = oracle_zero_slope_classes(p)
+        assert {v: vmap[v] for v in classes} == classes
+        assert set(q.curve.finite_vertices) == set(classes.values())
+        assert [e.id for e in q.curve.edges] == [
+            e.id for e in p.curve.edges
+            if not e.is_bounded or edge_geometry(p, e.id).slope is not None]
+    tri, _ = triangle_elliptic()
+    assert [e.id for e in tropgraph.cycle_edges(tri.curve)] == [
+        "c12", "c23", "c31"]
 
 
 def test_stabilize_param():
