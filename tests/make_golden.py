@@ -9,8 +9,10 @@ so every violation and parse-error message is covered.  The genus-one
 shapes there (a loop, two parallel edges over one 2-cone, a 2-valent cycle
 vertex with a hanging tree, two zero-slope cycle edges) go through
 ``info``, both elliptic complexes, ``fan``, ``stacky`` and
-``count-elliptic``.  The inputs live outside fixtures/, whose files the
-benchmark reads.  Each case is stored as the
+``count-elliptic``.  Two constrained lines go through ``count``: one
+misses a constraint point (``satisfies_A`` fails), and one has a vertex
+of multiplicity 3 at char 3 (``regular`` fails).  The inputs live outside
+fixtures/, whose files the benchmark reads.  Each case is stored as the
 exact stdout of the run, and its exit code goes into exit_codes.json.  Paths are given relative to
 the repository root, so the "input.path" field is the same on every
 machine.
@@ -44,6 +46,7 @@ SHAPES = ("loop_elliptic", "parallel_elliptic", "pendant_elliptic",
 SHAPE_COMMANDS = (("info",), ("complex", "--elliptic"),
                   ("complex", "--elliptic", "--variant", "b"), ("fan",),
                   ("stacky",), ("count-elliptic",))
+COUNT_INPUTS = ("missed_point", "heavy_vertex")
 
 
 def _at_chars(name, argv):
@@ -74,6 +77,9 @@ def cases():
             tag = "-".join(x.lstrip("-") for x in (command, *options))
             yield (f"{name}.{tag}", [command, f"tests/golden/inputs/{name}.json",
                                      "--json", *options])
+    for name in COUNT_INPUTS:
+        yield (f"{name}.count",
+               ["count", f"tests/golden/inputs/{name}.json", "--json"])
 
 
 def run_case(argv) -> tuple[int, str]:

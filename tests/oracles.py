@@ -10,8 +10,9 @@ the all-pairs stacky compatibility; isomorphism of metric graphs;
 stabilization by rescanning every edge; edge directions, balancing,
 violation lists, edge geometry and reduction exponents in Fractions, each
 bounded edge's direction taken from each end; the cycle of a genus-one
-curve by deleting each bounded edge in turn; and zero-slope classes by
-label propagation.
+curve by deleting each bounded edge in turn; zero-slope classes by
+label propagation; and every count hypothesis flag, each computed
+whether or not an earlier one fails.
 The engine calls none of them.
 """
 
@@ -25,6 +26,7 @@ from tropicorr.exactla import (
     CoeffGroup,
     Mat,
     Sublattice,
+    base_change,
     freeze,
     hnf,
     identity,
@@ -651,3 +653,48 @@ def oracle_zero_slope_classes(p: ParamTropicalCurve) -> dict[str, str]:
                 label[u] = label[w] = least
                 changed = True
     return label
+
+
+# ---------------------------------------------------------------------------
+# count hypotheses: every flag, whatever the others say
+
+
+def eager_hypotheses(p_st: ParamTropicalCurve,
+                     constraints: AffineConstraintSet, char_p: int,
+                     elliptic: bool):
+    """Every hypothesis flag of a count on the stabilization p_st, each
+    computed even when an earlier one fails: the (beta, A) and, when
+    elliptic, (beta, A, j) complexes are built whenever the curve satisfies
+    the constraint.  A count raises the first False flag in CHECK_ORDER,
+    and returns this record when every flag holds."""
+    from tropicorr import complexes as cx
+    from tropicorr.counting import CountHypotheses
+
+    con = pc.check_constraint(p_st, constraints)
+    mults = [pc.edge_geometry(p_st, e.id).multiplicity
+             for e in p_st.curve.edges]
+    regular = elliptic_regular = None
+    if con.satisfies:
+        fp = CoeffGroup.field(char_p)
+        specs = [cx.ComplexSpec("beta", constraints)]
+        if elliptic:
+            specs.append(cx.ComplexSpec("beta", constraints, elliptic=True))
+        reports = [cx.compute(p_st, spec) for spec in specs]
+        verdicts = [con.simple
+                    and base_change(rep.E2, fp, "tensor").is_trivial
+                    for rep in reports]
+        regular = verdicts[0]
+        if elliptic:
+            elliptic_regular = verdicts[1]
+    return CountHypotheses(
+        trivalent=all(len(p_st.curve.incidence[v]) == 3
+                      for v in p_st.curve.finite_vertices),
+        satisfies_A=con.satisfies,
+        codim_match=pc.rank(p_st) == constraints.codim + elliptic,
+        no_zero_slope_bounded=all(
+            pc.edge_geometry(p_st, e.id).slope is not None
+            for e in p_st.curve.bounded_edges()),
+        char_ok=char_p == 0 or all(m % char_p for m in mults if m),
+        regular=bool(regular),
+        elliptic_regular=elliptic_regular,
+    )

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+from corpus import corpus, elliptic_corpus
 from fixture_curves import (
     doubled_line,
     line_through_two_points,
@@ -16,6 +18,7 @@ from fixture_curves import (
 from tropicorr import complexes, counting, exactla, fanmodel, stacky, tropgraph
 from tropicorr import paramcurve as pc
 from tropicorr.counting import (
+    CountHypotheses,
     correspondence_count,
     elliptic_count,
     moduli_dimension,
@@ -28,6 +31,7 @@ from tropicorr.errors import (
     GenusNotOne,
     HypothesisFailed,
     ObstructionNonzero,
+    TropicorrError,
 )
 from tropicorr.paramcurve import constraint_set, extend_parameterization, param_curve
 from tropicorr.tropgraph import SubdivideBounded, curve
@@ -165,6 +169,39 @@ def test_elliptic_count_genus_errors():
     with pytest.raises(HypothesisFailed) as err:
         elliptic_count(tri, constraint_set([((), (-1, -1))], 2), 0)
     assert err.value.flag == "codim_match"
+
+
+def test_count_raises_first_false_flag_of_eager_reference():
+    # the constrained corpus (elliptic counts on its genus-one curves too)
+    # and the elliptic corpus, at chars 0, 2, 3 and 5: a count raises the
+    # first False flag of the record that computes every flag, and returns
+    # that record when all hold
+    cases = []
+    for p, a in corpus(1515, 80):
+        cases.append((correspondence_count, p, a, False))
+        if tropgraph.genus(p.curve) == 1:
+            cases.append((elliptic_count, p, a, True))
+    cases += [(elliptic_count, p, a, True)
+              for p, a in elliptic_corpus(1516, 40)]
+    seen = set()
+    for count, p, a, elliptic in cases:
+        for char_p in (0, 2, 3, 5):
+            try:
+                ref = oracles.eager_hypotheses(pc.stabilize_param(p), a,
+                                               char_p, elliptic)
+            except TropicorrError:
+                continue
+            first = next((flag for flag in CountHypotheses.CHECK_ORDER
+                          if getattr(ref, flag) is False), None)
+            try:
+                res = count(p, a, char_p)
+            except HypothesisFailed as exc:
+                assert exc.flag == first
+            else:
+                assert first is None and res.hypotheses == ref
+            seen.add(first)
+    assert {"trivalent", "codim_match", "char_ok", "regular",
+            "elliptic_regular", None} <= seen
 
 
 ROOT = Path(__file__).resolve().parents[1]
