@@ -99,7 +99,7 @@ def cmd_complex(p, constraints, char, args):
         "matrix_shape": [rep.n_rows, rep.layout.domain_dim],
         "E1_rank": rep.E1_rank,
         "E2": _group_json(rep.E2),
-        "zero_slope_bounded": rep.c_gamma,
+        "zero_slope_bounded": pc.zero_slope_bounded_count(p),
         "E1_size": _size_json(e1_size),
         "E2_size": _size_json(e2_size),
     }, 0
@@ -122,15 +122,7 @@ def _count_json(res) -> dict:
     return {
         "count": str(res.count),
         "factorization": [str(res.torsor_order), str(res.stacky_factor)],
-        "hypotheses": {
-            "trivalent": hyp.trivalent,
-            "satisfies_A": hyp.satisfies_A,
-            "codim_match": hyp.codim_match,
-            "no_zero_slope_bounded": hyp.no_zero_slope_bounded,
-            "char_ok": hyp.char_ok,
-            "regular": hyp.regular,
-            "elliptic_regular": hyp.elliptic_regular,
-        },
+        "hypotheses": {flag: getattr(hyp, flag) for flag in hyp.CHECK_ORDER},
         "cross_checks": list(res.cross_checks),
     }
 

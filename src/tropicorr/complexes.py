@@ -209,7 +209,6 @@ class ComplexReport:
     n_rows: int                   # rows of the full matrix
     E1_rank: int
     E2: FGAbelianGroup
-    c_gamma: int                  # number of zero-slope bounded edges
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -246,8 +245,7 @@ def compute(p: ParamTropicalCurve, spec: ComplexSpec) -> ComplexReport:
               + bool(jrow))
     # rank-nullity: the matrix has rank rows - rank E^2
     e1_rank = layout.domain_dim - (n_rows - e2.rank)
-    return ComplexReport(p, spec, layout, n_rows, e1_rank, e2,
-                         pc.zero_slope_bounded_count(p))
+    return ComplexReport(p, spec, layout, n_rows, e1_rank, e2)
 
 
 @dataclass(frozen=True)
@@ -262,19 +260,10 @@ def regularity(p: ParamTropicalCurve, constraints: AffineConstraintSet | None,
     """G-regularity is the vanishing of the stacky obstruction CE^2_G; the
     elliptic variant asks the same of the j-augmented complex."""
     ce = compute(p, ComplexSpec("beta", constraints))
-    ce_j = (compute(p, ComplexSpec("beta", constraints, elliptic=True))
-            if elliptic else None)
-    return regularity_of(ce, ce_j, group)
-
-
-def regularity_of(ce: ComplexReport, ce_j: ComplexReport | None,
-                  group: CoeffGroup) -> RegularityVerdict:
-    """The verdict of ``regularity`` read off already computed stacky
-    reports: ce for (beta, A) and ce_j for (beta, A, j), or None when the
-    elliptic variant is not asked for."""
     obstruction = base_change(ce.E2, group, "tensor")
-    if ce_j is None:
+    if not elliptic:
         return RegularityVerdict(obstruction.is_trivial, None, obstruction)
+    ce_j = compute(p, ComplexSpec("beta", constraints, elliptic=True))
     ell = base_change(ce_j.E2, group, "tensor")
     return RegularityVerdict(obstruction.is_trivial, ell.is_trivial, ell)
 

@@ -3,7 +3,12 @@
 Counts are evaluated on the stabilization and emitted only when every
 hypothesis of the corresponding counting theorem holds; outside those
 hypotheses the formulas are unproven, so a violated hypothesis is an error
-naming the offending flag, never a silent zero.
+naming the offending flag, never a silent zero.  The hypotheses are checked
+in ``CountHypotheses.CHECK_ORDER`` and the first that fails ends the count,
+before any complex a later flag reads is built.  So a zero-slope cycle edge
+ends an elliptic count at ``no_zero_slope_bounded`` or earlier, while the
+(beta, A, j) complex itself (``complex --elliptic``) raises
+ZeroSlopeCycleEdge.
 """
 
 from __future__ import annotations
@@ -12,14 +17,14 @@ from dataclasses import dataclass
 
 from . import complexes as cx
 from . import paramcurve as pc
-from . import tropgraph
+from . import stacky, tropgraph
 from .errors import (
     CrossCheckFailed,
     GenusNotOne,
     HypothesisFailed,
     ObstructionNonzero,
 )
-from .exactla import CoeffGroup, GroupSize
+from .exactla import CoeffGroup, GroupSize, base_change
 from .paramcurve import AffineConstraintSet, ParamTropicalCurve
 
 
@@ -59,6 +64,9 @@ def stacky_multiplier(p: ParamTropicalCurve) -> int:
 
 @dataclass(frozen=True)
 class CountHypotheses:
+    """The flags of a returned count, all True (``elliptic_regular`` is None
+    on a plain count): a count raises at the first that fails."""
+
     trivalent: bool
     satisfies_A: bool
     codim_match: bool
@@ -71,13 +79,6 @@ class CountHypotheses:
                    "no_zero_slope_bounded", "char_ok", "regular",
                    "elliptic_regular")
 
-    def first_violated(self) -> str | None:
-        for name in self.CHECK_ORDER:
-            val = getattr(self, name)
-            if val is False:
-                return name
-        return None
-
 
 @dataclass(frozen=True)
 class CountResult:
@@ -89,40 +90,35 @@ class CountResult:
 
 
 def _hypotheses(p_st, constraints, char_p, elliptic):
-    """The hypothesis flags, and the stacky reports over Z they were read
-    from: (beta, A) and, when elliptic, (beta, A, j).  The reports are None
-    when the curve does not satisfy A; the counts reuse them."""
+    """Check the hypotheses in CHECK_ORDER and raise HypothesisFailed at the
+    first that fails, evaluating no later one.  ``check_constraint`` runs
+    before them all, as it rejects bad input.  Returns the all-True record
+    and the stacky report over Z the last flag was read from: (beta, A),
+    or (beta, A, j) when elliptic; the counts reuse it."""
     con = pc.check_constraint(p_st, constraints)
-    trivalent = all(tropgraph.valency(p_st.curve, v) == 3
-                    for v in p_st.curve.finite_vertices)
-    no_zero = pc.zero_slope_bounded_count(p_st) == 0
-    mults = [pc.edge_geometry(p_st, e.id).multiplicity
-             for e in p_st.curve.edges]
-    char_ok = char_p == 0 or all(m % char_p for m in mults if m)
-    want_rank = constraints.codim + (1 if elliptic else 0)
-    codim_match = pc.rank(p_st) == want_rank
-    regular = None
-    elliptic_regular = None
-    ce = ce_j = None
-    if con.satisfies:
-        ce = cx.compute(p_st, cx.ComplexSpec("beta", constraints))
-        if elliptic:
-            ce_j = cx.compute(p_st, cx.ComplexSpec("beta", constraints,
-                                                   elliptic=True))
-        verdict = cx.regularity_of(ce, ce_j, CoeffGroup.field(char_p))
-        regular = con.simple and verdict.g_regular
-        if elliptic:
-            elliptic_regular = con.simple and bool(verdict.elliptically_regular)
-    hyp = CountHypotheses(
-        trivalent=trivalent,
-        satisfies_A=con.satisfies,
-        codim_match=codim_match,
-        no_zero_slope_bounded=no_zero,
-        char_ok=char_ok,
-        regular=bool(regular),
-        elliptic_regular=elliptic_regular,
-    )
-    return hyp, ce, ce_j
+    reports = []
+
+    def regular(j):
+        reports.append(cx.compute(p_st, cx.ComplexSpec("beta", constraints,
+                                                       elliptic=j)))
+        return base_change(reports[-1].E2, CoeffGroup.field(char_p),
+                           "tensor").is_trivial
+
+    checks = {
+        "trivalent": lambda: all(tropgraph.valency(p_st.curve, v) == 3
+                                 for v in p_st.curve.finite_vertices),
+        "satisfies_A": lambda: con.satisfies,
+        "codim_match": lambda: pc.rank(p_st) == constraints.codim + elliptic,
+        "no_zero_slope_bounded": lambda: not pc.zero_slope_bounded_count(p_st),
+        "char_ok": lambda: stacky.is_dm(p_st, char_p),
+        "regular": lambda: con.simple and regular(False),
+        "elliptic_regular": lambda: regular(True),
+    }
+    flags = CountHypotheses.CHECK_ORDER[:None if elliptic else -1]
+    for flag in flags:
+        if not checks[flag]():
+            raise HypothesisFailed(flag)
+    return CountHypotheses(**dict.fromkeys(flags, True)), reports[-1]
 
 
 def correspondence_count(p: ParamTropicalCurve,
@@ -138,10 +134,7 @@ def correspondence_count(p: ParamTropicalCurve,
     invariant factors of the assembled matrix.
     """
     p_st = pc.stabilize_param(p)
-    hyp, ce_rep, _ = _hypotheses(p_st, constraints, char_p, elliptic=False)
-    bad = hyp.first_violated()
-    if bad is not None:
-        raise HypothesisFailed(bad)
+    hyp, ce_rep = _hypotheses(p_st, constraints, char_p, elliptic=False)
 
     e_rep = cx.compute(p_st, cx.ComplexSpec("b", constraints))
     e1_kstar, _ = cx.sizes_over(e_rep.E1_rank, e_rep.E2,
@@ -175,10 +168,7 @@ def elliptic_count(p: ParamTropicalCurve,
     if tropgraph.genus(p.curve) != 1:
         raise GenusNotOne(f"genus is {tropgraph.genus(p.curve)}")
     p_st = pc.stabilize_param(p)
-    hyp, _, rep = _hypotheses(p_st, constraints, char_p, elliptic=True)
-    bad = hyp.first_violated()
-    if bad is not None:
-        raise HypothesisFailed(bad)
+    hyp, rep = _hypotheses(p_st, constraints, char_p, elliptic=True)
 
     if rep.E2.rank or rep.E1_rank:
         raise CrossCheckFailed(

@@ -31,7 +31,7 @@ from tropicorr.errors import (
     GenusNotOne,
     HypothesisFailed,
     ObstructionNonzero,
-    TropicorrError,
+    ZeroSlopeCycleEdge,
 )
 from tropicorr.paramcurve import constraint_set, extend_parameterization, param_curve
 from tropicorr.tropgraph import SubdivideBounded, curve
@@ -189,7 +189,14 @@ def test_count_raises_first_false_flag_of_eager_reference():
             try:
                 ref = oracles.eager_hypotheses(pc.stabilize_param(p), a,
                                                char_p, elliptic)
-            except TropicorrError:
+            except ZeroSlopeCycleEdge:
+                # a zero-slope cycle edge fails no_zero_slope_bounded, so
+                # the count stops there or earlier, before (beta, A, j)
+                with pytest.raises(HypothesisFailed) as err:
+                    count(p, a, char_p)
+                assert err.value.flag in ("trivalent", "codim_match",
+                                          "no_zero_slope_bounded")
+                seen.add(ZeroSlopeCycleEdge)
                 continue
             first = next((flag for flag in CountHypotheses.CHECK_ORDER
                           if getattr(ref, flag) is False), None)
@@ -201,19 +208,19 @@ def test_count_raises_first_false_flag_of_eager_reference():
                 assert first is None and res.hypotheses == ref
             seen.add(first)
     assert {"trivalent", "codim_match", "char_ok", "regular",
-            "elliptic_regular", None} <= seen
+            "elliptic_regular", None, ZeroSlopeCycleEdge} <= seen
 
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
 
 
-def _count_calls(monkeypatch, names):
-    """Wrap exactla functions in every tropicorr namespace that bound them
-    and return the live call counters."""
+def _count_calls(monkeypatch, names, module=exactla):
+    """Wrap the module's functions in every tropicorr namespace that bound
+    them and return the live call counters."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        fn = getattr(exactla, name)
+        fn = getattr(module, name)
 
         def wrapper(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
@@ -244,6 +251,40 @@ def test_count_reduces_each_matrix_once(monkeypatch, count, fixture, expected):
     calls = _count_calls(monkeypatch, ("invariant_factors", "snf") + general)
     assert count(p, a, 0).count == expected
     assert calls == {"invariant_factors": 3, "snf": 0, **dict.fromkeys(general, 0)}
+
+
+# (count, curve file, char, the flag it fails, complexes it builds): the
+# flags before codim_match read no complex, codim_match and the two after
+# it read the (b, none) rank complex, and each regularity flag one more
+FAILING_COUNTS = [
+    (elliptic_count, "tests/golden/inputs/loop_elliptic.json", 0,
+     "trivalent", 0),
+    (correspondence_count, "tests/golden/inputs/missed_point.json", 0,
+     "satisfies_A", 0),
+    (correspondence_count, "fixtures/triangle_elliptic.json", 0,
+     "codim_match", 1),
+    (elliptic_count, "tests/golden/inputs/pendant_elliptic.json", 0,
+     "no_zero_slope_bounded", 1),
+    (correspondence_count, "fixtures/dblline.json", 2, "char_ok", 1),
+    (correspondence_count, "tests/golden/inputs/heavy_vertex.json", 3,
+     "regular", 2),
+    (elliptic_count, "fixtures/triangle_elliptic.json", 3,
+     "elliptic_regular", 3),
+]
+
+
+@pytest.mark.parametrize("count, path, char_p, flag, built", FAILING_COUNTS,
+                         ids=[case[3] for case in FAILING_COUNTS])
+def test_failing_count_builds_only_the_complexes_its_flags_read(
+        monkeypatch, count, path, char_p, flag, built):
+    p, a, _, _ = load(str(ROOT / path))
+    computed = _count_calls(monkeypatch, ("compute",), complexes)
+    ranks = _count_calls(monkeypatch, ("rank",), pc)
+    with pytest.raises(HypothesisFailed) as err:
+        count(p, a, char_p)
+    assert err.value.flag == flag
+    assert computed == {"compute": built}
+    assert ranks == {"rank": min(built, 1)}
 
 
 @pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)
