@@ -13,8 +13,7 @@ import hashlib
 import json
 import sys
 
-from . import complexes as cx
-from . import counting, curvefile, fanmodel, stacky
+from . import curvefile
 from . import paramcurve as pc
 from . import tropgraph
 from .errors import ConstraintCountMismatch, ParseError, TropicorrError
@@ -77,16 +76,19 @@ def cmd_stabilize(p, constraints, char, args):
 
 
 def cmd_tr(p, constraints, char, args):
+    from . import fanmodel
     tr = fanmodel.gamma_tr(p)
     return {"curve": curvefile.curve_to_json(tr, constraints, char)}, 0
 
 
 def cmd_fan(p, constraints, char, args):
+    from . import fanmodel
     tr = fanmodel.gamma_tr(p)
     return {"fan": fanmodel.fan_to_json(fanmodel.fan_model(tr))}, 0
 
 
 def cmd_complex(p, constraints, char, args):
+    from . import complexes as cx
     spec = cx.ComplexSpec(args.variant,
                           _need_constraints(constraints) if args.constrained else None,
                           elliptic=args.elliptic)
@@ -106,6 +108,7 @@ def cmd_complex(p, constraints, char, args):
 
 
 def cmd_regular(p, constraints, char, args):
+    from . import complexes as cx
     group = _group_from_args(args, char)
     verdict = cx.regularity(p, constraints if args.constrained else None,
                             group, elliptic=args.elliptic)
@@ -128,16 +131,19 @@ def _count_json(res) -> dict:
 
 
 def cmd_count(p, constraints, char, args):
+    from . import counting
     res = counting.correspondence_count(p, _need_constraints(constraints), char)
     return _count_json(res), 0
 
 
 def cmd_count_elliptic(p, constraints, char, args):
+    from . import counting
     res = counting.elliptic_count(p, _need_constraints(constraints), char)
     return _count_json(res), 0
 
 
 def cmd_stacky(p, constraints, char, args):
+    from . import fanmodel, stacky
     tr = fanmodel.gamma_tr(p)
     a = fanmodel.ramification(tr, 1)["minimal_a"]
     st = stacky.stacky_data(tr, a)
@@ -152,6 +158,7 @@ def cmd_stacky(p, constraints, char, args):
 
 
 def cmd_reduction_data(p, constraints, char, args):
+    from . import fanmodel
     tr = fanmodel.gamma_tr(p)
     table = {}
     for v in tr.curve.finite_vertices:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tropicorr.cli import run
+from make_golden import GOLDEN, cases
+from tropicorr.cli import COMMANDS, run
 from tropicorr.curvefile import curve_to_json, parse_curve
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,13 +115,21 @@ def test_bad_char_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def cli_process(*argv, timeout=30):
-    """The CLI in a fresh process, killed (and the test failed) when it
-    outlives the timeout."""
+def python_process(*args, timeout=30, hashseed=None, options=()):
+    """A fresh interpreter run from the repository root with interpreter
+    ``options`` and then ``args``, killed (and the test failed) when it
+    outlives the timeout.  Stdout and stderr are bytes."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, "-m", "tropicorr.cli", *argv],
-                          capture_output=True, text=True, env=env,
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = str(hashseed)
+    return subprocess.run([sys.executable, *options, *args],
+                          capture_output=True, env=env, cwd=ROOT,
                           timeout=timeout)
+
+
+def cli_process(*argv, **kwargs):
+    """``tropicorr <argv>`` in a fresh process (see python_process)."""
+    return python_process("-m", "tropicorr.cli", *argv, **kwargs)
 
 
 def test_huge_char_terminates():
@@ -206,13 +215,63 @@ def test_reduction_data(capsys):
         assert total == [0, 0]
 
 
-def test_json_deterministic(capsys):
-    code, _ = run_json(capsys, "info", str(FIXTURES / "line2pts.json"))
-    first = run(["info", str(FIXTURES / "line2pts.json"), "--json"])
-    out1 = capsys.readouterr().out
-    second = run(["info", str(FIXTURES / "line2pts.json"), "--json"])
-    out2 = capsys.readouterr().out
-    assert out1 == out2
+def test_json_deterministic():
+    # string hashing, and so set order, differs between the two processes
+    for command in COMMANDS:
+        argv = (command, "fixtures/triangle_elliptic.json", "--json")
+        first, second = (cli_process(*argv, hashseed=seed) for seed in (1, 2))
+        assert first.stdout == second.stdout and first.stdout, command
+        assert first.returncode == second.returncode, command
+
+
+# one case per subcommand, each replayed in a process of its own: in this
+# process earlier tests have loaded every layer, so a subcommand that forgot
+# to import one would still pass test_golden.py
+GOLDEN_ARGV = dict(cases())
+
+
+@pytest.mark.parametrize("name", [f"xconfig.{c}.file" for c in COMMANDS])
+def test_golden_replays_in_a_fresh_process(name):
+    out = cli_process(*GOLDEN_ARGV[name], hashseed=12345)
+    assert out.stdout == (GOLDEN / f"{name}.out").read_bytes()
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    assert out.returncode == codes[name]
+
+
+def loaded_layers(out):
+    """The tropicorr submodules that a process run with -v loaded, read off
+    the "import 'name'" lines on its stderr."""
+    names = (line.split(b"'")[1].decode() for line in out.stderr.splitlines()
+             if line.startswith(b"import '"))
+    return {name.split(".", 1)[1] for name in names
+            if name.startswith("tropicorr.")}
+
+
+def test_import_tropicorr_loads_no_layer():
+    out = python_process("-c", "import tropicorr", options=("-v",))
+    assert out.returncode == 0 and loaded_layers(out) == set()
+    # a package-level name loads its home module, and only that
+    out = python_process("-c", "import tropicorr; tropicorr.snf",
+                         options=("-v",))
+    assert out.returncode == 0 and loaded_layers(out) == {"exactla"}
+
+
+# layers a subcommand runs none of, so must not import
+UNUSED_LAYERS = {
+    "validate": {"complexes", "fanmodel", "stacky", "counting"},
+    "stabilize": {"complexes", "fanmodel", "stacky", "counting"},
+    "fan": {"complexes", "counting"},
+    "complex": {"fanmodel", "stacky", "counting"},
+}
+
+
+@pytest.mark.parametrize("command", list(UNUSED_LAYERS))
+def test_subcommand_imports_only_its_layers(command):
+    out = cli_process(command, "fixtures/dblline.json", "--json",
+                      options=("-v",))
+    assert out.returncode == 0, out.stdout
+    layers = loaded_layers(out)
+    assert "paramcurve" in layers and not layers & UNUSED_LAYERS[command], layers
 
 
 def test_human_output(capsys):

@@ -1,16 +1,19 @@
 """Every module-level function of the library is reachable from an entry
 point.
 
-Roots are the names ``__init__`` imports, every name in ``cli.py``, every
-name used in class bodies and other module-level code (decorators and
-default values included), and every name in ``bench/*.py``.  Import
-statements outside ``__init__`` are not roots.  A function reaches the names
-used in its body.  Names are matched across modules by spelling alone, so a
-function is reported only when no reachable code uses its name at all.
+Roots are the names in the package's export table (``_EXPORTS`` in
+``__init__``), every name in ``cli.py``, every name used in class bodies and
+other module-level code (decorators and default values included), and every
+name in ``bench/*.py``.  Import statements are not roots.  A function
+reaches the names used in its body.  Names are matched across modules by
+spelling alone, so a function is reported only when no reachable code uses
+its name at all.
 """
 
 import ast
 from pathlib import Path
+
+from tropicorr import _EXPORTS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tropicorr"
@@ -28,15 +31,12 @@ def used_names(*nodes):
 
 
 def unreachable_functions():
-    roots = set()
+    roots = set(_EXPORTS)
     functions = {}                 # (module, name) -> names used in the body
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         module = path.stem
         if module == "__init__":
-            roots |= {alias.name for node in tree.body
-                      if isinstance(node, ast.ImportFrom)
-                      for alias in node.names}
             continue
         if module == "cli":
             roots |= used_names(tree)
