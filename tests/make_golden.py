@@ -11,7 +11,11 @@ vertex with a hanging tree, two zero-slope cycle edges) go through
 ``info``, both elliptic complexes, ``fan``, ``stacky`` and
 ``count-elliptic``.  Two constrained lines go through ``count``: one
 misses a constraint point (``satisfies_A`` fails), and one has a vertex
-of multiplicity 3 at char 3 (``regular`` fails).  The inputs live outside
+of multiplicity 3 at char 3 (``regular`` fails).  Beside the CLI cases, the
+seeded slice ``corpus(8086, 12, constrained=False)`` of tests/corpus.py
+goes through ``gamma_tr``, ``fan_to_json``, ``stacky_data`` at the least
+ramification with ``stacky_to_json``, and ``node_stack``; its text is
+stored in stacky_slice.txt.  The inputs live outside
 fixtures/, whose files the benchmark reads.  Each case is stored as the
 exact stdout of the run, and its exit code goes into exit_codes.json.  Paths are given relative to
 the repository root, so the "input.path" field is the same on every
@@ -47,6 +51,7 @@ SHAPE_COMMANDS = (("info",), ("complex", "--elliptic"),
                   ("complex", "--elliptic", "--variant", "b"), ("fan",),
                   ("stacky",), ("count-elliptic",))
 COUNT_INPUTS = ("missed_point", "heavy_vertex")
+SLICE = GOLDEN / "stacky_slice.txt"
 
 
 def _at_chars(name, argv):
@@ -103,6 +108,27 @@ def run_case(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def slice_text() -> str:
+    """The fan, stacky data and node and marked orders of every curve of
+    the seeded slice: one line per curve and part, the JSON of the part in
+    the library's own key order."""
+    from corpus import corpus
+    from tropicorr.fanmodel import fan_model, fan_to_json, gamma_tr, ramification
+    from tropicorr.stacky import node_stack, stacky_data, stacky_to_json
+
+    lines = []
+    for i, (p, _) in enumerate(corpus(8086, 12, constrained=False)):
+        tr = gamma_tr(p)
+        ns = node_stack(tr)
+        st = stacky_data(tr, ramification(tr, 1)["minimal_a"])
+        for part, data in (("fan", fan_to_json(fan_model(tr))),
+                           ("stacky", stacky_to_json(st)),
+                           ("node_orders", ns.node_orders),
+                           ("marked_orders", ns.marked_orders)):
+            lines.append(f"{i} {part} {json.dumps(data)}\n")
+    return "".join(lines)
+
+
 def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -111,7 +137,8 @@ def main() -> None:
         (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8")
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(codes)} cases to {GOLDEN}")
+    SLICE.write_text(slice_text(), encoding="utf-8")
+    print(f"wrote {len(codes)} cases and the stacky slice to {GOLDEN}")
 
 
 if __name__ == "__main__":

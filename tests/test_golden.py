@@ -1,6 +1,7 @@
 """Every CLI output in tests/golden/ is replayed byte for byte.
 
-The files are written by tests/make_golden.py; a change that alters one of
+So is the fan and stacky text of a seeded corpus slice.  The files are
+written by tests/make_golden.py; a change that alters one of
 them must regenerate it and say why.
 """
 
@@ -8,7 +9,7 @@ import json
 
 import pytest
 
-from make_golden import GOLDEN, cases, run_case
+from make_golden import GOLDEN, SLICE, cases, run_case, slice_text
 
 CASES = list(cases())
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
@@ -29,3 +30,7 @@ def test_cli_output_matches_golden(name, argv):
     code, text = run_case(argv)
     assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert code == EXIT_CODES[name]
+
+
+def test_stacky_slice_matches_golden():
+    assert slice_text() == SLICE.read_text(encoding="utf-8")
