@@ -10,7 +10,7 @@ i appends P_i x_v, P_i presenting N -> N/L_i at its vertex v; the elliptic
 augmentation appends one row summing the y_e of the cycle.
 
 ``compute`` reduces over Z in tree coordinates.  The BFS spanning tree of
-the bounded edges (``tropgraph.spanning_forest``) is rooted at the first
+the bounded edges (``TropicalCurve.bounded_forest``) is rooted at the first
 finite vertex.  Each tree edge's n rows
 hold +-1 on its child's x columns, so the unimodular substitution
 x_child = x_parent -+ coef s_e y_e turns them into unit rows: n(|V| - 1)
@@ -145,7 +145,7 @@ def _reduced(p: ParamTropicalCurve, layout, edges, constraints, jrow):
     """The rows left beside the tree's unit pivots, as {col: value} dicts."""
     weight = {col: w for _, _, _, col, w in edges if col is not None}
     ends = {eid: (target, col) for eid, _, target, col, _ in edges}
-    up = pc.tropgraph.spanning_forest(p.curve, lambda e: e.is_bounded)
+    up = p.curve.bounded_forest
     tree = {link[1].id for link in up.values() if link}
 
     def carried(v, s, acc):

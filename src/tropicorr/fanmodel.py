@@ -10,10 +10,10 @@ own cone collection.  K(p) holds the zero cone and the facet rays of its
 2-cones, so it is a fan exactly when the refinement puts no ray strictly
 inside any 2-cone: the fan axiom is the refinement's fixed point.
 
-Each curve object is refined at most once.  When ``gamma_tr`` finds no
-interior ray it returns its input, after a refinement that was the fan-axiom
-check of the collection ``fan_model`` builds; that verdict (not the fan) is
-kept on the curve object, and ``fan_model`` refines only a curve without it.
+``fan_model`` refines each curve object at most once.  When ``gamma_tr``
+finds no interior ray it returns its input and keeps on it the verdict (not
+the fan) of that refinement, the fan-axiom check of the collection
+``fan_model`` builds.  ``gamma_tr`` itself refines on every call.
 
 Only pairs of 2-cones that can meet are intersected.  A cone whose
 generators have heights (last coordinates) >= 0, one of them > 0, meets

@@ -7,11 +7,12 @@ lattice spanned by (a n_rho1, a) and (l(sigma) n, 0).  The ambient lattice
 is N + aZ; internally the last coordinate counts multiples of a, so all
 vectors stay integral once the configuration is reduced.
 
-Every cone has dimension at most 2, so all lattice work is 2x2 minors.  A
-stabilizer order [N_sigma : N'_sigma], the product of the invariant factors
-of a basis of N'_sigma, is the gcd of its maximal minors, and the
-compatibility check restricts a 2-cone's sublattice to a facet ray by
-Cramer's rule.  No Smith form, kernel or saturation is needed.
+Every cone has dimension at most 2, so all lattice work is 2x2 minors of
+plain integer rows.  A stabilizer order [N_sigma : N'_sigma] is the gcd of
+the maximal minors of any basis of N'_sigma, and the compatibility check
+finds a facet ray's multiplier in a 2-cone's rows by Cramer's rule.  No
+Hermite or Smith form, kernel or saturation is needed; canonical (HNF)
+bases are built only when ``assignment`` is read.
 """
 
 from __future__ import annotations
@@ -38,9 +39,15 @@ def _scaled_gen(g, a: int):
 class StackySigma:
     fan: FanModel
     a: int
-    assignment: dict[Cone, Sublattice]       # cones in scaled coordinates
+    bases: dict[Cone, tuple]                 # rows of N'_sigma, scaled coords
     stabilizer_order: dict[Cone, int]
     scaled_of: dict[Cone, Cone]              # original fan cone -> scaled cone
+
+    @property
+    def assignment(self) -> dict[Cone, Sublattice]:
+        """N'_sigma per cone with its canonical (HNF) basis, built on read."""
+        return {c: Sublattice(self.fan.ambient_rank, rows)
+                for c, rows in self.bases.items()}
 
     def orders(self):
         return sorted(self.stabilizer_order.values())
@@ -53,7 +60,7 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
     The order at a cone sigma is the index [N_sigma : N'_sigma], where
     N_sigma is the lattice of all points of sigma's span.  Each N'_sigma is
     built to span sigma, so N_sigma is its saturation, and the index is the
-    gcd of the maximal minors of a basis of N'_sigma (``_index``).
+    gcd of the maximal minors of any basis of N'_sigma (``_index``).
 
     Raises NotReduced when a h(v) or a |e| fails to be integral, or when the
     defensive divisibility check l(sigma) | len(a(n2 - n1)) fails.
@@ -62,30 +69,26 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
     if not ram["reduced"]:
         raise NotReduced(f"minimal ramification is {ram['minimal_a']}")
     fm = fan.fan_model(p_tr)
-    n1 = fm.ambient_rank  # n + 1
-    eta = set(fm.eta_rays)
+    scaled = {g: _scaled_gen(g, a) for g in fm.rays()}
 
-    assignment: dict[Cone, Sublattice] = {}
+    bases: dict[Cone, tuple] = {}
     orders: dict[Cone, int] = {}
     scaled_of: dict[Cone, Cone] = {}
 
     for c in fm.cones:
-        sc = scaled_of[c] = Cone(tuple(sorted(_scaled_gen(g, a)
-                                              for g in c.generators)))
+        gens = tuple(scaled[g] for g in c.generators)
+        scaled_of[c] = Cone(tuple(sorted(gens)))
         if c.dim == 0:
-            lat = Sublattice(n1, ())
+            rows = ()
         elif c.dim == 1:
-            g = c.generators[0]
-            k = fm.l_rho[g] if g in eta else 1
-            lat = Sublattice(
-                n1, (tuple(k * x for x in sc.generators[0]),))
-        elif c.generators[0] in eta or c.generators[1] in eta:
-            # the rays come first in fm.cones
-            lat = Sublattice(n1, tuple(assignment[Cone((g,))].basis[0]
-                                       for g in c.generators))
+            k = fm.l_rho.get(c.generators[0], 1)    # l(rho) on the eta rays
+            rows = (tuple(k * x for x in gens[0]),)
+        elif any(g in fm.l_rho for g in c.generators):
+            # an eta ray is in the cone; the rays come first in fm.cones
+            rows = tuple(bases[Cone((g,))][0] for g in c.generators)
         else:
             # (a n_rho1, 1) and (a n_rho2, 1) when both are integral
-            s1, s2 = (_scaled_gen(g, a) for g in c.generators)
+            s1, s2 = gens
             if s1[-1] != 1 or s2[-1] != 1:
                 raise NotReduced("non-integral vertex at this ramification")
             diff = tuple(y - x for x, y in zip(s1[:-1], s2[:-1]))
@@ -94,19 +97,19 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
                 raise NotReduced(
                     f"integral length {integral_length(diff)} of the cone "
                     f"displacement is not divisible by l(sigma) = {m}")
-            gen2 = tuple(m * x for x in primitive_vector(diff)) + (0,)
-            lat = Sublattice(n1, (s1, gen2))
-        assignment[c] = lat
-        orders[c] = _index(lat.basis)
+            rows = (s1, tuple(m * x for x in primitive_vector(diff)) + (0,))
+        bases[c], orders[c] = rows, _index(rows)
+        if not orders[c]:
+            raise ValueError("basis rows must be linearly independent")
 
-    st = StackySigma(fm, a, assignment, orders, scaled_of)
+    st = StackySigma(fm, a, bases, orders, scaled_of)
     _verify_compatibility(st)
     return st
 
 
 def _index(basis) -> int:
-    """Index of the lattice of at most two independent rows in its
-    saturation: the gcd of the maximal minors."""
+    """Index of the lattice of at most two rows in its saturation: the gcd
+    of the maximal minors, 0 when the rows are dependent."""
     if len(basis) < 2:
         return integral_length(basis[0]) if basis else 1
     b1, b2 = basis
@@ -114,24 +117,23 @@ def _index(basis) -> int:
                  for i, j in combinations(range(len(b1)), 2)))
 
 
-def _ray_restriction(lat: Sublattice, s) -> Sublattice:
-    """lat intersected with the line through the primitive vector s, for
-    lat of rank at most 2.
+def _ray_multiplier(rows, s) -> int:
+    """The least m > 0 with m s in the lattice of at most two independent
+    rows, for primitive s; 0 when s is outside their span.
 
-    Cramer's rule on the 2x2 minors of the basis (b1, b2) gives integers
-    (na, nb, d) with d > 0 and d s = na b1 + nb b2 (nb = 0 for rank 1),
-    or shows that s is outside the span, where only 0 is left.  b1 and b2 are independent, so
-    (na/d, nb/d) are the only coordinates of s: k s lies in lat iff d
-    divides k na and k nb, i.e. iff m = d / gcd(na, nb, d) divides k.  So
-    m s is the least positive multiple of s in lat, and as s is primitive
-    no other rational multiple of s is integral: the restriction is Z m s.
+    Cramer's rule on the 2x2 minors of the rows (b1, b2) gives integers
+    (na, nb, d) with d > 0 and d s = na b1 + nb b2 (nb = 0 for one row),
+    or shows that s is outside the span.  b1 and b2 are independent, so
+    (na/d, nb/d) are the only coordinates of s: k s lies in the lattice iff
+    d divides k na and k nb, i.e. iff m = d / gcd(na, nb, d) divides k.  As
+    s is primitive no other rational multiple of s is integral, so the
+    lattice meets the line through s in Z m s.
     """
-    coords = fan._coords_in(lat.basis, s)
+    coords = fan._coords_in(rows, s)
     if coords is None:
-        return Sublattice(lat.ambient_rank, ())
+        return 0
     na, nb, d = coords
-    m = d // gcd(na, nb, d)
-    return Sublattice(lat.ambient_rank, (tuple(m * x for x in s),))
+    return d // gcd(na, nb, d)
 
 
 def _verify_compatibility(st: StackySigma):
@@ -144,19 +146,22 @@ def _verify_compatibility(st: StackySigma):
     restriction to 0 is 0.  Each ray's sublattice lies on the ray's span, so
     the pairwise condition holds iff each 2-cone's sublattice restricts to
     each facet ray's sublattice on that ray's span: 2 checks per 2-cone,
-    each by ``_ray_restriction``.
+    each comparing the ray's row k s (k = l(rho) on the eta rays, else 1)
+    with m s, m from ``_ray_multiplier``.
     """
+    n1 = st.fan.ambient_rank
     for c in st.fan.two_cones():
         for g in c.generators:
             ray = Cone((g,))
-            restricted = _ray_restriction(st.assignment[c],
-                                          st.scaled_of[ray].generators[0])
-            if restricted != st.assignment[ray]:
+            s = st.scaled_of[ray].generators[0]
+            m = _ray_multiplier(st.bases[c], s)
+            m_s = tuple(m * x for x in s)
+            if st.bases[ray] != (m_s,):
                 raise CrossCheckFailed(
                     "stacky_compatibility",
-                    f"the sublattice of {c} restricts to {restricted.basis} "
-                    f"on the span of its ray {g}, whose sublattice is "
-                    f"{st.assignment[ray].basis}")
+                    f"the sublattice of {c} restricts to "
+                    f"{Sublattice(n1, (m_s,)).basis} on the span of its ray "
+                    f"{g}, whose sublattice is {st.assignment[ray].basis}")
 
 
 def is_dm(p: ParamTropicalCurve, char_p: int) -> bool:

@@ -32,8 +32,8 @@ class Edge:
 
 @dataclass(frozen=True)
 class TropicalCurve:
-    """An immutable curve.  Its edge index, incidence lists and edge split
-    are built on first use and live as long as the curve object."""
+    """An immutable curve.  Its edge index, incidence lists, edge split and
+    bounded-edge forest are built on first use and kept on the object."""
 
     finite_vertices: tuple[str, ...]
     infinite_vertices: tuple[str, ...]
@@ -60,6 +60,11 @@ class TropicalCurve:
             inc.setdefault(u, []).append((e, w))
             inc.setdefault(w, []).append((e, u))
         return {v: tuple(ends) for v, ends in inc.items()}
+
+    @cached_property
+    def bounded_forest(self) -> dict[str, tuple[str, Edge] | None]:
+        """The ``spanning_forest`` of the bounded edges."""
+        return spanning_forest(self, lambda e: e.is_bounded)
 
     def edge(self, eid: str) -> Edge:
         return self._edge_index[eid]
@@ -183,7 +188,7 @@ def cycle_edges(c: TropicalCurve) -> tuple[Edge, ...]:
     exactly one of its two ends' paths to the root."""
     if genus(c) != 1:
         raise GenusNotOne(f"genus is {genus(c)}")
-    up = spanning_forest(c, lambda e: e.is_bounded)
+    up = c.bounded_forest
     tree = {link[1].id for link in up.values() if link}
     off = [e for e in c.bounded_edges() if e.id not in tree]
     if len(off) != 1:

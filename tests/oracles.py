@@ -473,12 +473,13 @@ def all_pairs_compatible(st):
     """Reference route: restricted to the span of every pairwise
     intersection, the sublattices of the two cones agree."""
     cones = list(st.fan.cones)
+    lattices = st.assignment        # canonical bases, built on each read
     for i, c1 in enumerate(cones):
         for c2 in cones[i:]:
             inter = oracle_intersect(st.scaled_of[c1], st.scaled_of[c2])
             span = Sublattice(st.fan.ambient_rank, inter.generators)
-            if (lattice_intersect_span(st.assignment[c1], span)
-                    != lattice_intersect_span(st.assignment[c2], span)):
+            if (lattice_intersect_span(lattices[c1], span)
+                    != lattice_intersect_span(lattices[c2], span)):
                 return False
     return True
 

@@ -35,7 +35,8 @@ from tropicorr.paramcurve import (
     extend_parameterization,
     param_curve,
 )
-from tropicorr.tropgraph import SubdivideBounded, TropicalCurve, curve
+from tropicorr import tropgraph
+from tropicorr.tropgraph import SubdivideBounded, TropicalCurve, curve, cycle_edges
 
 F = Fraction
 Z = CoeffGroup.integers()
@@ -289,3 +290,17 @@ def test_prop_e1_constrained_is_kernel_of_projection():
                 for combo in combos]
         lhs = Sublattice(free.layout.domain_dim, freeze(gens) if gens else ())
         assert lhs == con.E1_lattice
+
+
+def test_one_bounded_edge_forest_per_curve_object(monkeypatch):
+    # the tree route of both variants and the elliptic j-row's cycle all
+    # read the one forest kept on the curve object
+    p, constraints = triangle_elliptic()
+    calls = []
+    forest = tropgraph.spanning_forest
+    monkeypatch.setattr(tropgraph, "spanning_forest",
+                        lambda *args: calls.append(1) or forest(*args))
+    for variant in ("b", "beta"):
+        compute(p, ComplexSpec(variant, constraints, elliptic=True))
+    assert len(cycle_edges(p.curve)) == 3
+    assert len(calls) == 1

@@ -399,8 +399,9 @@ BROKEN_ROUTES = {
     "rank_formula": (pc, "overvalency", lambda c: -1, "line2pts.json",
                      _count),
     "fan_axiom": (fanmodel, "gamma_tr", lambda p: p, "xconfig.json", _fan),
-    "stacky_compatibility": (stacky, "_ray_restriction",
-                             lambda lat, s: lat, "dblline.json", _stacky),
+    # every facet ray read as outside its 2-cone's sublattice
+    "stacky_compatibility": (stacky, "_ray_multiplier",
+                             lambda rows, s: 0, "dblline.json", _stacky),
     # l(sigma) = 1 on every cone, below dblline's edge multiplicity 2
     "node_order": (fanmodel, "fan_model",
                    lambda p: replace(fm := _fan_model(p),

@@ -127,16 +127,15 @@ def face_local_compatible(st):
 
 
 def corrupted(st):
-    """Copies of st with one cone's sublattice replaced: one basis row
-    scaled by 2 or 3."""
-    for c, lat in st.assignment.items():
-        for i in range(lat.rank):
+    """Copies of st with one cone's basis rows changed: one row scaled by
+    2 or 3."""
+    for c, rows in st.bases.items():
+        for i in range(len(rows)):
             for k in (2, 3):
-                rows = list(lat.basis)
-                rows[i] = tuple(k * x for x in rows[i])
-                bad = Sublattice(lat.ambient_rank, tuple(rows))
+                bad = list(rows)
+                bad[i] = tuple(k * x for x in bad[i])
                 yield dataclasses.replace(
-                    st, assignment={**st.assignment, c: bad})
+                    st, bases={**st.bases, c: tuple(bad)})
 
 
 def _stacky_of(p):
@@ -158,9 +157,9 @@ def test_face_local_compatibility_matches_all_pairs():
 
 def test_compatibility_restricts_twice_per_two_cone(monkeypatch):
     calls = []
-    restrict = stacky._ray_restriction
-    monkeypatch.setattr(stacky, "_ray_restriction",
-                        lambda *args: calls.append(1) or restrict(*args))
+    multiplier = stacky._ray_multiplier
+    monkeypatch.setattr(stacky, "_ray_multiplier",
+                        lambda *args: calls.append(1) or multiplier(*args))
     for p in (doubled_line()[0], triangle_elliptic()[0], x_configuration()):
         st = _stacky_of(p)
         calls.clear()
@@ -170,7 +169,7 @@ def test_compatibility_restricts_twice_per_two_cone(monkeypatch):
 
 def test_ray_restriction_matches_the_kernel_route():
     # lattices of rank 0 to 2 in Z^3 and Z^4, against primitive vectors in
-    # and outside their span
+    # and outside their span: m s spans the kernel route's restriction
     rng = random.Random(2718)
     outside = inside = 0
     for _ in range(300):
@@ -192,7 +191,9 @@ def test_ray_restriction_matches_the_kernel_route():
             if s is None:
                 continue
             want = lattice_intersect_span(lat, Sublattice(n, (s,)))
-            assert stacky._ray_restriction(lat, s) == want, (lat, s)
+            m = stacky._ray_multiplier(tuple(rows), s)
+            got = Sublattice(n, (tuple(m * x for x in s),))
+            assert got == want, (lat, s)
             inside += want.rank
             outside += 1 - want.rank
     assert inside > 100 and outside > 100
@@ -203,13 +204,13 @@ def test_compatibility_failure_names_cone_ray_and_lattices():
     c = st.fan.two_cones()[0]
     ray = Cone((c.generators[0],))
     lat = st.assignment[ray]
-    doubled = Sublattice(lat.ambient_rank,
-                         tuple(tuple(2 * x for x in row) for row in lat.basis))
+    doubled = tuple(tuple(2 * x for x in row) for row in st.bases[ray])
     with pytest.raises(CrossCheckFailed) as info:
         _verify_compatibility(dataclasses.replace(
-            st, assignment={**st.assignment, ray: doubled}))
+            st, bases={**st.bases, ray: doubled}))
     message = str(info.value)
-    for part in (c, ray.generators[0], lat.basis, doubled.basis):
+    for part in (c, ray.generators[0], lat.basis,
+                 Sublattice(lat.ambient_rank, doubled).basis):
         assert str(part) in message
 
 
@@ -222,20 +223,23 @@ def test_orders_match_lattice_index_in_the_cone_lattice():
     for p in curves:
         st = _stacky_of(p)
         n1 = st.fan.ambient_rank
+        lattices = st.assignment
         for c, order in st.stabilizer_order.items():
             sc = st.scaled_of[c]
             outer = (saturation(Sublattice(n1, sc.generators)) if c.dim
                      else Sublattice(n1, ()))
-            assert order == lattice_index(outer, st.assignment[c]), c
+            assert order == lattice_index(outer, lattices[c]), c
             orders.append(order)
     assert max(orders) > 1
 
 
 def test_stacky_data_needs_no_saturation_or_index(monkeypatch):
     # saturation and lattice_index are test oracles the library cannot
-    # reach; no Smith form with transforms and no kernel is needed either
+    # reach; no Smith form with transforms, no kernel and, with the
+    # compatibility check included, no Hermite form is needed either
+    curves = [doubled_line()[0], triangle_elliptic()[0], x_configuration()]
     calls = []
-    for name in ("snf", "kernel_basis"):
+    for name in ("snf", "kernel_basis", "hnf"):
         fn = getattr(exactla, name)
         for mod in list(sys.modules.values()):   # wherever the name is bound
             if (getattr(mod, "__name__", "").startswith("tropicorr")
@@ -243,6 +247,11 @@ def test_stacky_data_needs_no_saturation_or_index(monkeypatch):
                 monkeypatch.setattr(mod, name,
                                     lambda *args, _fn=fn, _name=name:
                                     calls.append(_name) or _fn(*args))
-    for p in (doubled_line()[0], triangle_elliptic()[0], x_configuration()):
-        _stacky_of(p)
-    assert calls == []
+    scaled = stacky._scaled_gen
+    monkeypatch.setattr(stacky, "_scaled_gen",
+                        lambda *args: calls.append("scale") or scaled(*args))
+    for p in curves:
+        st = _stacky_of(p)
+        # one scaled generator per ray of the fan, nothing else called
+        assert calls == ["scale"] * len(st.fan.rays())
+        calls.clear()
