@@ -15,7 +15,9 @@ of multiplicity 3 at char 3 (``regular`` fails).  Beside the CLI cases, the
 seeded slice ``corpus(8086, 12, constrained=False)`` of tests/corpus.py
 goes through ``gamma_tr``, ``fan_to_json``, ``stacky_data`` at the least
 ramification with ``stacky_to_json``, and ``node_stack``; its text is
-stored in stacky_slice.txt.  The inputs live outside
+stored in stacky_slice.txt.  The constrained slice ``corpus(2024, 12)``
+goes through the complexes and the counts; its text is stored in
+count_slice.txt.  The inputs live outside
 fixtures/, whose files the benchmark reads.  Each case is stored as the
 exact stdout of the run, and its exit code goes into exit_codes.json.  Paths are given relative to
 the repository root, so the "input.path" field is the same on every
@@ -52,6 +54,7 @@ SHAPE_COMMANDS = (("info",), ("complex", "--elliptic"),
                   ("stacky",), ("count-elliptic",))
 COUNT_INPUTS = ("missed_point", "heavy_vertex")
 SLICE = GOLDEN / "stacky_slice.txt"
+COUNT_SLICE = GOLDEN / "count_slice.txt"
 
 
 def _at_chars(name, argv):
@@ -129,6 +132,45 @@ def slice_text() -> str:
     return "".join(lines)
 
 
+def count_text() -> str:
+    """E^1's rank and E^2 of the (b, none), (b, A), (beta, A) and, at genus
+    one, (beta, A, j) complexes of every curve of the constrained slice,
+    then ``correspondence_count`` and, at genus one, ``elliptic_count`` at
+    chars 0, 2 and 3: the count as count = torsor order x stacky factor,
+    or the error code.  One line per curve and part."""
+    from corpus import corpus
+    from tropicorr.complexes import ComplexSpec, compute
+    from tropicorr.counting import correspondence_count, elliptic_count
+    from tropicorr.errors import TropicorrError
+    from tropicorr.tropgraph import genus
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except TropicorrError as exc:
+            return exc.code
+
+    lines = []
+    for i, (p, a) in enumerate(corpus(2024, 12)):
+        elliptic = genus(p.curve) == 1
+        specs = {"b": ComplexSpec("b"), "b,A": ComplexSpec("b", a),
+                 "beta,A": ComplexSpec("beta", a)}
+        if elliptic:
+            specs["beta,A,j"] = ComplexSpec("beta", a, elliptic=True)
+        for name, spec in specs.items():
+            rep = outcome(compute, p, spec)
+            text = rep if isinstance(rep, str) else (
+                f"E1_rank {rep.E1_rank} E2 {rep.E2.rank} {list(rep.E2.torsion)}")
+            lines.append(f"{i} {name} {text}\n")
+        for count in (correspondence_count, elliptic_count)[:1 + elliptic]:
+            for char in (0, 2, 3):
+                res = outcome(count, p, a, char)
+                text = res if isinstance(res, str) else (
+                    f"{res.count} = {res.torsor_order} x {res.stacky_factor}")
+                lines.append(f"{i} {count.__name__} {char} {text}\n")
+    return "".join(lines)
+
+
 def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -138,7 +180,8 @@ def main() -> None:
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     SLICE.write_text(slice_text(), encoding="utf-8")
-    print(f"wrote {len(codes)} cases and the stacky slice to {GOLDEN}")
+    COUNT_SLICE.write_text(count_text(), encoding="utf-8")
+    print(f"wrote {len(codes)} cases and the two slices to {GOLDEN}")
 
 
 if __name__ == "__main__":

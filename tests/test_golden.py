@@ -1,6 +1,7 @@
 """Every CLI output in tests/golden/ is replayed byte for byte.
 
-So is the fan and stacky text of a seeded corpus slice.  The files are
+So are the fan and stacky text of a seeded corpus slice and the groups
+and counts of a constrained one.  The files are
 written by tests/make_golden.py; a change that alters one of
 them must regenerate it and say why.
 """
@@ -9,7 +10,15 @@ import json
 
 import pytest
 
-from make_golden import GOLDEN, SLICE, cases, run_case, slice_text
+from make_golden import (
+    COUNT_SLICE,
+    GOLDEN,
+    SLICE,
+    cases,
+    count_text,
+    run_case,
+    slice_text,
+)
 
 CASES = list(cases())
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
@@ -34,3 +43,7 @@ def test_cli_output_matches_golden(name, argv):
 
 def test_stacky_slice_matches_golden():
     assert slice_text() == SLICE.read_text(encoding="utf-8")
+
+
+def test_count_slice_matches_golden():
+    assert count_text() == COUNT_SLICE.read_text(encoding="utf-8")
