@@ -10,16 +10,14 @@ import importlib
 # home module -> the names it exports at package level
 _HOMES = {
     "exactla": ("CoeffGroup", "FGAbelianGroup", "GroupSize", "Sublattice",
-                "base_change", "cokernel_group", "kernel_basis", "snf"),
+                "base_change", "cokernel_group", "snf"),
     "tropgraph": ("TropicalCurve", "curve", "genus", "modify", "stabilize",
                   "validate"),
     "paramcurve": ("AffineConstraintSet", "ParamTropicalCurve",
-                   "check_constraint", "constraint_set", "contract_zero_slope",
-                   "degree", "edge_geometry", "extend_parameterization",
-                   "param_curve", "rank", "tropical_j"),
-    "complexes": ("ComplexSpec", "build_matrix", "compute",
-                  "contraction_transport", "regularity", "six_term_check",
-                  "sizes_over", "subdivision_transport"),
+                   "check_constraint", "constraint_set", "degree",
+                   "edge_geometry", "extend_parameterization", "param_curve",
+                   "rank", "tropical_j"),
+    "complexes": ("ComplexSpec", "compute", "regularity", "sizes_over"),
     "fanmodel": ("build_K", "fan_model", "gamma_tr", "ramification",
                  "refine_to_fan"),
     "stacky": ("is_dm", "node_stack", "stacky_data"),

@@ -32,25 +32,15 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from . import paramcurve as pc
-from .errors import (
-    ConstraintUnsatisfied,
-    CrossCheckFailed,
-    GenusNotOne,
-    NonUnitMultiplicity,
-    NotASubdivision,
-    ZeroSlopeCycleEdge,
-)
+from .errors import ConstraintUnsatisfied, NonUnitMultiplicity, ZeroSlopeCycleEdge
 from .exactla import (
     CoeffGroup,
     FGAbelianGroup,
     GroupSize,
     Mat,
-    Sublattice,
     base_change,
     cokernel_group,
     combine_sizes,
-    identity,
-    kernel_basis,
 )
 from .paramcurve import AffineConstraintSet, ParamTropicalCurve
 
@@ -86,8 +76,8 @@ def _terms(p: ParamTropicalCurve, spec: ComplexSpec):
     pc.require_balanced(p)
     constraints = []
     if spec.constraints is not None:
-        # check_constraint's last report, so a count decides it once
-        problems = pc._constraint_report(p, spec.constraints).problems
+        # the count's last verdict, so a count decides it once
+        problems = pc._last_satisfaction(p, spec.constraints)
         if problems:
             raise ConstraintUnsatisfied("; ".join(problems))
         constraints = [(vfin, con.presentation) for (_, vfin), con in zip(
@@ -190,13 +180,6 @@ def _dense(rows, ncols: int) -> Mat:
     return tuple(map(tuple, out))
 
 
-def build_matrix(p: ParamTropicalCurve, spec: ComplexSpec) -> Mat:
-    """The integer matrix of the chosen complex (see the module docstring
-    for the row/column layout)."""
-    rows, layout = _assemble(p, spec)
-    return _dense(rows, layout.domain_dim)
-
-
 @dataclass(frozen=True)
 class ComplexReport:
     """The complex over Z (E1_rank, E2) from one transform-free reduction
@@ -219,15 +202,6 @@ class ComplexReport:
     def matrix(self) -> Mat:
         """The dense matrix, built on each read."""
         return _dense(self.rows, self.layout.domain_dim)
-
-    @property
-    def E1_lattice(self) -> Sublattice:
-        """The kernel inside the domain Z^domain_dim.  It needs the SNF
-        transforms, so it is computed on each read, never by ``compute``."""
-        dim = self.layout.domain_dim
-        if not self.n_rows:   # no rows: the kernel is the whole domain
-            return Sublattice(dim, identity(dim))
-        return Sublattice(dim, kernel_basis(self.matrix))
 
 
 def sizes_over(e1_rank: int, e2: FGAbelianGroup, g: CoeffGroup):
@@ -266,117 +240,3 @@ def regularity(p: ParamTropicalCurve, constraints: AffineConstraintSet | None,
     ce_j = compute(p, ComplexSpec("beta", constraints, elliptic=True))
     ell = base_change(ce_j.E2, group, "tensor")
     return RegularityVerdict(obstruction.is_trivial, ell.is_trivial, ell)
-
-
-def _field_dim(size: GroupSize) -> int:
-    if size.free_rank:
-        raise ValueError("not a vector space")
-    return size.kdim
-
-
-def six_term_check(p: ParamTropicalCurve,
-                   constraints: AffineConstraintSet | None,
-                   group: CoeffGroup) -> dict:
-    """Dimension ledger of the comparison sequence
-
-    0 -> sum mu_l(e)(G) -> CE^1_G -> E^1_G -> sum G/l(e)G -> CE^2_G -> E^2_G -> 0
-
-    over a field G; returns the six dimensions and raises
-    CrossCheckFailed unless the alternating sum vanishes.
-    """
-    if group.kind not in ("Q", "field"):
-        raise ValueError("six-term ledger needs a field of coefficients")
-    p_char = 0 if group.kind == "Q" else group.p
-    mults = [pc.edge_geometry(p, e.id).multiplicity
-             for e in p.curve.bounded_edges()]
-    mults = [m for m in mults if m > 0]
-    mu = sum(1 for m in mults if p_char and m % p_char == 0)
-    quot = mu  # dim ker(l: G -> G) = dim G/lG for a field
-    ce = compute(p, ComplexSpec("beta", constraints))
-    ee = compute(p, ComplexSpec("b", constraints))
-    ce1, ce2 = sizes_over(ce.E1_rank, ce.E2, group)
-    e1, e2 = sizes_over(ee.E1_rank, ee.E2, group)
-    ledger = {
-        "mu": mu,
-        "CE1": _field_dim(ce1),
-        "E1": _field_dim(e1),
-        "quot": quot,
-        "CE2": _field_dim(ce2),
-        "E2": _field_dim(e2),
-    }
-    alternating = (ledger["mu"] - ledger["CE1"] + ledger["E1"]
-                   - ledger["quot"] + ledger["CE2"] - ledger["E2"])
-    if alternating != 0:
-        raise CrossCheckFailed("six_term_ledger", f"alternating sum {ledger}")
-    ledger["alternating_sum"] = alternating
-    return ledger
-
-
-# ---------------------------------------------------------------------------
-# transport under subdivision and contraction
-
-
-def subdivision_transport(p: ParamTropicalCurve, p_sub: ParamTropicalCurve,
-                          constraints: AffineConstraintSet | None = None) -> dict:
-    """Compare the complexes of a curve and one of its subdivisions.
-
-    The cokernels agree and the kernel rank grows by one per new vertex on a
-    nonzero-slope edge, in the plain, stacky, constrained, and (genus one)
-    elliptic variants alike.
-    """
-    new = pc.subdivision_new_vertices(p_sub, p)
-    for v, eid in new:
-        if pc.edge_geometry(p, eid).slope is None:
-            raise NotASubdivision(
-                f"new vertex {v} subdivides zero-slope edge {eid}")
-    out = {"new_vertices": len(new), "ok": True, "checks": {}}
-    specs = {"E": ComplexSpec("b", constraints), "CE": ComplexSpec("beta", constraints)}
-    if pc.tropgraph.genus(p.curve) == 1 and _cycle_has_slopes(p) and _cycle_has_slopes(p_sub):
-        specs["CEj"] = ComplexSpec("beta", constraints, elliptic=True)
-    for name, spec in specs.items():
-        small = compute(p, spec)
-        big = compute(p_sub, spec)
-        same_e2 = small.E2 == big.E2
-        offset_ok = big.E1_rank == small.E1_rank + len(new)
-        out["checks"][name] = {"E2_equal": same_e2, "E1_offset_ok": offset_ok}
-        out["ok"] = out["ok"] and same_e2 and offset_ok
-    return out
-
-
-def _cycle_has_slopes(p):
-    try:
-        cycle = pc.tropgraph.cycle_edges(p.curve)
-    except GenusNotOne:
-        return False
-    return all(pc.edge_geometry(p, e.id).slope is not None for e in cycle)
-
-
-def contraction_transport(p: ParamTropicalCurve,
-                          constraints: AffineConstraintSet | None = None) -> dict:
-    """Compare a curve with its zero-slope contraction: E^1/CE^1 keep their
-    canonical form, and the obstruction rank grows by n per contracted
-    independent cycle.  For genus one preserved by the contraction the
-    j-augmented complexes agree entirely."""
-    pbar, _ = pc.contract_zero_slope(p)
-    g = pc.tropgraph.genus(p.curve)
-    gbar = pc.tropgraph.genus(pbar.curve)
-    n = p.lattice_rank
-    out = {"genus_drop": g - gbar, "ok": True, "checks": {}}
-    for name, spec in (("E", ComplexSpec("b", constraints)),
-                       ("CE", ComplexSpec("beta", constraints))):
-        full = compute(p, spec)
-        small = compute(pbar, spec)
-        e1_iso = full.E1_rank == small.E1_rank
-        rank_ok = full.E2.rank == small.E2.rank + n * (g - gbar)
-        torsion_ok = full.E2.torsion == small.E2.torsion
-        out["checks"][name] = {"E1_iso": e1_iso, "E2_rank_ok": rank_ok,
-                               "E2_torsion_equal": torsion_ok}
-        out["ok"] = out["ok"] and e1_iso and rank_ok and torsion_ok
-    if g == 1 and gbar == 1 and _cycle_has_slopes(p) and _cycle_has_slopes(pbar):
-        spec = ComplexSpec("beta", constraints, elliptic=True)
-        full = compute(p, spec)
-        small = compute(pbar, spec)
-        same = (full.E1_rank == small.E1_rank and full.E2 == small.E2)
-        out["checks"]["CEj"] = {"canonical_forms_equal": same}
-        out["ok"] = out["ok"] and same
-    return out

@@ -1,5 +1,7 @@
 """The enumerative layer: torsor sizes and the exact correspondence counts.
 
+Every function here needs a balanced input and raises NotBalanced
+otherwise, even where stabilization would prune the faulty part.
 Counts are evaluated on the stabilization and emitted only when every
 hypothesis of the corresponding counting theorem holds; outside those
 hypotheses the formulas are unproven, so a violated hypothesis is an error
@@ -31,6 +33,7 @@ from .paramcurve import AffineConstraintSet, ParamTropicalCurve
 def moduli_dimension(p: ParamTropicalCurve) -> int:
     """Dimension of the base of the reduction torsor: the product of the
     genus-zero moduli at the stabilization's vertices."""
+    pc.require_balanced(p)
     p_st = pc.stabilize_param(p)
     return sum(max(tropgraph.valency(p_st.curve, v) - 3, 0)
                for v in p_st.curve.finite_vertices)
@@ -42,6 +45,7 @@ def reduction_torsor(p: ParamTropicalCurve,
     """Size of the group acting simply transitively on the (constrained)
     reductions over each point of the moduli base: E^1_{k*} of the
     stabilization.  Requires the k*-obstruction to vanish."""
+    pc.require_balanced(p)
     if pc.zero_slope_bounded_count(p):
         raise ObstructionNonzero("zero-slope bounded edges present")
     p_st = pc.stabilize_param(p)
@@ -55,6 +59,7 @@ def reduction_torsor(p: ParamTropicalCurve,
 def stacky_multiplier(p: ParamTropicalCurve) -> int:
     """Product of the bounded-edge multiplicities of the stabilization: the
     number of stacky structures over each plain reduction."""
+    pc.require_balanced(p)
     p_st = pc.stabilize_param(p)
     out = 1
     for e in p_st.curve.bounded_edges():
@@ -91,11 +96,12 @@ class CountResult:
 
 def _hypotheses(p_st, constraints, char_p, elliptic):
     """Check the hypotheses in CHECK_ORDER and raise HypothesisFailed at the
-    first that fails, evaluating no later one.  ``check_constraint`` runs
-    before them all, as it rejects bad input.  Returns the all-True record
+    first that fails, evaluating no later one.  Satisfaction of the
+    constraint is decided before them all, as it rejects bad input;
+    simplicity only when ``regular`` reads it.  Returns the all-True record
     and the stacky report over Z the last flag was read from: (beta, A),
     or (beta, A, j) when elliptic; the counts reuse it."""
-    con = pc.check_constraint(p_st, constraints)
+    problems = pc._satisfaction(p_st, constraints)
     reports = []
 
     def regular(j):
@@ -107,11 +113,12 @@ def _hypotheses(p_st, constraints, char_p, elliptic):
     checks = {
         "trivalent": lambda: all(tropgraph.valency(p_st.curve, v) == 3
                                  for v in p_st.curve.finite_vertices),
-        "satisfies_A": lambda: con.satisfies,
+        "satisfies_A": lambda: not problems,
         "codim_match": lambda: pc.rank(p_st) == constraints.codim + elliptic,
         "no_zero_slope_bounded": lambda: not pc.zero_slope_bounded_count(p_st),
         "char_ok": lambda: stacky.is_dm(p_st, char_p),
-        "regular": lambda: con.simple and regular(False),
+        "regular": lambda: (pc._simple(p_st, constraints)
+                            and regular(False)),
         "elliptic_regular": lambda: regular(True),
     }
     flags = CountHypotheses.CHECK_ORDER[:None if elliptic else -1]
@@ -133,6 +140,7 @@ def correspondence_count(p: ParamTropicalCurve,
     stacky multiplier, and the order of CE^2(Gamma,A) read off the
     invariant factors of the assembled matrix.
     """
+    pc.require_balanced(p)
     p_st = pc.stabilize_param(p)
     hyp, ce_rep = _hypotheses(p_st, constraints, char_p, elliptic=False)
 
@@ -167,6 +175,7 @@ def elliptic_count(p: ParamTropicalCurve,
     the Tor route."""
     if tropgraph.genus(p.curve) != 1:
         raise GenusNotOne(f"genus is {tropgraph.genus(p.curve)}")
+    pc.require_balanced(p)
     p_st = pc.stabilize_param(p)
     hyp, rep = _hypotheses(p_st, constraints, char_p, elliptic=True)
 

@@ -49,10 +49,6 @@ class NonUnitMultiplicity(TropicorrError):
     code = "NonUnitMultiplicity"
 
 
-class NotASubdivision(TropicorrError):
-    code = "NotASubdivision"
-
-
 class NotReduced(TropicorrError):
     code = "NotReduced"
 

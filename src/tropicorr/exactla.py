@@ -39,10 +39,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def shape(a: Mat) -> tuple[int, int]:
-    return len(a), len(a[0]) if a else 0
-
-
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
 
@@ -280,19 +276,6 @@ def invariant_factors(a) -> tuple[int, ...]:
     d, _, _ = _smith([[r.get(j, 0) for j in order] for r in rows.values()],
                      transforms=False)
     return (1,) * units + _divisors(d)
-
-
-def kernel_basis(a: Mat) -> Mat:
-    """Basis of the integer kernel {x : A x = 0}, saturated by construction
-    (the basis vectors are columns of a unimodular matrix)."""
-    a = freeze(a)
-    m, n = shape(a)
-    if n == 0:
-        return ()
-    res = snf(a)
-    r = len(res.divisors)
-    vt = transpose(res.V)
-    return vt[r:]
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +572,9 @@ def combine_sizes(a: GroupSize, b: GroupSize) -> GroupSize:
 
 
 __all__ = [
-    "Mat", "Vec", "freeze", "identity", "shape", "transpose",
+    "Mat", "Vec", "freeze", "identity", "transpose",
     "integral_length", "primitive_vector", "SNFResult", "snf",
-    "invariant_factors", "kernel_basis", "hnf", "FGAbelianGroup",
+    "invariant_factors", "hnf", "FGAbelianGroup",
     "cokernel_group", "Sublattice", "quotient_presentation",
     "CoeffGroup", "prime_to_part", "GroupSize", "base_change",
     "combine_sizes",

@@ -25,7 +25,6 @@ from .errors import (
     ConstraintCountMismatch,
     CrossCheckFailed,
     NonCollinear,
-    NotASubdivision,
     NotBalanced,
 )
 from .exactla import (
@@ -169,7 +168,7 @@ def param_violations(p: ParamTropicalCurve) -> list[str]:
 
 
 def _collect_violations(p: ParamTropicalCurve) -> list[str]:
-    out = list(tropgraph.validate(p.curve))
+    out = list(p.curve.defects)
     n = p.lattice_rank
     for v in p.curve.vertex_ids():
         if v not in p.h:
@@ -304,32 +303,6 @@ def subdivide_at_positions(p: ParamTropicalCurve, positions) -> ParamTropicalCur
     return extend_parameterization(p, steps)
 
 
-def contract_zero_slope(p: ParamTropicalCurve):
-    """Contract the maximal subgraph of bounded zero-slope edges.
-
-    Returns (contracted curve, vertex surjection).  Vertices joined by
-    zero-slope edges share their h value, so h descends.
-    """
-    contracted = {e.id for e in p.curve.bounded_edges()
-                  if edge_geometry(p, e.id).slope is None}
-    up = tropgraph.spanning_forest(p.curve, lambda e: e.id in contracted)
-    root, members = {}, {}
-    for v, link in up.items():          # parents come before children
-        root[v] = v if link is None else root[link[0]]
-        members.setdefault(root[v], []).append(v)
-    vmap = {v: min(members[root[v]]) for v in up}   # the class's least id
-    vmap.update({v: v for v in p.curve.infinite_vertices})
-    finite = tuple(sorted(set(vmap[v] for v in p.curve.finite_vertices),
-                          key=p.curve.finite_vertices.index))
-    edges = tuple(
-        tropgraph.Edge(e.id, (vmap[e.ends[0]], vmap[e.ends[1]]), e.length)
-        for e in p.curve.edges if e.id not in contracted
-    )
-    cbar = TropicalCurve(finite, p.curve.infinite_vertices, edges)
-    h = {v: p.hv(v) for v in cbar.vertex_ids()}
-    return ParamTropicalCurve(cbar, p.lattice_rank, h), vmap
-
-
 def stabilize_param(p: ParamTropicalCurve) -> ParamTropicalCurve:
     """Stabilization with the parameterization restricted to the surviving
     vertices (pruned trees are contracted by h, smoothing respects slopes),
@@ -457,22 +430,29 @@ def check_constraint(p: ParamTropicalCurve, a: AffineConstraintSet) -> Constrain
     Satisfaction: the i-th infinite vertex is contracted (h = 0) and its
     finite neighbour lies on the affine translate.  Simplicity additionally
     needs the neighbour trivalent with every bounded edge there of nonzero
-    slope meeting the constraint space trivially.  The report is kept on
-    the curve object, where the complexes read it: a count decides once.
+    slope meeting the constraint space trivially.  Both are decided on
+    every call.
     """
+    problems = _satisfaction(p, a)
+    satisfied = not problems
+    return ConstraintReport(satisfied, satisfied and _simple(p, a), a.codim,
+                            problems)
+
+
+def _satisfaction(p: ParamTropicalCurve, a: AffineConstraintSet):
+    """The problems that keep p from satisfying a, none when it does.  The
+    verdict is kept on the curve object, where the complexes read it for
+    the same constraint set, so a count decides once."""
     require_balanced(p)
     problems = tuple(_unsatisfied(p, a))
-    satisfied = not problems
-    report = ConstraintReport(satisfied, satisfied and _simple(p, a), a.codim,
-                              problems)
-    object.__setattr__(p, "_constraint_report", (a, report))
-    return report
+    object.__setattr__(p, "_satisfaction_of", (a, problems))
+    return problems
 
 
-def _constraint_report(p: ParamTropicalCurve, a: AffineConstraintSet):
-    """The last ``check_constraint`` report on p for a, decided if none."""
-    last, report = getattr(p, "_constraint_report", (None, None))
-    return report if last is a else check_constraint(p, a)
+def _last_satisfaction(p: ParamTropicalCurve, a: AffineConstraintSet):
+    """The last ``_satisfaction`` verdict on p for a, decided if none."""
+    last, problems = getattr(p, "_satisfaction_of", (None, None))
+    return problems if last is a else _satisfaction(p, a)
 
 
 def _unsatisfied(p: ParamTropicalCurve, a: AffineConstraintSet) -> list[str]:
@@ -511,70 +491,3 @@ def _simple(p: ParamTropicalCurve, a: AffineConstraintSet) -> bool:
 def tropical_j(p: ParamTropicalCurve) -> Fraction:
     """Total length of the unique cycle of a genus-one curve."""
     return sum((e.length for e in tropgraph.cycle_edges(p.curve)), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# recognizing subdivisions (used by the transport checks)
-
-
-def subdivision_new_vertices(p_sub: ParamTropicalCurve, p: ParamTropicalCurve):
-    """Verify p_sub is a subdivision of p (matching vertex ids and h) and
-    return the new 2-valent vertices with the subdivided edge of p each one
-    lies on.  Raises NotASubdivision otherwise."""
-    old_vs = set(p.curve.vertex_ids())
-    if not old_vs <= set(p_sub.curve.vertex_ids()):
-        raise NotASubdivision("original vertices missing")
-    if p_sub.curve.infinite_vertices != p.curve.infinite_vertices:
-        raise NotASubdivision("infinite vertices must be preserved with order")
-    for v in old_vs:
-        if p.hv(v) != p_sub.hv(v):
-            raise NotASubdivision(f"h({v}) changed")
-    new_vs = [v for v in p_sub.curve.finite_vertices if v not in old_vs]
-    for v in new_vs:
-        if tropgraph.valency(p_sub.curve, v) != 2:
-            raise NotASubdivision(f"new vertex {v} is not 2-valent")
-    # walk chains between old vertices
-    incidence = p_sub.curve.incidence
-    assignment: dict[str, str] = {}
-    chains = []
-    seen_edges = set()
-    for start in sorted(old_vs):
-        for e0, v in incidence.get(start, ()):
-            if e0.id in seen_edges:
-                continue
-            chain = [e0]
-            while v not in old_vs:
-                nxt, v = next((e, w) for e, w in incidence[v]
-                              if e.id != chain[-1].id)
-                chain.append(nxt)
-            seen_edges.update(e.id for e in chain)
-            chains.append((start, v, chain))
-    unmatched = {e.id: e for e in p.curve.edges}
-    for start, end, chain in chains:
-        total = None
-        if all(e.is_bounded for e in chain):
-            total = sum(e.length for e in chain)
-        cand = None
-        for eid, e in unmatched.items():
-            if {start, end} != set(e.ends) and not (start == end and e.ends == (start, start)):
-                continue
-            if (e.length is None) != (total is None):
-                continue
-            if total is not None and e.length != total:
-                continue
-            cand = eid
-            break
-        if cand is None:
-            raise NotASubdivision(f"chain {start}..{end} matches no original edge")
-        for e in chain:
-            for w in e.ends:
-                if w not in old_vs:
-                    assignment[w] = cand
-        del unmatched[cand]
-    if unmatched:
-        raise NotASubdivision(f"original edges unaccounted for: {sorted(unmatched)}")
-    for v in new_vs:
-        if v not in assignment:
-            raise NotASubdivision(
-                f"new vertex {v} lies on no chain between original vertices")
-    return [(v, assignment[v]) for v in new_vs]

@@ -32,8 +32,9 @@ class Edge:
 
 @dataclass(frozen=True)
 class TropicalCurve:
-    """An immutable curve.  Its edge index, incidence lists, edge split and
-    bounded-edge forest are built on first use and kept on the object."""
+    """An immutable curve.  Its validity verdict, edge index, incidence
+    lists, edge split and bounded-edge forest are built on first use and
+    kept on the object."""
 
     finite_vertices: tuple[str, ...]
     infinite_vertices: tuple[str, ...]
@@ -41,6 +42,11 @@ class TropicalCurve:
 
     def vertex_ids(self):
         return self.finite_vertices + self.infinite_vertices
+
+    @cached_property
+    def defects(self) -> tuple[str, ...]:
+        """``validate``'s verdict, decided once per curve object."""
+        return tuple(validate(self))
 
     @cached_property
     def _edge_index(self) -> dict[str, Edge]:
@@ -63,8 +69,8 @@ class TropicalCurve:
 
     @cached_property
     def bounded_forest(self) -> dict[str, tuple[str, Edge] | None]:
-        """The ``spanning_forest`` of the bounded edges."""
-        return spanning_forest(self, lambda e: e.is_bounded)
+        """The curve's ``spanning_forest``."""
+        return spanning_forest(self)
 
     def edge(self, eid: str) -> Edge:
         return self._edge_index[eid]
@@ -150,7 +156,7 @@ def validate(c: TropicalCurve) -> list[str]:
                 out.append(f"(p2): unbounded edge {e.id} must join a finite and "
                            "an infinite vertex")
     # counted here rather than through the incidence lists, so that a curve
-    # that is only validated (a caller's input, say) keeps no derived data
+    # that is only validated (a caller's input, say) keeps only its verdict
     ends = Counter(x for e in c.edges for x in e.ends)
     for v in c.infinite_vertices:
         if ends[v] != 1:
@@ -165,10 +171,10 @@ def genus(c: TropicalCurve) -> int:
     return 1 - len(c.vertex_ids()) + len(c.edges)
 
 
-def spanning_forest(c: TropicalCurve, keep) -> dict[str, tuple[str, Edge] | None]:
-    """A BFS forest over the finite vertices through the edges e with
-    keep(e), each component rooted at its first finite vertex: every vertex
-    maps to (parent, edge), a root to None, parents before children."""
+def spanning_forest(c: TropicalCurve) -> dict[str, tuple[str, Edge] | None]:
+    """A BFS forest over the finite vertices through the bounded edges,
+    each component rooted at its first finite vertex: every vertex maps to
+    (parent, edge), a root to None, parents before children."""
     up: dict[str, tuple[str, Edge] | None] = {}
     for root in c.finite_vertices:
         if root in up:
@@ -176,7 +182,7 @@ def spanning_forest(c: TropicalCurve, keep) -> dict[str, tuple[str, Edge] | None
         up[root] = None
         for v in (queue := [root]):
             for e, w in c.incidence[v]:
-                if w not in up and keep(e):
+                if w not in up and e.is_bounded:
                     up[w] = (v, e)
                     queue.append(w)
     return up
@@ -322,7 +328,7 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
     """The unique stable curve from which c arises by subdivision and tree
     attachment: prune the maximal forest with finite leaves, then smooth
     2-valent vertices, adding lengths.  A stable c is returned itself."""
-    bad = validate(c)
+    bad = c.defects
     if bad:
         raise NotStabilizable("input curve is invalid: " + "; ".join(bad))
     if not satisfies_stability_bound(c):

@@ -9,9 +9,10 @@ so every violation and parse-error message is covered.  The genus-one
 shapes there (a loop, two parallel edges over one 2-cone, a 2-valent cycle
 vertex with a hanging tree, two zero-slope cycle edges) go through
 ``info``, both elliptic complexes, ``fan``, ``stacky`` and
-``count-elliptic``.  Two constrained lines go through ``count``: one
-misses a constraint point (``satisfies_A`` fails), and one has a vertex
-of multiplicity 3 at char 3 (``regular`` fails).  Beside the CLI cases, the
+``count-elliptic``.  Three constrained lines go through ``count``: one
+misses a constraint point (``satisfies_A`` fails), one has a vertex of
+multiplicity 3 at char 3 (``regular`` fails), and one hangs an unbalanced
+leaf that stabilization would prune (``NotBalanced``).  Beside the CLI cases, the
 seeded slice ``corpus(8086, 12, constrained=False)`` of tests/corpus.py
 goes through ``gamma_tr``, ``fan_to_json``, ``stacky_data`` at the least
 ramification with ``stacky_to_json``, and ``node_stack``; its text is
@@ -52,7 +53,7 @@ SHAPES = ("loop_elliptic", "parallel_elliptic", "pendant_elliptic",
 SHAPE_COMMANDS = (("info",), ("complex", "--elliptic"),
                   ("complex", "--elliptic", "--variant", "b"), ("fan",),
                   ("stacky",), ("count-elliptic",))
-COUNT_INPUTS = ("missed_point", "heavy_vertex")
+COUNT_INPUTS = ("missed_point", "heavy_vertex", "unbalanced_line")
 SLICE = GOLDEN / "stacky_slice.txt"
 COUNT_SLICE = GOLDEN / "count_slice.txt"
 

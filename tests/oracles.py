@@ -1,18 +1,22 @@
 """Reference routes the tests compare the engine against.
 
 Each route here computes the same quantity as an engine path by a more
-general or more direct method: lattice membership, intersection, saturation
-and index by rational solving and integer kernels; ranks by Gauss-Jordan
+general or more direct method: integer kernels from the Smith transforms,
+and E^1 of a complex as the kernel lattice of its dense matrix; lattice
+membership, intersection, saturation and index by rational solving and
+integer kernels; ranks by Gauss-Jordan
 elimination and determinants by Bareiss; constraint membership by
 Fraction products with the presentation; the one-term quotient complex;
+the six-term comparison ledger from one plain and one stacky report;
 cone coordinates in Fractions; the fan axiom over every pair of cones;
 the all-pairs stacky compatibility; isomorphism of metric graphs;
 stabilization by rescanning every edge; edge directions, balancing,
 violation lists, edge geometry and reduction exponents in Fractions, each
 bounded edge's direction taken from each end; the cycle of a genus-one
 curve by deleting each bounded edge in turn; zero-slope classes by
-label propagation; and every count hypothesis flag, each computed
-whether or not an earlier one fails.
+label propagation, and the zero-slope contraction built from them; the
+complexes that the subdivision and contraction lemmas compare; and every
+count hypothesis flag, each computed whether or not an earlier one fails.
 The engine calls none of them.
 """
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from tropicorr import paramcurve as pc
+from tropicorr.complexes import ComplexSpec, compute, sizes_over
 from tropicorr.errors import CrossCheckFailed, NotBalanced, NotStabilizable
 from tropicorr.exactla import (
     CoeffGroup,
@@ -32,9 +37,9 @@ from tropicorr.exactla import (
     identity,
     integral_length,
     invariant_factors,
-    kernel_basis,
     primitive_vector,
     quotient_presentation,
+    snf,
     transpose,
 )
 from tropicorr.fanmodel import ZERO_CONE, Cone, cone
@@ -43,6 +48,8 @@ from tropicorr.tropgraph import (
     Edge,
     TropicalCurve,
     _unbounded_ends,
+    cycle_edges,
+    genus,
     is_stable,
     satisfies_stability_bound,
     validate,
@@ -100,6 +107,16 @@ def det(a: Mat) -> int:
 
 def rank(a) -> int:
     return len(invariant_factors(a))
+
+
+def kernel_basis(a: Mat) -> Mat:
+    """Basis of the integer kernel {x : A x = 0}: the last columns of the
+    unimodular V of A's Smith form, so the kernel is saturated."""
+    a = freeze(a)
+    if not a or not a[0]:
+        return ()
+    res = snf(a)
+    return transpose(res.V)[len(res.divisors):]
 
 
 def rank_mod_p(a: Mat, p: int) -> int:
@@ -369,6 +386,38 @@ def quotient_form_dims(p: ParamTropicalCurve,
     mat = freeze(rows)
     r = rank_mod_p(mat, p_char) if p_char else rank(mat)
     return n * len(vertices) - r, len(mat) - r
+
+
+def e1_lattice(rep) -> Sublattice:
+    """E^1 of a complex report: the kernel lattice of its dense matrix in
+    the domain Z^domain_dim, all of it when the matrix has no rows."""
+    dim = rep.layout.domain_dim
+    if not rep.n_rows:
+        return full_lattice(dim)
+    return Sublattice(dim, kernel_basis(rep.matrix))
+
+
+def six_term_ledgers(p: ParamTropicalCurve,
+                     constraints: AffineConstraintSet | None, fields):
+    """The dimensions of the comparison sequence
+
+    0 -> sum mu_l(e)(G) -> CE^1_G -> E^1_G -> sum G/l(e)G -> CE^2_G -> E^2_G -> 0
+
+    over each field G of ``fields``, base-changed from one (beta, A) and one
+    (b, A) report.  mu and quot both count the edges whose l(e) is zero in
+    G; the sequence is exact iff the alternating sum vanishes."""
+    ce = compute(p, ComplexSpec("beta", constraints))
+    ee = compute(p, ComplexSpec("b", constraints))
+    mults = [pc.edge_geometry(p, e.id).multiplicity
+             for e in p.curve.bounded_edges()]
+    ledgers = []
+    for g in fields:
+        (ce1, ce2), (e1, e2) = (sizes_over(rep.E1_rank, rep.E2, g)
+                                for rep in (ce, ee))
+        mu = sum(1 for m in mults if m and g.p and m % g.p == 0)
+        ledgers.append({"mu": mu, "CE1": ce1.kdim, "E1": e1.kdim, "quot": mu,
+                        "CE2": ce2.kdim, "E2": e2.kdim})
+    return ledgers
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +703,31 @@ def oracle_zero_slope_classes(p: ParamTropicalCurve) -> dict[str, str]:
                 label[u] = label[w] = least
                 changed = True
     return label
+
+
+def oracle_contraction(p: ParamTropicalCurve) -> ParamTropicalCurve:
+    """p with its bounded zero-slope edges contracted: each vertex goes to
+    its ``oracle_zero_slope_classes`` label, and h descends."""
+    label = oracle_zero_slope_classes(p)
+    edges = tuple(Edge(e.id, tuple(label.get(v, v) for v in e.ends), e.length)
+                  for e in p.curve.edges
+                  if not e.is_bounded or p.hv(e.ends[0]) != p.hv(e.ends[1]))
+    c = TropicalCurve(tuple(dict.fromkeys(label.values())),
+                      p.curve.infinite_vertices, edges)
+    return ParamTropicalCurve(c, p.lattice_rank,
+                              {v: p.hv(v) for v in c.vertex_ids()})
+
+
+def lemma_complexes(p: ParamTropicalCurve,
+                    constraints: AffineConstraintSet | None = None):
+    """(E^1 rank, E^2) of the plain and the stacky complex, and of the
+    j-augmented one when p has genus one and no zero-slope cycle edge: the
+    complexes whose change the subdivision and contraction lemmas state."""
+    specs = [ComplexSpec("b", constraints), ComplexSpec("beta", constraints)]
+    if genus(p.curve) == 1 and all(pc.edge_geometry(p, e.id).slope
+                                   for e in cycle_edges(p.curve)):
+        specs.append(ComplexSpec("beta", constraints, elliptic=True))
+    return [(rep.E1_rank, rep.E2) for rep in (compute(p, s) for s in specs)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,20 @@ import pytest
 
 from corpus import corpus, elliptic_corpus, elliptic_rigid, rigid_genus0
 from fixture_curves import doubled_line, line_through_two_points, x_configuration
-from oracles import check_fan, det, mat_mul
-from tropicorr.complexes import (
-    ComplexSpec,
-    compute,
-    contraction_transport,
-    six_term_check,
-    sizes_over,
-    subdivision_transport,
+from oracles import (
+    check_fan,
+    det,
+    lemma_complexes,
+    mat_mul,
+    oracle_contraction,
+    six_term_ledgers,
 )
+from tropicorr.complexes import ComplexSpec, compute, sizes_over
 from tropicorr.counting import correspondence_count, elliptic_count
 from tropicorr.errors import HypothesisFailed
 from tropicorr.exactla import CoeffGroup, FGAbelianGroup
 from tropicorr.fanmodel import build_K, gamma_tr, ramification, refine_to_fan
 from tropicorr.paramcurve import (
-    contract_zero_slope,
     edge_geometry,
     extend_parameterization,
     overvalency,
@@ -83,8 +82,9 @@ def get_corpus():
 def test_criterion_3_six_term_ledger():
     checked = 0
     for p, a in get_corpus():
-        for grp in FIELDS:
-            six_term_check(p, a, grp)  # asserts the alternating sum is 0
+        for d in six_term_ledgers(p, a, FIELDS):
+            assert (d["mu"] - d["CE1"] + d["E1"] - d["quot"] + d["CE2"]
+                    - d["E2"]) == 0, d
             checked += 1
     assert checked == 200 * 4
     report(3, f"six-term ledger balanced in {checked} (curve, field) cases")
@@ -125,15 +125,20 @@ def test_criterion_5_transport():
     pairs = contractions = 0
     for p, a in get_corpus()[:100]:
         p_sub, n_new = _random_subdivision(rng, p)
-        rep = subdivision_transport(p, p_sub, a)
-        assert rep["ok"] and rep["new_vertices"] == n_new
+        assert len(p_sub.h.keys() - p.h.keys()) == n_new
+        for (r, e2), (r_sub, e2_sub) in zip(lemma_complexes(p, a),
+                                            lemma_complexes(p_sub, a)):
+            assert (r_sub, e2_sub) == (r + n_new, e2)
         pairs += 1
-        crep = contraction_transport(p, a)
-        assert crep["ok"]
-        pbar, _ = contract_zero_slope(p)
+        pbar = oracle_contraction(p)
+        assert not zero_slope_bounded_count(pbar)
+        drop = genus(p.curve) - genus(pbar.curve)
+        for (r, e2), (rbar, e2bar) in zip(lemma_complexes(p, a),
+                                          lemma_complexes(pbar, a)):
+            assert (r, e2.torsion) == (rbar, e2bar.torsion)
+            assert e2.rank == e2bar.rank + p.lattice_rank * drop
         full = compute(p, ComplexSpec("b"))
         small = compute(pbar, ComplexSpec("b"))
-        drop = genus(p.curve) - genus(pbar.curve)
         assert full.E2.rank == small.E2.rank + p.lattice_rank * drop
         contractions += 1
     assert pairs >= 100

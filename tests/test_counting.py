@@ -30,6 +30,7 @@ from tropicorr.errors import (
     CrossCheckFailed,
     GenusNotOne,
     HypothesisFailed,
+    NotBalanced,
     ObstructionNonzero,
     ZeroSlopeCycleEdge,
 )
@@ -46,6 +47,25 @@ def test_moduli_dimension():
                ("r3", ("v", "c"), None), ("r4", ("v", "d"), None)]),
         2, {"v": (0, 0), "a": (1, 0), "b": (-1, 0), "c": (0, 1), "d": (0, -1)})
     assert moduli_dimension(fourval) == 1
+
+
+def test_unbalanced_curve_is_not_counted():
+    # a leaf hung off w3 unbalances w3 and the leaf; stabilization prunes
+    # it, but the counting layer rejects the input instead of counting 9
+    p, a = triangle_elliptic()
+    c = p.curve
+    hung = tropgraph.TropicalCurve(
+        c.finite_vertices + ("y",), c.infinite_vertices,
+        c.edges + (tropgraph.Edge("bad", ("w3", "y"), Fraction(1)),))
+    q = param_curve(hung, 2, {**p.h, "y": (1, 1)})
+    assert elliptic_count(p, a, 0).count == 9
+    assert pc.stabilize_param(q).curve == c
+    for call in (elliptic_count, correspondence_count, reduction_torsor):
+        with pytest.raises(NotBalanced):
+            call(q, a, 0)
+    for call in (moduli_dimension, stacky_multiplier):
+        with pytest.raises(NotBalanced):
+            call(q)
 
 
 def test_reduction_torsor():

@@ -18,6 +18,7 @@ from oracles import (
     contains,
     det,
     full_lattice,
+    kernel_basis,
     lattice_index,
     lattice_intersect,
     lattice_intersect_span,
@@ -28,7 +29,7 @@ from oracles import (
     zero_lattice,
 )
 from tropicorr import exactla
-from tropicorr.complexes import ComplexSpec, build_matrix, compute
+from tropicorr.complexes import ComplexSpec, compute
 from tropicorr.curvefile import load
 from tropicorr.errors import TropicorrError
 from tropicorr.exactla import (
@@ -43,7 +44,6 @@ from tropicorr.exactla import (
     identity,
     integral_length,
     invariant_factors,
-    kernel_basis,
     primitive_vector,
     quotient_presentation,
     snf,
@@ -255,9 +255,8 @@ def tree_route_shapes(seed):
 
 
 def every_complex():
-    """(curve, spec, dense matrix) for every complex of the fixtures, the
-    corpora, a few large marked trees and the tree-route shapes that
-    assembles."""
+    """(curve, report) for every complex of the fixtures, the corpora, a few
+    large marked trees and the tree-route shapes that assembles."""
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     curves = [load(str(f))[:2] for f in sorted(fixtures.glob("*.json"))]
     curves += corpus(5005, 60) + elliptic_corpus(5006, 30)
@@ -268,28 +267,29 @@ def every_complex():
                 for elliptic in {False, genus(p.curve) == 1}:
                     spec = ComplexSpec(variant, cons, elliptic)
                     try:
-                        yield p, spec, build_matrix(p, spec)
+                        yield p, compute(p, spec)
                     except TropicorrError:
                         continue
 
 
 def test_unit_elimination_on_every_complex_matrix():
     seen = 0
-    for _, _, mat in every_complex():
+    for _, rep in every_complex():
+        mat = rep.matrix
         assert invariant_factors(mat) == snf(mat).divisors, mat
         seen += 1
     assert seen >= 450, seen
 
 
 def test_sparse_count_route_matches_dense_reference():
-    # compute reduces the assembled sparse rows; the reference reduces the
-    # dense matrix with snf and reads E^1's rank and E^2 off its divisors
+    # compute reduces the tree-reduced sparse rows; the reference reduces
+    # the dense full matrix with snf and reads E^1's rank and E^2 off its
+    # divisors
     seen = 0
     large_torsion = set()
-    for p, spec, mat in every_complex():
-        rep = compute(p, spec)
+    for p, rep in every_complex():
+        mat = rep.matrix
         divisors = snf(mat).divisors
-        assert rep.matrix == mat
         assert rep.E1_rank == rep.layout.domain_dim - len(divisors)
         assert rep.E2 == FGAbelianGroup(
             len(mat) - len(divisors), tuple(d for d in divisors if d > 1))

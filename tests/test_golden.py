@@ -26,9 +26,10 @@ EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8")
 
 def test_golden_set_is_complete():
     # 4 fixtures x 3 chars x (11 subcommands + 2 x 6 complex options), and
-    # 6 invalid inputs x 3 subcommands, 4 genus-one shapes x 6 runs, and 2
-    # counts that fail a hypothesis; no stale file left over
-    assert len(CASES) == 4 * 3 * (11 + 2 * 6) + 6 * 3 + 4 * 6 + 2
+    # 6 invalid inputs x 3 subcommands, 4 genus-one shapes x 6 runs, 2
+    # counts that fail a hypothesis and 1 on an unbalanced curve; no stale
+    # file left over
+    assert len(CASES) == 4 * 3 * (11 + 2 * 6) + 6 * 3 + 4 * 6 + 3
     assert set(EXIT_CODES) == {name for name, _ in CASES}
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(EXIT_CODES)
     assert set(EXIT_CODES.values()) == {0, 1, 2}

@@ -28,8 +28,8 @@ from oracles import (
     fraction_reduction_exponents,
     fraction_violations,
     lattice_intersect,
+    oracle_contraction,
     oracle_cycle_ids,
-    oracle_zero_slope_classes,
     saturation,
     solve_rational,
 )
@@ -38,7 +38,6 @@ from tropicorr.paramcurve import (
     ParamTropicalCurve,
     check_constraint,
     constraint_set,
-    contract_zero_slope,
     degree,
     edge_geometry,
     extend_parameterization,
@@ -279,33 +278,6 @@ def test_subdivide_at_positions():
     assert p3.hv("e1.v1") == (F(-2), F(0))
 
 
-def test_contract_zero_slope():
-    p = tropical_line()
-    q, vmap = contract_zero_slope(p)
-    assert q.curve == p.curve
-    flat = param_curve(
-        curve(["v", "w"], ["a", "b", "c"],
-              [("z", ("v", "w"), 1),
-               ("r1", ("v", "a"), None), ("r2", ("v", "b"), None),
-               ("r3", ("w", "c"), None)]),
-        2,
-        {"v": (1, 1), "w": (1, 1), "a": (1, 0), "b": (-1, 0),
-         "c": (0, 0)})
-    assert not param_violations(flat)
-    q, vmap = contract_zero_slope(flat)
-    assert len(q.curve.finite_vertices) == 1
-    assert vmap["w"] == vmap["v"]
-    assert not param_violations(q)
-    # zero-slope loop drops the genus
-    loopy = param_curve(
-        curve(["v"], ["a", "b"],
-              [("l", ("v", "v"), 3), ("r1", ("v", "a"), None),
-               ("r2", ("v", "b"), None)]),
-        2, {"v": (0, 0), "a": (1, 2), "b": (-1, -2)})
-    q, _ = contract_zero_slope(loopy)
-    assert genus(q.curve) == genus(loopy.curve) - 1
-
-
 def test_rank_examples():
     assert rank(tropical_line()) == 2
     line2, _ = line_through_two_points()
@@ -371,8 +343,8 @@ def _cycle_and_contraction_cases():
 
 
 def test_cycle_and_contraction_match_oracles():
-    # the BFS forest of tropgraph against a walk per deleted edge and
-    # against label propagation
+    # the BFS forest of tropgraph against a walk per deleted edge; the
+    # contraction by label propagation drops exactly the zero-slope edges
     cases = _cycle_and_contraction_cases()
     assert sum(genus(p.curve) == 1 for p in cases) >= 80
     for p in cases:
@@ -384,10 +356,7 @@ def test_cycle_and_contraction_match_oracles():
         else:
             with pytest.raises(GenusNotOne):
                 tropical_j(p)
-        q, vmap = contract_zero_slope(p)
-        classes = oracle_zero_slope_classes(p)
-        assert {v: vmap[v] for v in classes} == classes
-        assert set(q.curve.finite_vertices) == set(classes.values())
+        q = oracle_contraction(p)
         assert [e.id for e in q.curve.edges] == [
             e.id for e in p.curve.edges
             if not e.is_bounded or edge_geometry(p, e.id).slope is not None]
