@@ -12,11 +12,12 @@ vertex with a hanging tree, two zero-slope cycle edges) go through
 ``count-elliptic``.  Three constrained lines go through ``count``: one
 misses a constraint point (``satisfies_A`` fails), one has a vertex of
 multiplicity 3 at char 3 (``regular`` fails), and one hangs an unbalanced
-leaf that stabilization would prune (``NotBalanced``).  Beside the CLI cases, the
-seeded slice ``corpus(8086, 12, constrained=False)`` of tests/corpus.py
-goes through ``gamma_tr``, ``fan_to_json``, ``stacky_data`` at the least
-ramification with ``stacky_to_json``, and ``node_stack``; its text is
-stored in stacky_slice.txt.  The constrained slice ``corpus(2024, 12)``
+leaf that stabilization would prune (``NotBalanced``).  Beside the CLI
+cases, the seeded slice ``corpus(8086, 12, constrained=False)`` of
+tests/corpus.py goes through ``gamma_tr`` with ``curve_to_json``,
+``fan_to_json``, ``stacky_data`` at the least ramification with
+``stacky_to_json``, and ``node_stack``; its text is stored in
+stacky_slice.txt.  The constrained slice ``corpus(2024, 12)``
 goes through the complexes and the counts; its text is stored in
 count_slice.txt.  The inputs live outside
 fixtures/, whose files the benchmark reads.  Each case is stored as the
@@ -113,10 +114,13 @@ def run_case(argv) -> tuple[int, str]:
 
 
 def slice_text() -> str:
-    """The fan, stacky data and node and marked orders of every curve of
-    the seeded slice: one line per curve and part, the JSON of the part in
-    the library's own key order."""
+    """The subdivided curve, fan, stacky data and node and marked orders of
+    every curve of the seeded slice: one line per curve and part, the JSON
+    of the part in the library's own key order.  The ``tr`` part is the
+    curve file of ``gamma_tr``'s output, so its vertex ids, h, edge ids,
+    lengths and edge order are pinned."""
     from corpus import corpus
+    from tropicorr.curvefile import curve_to_json
     from tropicorr.fanmodel import fan_model, fan_to_json, gamma_tr, ramification
     from tropicorr.stacky import node_stack, stacky_data, stacky_to_json
 
@@ -125,7 +129,8 @@ def slice_text() -> str:
         tr = gamma_tr(p)
         ns = node_stack(tr)
         st = stacky_data(tr, ramification(tr, 1)["minimal_a"])
-        for part, data in (("fan", fan_to_json(fan_model(tr))),
+        for part, data in (("tr", curve_to_json(tr)),
+                           ("fan", fan_to_json(fan_model(tr))),
                            ("stacky", stacky_to_json(st)),
                            ("node_orders", ns.node_orders),
                            ("marked_orders", ns.marked_orders)):

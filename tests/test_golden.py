@@ -1,7 +1,7 @@
 """Every CLI output in tests/golden/ is replayed byte for byte.
 
-So are the fan and stacky text of a seeded corpus slice and the groups
-and counts of a constrained one.  The files are
+So are the subdivided curves, fans and stacky text of a seeded corpus
+slice and the groups and counts of a constrained one.  The files are
 written by tests/make_golden.py; a change that alters one of
 them must regenerate it and say why.
 """
