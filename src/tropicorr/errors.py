@@ -24,10 +24,6 @@ class NotBalanced(TropicorrError):
     code = "NotBalanced"
 
 
-class NonCollinear(TropicorrError):
-    code = "NonCollinear"
-
-
 class GenusNotOne(TropicorrError):
     code = "GenusNotOne"
 

@@ -42,6 +42,7 @@ from . import paramcurve as pc
 from .errors import CrossCheckFailed
 from .exactla import primitive_vector
 from .paramcurve import ParamTropicalCurve
+from .tropgraph import SubdivideBounded, SubdivideUnbounded, _unbounded_ends
 
 Ray = tuple[int, ...]
 
@@ -314,25 +315,42 @@ def _require_fan(cones) -> None:
 def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
     """Subdivide every nonzero-slope edge at the interior crossing rays of
     the refined fan, so that the curve's own cone collection becomes that
-    fan.  Idempotent."""
+    fan.  Idempotent.
+
+    Let the edge run from u to w (from its finite end u, if unbounded),
+    with rays g_u and g_w of heights g_u[n] and g_w[n].  A ray r inside its
+    cone has d r = na g_u + nb g_w with na, nb > 0 (``_coords_in``), so the
+    cut lies at distance nb g_w[n] / (na g_u[n] + nb g_w[n]) |e| from u on
+    a bounded edge, and at nb / (na g_u[n] l(e)) on an unbounded one, where
+    g_w = (s_e, 0) and h(w) = l(e) s_e.  A finite vertex's ray has positive
+    height, so both denominators are positive."""
     rays, edge_cones = _curve_cones(p)
     chains = _refine(_collection(rays, edge_cones))[1]
-    n = p.lattice_rank
-    positions = {}
-    for eid, c in edge_cones.items():
-        for r in chains[c]:
-            if r[n] <= 0:
-                raise CrossCheckFailed(
-                    "interior_ray_height",
-                    f"interior ray {r} of the cone of edge {eid} has "
-                    "height 0")
-            positions.setdefault(eid, []).append(
-                tuple(Fraction(x, r[n]) for x in r[:n]))
-    if not positions:
+    n, inf_set = p.lattice_rank, set(p.curve.infinite_vertices)
+    steps = []
+    for eid in sorted(edge_cones):
+        chain = chains[edge_cones[eid]]
+        if not chain:
+            continue
+        e = p.curve.edge(eid)
+        if e.is_bounded:
+            u, w = e.ends
+            scale = rays[w][n] * e.length
+        else:
+            u, w = _unbounded_ends(e, inf_set)
+            scale = Fraction(1, pc.edge_geometry(p, eid).multiplicity)
+        gu, gw = rays[u], rays[w]
+        dists = []
+        for r in chain:
+            na, nb, _ = _coords_in((gu, gw), r)
+            dists.append(scale * Fraction(nb, na * gu[n] + nb * gw[n]))
+        step = SubdivideBounded if e.is_bounded else SubdivideUnbounded
+        steps.append(step(eid, tuple(sorted(dists))))
+    if not steps:
         # K(p) is its own refinement: keep the verdict (not the fan) on p
         object.__setattr__(p, "_is_fan", True)
         return p
-    return pc.subdivide_at_positions(p, positions)
+    return pc.extend_parameterization(p, steps)
 
 
 # ---------------------------------------------------------------------------

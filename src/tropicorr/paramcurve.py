@@ -21,12 +21,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import tropgraph
-from .errors import (
-    ConstraintCountMismatch,
-    CrossCheckFailed,
-    NonCollinear,
-    NotBalanced,
-)
+from .errors import ConstraintCountMismatch, CrossCheckFailed, NotBalanced
 from .exactla import (
     Mat,
     Sublattice,
@@ -259,48 +254,6 @@ def extend_parameterization(p: ParamTropicalCurve, steps) -> ParamTropicalCurve:
         cur = tropgraph.modify(cur, [step])
         inf_set = set(cur.infinite_vertices)
     return ParamTropicalCurve(cur, p.lattice_rank, {v: h[v] for v in cur.vertex_ids()})
-
-
-def subdivide_at_positions(p: ParamTropicalCurve, positions) -> ParamTropicalCurve:
-    """Subdivide edges at prescribed points of N_Q.
-
-    positions maps an edge id to points that must lie on the open segment
-    (bounded) or open ray (unbounded) carved out by h; the unique compatible
-    edge lengths are reconstructed from the fractions along the edge.
-    """
-    steps = []
-    for eid in sorted(positions):
-        e = p.curve.edge(eid)
-        pts = [qvec(pt) for pt in positions[eid]]
-        if not pts:
-            continue
-        if e.is_bounded:
-            u, w = e.ends
-            base, span = p.hv(u), vsub(p.hv(w), p.hv(u))
-        else:
-            start, far = tropgraph._unbounded_ends(
-                e, set(p.curve.infinite_vertices))
-            base, span = p.hv(start), p.hv(far)
-        if not any(span):
-            raise NonCollinear(f"edge {eid} has trivial slope")
-        lams = []
-        for pt in pts:
-            diff = vsub(pt, base)
-            k = next(i for i, x in enumerate(span) if x != 0)
-            lam = diff[k] / span[k]
-            if vscale(lam, span) != diff:
-                raise NonCollinear(f"point {tuple(map(str, pt))} is off edge {eid}")
-            lams.append(lam)
-        lams = sorted(set(lams))
-        if e.is_bounded:
-            if lams[0] <= 0 or lams[-1] >= 1:
-                raise NonCollinear(f"point outside the open segment of {eid}")
-            steps.append(SubdivideBounded(eid, tuple(l * e.length for l in lams)))
-        else:
-            if lams[0] <= 0:
-                raise NonCollinear(f"point outside the open ray of {eid}")
-            steps.append(SubdivideUnbounded(eid, tuple(lams)))
-    return extend_parameterization(p, steps)
 
 
 def stabilize_param(p: ParamTropicalCurve) -> ParamTropicalCurve:

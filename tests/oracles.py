@@ -404,19 +404,23 @@ def six_term_ledgers(p: ParamTropicalCurve,
     0 -> sum mu_l(e)(G) -> CE^1_G -> E^1_G -> sum G/l(e)G -> CE^2_G -> E^2_G -> 0
 
     over each field G of ``fields``, base-changed from one (beta, A) and one
-    (b, A) report.  mu and quot both count the edges whose l(e) is zero in
-    G; the sequence is exact iff the alternating sum vanishes."""
+    (b, A) report; the sequence is exact iff the alternating sum vanishes.
+    mu is read off the dense (beta, A) matrix as its y_e columns that
+    vanish in G: the column holds l(e) s_e, which is zero mod p iff p | l(e)
+    as s_e is primitive.  quot counts the edges whose l(e) is zero in G."""
     ce = compute(p, ComplexSpec("beta", constraints))
     ee = compute(p, ComplexSpec("b", constraints))
+    ycols = list(zip(*ce.matrix))[ce.layout.n * len(ce.layout.vertices):]
     mults = [pc.edge_geometry(p, e.id).multiplicity
              for e in p.curve.bounded_edges()]
     ledgers = []
     for g in fields:
         (ce1, ce2), (e1, e2) = (sizes_over(rep.E1_rank, rep.E2, g)
                                 for rep in (ce, ee))
-        mu = sum(1 for m in mults if m and g.p and m % g.p == 0)
-        ledgers.append({"mu": mu, "CE1": ce1.kdim, "E1": e1.kdim, "quot": mu,
-                        "CE2": ce2.kdim, "E2": e2.kdim})
+        mu = sum(1 for col in ycols if g.p and all(x % g.p == 0 for x in col))
+        quot = sum(1 for m in mults if m and g.p and m % g.p == 0)
+        ledgers.append({"mu": mu, "CE1": ce1.kdim, "E1": e1.kdim,
+                        "quot": quot, "CE2": ce2.kdim, "E2": e2.kdim})
     return ledgers
 
 

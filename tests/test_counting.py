@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from collections import Counter
@@ -407,7 +408,13 @@ def _half_edge_exponents(p, a):
         replace(p, h={**p.h, "v1": (Fraction(-1, 4), Fraction(0))}), "v0")
 
 
+def _elliptic(p, a):
+    return elliptic_count(p, a, 0)
+
+
 _fan_model = fanmodel.fan_model
+_sizes_over = complexes.sizes_over
+_compute = complexes.compute
 
 
 # cross-check -> (module, function to break, its broken stand-in, fixture,
@@ -418,6 +425,22 @@ BROKEN_ROUTES = {
                      "dblline.json", _count),
     "rank_formula": (pc, "overvalency", lambda c: -1, "line2pts.json",
                      _count),
+    # E1 gains a free rank, so E1 over k* is infinite
+    "torsor_finite": (complexes, "sizes_over",
+                      lambda r, e2, g: _sizes_over(r + 1, e2, g),
+                      "dblline.json", _count),
+    # the Tor route reads E2 of twice its order
+    "elliptic_routes": (complexes, "sizes_over",
+                        lambda r, e2, g: _sizes_over(
+                            r, exactla.FGAbelianGroup(
+                                0, (2 * e2.torsion_order,)), g),
+                        "triangle_elliptic.json", _elliptic),
+    # the (beta, A, j) complex reports E1 of rank 1, the others stay
+    "elliptic_finite": (complexes, "compute",
+                        lambda p, spec: replace(rep := _compute(p, spec),
+                                                E1_rank=rep.E1_rank + 1)
+                        if spec.elliptic else _compute(p, spec),
+                        "triangle_elliptic.json", _elliptic),
     "fan_axiom": (fanmodel, "gamma_tr", lambda p: p, "xconfig.json", _fan),
     # every facet ray read as outside its 2-cone's sublattice
     "stacky_compatibility": (stacky, "_ray_multiplier",
@@ -473,3 +496,15 @@ def test_cross_check_failure_survives_optimize(check):
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == f"CrossCheckFailed:{check}"
+
+
+def test_every_cross_check_has_a_broken_route():
+    # cone_generators is raised by _coords_in on parallel generators, which
+    # test_fanmodel.py breaks directly
+    codes = set()
+    for path in (ROOT / "src" / "tropicorr").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "CrossCheckFailed"):
+                codes.add(node.args[0].value)
+    assert codes == set(BROKEN_ROUTES) | {"cone_generators"}

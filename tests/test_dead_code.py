@@ -1,5 +1,5 @@
 """Every module-level function of the library is reachable from an entry
-point.
+point, and every error class is raised somewhere in the library.
 
 Roots are the names in the package's export table (``_EXPORTS`` in
 ``__init__``), every name in ``cli.py``, every name used in class bodies and
@@ -8,12 +8,15 @@ name in ``bench/*.py``.  Import statements are not roots.  A function
 reaches the names used in its body.  Names are matched across modules by
 spelling alone, so a function is reported only when no reachable code uses
 its name at all.
+
+An error class counts as raised when a ``raise`` statement under src/
+names it, called or not.
 """
 
 import ast
 from pathlib import Path
 
-from tropicorr import _EXPORTS
+from tropicorr import _EXPORTS, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tropicorr"
@@ -67,3 +70,20 @@ def unreachable_functions():
 
 def test_every_library_function_is_reachable():
     assert unreachable_functions() == []
+
+
+def unraised_errors():
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised |= used_names(exc)
+    return sorted(name for name, cls in vars(errors).items()
+                  if isinstance(cls, type)
+                  and issubclass(cls, errors.TropicorrError)
+                  and cls is not errors.TropicorrError and name not in raised)
+
+
+def test_every_error_class_is_raised():
+    assert unraised_errors() == []

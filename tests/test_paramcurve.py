@@ -16,12 +16,7 @@ from fixture_curves import (
 from tropicorr import fanmodel, tropgraph
 from tropicorr import paramcurve as pc
 from tropicorr.curvefile import load
-from tropicorr.errors import (
-    GenusNotOne,
-    NonCollinear,
-    NotBalanced,
-    NotStabilizable,
-)
+from tropicorr.errors import GenusNotOne, NotBalanced, NotStabilizable
 from oracles import (
     fraction_edge_geometry,
     fraction_maps_to_zero,
@@ -45,7 +40,6 @@ from tropicorr.paramcurve import (
     param_violations,
     rank,
     stabilize_param,
-    subdivide_at_positions,
     tropical_j,
     zero_slope_bounded_count,
 )
@@ -265,17 +259,6 @@ def test_extend_parameterization_unbounded_and_tree():
     assert p3.hv("s") == p3.hv("v0")
     assert not param_violations(p3)
     assert genus(p3.curve) == 0
-
-
-def test_subdivide_at_positions():
-    p = two_vertex_curve()
-    p2 = subdivide_at_positions(p, {"m": [(F(1, 3), F(1, 3))]})
-    lens = sorted(e.length for e in p2.curve.bounded_edges())
-    assert lens == [F(1, 3), F(2, 3)]
-    with pytest.raises(NonCollinear):
-        subdivide_at_positions(p, {"m": [(F(1, 3), F(2, 3))]})
-    p3 = subdivide_at_positions(p, {"e1": [(-2, 0)]})
-    assert p3.hv("e1.v1") == (F(-2), F(0))
 
 
 def test_rank_examples():
