@@ -26,8 +26,11 @@ generator, or none of positive height, is intersected with every cone.  A
 lone 1-cone rays, so only those are tested, and chains are ordered by
 cross-multiplied integers.
 
-All cones here have dimension at most two, so every intersection reduces to
-2x2 and 3x3 integer minors; no general polyhedral machinery is needed.
+A cone is the ascending tuple of its distinct primitive integer generators:
+``()`` is the zero cone, ``(r,)`` the cone over the ray r and ``(g1, g2)`` a
+2-cone, so its dimension is its length.  All cones here have dimension at
+most two, so every intersection reduces to 2x2 and 3x3 integer minors; no
+general polyhedral machinery is needed.
 """
 
 from __future__ import annotations
@@ -45,24 +48,9 @@ from .paramcurve import ParamTropicalCurve
 from .tropgraph import SubdivideBounded, SubdivideUnbounded, _unbounded_ends
 
 Ray = tuple[int, ...]
+Cone = tuple[Ray, ...]
 
-
-@dataclass(frozen=True)
-class Cone:
-    """A sharp rational cone of dimension <= 2, stored by its primitive
-    generators in a canonical (sorted) order."""
-
-    generators: tuple[Ray, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.generators)
-
-    def __str__(self):
-        return "cone" + str(self.generators)
-
-
-ZERO_CONE = Cone(())
+ZERO_CONE: Cone = ()
 
 
 def cone(*gens) -> Cone:
@@ -75,7 +63,7 @@ def cone(*gens) -> Cone:
     uniq = sorted(set(prims))
     if len(uniq) == 2 and _parallel(uniq[0], uniq[1]):
         raise ValueError("generators are parallel")
-    return Cone(tuple(uniq))
+    return tuple(uniq)
 
 
 def _parallel(u, v) -> bool:
@@ -85,7 +73,7 @@ def _parallel(u, v) -> bool:
 
 def _pair_cone(a: Ray, b: Ray) -> Cone:
     """The 2-cone over two primitive, non-parallel rays."""
-    return Cone((a, b) if a < b else (b, a))
+    return (a, b) if a < b else (b, a)
 
 
 def _coords_in(gens, w) -> tuple[int, int, int] | None:
@@ -116,14 +104,14 @@ def _coords_in(gens, w) -> tuple[int, int, int] | None:
 
 
 def cone_contains(conee: Cone, w) -> bool:
-    coords = _coords_in(conee.generators, w)
+    coords = _coords_in(conee, w)
     return coords is not None and coords[0] >= 0 and coords[1] >= 0
 
 
 def _interior_position(conee: Cone, w) -> tuple[int, int] | None:
     """(na, nb) of ``_coords_in`` for w strictly inside the 2-cone (both
     positive), None for any other w."""
-    coords = _coords_in(conee.generators, w)
+    coords = _coords_in(conee, w)
     if coords is None or coords[0] <= 0 or coords[1] <= 0:
         return None
     return coords[:2]
@@ -139,11 +127,11 @@ def _sector_intersection(c1: Cone, c2: Cone) -> Cone:
     """Intersection of two 2-cones with a common span: the cone over the
     first and the last, from g1 to g2 of c1, of the generators of either
     that lie in the other."""
-    cands = {g for g in c1.generators if cone_contains(c2, g)}
-    cands |= {g for g in c2.generators if cone_contains(c1, g)}
+    cands = {g for g in c1 if cone_contains(c2, g)}
+    cands |= {g for g in c2 if cone_contains(c1, g)}
     if len(cands) < 2:
-        return Cone(tuple(cands))
-    chain = sorted(((_coords_in(c1.generators, g)[:2], g) for g in cands),
+        return tuple(cands)
+    chain = sorted(((_coords_in(c1, g)[:2], g) for g in cands),
                    key=cmp_to_key(_by_position))
     return cone(chain[0][1], chain[-1][1])
 
@@ -158,21 +146,20 @@ def _plane_minors(h1, h2, w) -> list[int]:
 
 
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:
-    if c1.dim > c2.dim:
+    if len(c1) > len(c2):
         c1, c2 = c2, c1
-    if c1.dim == 0:
+    if not c1:
         return ZERO_CONE
-    if c1.dim == 1:
-        g = c1.generators[0]
-        if c2.dim == 1:
+    if len(c1) == 1:
+        if len(c2) == 1:
             return c1 if c1 == c2 else ZERO_CONE
-        return c1 if cone_contains(c2, g) else ZERO_CONE
+        return c1 if cone_contains(c2, c1[0]) else ZERO_CONE
     # two 2-cones: the minors of (h1, h2, a g1 + b g2) are linear in (a, b).
     # All vanish iff the spans coincide; otherwise the first nonzero one cuts
     # out the only line that can be common, and cone_contains checks exactly
     # that it lies in c2 (so planes meeting only in 0 give 0)
-    g1, g2 = c1.generators
-    h1, h2 = c2.generators
+    g1, g2 = c1
+    h1, h2 = c2
     rows = [(x, y) for x, y in zip(_plane_minors(h1, h2, g1),
                                    _plane_minors(h1, h2, g2)) if x or y]
     if not rows:
@@ -182,7 +169,7 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
     if a < 0 or b < 0:
         return ZERO_CONE  # the line meets c1 only in 0
     w = primitive_vector(tuple(a * s + b * t for s, t in zip(g1, g2)))
-    return Cone((w,)) if cone_contains(c2, w) else ZERO_CONE
+    return (w,) if cone_contains(c2, w) else ZERO_CONE
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +201,12 @@ def _curve_cones(p: ParamTropicalCurve):
 
 
 def _sorted_cones(cones) -> tuple[Cone, ...]:
-    return tuple(sorted(cones, key=lambda c: (c.dim, c.generators)))
+    return tuple(sorted(cones, key=lambda c: (len(c), c)))
 
 
 def _collection(rays, edge_cones) -> tuple[Cone, ...]:
     cones = {ZERO_CONE, *edge_cones.values()}
-    cones.update(Cone((r,)) for r in rays.values() if r is not None)
+    cones.update((r,) for r in rays.values() if r is not None)
     return _sorted_cones(cones)
 
 
@@ -233,14 +220,14 @@ def _slice_box(c: Cone, scale: int):
     """(lows, highs) bounding the slice at height one, times ``scale`` (a
     common multiple of the heights), None on an unbounded side; None for a
     cone outside the closed upper half-space or inside height 0."""
-    heights = [g[-1] for g in c.generators]
+    heights = [g[-1] for g in c]
     if min(heights) < 0 or max(heights) == 0:
         return None
     points = [tuple(x * (scale // g[-1]) for x in g[:-1])
-              for g in c.generators if g[-1]]
+              for g in c if g[-1]]
     lows = [min(xs) for xs in zip(*points)]
     highs = [max(xs) for xs in zip(*points)]
-    for g in c.generators:
+    for g in c:
         if g[-1] == 0:      # the slice is a half-line along g
             for i, x in enumerate(g[:-1]):
                 if x > 0:
@@ -261,9 +248,9 @@ def _refine(cones):
     """The fan of ``refine_to_fan`` and, for each input 2-cone, the rays
     strictly inside it, ordered from its first generator to its second."""
     cones = list(dict.fromkeys(cones))
-    two = [c for c in cones if c.dim == 2]
-    gens = {g for c in two for g in c.generators}
-    lone = {c.generators[0] for c in cones if c.dim == 1} - gens
+    two = [c for c in cones if len(c) == 2]
+    gens = {g for c in two for g in c}
+    lone = {c[0] for c in cones if len(c) == 1} - gens
     scale = lcm(*(g[-1] for g in gens if g[-1] > 0))
     boxes = [_slice_box(c, scale) for c in two]
     met = {c: set() for c in two}    # generators of c's nonzero intersections
@@ -271,13 +258,13 @@ def _refine(cones):
         for j in range(i + 1, len(two)):
             c2 = two[j]
             if (boxes[i] and boxes[j] and _apart(boxes[i], boxes[j])
-                    and not set(c1.generators) & set(c2.generators)):
+                    and not set(c1) & set(c2)):
                 continue
             inter = intersect_cones(c1, c2)
-            met[c1].update(inter.generators)
-            met[c2].update(inter.generators)
+            met[c1].update(inter)
+            met[c2].update(inter)
     out = {ZERO_CONE}
-    out.update(Cone((r,)) for r in gens.union(lone, *met.values()))
+    out.update((r,) for r in gens.union(lone, *met.values()))
     chains = {}
     for c in two:
         interior = []
@@ -287,7 +274,7 @@ def _refine(cones):
                 interior.append((pos, r))
         interior.sort(key=cmp_to_key(_by_position))
         chains[c] = tuple(r for _, r in interior)
-        chain = [c.generators[0], *chains[c], c.generators[1]]
+        chain = [c[0], *chains[c], c[1]]
         out.update(_pair_cone(a, b) for a, b in zip(chain, chain[1:]))
     return _sorted_cones(out), chains
 
@@ -305,7 +292,7 @@ def _require_fan(cones) -> None:
     rays inside it."""
     fan, chains = _refine(cones)
     if set(fan) != set(cones):
-        bad = [f"{c} contains {', '.join(map(str, chain))}"
+        bad = [f"cone{c} contains {', '.join(map(str, chain))}"
                for c, chain in chains.items() if chain]
         raise CrossCheckFailed(
             "fan_axiom", "curve cones do not form a fan (apply gamma_tr "
@@ -368,10 +355,10 @@ class FanModel:
     l_rho: dict[Ray, int]       # lcm of the end multiplicities over an eta ray
 
     def rays(self) -> tuple[Ray, ...]:
-        return tuple(c.generators[0] for c in self.cones if c.dim == 1)
+        return tuple(c[0] for c in self.cones if len(c) == 1)
 
     def two_cones(self) -> tuple[Cone, ...]:
-        return tuple(c for c in self.cones if c.dim == 2)
+        return tuple(c for c in self.cones if len(c) == 2)
 
 
 def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
@@ -439,29 +426,31 @@ def reduction_exponents(p_tr: ParamTropicalCurve, v: str):
     return out
 
 
+def json_keys(fm: FanModel) -> tuple[dict[Ray, int], dict[Cone, str]]:
+    """The position of each ray in ``fm.rays()``, and the JSON key of each
+    cone of the fan: "0" for the zero cone, "r<i>" for the cone over ray i,
+    "<i>-<j>" for a 2-cone over rays i < j (the rays ascend, as do a
+    cone's generators)."""
+    index = {r: i for i, r in enumerate(fm.rays())}
+    keys = {ZERO_CONE: "0"}
+    keys.update(((r,), f"r{i}") for r, i in index.items())
+    keys.update((c, f"{index[c[0]]}-{index[c[1]]}") for c in fm.two_cones())
+    return index, keys
+
+
 def fan_to_json(fm: FanModel) -> dict:
-    rays = list(fm.rays())
-    ray_index = {r: i for i, r in enumerate(rays)}
+    index, keys = json_keys(fm)
     eta = set(fm.eta_rays)
-
-    def ckey(c):
-        i, j = sorted((ray_index[c.generators[0]], ray_index[c.generators[1]]))
-        return f"{i}-{j}"
-
     return {
-        "rays": [list(r) for r in rays],
-        "eta": [r in eta for r in rays],
-        "cones": sorted(sorted((ray_index[c.generators[0]],
-                                ray_index[c.generators[1]]))
-                        for c in fm.two_cones()),
-        "ray_vertices": {str(ray_index[r]): sorted(vs)
+        "rays": [list(r) for r in index],
+        "eta": [r in eta for r in index],
+        "cones": [[index[g] for g in c] for c in fm.two_cones()],
+        "ray_vertices": {str(index[r]): sorted(vs)
                          for r, vs in sorted(fm.ray_vertices.items())},
-        "cone_edges": {ckey(c): sorted(es)
-                       for c, es in sorted(fm.cone_edges.items(),
-                                           key=lambda kv: kv[0].generators)},
-        "cone_multiplicities": {
-            ckey(c): m for c, m in sorted(fm.l_sigma.items(),
-                                          key=lambda kv: kv[0].generators)},
-        "ray_multiplicities": {str(ray_index[r]): m
+        "cone_edges": {keys[c]: sorted(es)
+                       for c, es in sorted(fm.cone_edges.items())},
+        "cone_multiplicities": {keys[c]: m
+                                for c, m in sorted(fm.l_sigma.items())},
+        "ray_multiplicities": {str(index[r]): m
                                for r, m in sorted(fm.l_rho.items())},
     }

@@ -76,16 +76,16 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
     scaled_of: dict[Cone, Cone] = {}
 
     for c in fm.cones:
-        gens = tuple(scaled[g] for g in c.generators)
-        scaled_of[c] = Cone(tuple(sorted(gens)))
-        if c.dim == 0:
+        gens = tuple(scaled[g] for g in c)
+        scaled_of[c] = tuple(sorted(gens))
+        if not c:
             rows = ()
-        elif c.dim == 1:
-            k = fm.l_rho.get(c.generators[0], 1)    # l(rho) on the eta rays
+        elif len(c) == 1:
+            k = fm.l_rho.get(c[0], 1)    # l(rho) on the eta rays
             rows = (tuple(k * x for x in gens[0]),)
-        elif any(g in fm.l_rho for g in c.generators):
+        elif any(g in fm.l_rho for g in c):
             # an eta ray is in the cone; the rays come first in fm.cones
-            rows = tuple(bases[Cone((g,))][0] for g in c.generators)
+            rows = tuple(bases[(g,)][0] for g in c)
         else:
             # (a n_rho1, 1) and (a n_rho2, 1) when both are integral
             s1, s2 = gens
@@ -151,15 +151,15 @@ def _verify_compatibility(st: StackySigma):
     """
     n1 = st.fan.ambient_rank
     for c in st.fan.two_cones():
-        for g in c.generators:
-            ray = Cone((g,))
-            s = st.scaled_of[ray].generators[0]
+        for g in c:
+            ray = (g,)
+            (s,) = st.scaled_of[ray]
             m = _ray_multiplier(st.bases[c], s)
             m_s = tuple(m * x for x in s)
             if st.bases[ray] != (m_s,):
                 raise CrossCheckFailed(
                     "stacky_compatibility",
-                    f"the sublattice of {c} restricts to "
+                    f"the sublattice of cone{c} restricts to "
                     f"{Sublattice(n1, (m_s,)).basis} on the span of its ray "
                     f"{g}, whose sublattice is {st.assignment[ray].basis}")
 
@@ -214,22 +214,12 @@ def node_stack(p_tr: ParamTropicalCurve) -> NodeStackData:
 
 
 def stacky_to_json(st: StackySigma) -> dict:
-    rays = list(st.fan.rays())
-    ray_index = {r: i for i, r in enumerate(rays)}
-
-    def ckey(c: Cone) -> str:
-        if c.dim == 0:
-            return "0"
-        idx = sorted(ray_index[g] for g in c.generators)
-        return "-".join(str(i) for i in idx) if c.dim == 2 else f"r{idx[0]}"
-
+    index, keys = fan.json_keys(st.fan)
     return {
         "a": st.a,
-        "rays": [list(r) for r in rays],
-        "assignment": {ckey(c): [list(row) for row in lat.basis]
-                       for c, lat in sorted(st.assignment.items(),
-                                            key=lambda kv: (kv[0].dim, kv[0].generators))},
-        "stabilizer_orders": {ckey(c): o
-                              for c, o in sorted(st.stabilizer_order.items(),
-                                                 key=lambda kv: (kv[0].dim, kv[0].generators))},
+        "rays": [list(r) for r in index],
+        "assignment": {keys[c]: [list(row) for row in lat.basis]
+                       for c, lat in st.assignment.items()},
+        "stabilizer_orders": {keys[c]: o
+                              for c, o in st.stabilizer_order.items()},
     }

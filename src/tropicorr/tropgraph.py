@@ -16,8 +16,6 @@ from functools import cached_property
 
 from .errors import BadSubdivision, GenusNotOne, NotStabilizable
 
-INF = None  # length of an unbounded edge
-
 
 @dataclass(frozen=True, slots=True)
 class Edge:

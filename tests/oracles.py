@@ -7,6 +7,8 @@ membership, intersection, saturation and index by rational solving and
 integer kernels; ranks by Gauss-Jordan
 elimination and determinants by Bareiss; constraint membership by
 Fraction products with the presentation; the one-term quotient complex;
+the ranks of the plain complex, assembled from Fraction directions and
+reduced over Q by Fraction elimination;
 the six-term comparison ledger from one plain and one stacky report;
 cone coordinates in Fractions; the fan axiom over every pair of cones;
 the all-pairs stacky compatibility; isomorphism of metric graphs;
@@ -42,7 +44,7 @@ from tropicorr.exactla import (
     snf,
     transpose,
 )
-from tropicorr.fanmodel import ZERO_CONE, Cone, cone
+from tropicorr.fanmodel import ZERO_CONE, cone
 from tropicorr.paramcurve import AffineConstraintSet, ParamTropicalCurve
 from tropicorr.tropgraph import (
     Edge,
@@ -388,6 +390,54 @@ def quotient_form_dims(p: ParamTropicalCurve,
     return n * len(vertices) - r, len(mat) - r
 
 
+def fraction_rank(rows) -> int:
+    """Rank over Q of a matrix given by its rows, by Gauss-Jordan
+    elimination in Fractions."""
+    m = [[F(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col] / m[r][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def plain_complex_ranks(p: ParamTropicalCurve) -> tuple[int, int, int]:
+    """(c, rank E^1, rank E^2) of the plain complex (b, no constraints),
+    assembled from the Fraction directions and reduced over Q: c counts the
+    bounded edges of zero direction.  Edge u -> w gives the n rows
+    x_w - x_u + d_e y_e, with no y_e at zero direction; over Q the column of
+    y_e may hold the direction d_e = l(e) s_e in place of s_e without
+    changing the rank."""
+    n = p.lattice_rank
+    vcol = {v: n * i for i, v in enumerate(p.curve.finite_vertices)}
+    dirs = [(e, fraction_direction(p, e)) for e in p.curve.bounded_edges()]
+    ycol = {}
+    for e, d in dirs:
+        if any(d):
+            ycol[e.id] = n * len(vcol) + len(ycol)
+    dim = n * len(vcol) + len(ycol)
+    rows = []
+    for e, d in dirs:
+        u, w = pc._orient(e)
+        for k in range(n):
+            row = [0] * dim
+            row[vcol[u] + k] -= 1
+            row[vcol[w] + k] += 1       # so a loop has no x terms
+            if e.id in ycol:
+                row[ycol[e.id]] = d[k]
+            rows.append(row)
+    r = fraction_rank(rows)
+    return len(dirs) - len(ycol), dim - r, len(rows) - r
+
+
 def e1_lattice(rep) -> Sublattice:
     """E^1 of a complex report: the kernel lattice of its dense matrix in
     the domain Z^domain_dim, all of it when the matrix has no rows."""
@@ -431,14 +481,14 @@ def six_term_ledgers(p: ParamTropicalCurve,
 
 def oracle_coords_in(conee, w):
     """(a, b) in Q with w = a g1 + b g2, or None outside the span."""
-    if conee.dim == 0:
+    if not conee:
         return (F(0), F(0)) if all(x == 0 for x in w) else None
-    if conee.dim == 1:
-        (g,) = conee.generators
+    if len(conee) == 1:
+        (g,) = conee
         k = next(i for i, x in enumerate(g) if x)
         a = F(w[k], g[k])
         return (a, F(0)) if all(a * x == y for x, y in zip(g, w)) else None
-    g1, g2 = conee.generators
+    g1, g2 = conee
     for i in range(len(g1)):
         for j in range(i + 1, len(g1)):
             d = g1[i] * g2[j] - g1[j] * g2[i]
@@ -457,23 +507,23 @@ def oracle_contains(conee, w):
 
 
 def oracle_intersect(c1, c2):
-    if c1.dim > c2.dim:
+    if len(c1) > len(c2):
         c1, c2 = c2, c1
-    if c1.dim == 0:
+    if not c1:
         return ZERO_CONE
-    if c1.dim == 1:
-        if c2.dim == 1:
+    if len(c1) == 1:
+        if len(c2) == 1:
             return c1 if c1 == c2 else ZERO_CONE
-        return c1 if oracle_contains(c2, c1.generators[0]) else ZERO_CONE
-    g1, g2 = c1.generators
-    h1, h2 = c2.generators
+        return c1 if oracle_contains(c2, c1[0]) else ZERO_CONE
+    g1, g2 = c1
+    h1, h2 = c2
     ker = kernel_basis(tuple(zip(g1, g2, tuple(-x for x in h1),
                                  tuple(-x for x in h2))))
     if len(ker) == 0:
         return ZERO_CONE
     if len(ker) >= 2:  # same plane: order the candidate rays by angle
-        cands = sorted({g for g in c1.generators if oracle_contains(c2, g)}
-                       | {g for g in c2.generators if oracle_contains(c1, g)})
+        cands = sorted({g for g in c1 if oracle_contains(c2, g)}
+                       | {g for g in c2 if oracle_contains(c1, g)})
         if not cands:
             return ZERO_CONE
         key = []
@@ -481,20 +531,20 @@ def oracle_intersect(c1, c2):
             a, b = oracle_coords_in(c1, g)
             key.append((b / (a + b), g))
         lo, hi = min(key)[1], max(key)[1]
-        return Cone((lo,)) if lo == hi else cone(lo, hi)
+        return (lo,) if lo == hi else cone(lo, hi)
     a1, a2, _, _ = ker[0]
     w = primitive_vector(tuple(a1 * x + a2 * y for x, y in zip(g1, g2)))
     for cand in (w, tuple(-x for x in w)):
         if oracle_contains(c1, cand) and oracle_contains(c2, cand):
-            return Cone((cand,))
+            return (cand,)
     return ZERO_CONE
 
 
 def is_face(f, c):
-    if f.dim == 0 or f == c:
+    if not f or f == c:
         return True
-    if c.dim == 2 and f.dim == 1:
-        return f.generators[0] in c.generators
+    if len(c) == 2 and len(f) == 1:
+        return f[0] in c
     return False
 
 
@@ -506,15 +556,16 @@ def check_fan(cones):
     cones = list(dict.fromkeys(cones))
     present = set(cones)
     for c in cones:
-        if c.dim == 2:
-            for g in c.generators:
-                if Cone((g,)) not in present:
-                    out.append(f"facet ray of {c} missing from the fan")
+        if len(c) == 2:
+            for g in c:
+                if (g,) not in present:
+                    out.append(f"facet ray of cone{c} missing from the fan")
     for i, c1 in enumerate(cones):
         for c2 in cones[i + 1:]:
             inter = oracle_intersect(c1, c2)
             if not (is_face(inter, c1) and is_face(inter, c2)):
-                out.append(f"{c1} and {c2} meet in {inter}, not a common face")
+                out.append(f"cone{c1} and cone{c2} meet in cone{inter}, "
+                           "not a common face")
     return out
 
 
@@ -530,7 +581,7 @@ def all_pairs_compatible(st):
     for i, c1 in enumerate(cones):
         for c2 in cones[i:]:
             inter = oracle_intersect(st.scaled_of[c1], st.scaled_of[c2])
-            span = Sublattice(st.fan.ambient_rank, inter.generators)
+            span = Sublattice(st.fan.ambient_rank, inter)
             if (lattice_intersect_span(lattices[c1], span)
                     != lattice_intersect_span(lattices[c2], span)):
                 return False

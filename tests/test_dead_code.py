@@ -1,13 +1,18 @@
-"""Every module-level function of the library is reachable from an entry
-point, and every error class is raised somewhere in the library.
+"""Every module-level function, class and constant of the library is
+reachable from an entry point, and every error class is raised somewhere in
+the library.
 
 Roots are the names in the package's export table (``_EXPORTS`` in
-``__init__``), every name in ``cli.py``, every name used in class bodies and
-other module-level code (decorators and default values included), and every
-name in ``bench/*.py``.  Import statements are not roots.  A function
-reaches the names used in its body.  Names are matched across modules by
-spelling alone, so a function is reported only when no reachable code uses
-its name at all.
+``__init__``), every name in ``cli.py``, every name used in decorators,
+default values and module-level code other than definitions, and every
+name in ``bench/*.py``.  Import statements are not roots.  A definition (a
+function, a class, or a constant bound by a module-level assignment to a
+plain name) reaches the names used in it: a function's body, a class's
+bases, decorators and body, a constant's value and annotation.  Names are
+matched across modules by spelling alone, so a definition is reported only
+when no reachable code uses its name at all.  Dunder names such as
+``__all__`` are read by the interpreter, not by name, and are never
+reported.
 
 An error class counts as raised when a ``raise`` statement under src/
 names it, called or not.
@@ -33,9 +38,22 @@ def used_names(*nodes):
     return out
 
 
-def unreachable_functions():
+def defined_names(node):
+    """The names a module-level statement defines, dunder names aside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def unreachable_definitions():
     roots = set(_EXPORTS)
-    functions = {}                 # (module, name) -> names used in the body
+    definitions = {}               # (module, name) -> names used in it
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         module = path.stem
@@ -43,15 +61,18 @@ def unreachable_functions():
             continue
         if module == "cli":
             roots |= used_names(tree)
-            roots |= {node.name for node in tree.body
-                      if isinstance(node, ast.FunctionDef)}
+            roots |= {name for node in tree.body for name in defined_names(node)}
         for node in tree.body:
+            names = defined_names(node)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                functions[module, node.name] = used_names(node)
                 roots |= used_names(*node.decorator_list, *node.args.defaults,
                                     *(d for d in node.args.kw_defaults if d))
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            elif not names:
                 roots |= used_names(node)
+            for name in names:
+                definitions[module, name] = used_names(node)
     for path in sorted((ROOT / "bench").glob("*.py")):
         roots |= used_names(ast.parse(path.read_text(encoding="utf-8")))
 
@@ -60,16 +81,16 @@ def unreachable_functions():
     grew = True
     while grew:
         grew = False
-        for key, names in functions.items():
+        for key, names in definitions.items():
             if key not in done and key[1] in reached:
                 done.add(key)
                 reached |= names
                 grew = True
-    return sorted(f"{m}.{n}" for m, n in functions if (m, n) not in done)
+    return sorted(f"{m}.{n}" for m, n in definitions if (m, n) not in done)
 
 
-def test_every_library_function_is_reachable():
-    assert unreachable_functions() == []
+def test_every_library_definition_is_reachable():
+    assert unreachable_definitions() == []
 
 
 def unraised_errors():

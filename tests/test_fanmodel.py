@@ -18,7 +18,6 @@ from tropicorr.curvefile import load
 from tropicorr.errors import CrossCheckFailed, NotBalanced
 from tropicorr.exactla import primitive_vector
 from tropicorr.fanmodel import (
-    Cone,
     ZERO_CONE,
     _coords_in,
     _require_fan,
@@ -42,7 +41,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def test_cone_primitives_and_contains():
     c = cone((2, 2, 0), (0, 0, 3))
-    assert c.generators == ((0, 0, 1), (1, 1, 0))
+    assert c == ((0, 0, 1), (1, 1, 0))
     assert cone_contains(c, (3, 3, 5))
     assert not cone_contains(c, (1, 0, 0))
     assert not cone_contains(c, (-1, -1, 0))
@@ -52,7 +51,7 @@ def test_intersect_cones_transversal():
     c1 = cone((0, 0, 1), (2, 2, 1))
     c2 = cone((2, 0, 1), (0, 2, 1))
     inter = intersect_cones(c1, c2)
-    assert inter == Cone(((1, 1, 1),))
+    assert inter == ((1, 1, 1),)
 
 
 def test_intersect_cones_nested_sector():
@@ -90,7 +89,7 @@ def _cone_pairs(rng, m):
     g1, g2, h, w = (_random_vec(rng, m) for _ in range(4))
     c1 = _cone_or_none(g1, g2)
     neg = tuple(-x for x in g1)
-    out = [(rng.choice([ZERO_CONE, Cone((h,)), c1]), Cone((g1,))),
+    out = [(rng.choice([ZERO_CONE, (h,), c1]), (g1,)),
            (c1, _cone_or_none(_combo(rng, g1, g2), _combo(rng, g1, g2))),
            (c1, _cone_or_none(g1, h)),
            (c1, _cone_or_none(_combo(rng, g1, g2, 1), _combo(rng, g1, g2, 1))),
@@ -112,10 +111,10 @@ def test_cone_arithmetic_matches_reference_route():
                 for x, y in ((c1, c2), (c2, c1)):
                     inter = intersect_cones(x, y)
                     assert inter == oracle_intersect(x, y), (x, y)
-                    outcomes.add((x.dim, y.dim, inter.dim))
+                    outcomes.add((len(x), len(y), len(inter)))
                 pairs += 1
-                for w in c2.generators + (_random_vec(rng, m),):
-                    coords = _coords_in(c1.generators, w)
+                for w in c2 + (_random_vec(rng, m),):
+                    coords = _coords_in(c1, w)
                     expect = oracle_coords_in(c1, w)
                     if expect is None:
                         assert coords is None
@@ -147,14 +146,14 @@ def test_intersect_cones_makes_no_smith_reduction(monkeypatch):
 
 def test_degenerate_cone_raises():
     with pytest.raises(CrossCheckFailed) as info:
-        cone_contains(Cone(((1, 0, 0), (2, 0, 0))), (1, 0, 0))
+        cone_contains(((1, 0, 0), (2, 0, 0)), (1, 0, 0))
     assert info.value.code == "CrossCheckFailed:cone_generators"
 
 
 def eta_rays(p):
     """The rays of K with last coordinate 0: the unbounded directions."""
-    return tuple(sorted(c.generators[0] for c in build_K(p)
-                        if c.dim == 1 and c.generators[0][-1] == 0))
+    return tuple(sorted(c[0] for c in build_K(p)
+                        if len(c) == 1 and c[0][-1] == 0))
 
 
 def test_fan_eta_examples():
@@ -171,8 +170,8 @@ def test_fan_eta_examples():
 
 def test_build_K_tropical_line():
     cones = build_K(tropical_line())
-    rays = [c for c in cones if c.dim == 1]
-    twos = [c for c in cones if c.dim == 2]
+    rays = [c for c in cones if len(c) == 1]
+    twos = [c for c in cones if len(c) == 2]
     assert len(rays) == 4  # vertical vertex ray + 3 horizontal eta rays
     assert len(twos) == 3
     assert ZERO_CONE in cones
@@ -186,11 +185,11 @@ def test_refine_to_fan_x_configuration():
     fan = refine_to_fan(k)
     assert not check_fan(fan)
     # the crossing introduces the ray through ((1,1),1)
-    assert Cone(((1, 1, 1),)) in fan
+    assert ((1, 1, 1),) in fan
     # supports agree on a sample of rational directions
     for w in [(1, 1, 1), (2, 2, 1), (1, 3, 2), (-1, -1, 0), (0, 3, 1), (5, 1, 3)]:
-        in_k = any(cone_contains(c, w) for c in k if c.dim)
-        in_fan = any(cone_contains(c, w) for c in fan if c.dim)
+        in_k = any(cone_contains(c, w) for c in k if c)
+        in_fan = any(cone_contains(c, w) for c in fan if c)
         assert in_k == in_fan
 
 
@@ -221,7 +220,7 @@ def _with_faces(cones, *extra):
     for c in extra:
         if c is not None:
             out.add(c)
-            out.update(Cone((g,)) for g in c.generators)
+            out.update((g,) for g in c)
     return tuple(out)
 
 
@@ -232,17 +231,17 @@ def _vsum(u, v, k=1):
 def _corrupted(rng, fan):
     """The fan with a facet ray dropped, a ray added inside a 2-cone, a
     coplanar 2-cone overlapping one, and a 2-cone crossing one."""
-    twos = [c for c in fan if c.dim == 2]
+    twos = [c for c in fan if len(c) == 2]
     if not twos:
         return []
     c = rng.choice(twos)
-    g1, g2 = c.generators
+    g1, g2 = c
     w = primitive_vector(_vsum(g1, g2))
     beyond = tuple(2 * y - x for x, y in zip(g1, g2))
     t = _random_vec(rng, len(g1))
-    facet = Cone((rng.choice(c.generators),))
+    facet = (rng.choice(c),)
     return [tuple(x for x in fan if x != facet),
-            _with_faces(fan) + (Cone((w,)),),
+            _with_faces(fan) + ((w,),),
             _with_faces(fan, _cone_or_none(w, beyond)),
             _with_faces(fan, _cone_or_none(_vsum(w, t), _vsum(w, t, -1)))]
 
@@ -250,7 +249,7 @@ def _corrupted(rng, fan):
 def _random_collection(rng, m):
     """The zero cone, a few rays and a few 2-cones with their facet rays,
     or a refinement of such a collection with one cone dropped."""
-    cones = [ZERO_CONE] + [Cone((_random_vec(rng, m),))
+    cones = [ZERO_CONE] + [(_random_vec(rng, m),)
                            for _ in range(rng.randint(0, 2))]
     for _ in range(rng.randint(1, 3)):
         g = _random_vec(rng, m)
@@ -280,15 +279,15 @@ def test_fan_axiom_matches_all_pairs_oracle():
 
 def test_fan_axiom_failure_names_split_cones_and_rays():
     p = load(str(FIXTURES / "xconfig.json"))[0]
-    crossed = [c for c in build_K(p) if c.dim == 2
+    crossed = [c for c in build_K(p) if len(c) == 2
                and oracle_contains(c, (1, 1, 1))
-               and (1, 1, 1) not in c.generators]
+               and (1, 1, 1) not in c]
     assert len(crossed) == 2
     with pytest.raises(CrossCheckFailed) as info:
         fan_model(p)
     assert info.value.code == "CrossCheckFailed:fan_axiom"
     for c in crossed:
-        assert f"{c} contains (1, 1, 1)" in str(info.value)
+        assert f"cone{c} contains (1, 1, 1)" in str(info.value)
 
 
 def test_fan_axiom_intersects_only_pairs_of_two_cones(monkeypatch):
@@ -297,7 +296,7 @@ def test_fan_axiom_intersects_only_pairs_of_two_cones(monkeypatch):
     intersect = fanmodel.intersect_cones
 
     def counted(c1, c2):
-        pairs.append((c1.dim, c2.dim))
+        pairs.append((len(c1), len(c2)))
         return intersect(c1, c2)
 
     monkeypatch.setattr(fanmodel, "intersect_cones", counted)
@@ -313,9 +312,9 @@ def _upper(cones):
     dropped."""
     out = set()
     for c in cones:
-        gens = [tuple(-x for x in g) if g[-1] < 0 else g for g in c.generators]
-        if c.dim < 2:
-            out.add(Cone(tuple(gens)))
+        gens = [tuple(-x for x in g) if g[-1] < 0 else g for g in c]
+        if len(c) < 2:
+            out.add(tuple(gens))
         else:
             out = set(_with_faces(out, _cone_or_none(*gens)))
     return tuple(out)
@@ -333,7 +332,7 @@ def _skipped_pairs(monkeypatch, cones):
     monkeypatch.setattr(fanmodel, "intersect_cones", recorded)
     refine_to_fan(cones)
     monkeypatch.setattr(fanmodel, "intersect_cones", intersect)
-    two = [c for c in dict.fromkeys(cones) if c.dim == 2]
+    two = [c for c in dict.fromkeys(cones) if len(c) == 2]
     return [(a, b) for i, a in enumerate(two) for b in two[i + 1:]
             if (a, b) not in met]
 
@@ -349,7 +348,7 @@ def test_refinement_skips_only_pairs_that_meet_in_zero(monkeypatch):
     randoms = [_random_collection(rng, m) for m in (2, 3, 4)
                for _ in range(60)]
     upper = [_upper(cones) for cones in randoms]
-    assert sum(any(g[-1] < 0 for c in cones for g in c.generators)
+    assert sum(any(g[-1] < 0 for c in cones for g in c)
                for cones in randoms) > 100
     skipped = []
     for group in (curves, randoms, upper):

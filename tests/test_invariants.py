@@ -3,14 +3,26 @@ seeded random corpus."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
+from pathlib import Path
 
 from corpus import corpus, elliptic_corpus, rigid_genus0
 from fixture_curves import doubled_line, line_through_two_points
 from oracles import quotient_form_dims
 from tropicorr.complexes import ComplexSpec, compute, regularity, sizes_over
 from tropicorr.counting import moduli_dimension, stacky_multiplier
+from tropicorr.curvefile import load
 from tropicorr.exactla import CoeffGroup
-from tropicorr.fanmodel import build_K, cone_contains, gamma_tr, ramification, refine_to_fan
+from tropicorr.fanmodel import (
+    build_K,
+    cone_contains,
+    fan_model,
+    gamma_tr,
+    intersect_cones,
+    ramification,
+    refine_to_fan,
+)
 from tropicorr.paramcurve import (
     edge_geometry,
     extend_parameterization,
@@ -23,6 +35,7 @@ from tropicorr.stacky import stacky_data
 from tropicorr.tropgraph import AttachTree, SubdivideBounded, SubdivideUnbounded, curve, valency
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def multiplicity_set(p):
@@ -133,17 +146,42 @@ def test_edge_multiplicity_divides_cone_stabilizer():
                 assert st.stabilizer_order[c] % mult == 0
 
 
+def _canonical(c) -> bool:
+    """Is c a tuple of distinct primitive integer vectors in ascending
+    order, the one spelling of a cone that dict lookups rely on?"""
+    return (type(c) is tuple
+            and all(type(g) is tuple and all(type(x) is int for x in g)
+                    and gcd(*g) == 1 for g in c)
+            and all(g < h for g, h in zip(c, c[1:])))
+
+
+def test_cones_are_ascending_tuples_of_primitive_generators():
+    curves = [p for p, _ in corpus(31, 40) + elliptic_corpus(31, 20)]
+    curves += [load(str(path))[0] for path in sorted(FIXTURES.glob("*.json"))]
+    checked = 0
+    for p in curves:
+        tr = gamma_tr(p)
+        k = build_K(p)
+        cones = list(dict.fromkeys((*k, *refine_to_fan(k), *fan_model(tr).cones)))
+        st = stacky_data(tr, ramification(tr, 1)["minimal_a"])
+        meets = [intersect_cones(c1, c2) for c1, c2 in combinations(cones, 2)]
+        for c in (*cones, *meets, *st.scaled_of.values()):
+            assert _canonical(c), c
+            checked += 1
+    assert checked > 15000
+
+
 def test_fan_support_preserved():
     rng = random.Random(4096)
     for p, _ in corpus(2024, 12, constrained=False):
-        k = [c for c in build_K(p) if c.dim]
-        fan = [c for c in refine_to_fan(k) if c.dim]
+        k = [c for c in build_K(p) if c]
+        fan = [c for c in refine_to_fan(k) if c]
         samples = []
         for c in k + fan:
-            for g in c.generators:
+            for g in c:
                 samples.append(g)
-            if c.dim == 2:
-                g1, g2 = c.generators
+            if len(c) == 2:
+                g1, g2 = c
                 samples.append(tuple(2 * a + b for a, b in zip(g1, g2)))
                 samples.append(tuple(a + 3 * b for a, b in zip(g1, g2)))
         n1 = len(samples[0])

@@ -21,7 +21,7 @@ from oracles import (
 from tropicorr import exactla, stacky
 from tropicorr.errors import CrossCheckFailed, NotReduced
 from tropicorr.exactla import Sublattice, primitive_vector
-from tropicorr.fanmodel import Cone, gamma_tr, ramification
+from tropicorr.fanmodel import gamma_tr, ramification
 from tropicorr.paramcurve import param_curve
 from tropicorr.stacky import (
     _verify_compatibility,
@@ -47,7 +47,7 @@ def test_eta_ray_order_two():
     st = stacky_data(tr, 2)  # lengths 1/2 need ramification 2
     # the eta rays carry multiplicity 2, hence order-2 stabilizers
     eta_orders = [st.stabilizer_order[c] for c in st.fan.cones
-                  if c.dim == 1 and c.generators[0] in set(st.fan.eta_rays)]
+                  if len(c) == 1 and c[0] in set(st.fan.eta_rays)]
     assert set(eta_orders) == {2}
 
 
@@ -63,7 +63,7 @@ def test_doubled_line_cone_order():
     # bounded cone has order 2; the two unbounded cones inherit the eta order
     assert 2 in two_cone_orders
     bounded_lat = next(st.assignment[c] for c in st.fan.two_cones()
-                       if all(g[-1] == 1 for g in c.generators))
+                       if all(g[-1] == 1 for g in c))
     assert bounded_lat == Sublattice(3, ((0, 0, 1), (2, 2, 0)))
 
 
@@ -202,14 +202,14 @@ def test_ray_restriction_matches_the_kernel_route():
 def test_compatibility_failure_names_cone_ray_and_lattices():
     st = _stacky_of(doubled_line()[0])
     c = st.fan.two_cones()[0]
-    ray = Cone((c.generators[0],))
+    ray = (c[0],)
     lat = st.assignment[ray]
     doubled = tuple(tuple(2 * x for x in row) for row in st.bases[ray])
     with pytest.raises(CrossCheckFailed) as info:
         _verify_compatibility(dataclasses.replace(
             st, bases={**st.bases, ray: doubled}))
     message = str(info.value)
-    for part in (c, ray.generators[0], lat.basis,
+    for part in (f"cone{c}", ray[0], lat.basis,
                  Sublattice(lat.ambient_rank, doubled).basis):
         assert str(part) in message
 
@@ -226,7 +226,7 @@ def test_orders_match_lattice_index_in_the_cone_lattice():
         lattices = st.assignment
         for c, order in st.stabilizer_order.items():
             sc = st.scaled_of[c]
-            outer = (saturation(Sublattice(n1, sc.generators)) if c.dim
+            outer = (saturation(Sublattice(n1, sc)) if c
                      else Sublattice(n1, ()))
             assert order == lattice_index(outer, lattices[c]), c
             orders.append(order)
