@@ -89,6 +89,13 @@ def rand_dir(rng, n, spread=2):
             return v
 
 
+def rand_primitive(rng, n):
+    while True:
+        v = rand_dir(rng, n)
+        if integral_length(v) == 1:
+            return v
+
+
 def neg(v):
     return tuple(-x for x in v)
 
@@ -263,9 +270,7 @@ def constraints_at_marks(rng, p, k):
         if n == 2 or rng.random() < 0.5:
             items.append(((), p.hv(vfin)))
         else:
-            vec = rand_dir(rng, n)
-            while integral_length(vec) != 1:
-                vec = rand_dir(rng, n)
+            vec = rand_primitive(rng, n)
             shift = rng.randint(-2, 2)
             point = vsum(p.hv(vfin), tuple(F(shift * c) for c in vec))
             items.append(([vec], point))
@@ -319,6 +324,30 @@ def rigid_genus0(rng, n=2):
                                for _, vfin in marked_pairs(p, k)], n)
         if rank(p) == cons.codim:
             return p, cons
+
+
+def rigid_with_lines(rng):
+    """Trivalent genus-zero curve in rank 3 with k = 2 or 3 marks, the
+    first 3k - rank bound to lines and the rest to points: codim A = rank,
+    with constraint spaces of rank 1."""
+    while True:
+        b = Builder(3)
+        try:
+            star(rng, b, 3)
+            for _ in range(rng.randint(0, 2)):
+                sprout(rng, b)
+            k = rng.randint(2, 3)
+            if mark(rng, b, k) < k:
+                raise Retry
+        except Retry:
+            continue
+        p = b.build()
+        lines = 3 * k - rank(p)
+        if 1 <= lines <= k:
+            break
+    return p, constraint_set(
+        [([rand_primitive(rng, 3)] if i < lines else (), p.hv(vfin))
+         for i, (_, vfin) in enumerate(marked_pairs(p, k))], 3)
 
 
 def elliptic_rigid(rng, n=2):

@@ -1,8 +1,10 @@
 """Reference routes the tests compare the engine against.
 
 Each route here computes the same quantity as an engine path by a more
-general or more direct method: integer kernels from the Smith transforms,
-and E^1 of a complex as the kernel lattice of its dense matrix; lattice
+general or more direct method: the Smith normal form with its transforms,
+by a textbook elimination that shares no code with the library's; integer
+kernels from its transforms, and E^1 of a complex as the kernel lattice of
+its dense matrix; lattice
 membership, intersection, saturation and index by rational solving and
 integer kernels; ranks by Gauss-Jordan
 elimination and determinants by Bareiss; constraint membership by
@@ -25,6 +27,7 @@ The engine calls none of them.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from tropicorr import paramcurve as pc
 from tropicorr.complexes import ComplexSpec, compute, sizes_over
@@ -36,13 +39,9 @@ from tropicorr.exactla import (
     base_change,
     freeze,
     hnf,
-    identity,
     integral_length,
-    invariant_factors,
     primitive_vector,
     quotient_presentation,
-    snf,
-    transpose,
 )
 from tropicorr.fanmodel import ZERO_CONE, cone
 from tropicorr.paramcurve import AffineConstraintSet, ParamTropicalCurve
@@ -62,6 +61,78 @@ F = Fraction
 
 # ---------------------------------------------------------------------------
 # matrices
+
+
+def identity(n: int) -> Mat:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def transpose(a: Mat) -> Mat:
+    return tuple(zip(*a)) if a else ()
+
+
+class Smith(NamedTuple):
+    """U @ A @ V == D with U, V unimodular and D diagonal, its nonzero
+    entries the divisors d1 | d2 | ... in order."""
+
+    U: Mat
+    D: Mat
+    V: Mat
+    divisors: tuple[int, ...]
+
+
+def smith(a) -> Smith:
+    """Smith normal form over Z of a dense matrix, with its transforms, by
+    the textbook elimination.  The pivot is the least nonzero |entry| of
+    the remaining block, searched column by column (ties to the left
+    column, then the upper row).  Division with remainder clears its row
+    and column; a nonzero remainder is a smaller pivot.  Once they are
+    clear, a row of the block that the pivot does not divide is added to
+    the pivot row, and the loop goes on."""
+    d = [list(row) for row in a]
+    m, n = len(d), len(d[0]) if d else 0
+    u = [list(row) for row in identity(m)]
+    v = [list(row) for row in identity(n)]
+    for t in range(min(m, n)):
+        while True:
+            block = [(abs(d[i][j]), j, i) for j in range(t, n)
+                     for i in range(t, m) if d[i][j]]
+            if not block:
+                break
+            _, j, i = min(block)
+            d[t], d[i], u[t], u[i] = d[i], d[t], u[i], u[t]
+            for row in d + v:
+                row[t], row[j] = row[j], row[t]
+            p = d[t][t]
+            for i in range(t + 1, m):
+                q = d[i][t] // p
+                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            for j in range(t + 1, n):
+                q = d[t][j] // p
+                for row in d + v:
+                    row[j] -= q * row[t]
+            if (any(d[i][t] for i in range(t + 1, m))
+                    or any(d[t][t + 1:])):
+                continue
+            bad = next((i for i in range(t + 1, m)
+                        if any(x % p for x in d[i][t + 1:])), None)
+            if bad is None:
+                break
+            d[t] = [x + y for x, y in zip(d[t], d[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+    divisors = tuple(d[t][t] for t in range(min(m, n)) if d[t][t])
+    return Smith(freeze(u), freeze(d), freeze(v), divisors)
+
+
+def random_unimodular(rng, n: int) -> Mat:
+    """A random n x n integer matrix of determinant +-1: the row transform
+    of a random matrix's Smith form."""
+    return smith([[rng.randint(-3, 3) for _ in range(n)]
+                  for _ in range(n)]).U
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -108,7 +179,7 @@ def det(a: Mat) -> int:
 
 
 def rank(a) -> int:
-    return len(invariant_factors(a))
+    return len(smith(a).divisors)
 
 
 def kernel_basis(a: Mat) -> Mat:
@@ -117,7 +188,7 @@ def kernel_basis(a: Mat) -> Mat:
     a = freeze(a)
     if not a or not a[0]:
         return ()
-    res = snf(a)
+    res = smith(a)
     return transpose(res.V)[len(res.divisors):]
 
 

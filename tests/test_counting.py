@@ -1,4 +1,5 @@
 import ast
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from corpus import corpus, elliptic_corpus
+from corpus import corpus, elliptic_corpus, rigid_with_lines
 from fixture_curves import (
     doubled_line,
     line_through_two_points,
@@ -33,6 +34,7 @@ from tropicorr.errors import (
     HypothesisFailed,
     NotBalanced,
     ObstructionNonzero,
+    TropicorrError,
     ZeroSlopeCycleEdge,
 )
 from tropicorr.paramcurve import constraint_set, extend_parameterization, param_curve
@@ -272,6 +274,60 @@ def test_count_reduces_each_matrix_once(monkeypatch, count, fixture, expected):
     calls = _count_calls(monkeypatch, ("invariant_factors", "snf") + general)
     assert count(p, a, 0).count == expected
     assert calls == {"invariant_factors": 3, "snf": 0, **dict.fromkeys(general, 0)}
+
+
+def _outcome(run, *args):
+    """A complex's E^1 rank and E^2, a count, or the error it ends in."""
+    try:
+        res = run(*args)
+    except TropicorrError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(res, counting.CountResult):
+        return res.count
+    return res.E1_rank, res.E2
+
+
+def _outcomes(p, a):
+    """Every complex on (p, a), and each count at chars 0, 2 and 3."""
+    elliptic = tropgraph.genus(p.curve) == 1
+    out = [_outcome(complexes.compute, p, complexes.ComplexSpec(v, cons, j))
+           for v in ("b", "beta") for cons in (None, a)
+           for j in {False, elliptic}]
+    out += [_outcome(count, p, a, char_p)
+            for count in (correspondence_count, elliptic_count)[:1 + elliptic]
+            for char_p in (0, 2, 3)]
+    return out
+
+
+def test_counts_do_not_depend_on_the_presentation(monkeypatch):
+    # two presentations of N -> N/L differ by a unimodular matrix on the
+    # left, so building each constraint of rank >= 1 with U P in place of
+    # its presentation P moves no E^1 rank, no E^2 and no count
+    rng = random.Random(2323)
+    items = [(p, a) for p, a in corpus(20250521, 200)
+             + elliptic_corpus(5150, 50)
+             if any(con.space.rank for con in a.items)]
+    items += [rigid_with_lines(rng) for _ in range(40)]
+    present = exactla.quotient_presentation
+
+    def turned(lat):
+        q = present(lat)
+        return (oracles.mat_mul(oracles.random_unimodular(rng, len(q)), q)
+                if lat.rank else q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pc, "quotient_presentation", turned)
+        rebuilt = [pc.constraint_set([(con.space.basis, con.point)
+                                      for con in a.items], p.lattice_rank)
+                   for p, a in items]
+    turned_count = counted = 0
+    for (p, a), b in zip(items, rebuilt):
+        turned_count += sum(c.presentation != d.presentation
+                            for c, d in zip(a.items, b.items))
+        before = _outcomes(p, a)
+        assert _outcomes(p, b) == before
+        counted += sum(isinstance(x, int) for x in before)
+    assert turned_count >= 100 and counted >= 30, (turned_count, counted)
 
 
 # (count, curve file, char, the flag it fails, complexes it builds): the

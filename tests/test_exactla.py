@@ -4,6 +4,8 @@ from itertools import combinations
 from math import gcd
 from pathlib import Path
 
+import pytest
+
 from corpus import (
     Builder,
     Retry,
@@ -25,6 +27,7 @@ from oracles import (
     mat_mul,
     rank,
     saturation,
+    smith,
     solve_rational,
     zero_lattice,
 )
@@ -461,6 +464,27 @@ def test_quotient_presentation():
         assert all(sum(a * b for a, b in zip(qrow, row)) == 0 for qrow in q)
     assert rank(q) == 2
     assert quotient_presentation(zero_lattice(2)) == identity(2)
+    # random lattices of every rank in Z^2..Z^5: a saturated one is
+    # presented with kernel exactly the lattice and onto Z^corank, any
+    # other is refused
+    rng = random.Random(2121)
+    refused = presented = 0
+    for _ in range(600):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)]
+                for _ in range(rng.randint(0, n))]
+        lat = Sublattice(n, hnf(rows, n))
+        if lattice_index(saturation(lat), lat) > 1:
+            with pytest.raises(ValueError, match="saturated"):
+                quotient_presentation(lat)
+            refused += 1
+            continue
+        q = quotient_presentation(lat)
+        assert len(q) == lat.corank and all(len(row) == n for row in q)
+        assert Sublattice(n, kernel_basis(q) if q else identity(n)) == lat
+        assert smith(q).divisors == (1,) * lat.corank
+        presented += 1
+    assert refused >= 100 and presented >= 300, (refused, presented)
 
 
 def test_base_change_examples():
