@@ -10,7 +10,7 @@ import importlib
 # home module -> the names it exports at package level
 _HOMES = {
     "exactla": ("CoeffGroup", "FGAbelianGroup", "GroupSize", "Sublattice",
-                "base_change", "cokernel_group", "snf"),
+                "base_change", "cokernel_group"),
     "tropgraph": ("TropicalCurve", "curve", "genus", "modify", "stabilize",
                   "validate"),
     "paramcurve": ("AffineConstraintSet", "ParamTropicalCurve",

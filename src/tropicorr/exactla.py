@@ -3,17 +3,17 @@
 Matrices are immutable tuples of tuples of Python ints (row-major), so all
 arithmetic is arbitrary precision and values can be shared freely; the one
 exception is that ``invariant_factors`` also takes sparse rows, dicts
-{col: value} of the nonzeros.  The module provides Smith and Hermite
-normal forms, integer kernels and cokernels, sublattices in canonical (HNF)
-form and the quotient presentation of a saturated one, and base change of
+{col: value} of the nonzeros.  The module provides invariant factors (the
+Smith normal form without its transforms), the Hermite normal form,
+cokernels, sublattices in canonical (HNF) form and the quotient
+presentation of a saturated one, read off one HNF, and base change of
 finitely generated abelian groups along the coefficient groups used
 downstream (Z, Q, a field of characteristic p, and the units k* of an
 algebraically closed field).  It holds only what the engine calls; the
 general lattice routes the tests compare against live with the tests.
 
-``snf`` (with the transforms U and V) reduces the whole matrix densely.
 ``invariant_factors`` first eliminates unit pivots over sparse rows and
-hands only the remaining core to the same dense elimination, which suits
+hands only the remaining core to a dense Smith elimination, which suits
 the sparse, mostly +-1 matrices of the obstruction complexes.
 """
 
@@ -39,10 +39,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a)) if a else ()
-
-
 def integral_length(v) -> int:
     """gcd of the entries; 0 for the zero vector."""
     return gcd(*v)
@@ -60,64 +56,18 @@ def primitive_vector(v) -> Vec | None:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    """U @ A @ V == D with U, V unimodular and D diagonal with a
-    divisibility chain d1 | d2 | ..."""
-
-    U: Mat
-    D: Mat
-    V: Mat
-    divisors: tuple[int, ...]
-
-
-def _smith(a, transforms: bool):
-    """The elimination behind snf and invariant_factors, with snf's pivot
-    rule.  Reduces a copy of A to Smith form D and returns (D, U, V) as
-    lists of rows; U and V are recorded only when transforms is set (None
-    otherwise)."""
+def _smith(a):
+    """The dense elimination behind invariant_factors: reduces a copy of A
+    to Smith form D and returns it as a list of rows.  The smallest nonzero
+    absolute value in the remaining submatrix is the pivot, ties broken in
+    row-major order."""
     d = [[int(x) for x in row] for row in a]
     m = len(d)
     n = len(d[0]) if d else 0
-    u = [list(row) for row in identity(m)] if transforms else None
-    v = [list(row) for row in identity(n)] if transforms else None
     t = 0
 
     # Rows above t are zero outside the diagonal, and so are columns left of
     # t below the diagonal: column operations on D need only rows t..m-1.
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for k in range(t, m):
-            row = d[k]
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row dst -= q * row src
-        d[dst] = [x - q * y for x, y in zip(d[dst], d[src])]
-        if u is not None:
-            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for k in range(t, m):
-            row = d[k]
-            if row[src]:
-                row[dst] -= q * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] -= q * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     def pick_pivot():
         # a unit is the smallest possible value, so the first one met in
@@ -142,62 +92,51 @@ def _smith(a, transforms: bool):
         while True:
             i, j = pos
             if i != t:
-                swap_rows(t, i)
+                d[t], d[i] = d[i], d[t]
             if j != t:
-                swap_cols(t, j)
+                for row in d[t:]:
+                    row[t], row[j] = row[j], row[t]
             if d[t][t] < 0:
-                negate_row(t)
-            p = d[t][t]
+                d[t] = [-x for x in d[t]]
+            top = d[t]
+            p = top[t]
             dirty = False
             for i in range(t + 1, m):
                 if d[i][t]:
-                    add_row(t, i, d[i][t] // p)
+                    q = d[i][t] // p
+                    d[i] = [x - q * y for x, y in zip(d[i], top)]
                     if d[i][t]:
                         dirty = True
             for j in range(t + 1, n):
-                if d[t][j]:
-                    add_col(t, j, d[t][j] // p)
-                    if d[t][j]:
+                if top[j]:
+                    q = top[j] // p
+                    for row in d[t:]:
+                        if row[t]:
+                            row[j] -= q * row[t]
+                    if top[j]:
                         dirty = True
             if dirty:
                 pos = pick_pivot()
                 continue
             # cross is clear; enforce the divisibility chain (a unit pivot
             # divides everything)
-            p = d[t][t]
-            offender = None
-            if p != 1:
-                for i in range(t + 1, m):
-                    if any(x % p for x in d[i][t + 1:]):
-                        offender = i
-                        break
+            if p == 1:
+                break
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % p for x in d[i][t + 1:])), None)
             if offender is None:
                 break
-            add_row(offender, t, -1)
+            d[t] = [x + y for x, y in zip(top, d[offender])]
             pos = pick_pivot()
         t += 1
-    return d, u, v
-
-
-def _divisors(d) -> tuple[int, ...]:
-    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))
-                 if d[i][i] != 0)
-
-
-def snf(a: Mat) -> SNFResult:
-    """Smith normal form over Z, with the transforms U and V.
-
-    Pivoting is deterministic: the smallest nonzero absolute value in the
-    remaining submatrix wins, ties broken in row-major order.
-    """
-    d, u, v = _smith(a, transforms=True)
-    return SNFResult(freeze(u), freeze(d), freeze(v), _divisors(d))
+    return d
 
 
 def invariant_factors(a) -> tuple[int, ...]:
-    """The invariant factors d1 | d2 | ... of A, i.e. ``snf(a).divisors``,
-    computed without building U and V.  A row is a dict {col: value} of
-    its nonzeros or a dense sequence; either is copied on entry.
+    """The invariant factors d1 | d2 | ... of A: the nonzero diagonal of
+    its Smith normal form, computed without the transforms.  A row is a
+    dict {col: value} of its nonzeros or a dense sequence; either is
+    copied on entry.
 
     Unit pivots are eliminated first, over sparse rows (Dumas, Saunders and
     Villard, J. Symbolic Comput. 2001).  A pivot +-1 at (i, j) is taken with
@@ -273,9 +212,9 @@ def invariant_factors(a) -> tuple[int, ...]:
     if not rows:
         return (1,) * units
     order = sorted({j for r in rows.values() for j in r})
-    d, _, _ = _smith([[r.get(j, 0) for j in order] for r in rows.values()],
-                     transforms=False)
-    return (1,) * units + _divisors(d)
+    d = _smith([[r.get(j, 0) for j in order] for r in rows.values()])
+    return (1,) * units + tuple(
+        d[i][i] for i in range(min(len(d), len(order))) if d[i][i])
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +337,22 @@ class Sublattice:
 
 def quotient_presentation(lat: Sublattice) -> Mat:
     """Matrix Q (corank x n) presenting Z^n / lat -> Z^corank for a
-    saturated lat: x maps to Q @ x.  Deterministic via the SNF of the basis."""
-    n = lat.ambient_rank
-    if lat.rank == 0:
+    saturated lat: x maps to Q @ x.
+
+    The HNF of (B^T | I), B the r x n basis, is (W B^T | W) with W
+    unimodular, and W B^T = (T; 0) with T triangular, as B^T has full
+    column rank.  So Z^n / lat = Z^r / T Z^r + Z^(n-r), the second
+    summand read by the last n - r rows of W, and lat is saturated iff
+    the r pivots of T are all 1 (Cohen, A Course in Computational
+    Algebraic Number Theory, section 2.4)."""
+    n, r = lat.ambient_rank, lat.rank
+    if r == 0:
         return identity(n)
-    res = snf(lat.basis)
-    if any(d != 1 for d in res.divisors):
+    h = hnf([[b[i] for b in lat.basis] + [int(i == j) for j in range(n)]
+             for i in range(n)], r + n)
+    if any(h[i][i] != 1 for i in range(r)):
         raise ValueError("quotient presentation requires a saturated lattice")
-    vt = transpose(res.V)
-    return vt[lat.rank:]
+    return tuple(row[r:] for row in h[r:])
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +518,8 @@ def combine_sizes(a: GroupSize, b: GroupSize) -> GroupSize:
 
 
 __all__ = [
-    "Mat", "Vec", "freeze", "identity", "transpose",
-    "integral_length", "primitive_vector", "SNFResult", "snf",
+    "Mat", "Vec", "freeze", "identity",
+    "integral_length", "primitive_vector",
     "invariant_factors", "hnf", "FGAbelianGroup",
     "cokernel_group", "Sublattice", "quotient_presentation",
     "CoeffGroup", "prime_to_part", "GroupSize", "base_change",

@@ -17,6 +17,7 @@ from oracles import (
     oracle_contraction,
     plain_complex_ranks,
     six_term_ledgers,
+    smith,
 )
 from tropicorr.complexes import ComplexSpec, compute, sizes_over
 from tropicorr.counting import correspondence_count, elliptic_count
@@ -170,7 +171,10 @@ def test_criterion_6_fan_axiom_and_idempotence():
 
 
 def test_criterion_7_snf_certificates():
-    from tropicorr.exactla import freeze, snf
+    # the certificates are the oracle's, whose elimination shares no code
+    # with the engine's; the engine's invariant factors, from dense and
+    # from {col: value} rows, must equal their divisors
+    from tropicorr.exactla import freeze, invariant_factors
 
     t0 = time.time()
     rng = random.Random(20240717)
@@ -178,16 +182,21 @@ def test_criterion_7_snf_certificates():
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
         a = freeze([[rng.randint(-10, 10) for _ in range(n)] for _ in range(m)])
-        res = snf(a)
+        res = smith(a)
         assert mat_mul(mat_mul(res.U, a), res.V) == res.D
         assert abs(det(res.U)) == 1 and abs(det(res.V)) == 1
         for x, y in zip(res.divisors, res.divisors[1:]):
             assert y % x == 0
         assert all(res.D[i][j] == 0
                    for i in range(m) for j in range(n) if i != j)
+        assert invariant_factors(a) == res.divisors
+        assert invariant_factors(
+            [{j: x for j, x in enumerate(row) if x} for row in a]
+        ) == res.divisors
     dt = time.time() - t0
     assert dt < 10.0
-    report(7, f"1000 SNF certificates verified in {dt:.2f}s")
+    report(7, f"1000 SNF certificates verified and invariant factors "
+              f"pinned to them in {dt:.2f}s")
 
 
 def test_criterion_8_stacky_consistency():

@@ -251,7 +251,7 @@ def test_import_tropicorr_loads_no_layer():
     out = python_process("-c", "import tropicorr", options=("-v",))
     assert out.returncode == 0 and loaded_layers(out) == set()
     # a package-level name loads its home module, and only that
-    out = python_process("-c", "import tropicorr; tropicorr.snf",
+    out = python_process("-c", "import tropicorr; tropicorr.cokernel_group",
                          options=("-v",))
     assert out.returncode == 0 and loaded_layers(out) == {"exactla"}
 

@@ -19,6 +19,7 @@ from oracles import (
     oracle_contraction,
     quotient_form_dims,
     six_term_ledgers,
+    transpose,
 )
 from tropicorr.complexes import ComplexSpec, compute, regularity, sizes_over
 from tropicorr.errors import ConstraintUnsatisfied, GenusNotOne, ZeroSlopeCycleEdge
@@ -236,7 +237,7 @@ def test_orientation_independence_via_relabeling():
 
 def test_prop_e1_constrained_is_kernel_of_projection():
     # E^1(Gamma, A) equals the kernel of E^1(Gamma) -> sum N/L_i
-    from tropicorr.exactla import Sublattice, freeze, transpose
+    from tropicorr.exactla import Sublattice, freeze
 
     for p, a in (line_through_two_points(), doubled_line(), triangle_elliptic()):
         free = compute(p, ComplexSpec("b"))

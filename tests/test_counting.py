@@ -266,14 +266,14 @@ FIXTURE_COUNTS = [
 @pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)
 def test_count_reduces_each_matrix_once(monkeypatch, count, fixture, expected):
     # (b, none) for the rank, then (b, A) and (beta, A) for a plane count or
-    # (beta, A) and (beta, A, j) for an elliptic one; no transforms needed.
+    # (beta, A) and (beta, A, j) for an elliptic one; no Hermite form needed.
     # The constraint was presented once, when it was built, and satisfaction
     # and simplicity read that presentation
     p, a, _, _ = load(str(FIXTURES / fixture))
-    general = ("quotient_presentation",)
-    calls = _count_calls(monkeypatch, ("invariant_factors", "snf") + general)
+    general = ("hnf", "quotient_presentation")
+    calls = _count_calls(monkeypatch, ("invariant_factors",) + general)
     assert count(p, a, 0).count == expected
-    assert calls == {"invariant_factors": 3, "snf": 0, **dict.fromkeys(general, 0)}
+    assert calls == {"invariant_factors": 3, **dict.fromkeys(general, 0)}
 
 
 def _outcome(run, *args):

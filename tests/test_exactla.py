@@ -25,6 +25,7 @@ from oracles import (
     lattice_intersect,
     lattice_intersect_span,
     mat_mul,
+    random_unimodular,
     rank,
     saturation,
     smith,
@@ -49,7 +50,6 @@ from tropicorr.exactla import (
     invariant_factors,
     primitive_vector,
     quotient_presentation,
-    snf,
 )
 from tropicorr.tropgraph import genus
 
@@ -85,7 +85,9 @@ def is_diagonal(a):
 
 
 def check_snf(a):
-    res = snf(a)
+    """The oracle's Smith form of A, its certificate checked, and the
+    engine's invariant factors pinned to its divisors."""
+    res = smith(a)
     m, n = len(a), len(a[0]) if a else 0
     assert mat_mul(mat_mul(res.U, freeze(a)), res.V) == res.D
     assert abs(det(res.U)) == 1
@@ -98,13 +100,14 @@ def check_snf(a):
     assert diag[len(nz):] == [0] * (len(diag) - len(nz))
     for x, y in zip(nz, nz[1:]):
         assert y % x == 0
+    assert invariant_factors(a) == res.divisors
     return res
 
 
 def test_snf_pinned_examples():
-    assert snf([[2]]).divisors == (2,)
-    assert snf([[2, 4], [6, 8]]).divisors == (2, 4)
-    assert snf([[0, 0, 0], [0, 0, 0], [0, 0, 0]]).divisors == ()
+    assert check_snf([[2]]).divisors == (2,)
+    assert check_snf([[2, 4], [6, 8]]).divisors == (2, 4)
+    assert check_snf([[0, 0, 0], [0, 0, 0], [0, 0, 0]]).divisors == ()
 
 
 def test_snf_matches_minor_gcd_oracle():
@@ -118,20 +121,14 @@ def test_snf_matches_minor_gcd_oracle():
 
 
 def test_snf_random_certificates_bulk():
-    # acceptance criterion: >= 1000 random matrices up to 8x8 with entries
-    # in [-10, 10], certificate checks only
+    # >= 1000 random matrices up to 8x8 with entries in [-10, 10]: the
+    # oracle's certificates, and the engine's invariant factors against them
     rng = random.Random(777)
     for _ in range(1000):
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
         a = [[rng.randint(-10, 10) for _ in range(n)] for _ in range(m)]
         check_snf(a)
-
-
-def test_snf_deterministic():
-    rng = random.Random(5)
-    a = [[rng.randint(-10, 10) for _ in range(6)] for _ in range(5)]
-    assert snf(a) == snf(a)
 
 
 def test_invariant_factors_match_snf_divisors():
@@ -146,7 +143,7 @@ def test_invariant_factors_match_snf_divisors():
             [[rng.randint(-bound, bound) if rng.random() < density else 0
               for _ in range(n)] for _ in range(m)]))
     for a in cases:
-        assert invariant_factors(a) == snf(a).divisors, a
+        assert invariant_factors(a) == smith(a).divisors, a
 
 
 SMALL_ENTRIES = (0, 1, -1, 2, -2, 3, -4, 6)
@@ -175,7 +172,7 @@ def test_unit_elimination_matches_dense_route_in_any_pivot_order():
             [[rng.choice(entries) if rng.random() < density else 0
               for _ in range(n)] for _ in range(m)]))
     for a in cases:
-        want = snf(a).divisors
+        want = smith(a).divisors
         assert invariant_factors(a) == want, a
         for _ in range(3):
             assert invariant_factors(permuted(rng, a)) == want, a
@@ -279,20 +276,20 @@ def test_unit_elimination_on_every_complex_matrix():
     seen = 0
     for _, rep in every_complex():
         mat = rep.matrix
-        assert invariant_factors(mat) == snf(mat).divisors, mat
+        assert invariant_factors(mat) == smith(mat).divisors, mat
         seen += 1
     assert seen >= 450, seen
 
 
 def test_sparse_count_route_matches_dense_reference():
     # compute reduces the tree-reduced sparse rows; the reference reduces
-    # the dense full matrix with snf and reads E^1's rank and E^2 off its
-    # divisors
+    # the dense full matrix with the oracle's Smith form and reads E^1's
+    # rank and E^2 off its divisors
     seen = 0
     large_torsion = set()
     for p, rep in every_complex():
         mat = rep.matrix
-        divisors = snf(mat).divisors
+        divisors = smith(mat).divisors
         assert rep.E1_rank == rep.layout.domain_dim - len(divisors)
         assert rep.E2 == FGAbelianGroup(
             len(mat) - len(divisors), tuple(d for d in divisors if d > 1))
@@ -368,8 +365,7 @@ def test_cokernel_unimodular_invariance():
         n = rng.randint(1, 4)
         a = freeze([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
         g = cokernel_group(a)
-        u = snf([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]).U
-        v = snf([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]).V
+        u, v = random_unimodular(rng, m), random_unimodular(rng, n)
         assert cokernel_group(mat_mul(u, a)) == g
         assert cokernel_group(mat_mul(a, v)) == g
 

@@ -127,7 +127,7 @@ def test_cone_arithmetic_matches_reference_route():
 
 
 def test_intersect_cones_makes_no_smith_reduction(monkeypatch):
-    # _smith is the elimination behind both snf and invariant_factors
+    # _smith is the dense elimination behind invariant_factors
     calls = []
     smith = exactla._smith
 

@@ -28,6 +28,7 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         tropicorr.no_such_name
     assert not hasattr(tropicorr, "_smith")
+    assert not hasattr(tropicorr, "snf")
 
 
 def test_readme_session_runs(capsys):
