@@ -215,13 +215,22 @@ def test_reduction_data(capsys):
         assert total == [0, 0]
 
 
+# the subcommands whose JSON is built from dicts or sets
+SET_BUILT = ("fan", "stacky", "tr", "stabilize", "reduction-data")
+
+
 def test_json_deterministic():
-    # string hashing, and so set order, differs between the two processes
-    for command in COMMANDS:
-        argv = (command, "fixtures/triangle_elliptic.json", "--json")
+    # string hashing, and so set order, differs between the two processes:
+    # every subcommand on one fixture, those built from dicts or sets on
+    # every fixture
+    runs = [(command, "triangle_elliptic.json") for command in COMMANDS]
+    runs += [(command, f.name) for f in sorted(FIXTURES.glob("*.json"))
+             if f.name != "triangle_elliptic.json" for command in SET_BUILT]
+    for command, fixture in runs:
+        argv = (command, f"fixtures/{fixture}", "--json")
         first, second = (cli_process(*argv, hashseed=seed) for seed in (1, 2))
-        assert first.stdout == second.stdout and first.stdout, command
-        assert first.returncode == second.returncode, command
+        assert first.stdout == second.stdout and first.stdout, argv
+        assert first.returncode == second.returncode, argv
 
 
 # one case per subcommand, each replayed in a process of its own: in this
