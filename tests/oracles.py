@@ -4,9 +4,8 @@ Each route here computes the same quantity as an engine path by a more
 general or more direct method: the Smith normal form with its transforms,
 by a textbook elimination that shares no code with the library's; integer
 kernels from its transforms, and E^1 of a complex as the kernel lattice of
-its dense matrix; lattice
-membership, intersection, saturation and index by rational solving and
-integer kernels; ranks by Gauss-Jordan
+its dense matrix; lattice membership, intersection, saturation and index
+by rational solving and integer kernels; ranks by Gauss-Jordan
 elimination and determinants by Bareiss; constraint membership by
 Fraction products with the presentation; the one-term quotient complex;
 the ranks of the plain complex, assembled from Fraction directions and
