@@ -371,6 +371,28 @@ def elliptic_rigid(rng, n=2):
             return p, cons
 
 
+def marked_trees(seed, count, size=13, marks=4):
+    """Trees with at least ``size`` finite vertices and ``marks`` point or
+    line constraints: large enough that unit elimination takes pivots of
+    positive Markowitz cost (fill-in) and hands a torsion core to the dense
+    elimination."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        b = Builder(rng.choice((2, 3)))
+        try:
+            star(rng, b, 3)
+            while len(b.finite) < size - marks:
+                sprout(rng, b, extra=rng.randint(1, 2))
+            if mark(rng, b, marks) < marks:
+                continue
+        except Retry:
+            continue
+        p = b.build()
+        out.append((p, constraints_at_marks(rng, p, marks)))
+    return out
+
+
 def corpus(seed, size, constrained=True, decorations=True):
     rng = random.Random(seed)
     out = []

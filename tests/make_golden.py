@@ -19,11 +19,12 @@ tests/corpus.py goes through ``gamma_tr`` with ``curve_to_json``,
 ``stacky_to_json``, and ``node_stack``; its text is stored in
 stacky_slice.txt.  The constrained slice ``corpus(2024, 12)``
 goes through the complexes and the counts; its text is stored in
-count_slice.txt.  The inputs live outside
-fixtures/, whose files the benchmark reads.  Each case is stored as the
-exact stdout of the run, and its exit code goes into exit_codes.json.  Paths are given relative to
-the repository root, so the "input.path" field is the same on every
-machine.
+count_slice.txt.  A rigid slice of curves built in the counting regimes
+(``rigid_text``) goes the same way into rigid_slice.txt.  The inputs live
+outside fixtures/, whose files the benchmark reads.  Each case is stored
+as the exact stdout of the run, and its exit code goes into
+exit_codes.json.  Paths are given relative to the repository root, so the
+"input.path" field is the same on every machine.
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -37,6 +38,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -57,6 +59,7 @@ SHAPE_COMMANDS = (("info",), ("complex", "--elliptic"),
 COUNT_INPUTS = ("missed_point", "heavy_vertex", "unbalanced_line")
 SLICE = GOLDEN / "stacky_slice.txt"
 COUNT_SLICE = GOLDEN / "count_slice.txt"
+RIGID_SLICE = GOLDEN / "rigid_slice.txt"
 
 
 def _at_chars(name, argv):
@@ -138,13 +141,12 @@ def slice_text() -> str:
     return "".join(lines)
 
 
-def count_text() -> str:
+def count_lines(curves) -> str:
     """E^1's rank and E^2 of the (b, none), (b, A), (beta, A) and, at genus
-    one, (beta, A, j) complexes of every curve of the constrained slice,
-    then ``correspondence_count`` and, at genus one, ``elliptic_count`` at
-    chars 0, 2 and 3: the count as count = torsor order x stacky factor,
-    or the error code.  One line per curve and part."""
-    from corpus import corpus
+    one, (beta, A, j) complexes of every curve, then
+    ``correspondence_count`` and, at genus one, ``elliptic_count`` at chars
+    0, 2 and 3: the count as count = torsor order x stacky factor, or the
+    error code.  One line per curve and part."""
     from tropicorr.complexes import ComplexSpec, compute
     from tropicorr.counting import correspondence_count, elliptic_count
     from tropicorr.errors import TropicorrError
@@ -157,7 +159,7 @@ def count_text() -> str:
             return exc.code
 
     lines = []
-    for i, (p, a) in enumerate(corpus(2024, 12)):
+    for i, (p, a) in enumerate(curves):
         elliptic = genus(p.curve) == 1
         specs = {"b": ComplexSpec("b"), "b,A": ComplexSpec("b", a),
                  "beta,A": ComplexSpec("beta", a)}
@@ -177,6 +179,35 @@ def count_text() -> str:
     return "".join(lines)
 
 
+def count_text() -> str:
+    """The lines of ``count_lines`` for the constrained slice."""
+    from corpus import corpus
+
+    return count_lines(corpus(2024, 12))
+
+
+def rigid_text() -> str:
+    """The lines of ``count_lines`` for the rigid slice: curves built in the
+    counting regimes, so that most counts succeed.  Rigid genus-zero curves
+    with point constraints in ranks 2 and 3, rank-3 ones bound to lines,
+    rigid genus-one polygons, and marked trees of at least 13 finite
+    vertices and 4 marks, whose complexes have torsion."""
+    from corpus import (
+        elliptic_rigid,
+        marked_trees,
+        rigid_genus0,
+        rigid_with_lines,
+    )
+
+    rng = random.Random(2026)
+    curves = [rigid_genus0(rng, 2) for _ in range(10)]
+    curves += [rigid_genus0(rng, 3) for _ in range(6)]
+    curves += [rigid_with_lines(rng) for _ in range(6)]
+    curves += [elliptic_rigid(rng) for _ in range(6)]
+    curves += marked_trees(2027, 6)
+    return count_lines(curves)
+
+
 def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -187,7 +218,8 @@ def main() -> None:
         json.dumps(codes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     SLICE.write_text(slice_text(), encoding="utf-8")
     COUNT_SLICE.write_text(count_text(), encoding="utf-8")
-    print(f"wrote {len(codes)} cases and the two slices to {GOLDEN}")
+    RIGID_SLICE.write_text(rigid_text(), encoding="utf-8")
+    print(f"wrote {len(codes)} cases and the three slices to {GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -8,13 +8,10 @@ import pytest
 
 from corpus import (
     Builder,
-    Retry,
     constraints_at_marks,
     corpus,
     elliptic_corpus,
-    mark,
-    sprout,
-    star,
+    marked_trees,
 )
 from oracles import (
     contains,
@@ -176,28 +173,6 @@ def test_unit_elimination_matches_dense_route_in_any_pivot_order():
         assert invariant_factors(a) == want, a
         for _ in range(3):
             assert invariant_factors(permuted(rng, a)) == want, a
-
-
-def marked_trees(seed, count, size=13, marks=4):
-    """Trees with at least ``size`` finite vertices and ``marks`` point or
-    line constraints: large enough that unit elimination takes pivots of
-    positive Markowitz cost (fill-in) and hands a torsion core to the dense
-    elimination."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        b = Builder(rng.choice((2, 3)))
-        try:
-            star(rng, b, 3)
-            while len(b.finite) < size - marks:
-                sprout(rng, b, extra=rng.randint(1, 2))
-            if mark(rng, b, marks) < marks:
-                continue
-        except Retry:
-            continue
-        p = b.build()
-        out.append((p, constraints_at_marks(rng, p, marks)))
-    return out
 
 
 def _shape(rng, n, finite, bounded, ends, marked):

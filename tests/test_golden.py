@@ -1,7 +1,8 @@
 """Every CLI output in tests/golden/ is replayed byte for byte.
 
 So are the subdivided curves, fans and stacky text of a seeded corpus
-slice and the groups and counts of a constrained one.  The files are
+slice, and the groups and counts of a constrained slice and of a rigid
+one.  The files are
 written by tests/make_golden.py; a change that alters one of
 them must regenerate it and say why.
 """
@@ -13,9 +14,11 @@ import pytest
 from make_golden import (
     COUNT_SLICE,
     GOLDEN,
+    RIGID_SLICE,
     SLICE,
     cases,
     count_text,
+    rigid_text,
     run_case,
     slice_text,
 )
@@ -48,3 +51,7 @@ def test_stacky_slice_matches_golden():
 
 def test_count_slice_matches_golden():
     assert count_text() == COUNT_SLICE.read_text(encoding="utf-8")
+
+
+def test_rigid_slice_matches_golden():
+    assert rigid_text() == RIGID_SLICE.read_text(encoding="utf-8")
