@@ -12,9 +12,9 @@ downstream (Z, Q, a field of characteristic p, and the units k* of an
 algebraically closed field).  It holds only what the engine calls; the
 general lattice routes the tests compare against live with the tests.
 
-``invariant_factors`` first eliminates unit pivots over sparse rows and
-hands only the remaining core to a dense Smith elimination, which suits
-the sparse, mostly +-1 matrices of the obstruction complexes.
+``invariant_factors`` is one elimination over sparse rows, units first
+and Euclid steps on whatever is left, with no dense phase: it suits the
+sparse, mostly +-1 matrices of the obstruction complexes.
 """
 
 from __future__ import annotations
@@ -56,99 +56,28 @@ def primitive_vector(v) -> Vec | None:
 # Smith normal form
 
 
-def _smith(a):
-    """The dense elimination behind invariant_factors: reduces a copy of A
-    to Smith form D and returns it as a list of rows.  The smallest nonzero
-    absolute value in the remaining submatrix is the pivot, ties broken in
-    row-major order."""
-    d = [[int(x) for x in row] for row in a]
-    m = len(d)
-    n = len(d[0]) if d else 0
-    t = 0
-
-    # Rows above t are zero outside the diagonal, and so are columns left of
-    # t below the diagonal: column operations on D need only rows t..m-1.
-
-    def pick_pivot():
-        # a unit is the smallest possible value, so the first one met in
-        # row-major order is the pivot and the scan can stop there
-        best = None
-        pos = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                val = abs(row[j])
-                if val and (best is None or val < best):
-                    if val == 1:
-                        return i, j
-                    best = val
-                    pos = (i, j)
-        return pos
-
-    while t < min(m, n):
-        pos = pick_pivot()
-        if pos is None:
-            break
-        while True:
-            i, j = pos
-            if i != t:
-                d[t], d[i] = d[i], d[t]
-            if j != t:
-                for row in d[t:]:
-                    row[t], row[j] = row[j], row[t]
-            if d[t][t] < 0:
-                d[t] = [-x for x in d[t]]
-            top = d[t]
-            p = top[t]
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // p
-                    d[i] = [x - q * y for x, y in zip(d[i], top)]
-                    if d[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                if top[j]:
-                    q = top[j] // p
-                    for row in d[t:]:
-                        if row[t]:
-                            row[j] -= q * row[t]
-                    if top[j]:
-                        dirty = True
-            if dirty:
-                pos = pick_pivot()
-                continue
-            # cross is clear; enforce the divisibility chain (a unit pivot
-            # divides everything)
-            if p == 1:
-                break
-            offender = next((i for i in range(t + 1, m)
-                             if any(x % p for x in d[i][t + 1:])), None)
-            if offender is None:
-                break
-            d[t] = [x + y for x, y in zip(top, d[offender])]
-            pos = pick_pivot()
-        t += 1
-    return d
-
-
 def invariant_factors(a) -> tuple[int, ...]:
     """The invariant factors d1 | d2 | ... of A: the nonzero diagonal of
     its Smith normal form, computed without the transforms.  A row is a
     dict {col: value} of its nonzeros or a dense sequence; either is
     copied on entry.
 
-    Unit pivots are eliminated first, over sparse rows (Dumas, Saunders and
-    Villard, J. Symbolic Comput. 2001).  A pivot +-1 at (i, j) is taken with
-    the least Markowitz cost (r - 1)(c - 1), r and c the nonzeros in its row
-    and column; zero-cost pivots (a singleton row or column) come off a
-    worklist, and the search for the others stops at the first row holding
-    one of cost 1 or less.  Row operations clear column j; the pivot divides
-    all of row i, and column operations clearing it touch no other row, so
-    A becomes diag(1, A') and row i and column j are dropped.  Every step
-    multiplies by unimodular matrices, which leave the invariant factors
-    alone, so the pivot order cannot change the result.  The core left
-    without unit entries goes to the dense elimination."""
+    One sparse elimination (Dumas, Saunders and Villard, J. Symbolic
+    Comput. 2001).  The pivot is an entry of least absolute value, ties
+    broken by the least Markowitz cost (r - 1)(c - 1), r and c the
+    nonzeros in its row and column; zero-cost unit pivots (a +-1 alone in
+    its row or column) come off a worklist, and the search for the others
+    stops at the first unit of cost 16 or less.  Row operations reduce
+    column j of the pivot p at (i, j) modulo p.  Once column j holds
+    only p, column operations reduce row i modulo p and touch no other
+    row.  A remainder is nonzero only when p does not divide the entry,
+    and is then smaller than p in absolute value, so it becomes the next
+    pivot (Euclid); a pivot that clears both its row and its column
+    splits A as diag(p, A'), and row i and column j are dropped.  Every
+    step multiplies by unimodular matrices, which leave the invariant
+    factors alone, so the pivot order cannot change the result.  The
+    pivots collected form a diagonal matrix, brought into a divisibility
+    chain by replacing each pair (a, b) with (gcd(a, b), lcm(a, b))."""
     rows = {}                      # row -> {col: nonzero entry}
     cols = {}                      # col -> rows with a nonzero there
     for i, row in enumerate(a):
@@ -162,7 +91,24 @@ def invariant_factors(a) -> tuple[int, ...]:
     todo = [(i, None) for i, r in rows.items() if len(r) == 1]
     todo += [(None, j) for j, c in cols.items() if len(c) == 1]
     units = 0
-    while True:
+    core = []                      # the pivots that are not units
+
+    def scan():
+        least = cost = pos = None
+        for i, r in rows.items():
+            n = len(r) - 1
+            for j, x in r.items():
+                if x < 0:
+                    x = -x
+                if least is None or x <= least:
+                    m = n * (len(cols[j]) - 1)
+                    if least is None or x < least or m < cost:
+                        least, cost, pos = x, m, (i, j)
+                        if least == 1 and cost <= 16:
+                            return pos     # a cheap unit: stop scanning
+        return pos
+
+    while rows:
         pos = None
         while todo and pos is None:
             i, j = todo.pop()
@@ -174,47 +120,70 @@ def invariant_factors(a) -> tuple[int, ...]:
                 continue
             if rows[i][j] in (1, -1):
                 pos = i, j
-        if pos is None:
-            best = None
-            for i, r in rows.items():
-                for j, x in r.items():
-                    if x == 1 or x == -1:
-                        cost = (len(r) - 1) * (len(cols[j]) - 1)
-                        if best is None or cost < best:
-                            best, pos = cost, (i, j)
-                if pos is not None and best <= 1:
-                    break          # cost 1 is cheap enough: stop scanning
-            if pos is None:
-                break
-        i, j = pos
-        piv = rows.pop(i)
-        p = piv.pop(j)
-        for c in piv:
-            cols[c].discard(i)
-            todo.append((None, c))
-        for k in cols.pop(j) - {i}:
-            r = rows[k]
-            q = r.pop(j) * p           # p = 1/p for a unit
-            for c, x in piv.items():
-                y = r.get(c, 0) - q * x
-                if y:
-                    r[c] = y
-                    cols[c].add(k)
+        i, j = pos or scan()
+        while True:
+            piv = rows[i]
+            p = piv.pop(j)
+            col = cols[j]
+            col.discard(i)
+            nxt = None
+            for k in tuple(col):
+                r = rows[k]
+                x = r.pop(j)
+                q = x // p
+                if q:
+                    x -= q * p
+                    for c, y in piv.items():
+                        y = r.get(c, 0) - q * y
+                        if y:
+                            r[c] = y
+                            cols[c].add(k)
+                        else:
+                            del r[c]
+                            cols[c].discard(k)
+                            todo.append((None, c))
+                if x:              # Euclid: a smaller pivot in column j
+                    r[j] = x
+                    if nxt is None or abs(x) < abs(rows[nxt][j]):
+                        nxt = k
+                    continue
+                col.discard(k)
+                if r:
+                    todo.append((k, None))
                 else:
-                    del r[c]
-                    cols[c].discard(k)
+                    del rows[k]
+            if nxt is not None:
+                piv[j] = p
+                col.add(i)
+                i = nxt
+                continue
+            # column j holds only p: reduce row i modulo p
+            for c in tuple(piv):
+                x = piv[c] % p
+                if x:
+                    piv[c] = x
+                else:
+                    del piv[c]
+                    cols[c].discard(i)
                     todo.append((None, c))
-            if r:
-                todo.append((k, None))
+            if piv:                # Euclid: a smaller pivot in row i
+                piv[j] = p
+                col.add(i)
+                j = min(piv, key=lambda c: abs(piv[c]))
+                continue
+            del rows[i], cols[j]
+            if p in (1, -1):
+                units += 1
             else:
-                del rows[k]
-        units += 1
-    if not rows:
-        return (1,) * units
-    order = sorted({j for r in rows.values() for j in r})
-    d = _smith([[r.get(j, 0) for j in order] for r in rows.values()])
-    return (1,) * units + tuple(
-        d[i][i] for i in range(min(len(d), len(order))) if d[i][i])
+                core.append(abs(p))
+            break
+    for s, x in enumerate(core):   # diag(a, b) ~ diag(gcd, lcm)
+        for t in range(s + 1, len(core)):
+            g = gcd(x, core[t])
+            core[t] = x // g * core[t]
+            x = g
+        core[s] = x
+    return (1,) * units + tuple(core)
 
 
 # ---------------------------------------------------------------------------

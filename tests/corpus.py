@@ -373,9 +373,10 @@ def elliptic_rigid(rng, n=2):
 
 def marked_trees(seed, count, size=13, marks=4):
     """Trees with at least ``size`` finite vertices and ``marks`` point or
-    line constraints: large enough that unit elimination takes pivots of
-    positive Markowitz cost (fill-in) and hands a torsion core to the dense
-    elimination."""
+    line constraints: large enough that the elimination in
+    ``invariant_factors`` takes unit pivots of positive Markowitz cost
+    (fill-in) and then Euclid steps on a core without units, with
+    torsion."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:

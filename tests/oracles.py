@@ -15,7 +15,8 @@ cone coordinates in Fractions; the fan axiom over every pair of cones;
 the all-pairs stacky compatibility; isomorphism of metric graphs;
 stabilization by rescanning every edge; edge directions, balancing,
 violation lists, edge geometry and reduction exponents in Fractions, each
-bounded edge's direction taken from each end; the cycle of a genus-one
+bounded edge's direction taken from each end; Mikhalkin's multiplicity of
+a plane curve, the count by vertex determinants; the cycle of a genus-one
 curve by deleting each bounded edge in turn; zero-slope classes by
 label propagation, and the zero-slope contraction built from them; the
 complexes that the subdivision and contraction lemmas compare; and every
@@ -412,6 +413,43 @@ def fraction_reduction_exponents(p: ParamTropicalCurve, v: str):
             raise CrossCheckFailed("integral_exponents", f"edge {e.id}")
         out.append((e.id, ivec))
     return out
+
+
+def mikhalkin_multiplicity(p: ParamTropicalCurve) -> int:
+    """Mikhalkin's multiplicity of a plane curve: the product of
+    |det(w1 u1, w2 u2)| over the finite vertices with three moving edges,
+    w u the weighted direction of an edge, after pruning finite leaves.
+    Directions are taken in Fractions from h, as a vertex sees them: the
+    difference of h over a bounded edge divided by its length, h of the
+    far end of an unbounded one."""
+    finite = set(p.curve.finite_vertices)
+    edges = list(p.curve.edges)
+    while True:
+        ends = [v for e in edges for v in e.ends]
+        leaves = {v for v in finite if ends.count(v) == 1}
+        if not leaves:
+            break
+        finite -= leaves
+        edges = [e for e in edges if not leaves & set(e.ends)]
+    out = F(1)
+    for v in finite:
+        moving = []
+        for e in edges:
+            for near, far in (e.ends, e.ends[::-1]):
+                if near != v:
+                    continue
+                if e.is_bounded:
+                    vec = tuple((y - x) / e.length
+                                for x, y in zip(p.hv(v), p.hv(far)))
+                else:
+                    vec = p.hv(far)
+                if any(vec):
+                    moving.append(vec)
+        if len(moving) == 3:
+            (a, b), (c, d) = moving[:2]
+            out *= abs(a * d - b * c)
+    assert out.denominator == 1, out
+    return int(out)
 
 
 # ---------------------------------------------------------------------------

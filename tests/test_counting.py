@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from corpus import corpus, elliptic_corpus, rigid_with_lines
+from corpus import corpus, elliptic_corpus, rigid_genus0, rigid_with_lines
 from fixture_curves import (
     doubled_line,
     line_through_two_points,
@@ -170,6 +170,36 @@ def test_count_normalizes_two_valent_marked_vertex():
     assert p2.hv("g1.v1") == p.hv("v1")
     res = correspondence_count(p2, a, 0)
     assert res.count == 1
+
+
+def test_plane_counts_equal_mikhalkin_multiplicity():
+    # an independent route: the oracle multiplies vertex determinants of
+    # Fraction directions and shares no code with invariant_factors.  In
+    # characteristic p > 0 with every edge multiplicity prime to p the
+    # count is the same, unless p divides it, when E^2 has p-torsion and
+    # the curve is not regular
+    rng = random.Random(31)
+    counted = 0
+    at_char = Counter()
+    for _ in range(200):
+        p, a = rigid_genus0(rng, 2)
+        try:
+            want = correspondence_count(p, a, 0).count
+        except HypothesisFailed:
+            continue
+        assert oracles.mikhalkin_multiplicity(p) == want, p
+        counted += 1
+        for char in (2, 3, 5):
+            if not stacky.is_dm(pc.stabilize_param(p), char):
+                continue
+            if want % char:
+                assert correspondence_count(p, a, char).count == want
+                at_char[char] += 1
+            else:
+                with pytest.raises(HypothesisFailed, match="regular"):
+                    correspondence_count(p, a, char)
+    assert counted >= 60, counted
+    assert min(at_char[char] for char in (2, 3, 5)) >= 20, at_char
 
 
 def test_elliptic_count_triangle():

@@ -275,6 +275,59 @@ def test_sparse_count_route_matches_dense_reference():
     assert len(large_torsion) >= 3, large_torsion
 
 
+def test_diagonal_inputs_need_the_gcd_lcm_chain():
+    # every entry is its own pivot, so only the chain step makes the
+    # divisors divide each other; zero rows and columns and permutations
+    # around it change nothing
+    assert invariant_factors([[4, 0], [0, 6]]) == (2, 12)
+    assert invariant_factors([{1: 6}, {0: 4}]) == (2, 12)
+    big = 2**40
+    a = [[3 * big, 0, 0], [0, 2 * big, 0], [0, 0, 5]]
+    want = (1, big, 30 * big)
+    assert smith(a).divisors == want
+    rng = random.Random(4040)
+    for zero_rows, zero_cols in ((0, 0), (2, 0), (0, 3), (1, 2)):
+        padded = freeze([row + [0] * zero_cols for row in a]
+                        + [[0] * (3 + zero_cols)] * zero_rows)
+        for _ in range(4):
+            b = permuted(rng, padded)
+            assert smith(b).divisors == want
+            assert invariant_factors(b) == want, b
+
+
+def test_unit_free_pivots_that_divide_neither_row_nor_column():
+    # the least entry divides no other entry of its row or column, so each
+    # case takes Euclid steps before any pivot is dropped
+    cases = [[[2, 3], [3, 5]], [[4, 6], [6, 9]], [[2, 3], [5, 7]],
+             [[6, 4], [9, 6]], [[2, 3, 0], [3, 5, 2], [0, 2, 4]],
+             [[4, 6, 10], [6, 9, 15], [10, 15, 4]],
+             [[6, 10, 15], [10, 15, 6], [15, 6, 10]]]
+    for a in cases:
+        want = smith(a).divisors
+        assert invariant_factors(a) == want, a
+        assert invariant_factors(
+            [{j: x for j, x in enumerate(row) if x} for row in a]) == want
+    assert invariant_factors([[2, 3], [3, 5]]) == (1, 1)
+    assert invariant_factors([[4, 6], [6, 9]]) == (1,)
+
+
+def test_large_sparse_unit_free_matrices():
+    # no unit anywhere, up to 40 x 40: the elimination runs on Euclid
+    # steps and fill-in alone
+    rng = random.Random(4141)
+    entries = (2, -2, 3, -3, 4, -4, 6, -6)
+    torsion = 0
+    for _ in range(30):
+        m, n = rng.randint(20, 40), rng.randint(20, 40)
+        density = rng.choice((0.04, 0.08, 0.15))
+        a = freeze([[rng.choice(entries) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(m)])
+        want = smith(a).divisors
+        assert invariant_factors(a) == want, a
+        torsion += any(d > 1 for d in want)
+    assert torsion >= 10, torsion
+
+
 def test_only_cycle_constraint_and_j_rows_reach_the_reduction(monkeypatch):
     # a tree edge's rows are unit pivots on its child's columns, so compute
     # hands invariant_factors at most n g + sum corank L_i rows, +1 with j
