@@ -9,19 +9,20 @@ terms.  E^1/E^2 (resp. CE^1/CE^2) are the kernel and cokernel.  Constraint
 i appends P_i x_v, P_i presenting N -> N/L_i at its vertex v; the elliptic
 augmentation appends one row summing the y_e of the cycle.
 
-``compute`` reduces over Z in tree coordinates.  The BFS spanning tree of
-the bounded edges (``TropicalCurve.bounded_forest``) is rooted at the first
-finite vertex.  Each tree edge's n rows
-hold +-1 on its child's x columns, so the unimodular substitution
-x_child = x_parent -+ coef s_e y_e turns them into unit rows: n(|V| - 1)
-invariant factors 1, with no elimination.  Only the cycle space, the
-constraints and the j-row can carry an obstruction, so only these rows
-reach ``invariant_factors``: per non-tree edge and coordinate k, its own y
-entry and +-coef s_e[k] on each tree edge of its fundamental cycle; per
-constraint row a, a on x_root and +-coef <a, s_e> along the tree path to
-its vertex; the j-row.  That is n g + sum corank L_i (+1) rows, none for an
-unconstrained genus-0 curve; E^1's rank follows from the full row count.
-The full rows (``_assemble``) and the dense matrix are built only when read.
+``compute`` reduces over Z in tree coordinates, on the curve's frame
+(``_frame``), built once and shared by the complexes of a count.  The
+spanning forest of the bounded edges (``bounded_forest``) is rooted at the
+first finite vertex; each tree edge's n rows hold +-1 on its child's x
+columns, so the unimodular substitution x_child = x_parent -+ coef s_e y_e
+turns them into n(|V| - 1) unit rows, invariant factors 1 with no
+elimination.  The frame holds each vertex's signed tree path to the root,
+and only the rows that can carry an obstruction reach ``invariant_factors``:
+per non-tree edge and coordinate k, its own y entry and +-coef s_e[k] on
+its fundamental cycle (its ends' paths subtracted); per constraint row a,
+a on x_root and +-coef <a, s_e> along its vertex's path; the j-row.  That
+is n g + sum corank L_i (+1) rows, none for an unconstrained genus-0
+curve.  The full rows (``_assemble``, from the frame's layout, edges and
+weights, never its paths) and the dense matrix are built only when read.
 A coefficient group enters only at the final base change, ``sizes_over``
 for E^1_G and E^2_G and ``base_change`` for the regularity verdicts.
 """
@@ -69,59 +70,71 @@ class ComplexLayout:
         return self.n * len(self.vertices) + len(self.slope_edges)
 
 
-def _terms(p: ParamTropicalCurve, spec: ComplexSpec):
-    """The complex written down once, for both routes: the layout, each
-    bounded edge as (id, init, target, y column, coef * slope; both None at
-    zero slope), each constraint as (vertex, P_i), the j-row's columns."""
-    pc.require_balanced(p)
+def _frame(p: ParamTropicalCurve):
+    """What every complex of a balanced curve shares: the layout; each
+    bounded edge as (id, init, target, y column or None at zero slope); the
+    edges off the tree; each finite vertex's tree path, leaf first, as
+    (y column, sign) per step where x_v = x_parent + sign coef s_e y_e; and
+    per variant, coef s_e by y column."""
+    n, bounded = p.lattice_rank, p.curve.bounded_edges()
+    geo = {e.id: g for e in bounded if (g := pc.edge_geometry(p, e.id)).slope}
+    layout = ComplexLayout(tuple(p.curve.finite_vertices), tuple(geo), n)
+    col = dict(zip(geo, range(n * len(layout.vertices), layout.domain_dim)))
+    weights = {"b": {col[eid]: g.slope for eid, g in geo.items()}, "beta": {
+        col[eid]: tuple(g.multiplicity * s for s in g.slope)
+        for eid, g in geo.items()}}
+    edges = tuple((e.id, *pc._orient(e), col.get(e.id)) for e in bounded)
+    paths, tree = {}, set()
+    for v, link in p.curve.bounded_forest.items():      # parents first
+        paths[v] = ()
+        if link is not None:
+            parent, e = link
+            tree.add(e.id)
+            c, sign = col.get(e.id), -1 if pc._orient(e)[1] == v else 1
+            paths[v] = paths[parent] if c is None else (
+                (c, sign),) + paths[parent]
+    off_tree = [e for e in edges if e[0] not in tree]
+    return layout, edges, off_tree, paths, weights
+
+
+def _spec_part(p: ParamTropicalCurve, spec: ComplexSpec, edges, weights):
+    """The spec's checks after balancing, in order; then each constraint as
+    (vertex, P_i), the variant's weights and the j-row's columns."""
     constraints = []
     if spec.constraints is not None:
         # the count's last verdict, so a count decides it once
-        problems = pc._last_satisfaction(p, spec.constraints)
-        if problems:
+        if problems := pc._last_satisfaction(p, spec.constraints):
             raise ConstraintUnsatisfied("; ".join(problems))
         constraints = [(vfin, con.presentation) for (_, vfin), con in zip(
             pc.marked_pairs(p, len(spec.constraints)), spec.constraints.items)]
-    n = p.lattice_rank
-    bounded = p.curve.bounded_edges()
-    geo = {e.id: pc.edge_geometry(p, e.id) for e in bounded}
     cycle = ()
     if spec.elliptic:
-        heavy = [f"edge {eid} has l(e) = {g.multiplicity}"
-                 for eid, g in geo.items() if g.multiplicity > 1]
+        heavy = [f"edge {e.id} has l(e) = {m}" for e in p.curve.bounded_edges()
+                 if (m := pc.edge_geometry(p, e.id).multiplicity) > 1]
         if spec.variant == "b" and heavy:
-            raise NonUnitMultiplicity(
-                "elliptic plain variant needs unit multiplicities; "
-                + ", ".join(heavy))
+            raise NonUnitMultiplicity("elliptic plain variant needs unit "
+                                      "multiplicities; " + ", ".join(heavy))
         cycle = [e.id for e in pc.tropgraph.cycle_edges(p.curve)]
         for eid in cycle:
-            if geo[eid].slope is None:
+            if pc.edge_geometry(p, eid).slope is None:
                 raise ZeroSlopeCycleEdge(f"cycle edge {eid} has zero slope")
-    layout = ComplexLayout(tuple(p.curve.finite_vertices), tuple(
-        e.id for e in bounded if geo[e.id].slope is not None), n)
-    ecol = dict(zip(layout.slope_edges,
-                    range(n * len(layout.vertices), layout.domain_dim)))
-    edges = []
-    for e in bounded:
-        g = geo[e.id]
-        coef = g.multiplicity if spec.variant == "beta" else 1
-        edges.append((e.id, *pc._orient(e), ecol.get(e.id), None if g.slope
-                      is None else tuple(coef * s for s in g.slope)))
-    return layout, edges, constraints, sorted(ecol[eid] for eid in cycle)
+    return constraints, weights[spec.variant], sorted(
+        c for e, _, _, c in edges if e in cycle)
 
 
 def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
     """The full rows, each the sorted tuple of its nonzeros (col, value)."""
-    layout, edges, constraints, jrow = _terms(p, spec)
+    layout, edges, _, _, weights = _frame(p)  # compute checked balancing
+    constraints, weight, jrow = _spec_part(p, spec, edges, weights)
     vcol = {v: layout.n * i for i, v in enumerate(layout.vertices)}
     rows = []
-    for _, init, target, col, weight in edges:
+    for _, init, target, col in edges:
         ends = (sorted(((vcol[init], -1), (vcol[target], 1)))
                 if init != target else ())
         for k in range(layout.n):
             row = [(c + k, s) for c, s in ends]
-            if col is not None and weight[k]:
-                row.append((col, weight[k]))
+            if col is not None and weight[col][k]:
+                row.append((col, weight[col][k]))
             rows.append(tuple(row))
     for vfin, proj in constraints:
         rows.extend(tuple((vcol[vfin] + k, x) for k, x in enumerate(prow) if x)
@@ -129,47 +142,6 @@ def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
     if jrow:
         rows.append(tuple((col, 1) for col in jrow))
     return tuple(rows), layout
-
-
-def _reduced(p: ParamTropicalCurve, layout, edges, constraints, jrow):
-    """The rows left beside the tree's unit pivots, as {col: value} dicts."""
-    weight = {col: w for _, _, _, col, w in edges if col is not None}
-    ends = {eid: (target, col) for eid, _, target, col, _ in edges}
-    up = p.curve.bounded_forest
-    tree = {link[1].id for link in up.values() if link}
-
-    def carried(v, s, acc):
-        """acc[col] += s * sign along the tree path from v to the root,
-        where x_v = x_parent + sign weight y_col."""
-        while up[v] is not None:
-            parent, e = up[v]
-            target, col = ends[e.id]
-            if col is not None:
-                acc[col] = acc.get(col, 0) + (-s if target == v else s)
-            v = parent
-        return acc
-
-    rows = []
-    for eid, init, target, own, w in edges:
-        if eid not in tree:
-            path = carried(init, -1, carried(target, 1, {}))
-            for k in range(layout.n):
-                row = {col: m * weight[col][k] for col, m in path.items()
-                       if m and weight[col][k]}
-                if own is not None and w[k]:
-                    row[own] = w[k]
-                rows.append(row)
-    for vfin, proj in constraints:
-        path = carried(vfin, 1, {})
-        for a in proj:
-            row = {k: x for k, x in enumerate(a) if x}      # on x_root
-            for col, m in path.items():
-                if x := m * sum(map(mul, a, weight[col])):
-                    row[col] = x
-            rows.append(row)
-    if jrow:
-        rows.append(dict.fromkeys(jrow, 1))
-    return rows
 
 
 def _dense(rows, ncols: int) -> Mat:
@@ -212,12 +184,40 @@ def sizes_over(e1_rank: int, e2: FGAbelianGroup, g: CoeffGroup):
     return combine_sizes(e1_free, e1_tor), base_change(e2, g, "tensor")
 
 
+# (curve, frame) of the curve ``compute`` last reduced, which the complexes
+# of a count share: one tuple, matched by identity (held, so never reused)
+_last_frame = (None, None)
+
+
 def compute(p: ParamTropicalCurve, spec: ComplexSpec) -> ComplexReport:
-    layout, edges, constraints, jrow = terms = _terms(p, spec)
-    e2 = cokernel_group(_reduced(p, *terms))
-    n_rows = (layout.n * len(edges) + sum(len(a) for _, a in constraints)
-              + bool(jrow))
-    # rank-nullity: the matrix has rank rows - rank E^2
+    global _last_frame
+    pc.require_balanced(p)
+    last, frame = _last_frame
+    if last is not p:
+        _last_frame = p, (frame := _frame(p))
+    layout, edges, off_tree, paths, weights = frame
+    constraints, weight, jrow = _spec_part(p, spec, edges, weights)
+    rows = []
+    for _, init, target, own in off_tree:
+        cycle = dict(paths[target])     # the fundamental cycle, signed
+        for col, s in paths[init]:
+            cycle[col] = cycle.get(col, 0) - s
+        if own is not None:
+            cycle[own] = 1
+        rows += ({col: m * weight[col][k] for col, m in cycle.items()
+                  if m and weight[col][k]} for k in range(layout.n))
+    for vfin, proj in constraints:
+        for a in proj:
+            row = {k: x for k, x in enumerate(a) if x}      # on x_root
+            for col, m in paths[vfin]:
+                if x := m * sum(map(mul, a, weight[col])):
+                    row[col] = x
+            rows.append(row)
+    if jrow:
+        rows.append(dict.fromkeys(jrow, 1))
+    e2 = cokernel_group(rows)
+    # rank-nullity, the full matrix adding n unit rows per tree edge
+    n_rows = len(rows) + layout.n * (len(edges) - len(off_tree))
     e1_rank = layout.domain_dim - (n_rows - e2.rank)
     return ComplexReport(p, spec, layout, n_rows, e1_rank, e2)
 

@@ -1,7 +1,9 @@
 import ast
+import gc
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -298,12 +300,41 @@ def test_count_reduces_each_matrix_once(monkeypatch, count, fixture, expected):
     # (b, none) for the rank, then (b, A) and (beta, A) for a plane count or
     # (beta, A) and (beta, A, j) for an elliptic one; no Hermite form needed.
     # The constraint was presented once, when it was built, and satisfaction
-    # and simplicity read that presentation
+    # and simplicity read that presentation.  The three complexes share one
+    # frame, built for the stabilized curve
     p, a, _, _ = load(str(FIXTURES / fixture))
     general = ("hnf", "quotient_presentation")
     calls = _count_calls(monkeypatch, ("invariant_factors",) + general)
+    frames = _count_calls(monkeypatch, ("_frame",), complexes)
     assert count(p, a, 0).count == expected
     assert calls == {"invariant_factors": 3, **dict.fromkeys(general, 0)}
+    assert frames == {"_frame": 1}
+
+
+def test_counts_keep_one_frame_and_no_curve_alive(monkeypatch):
+    # complexes keeps the frame of the last curve it reduced, and counts
+    # leave no new attribute on a curve object: after 50 counts, at most
+    # the last curve whose count built a complex is still alive
+    attributes = {"curve", "lattice_rank", "h", "_violations", "_slopes",
+                  "_stabilization", "_satisfaction_of"}
+    computed = _count_calls(monkeypatch, ("compute",), complexes)
+    refs, last = [], None
+    for i, (p, a) in enumerate(corpus(2305, 50)):
+        before = computed["compute"]
+        try:
+            correspondence_count(p, a, 0)
+        except TropicorrError:
+            pass
+        if computed["compute"] > before:
+            last = i
+        st = pc.stabilize_param(p)
+        assert set(vars(p)) <= attributes and set(vars(st)) <= attributes
+        refs.append((weakref.ref(p), weakref.ref(st)))
+    del p, a, st
+    gc.collect()
+    alive = [i for i, pair in enumerate(refs)
+             if any(r() is not None for r in pair)]
+    assert last is not None and alive in ([], [last])
 
 
 def _outcome(run, *args):

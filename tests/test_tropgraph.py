@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from corpus import corpus
+from corpus import corpus, elliptic_corpus
 from oracles import stabilize_by_rescanning, tropical_isomorphic
+from tropicorr.curvefile import load
 from tropicorr.errors import BadSubdivision, NotStabilizable
 from tropicorr.tropgraph import (
     AttachTree,
@@ -15,6 +17,7 @@ from tropicorr.tropgraph import (
     is_stable,
     modify,
     satisfies_stability_bound,
+    spanning_forest,
     stabilize,
     validate,
     valency,
@@ -230,3 +233,47 @@ def test_isomorphism_respects_lengths_and_order():
                  [("e", ("x", "y"), 3), ("f", ("y", "z"), 1), ("g", ("z", "x"), 1)])
     assert tropical_isomorphic(tri1, tri2)
     assert not tropical_isomorphic(tri1, tri3)
+
+
+def bounded_components(c):
+    """Each finite vertex's component under the bounded edges, as the
+    index in c.finite_vertices of the component's first vertex."""
+    first = {v: i for i, v in enumerate(c.finite_vertices)}
+    changed = True
+    while changed:
+        changed = False
+        for e in c.bounded_edges():
+            u, w = e.ends
+            if first[u] != first[w]:
+                first[u] = first[w] = min(first[u], first[w])
+                changed = True
+    return first
+
+
+def test_spanning_forest_lists_parents_first_from_each_first_vertex():
+    # the complexes' frame builds each vertex's tree path from its
+    # parent's, so the forest must list every parent before its children,
+    # root each component at its first finite vertex and use only bounded
+    # edges that join the vertex to its parent
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    curves = [p.curve for p, _ in corpus(606, 60) + elliptic_corpus(607, 30)]
+    curves += [load(str(path))[0].curve for path in sorted(fixtures.glob("*.json"))]
+    curves.append(curve(["a", "b", "c", "d"], ["x"],
+                        [("e1", ("b", "c"), 1), ("e2", ("d", "a"), 2),
+                         ("r", ("c", "x"), None)]))
+    assert len(curves) == 95
+    for c in curves:
+        up = spanning_forest(c)
+        component = bounded_components(c)
+        assert set(up) == set(c.finite_vertices)
+        seen, roots = set(), set()
+        for v, link in up.items():
+            if link is None:
+                assert component[v] == c.finite_vertices.index(v)
+                roots.add(component[v])
+            else:
+                parent, e = link
+                assert parent in seen and e.is_bounded
+                assert sorted(e.ends) == sorted((parent, v))
+            seen.add(v)
+        assert roots == set(component.values())
