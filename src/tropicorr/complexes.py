@@ -29,8 +29,8 @@ for E^1_G and E^2_G and ``base_change`` for the regularity verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
 from . import paramcurve as pc
 from .errors import ConstraintUnsatisfied, NonUnitMultiplicity, ZeroSlopeCycleEdge
@@ -39,6 +39,7 @@ from .exactla import (
     FGAbelianGroup,
     GroupSize,
     Mat,
+    Record,
     base_change,
     cokernel_group,
     combine_sizes,
@@ -46,19 +47,19 @@ from .exactla import (
 from .paramcurve import AffineConstraintSet, ParamTropicalCurve
 
 
-@dataclass(frozen=True)
-class ComplexSpec:
-    variant: str = "beta"                      # "b" -> E, "beta" -> CE
-    constraints: AffineConstraintSet | None = None
-    elliptic: bool = False
+class ComplexSpec(Record):
+    _fields = ("variant", "constraints", "elliptic")  # "b" -> E, "beta" -> CE
 
-    def __post_init__(self):
-        if self.variant not in ("b", "beta"):
+    def __init__(self, variant: str = "beta",
+                 constraints: AffineConstraintSet | None = None,
+                 elliptic: bool = False):
+        if variant not in ("b", "beta"):
             raise ValueError("variant must be 'b' or 'beta'")
+        self.__dict__.update(variant=variant, constraints=constraints,
+                             elliptic=elliptic)
 
 
-@dataclass(frozen=True)
-class ComplexLayout:
+class ComplexLayout(NamedTuple):
     """Index bookkeeping for the assembled matrix."""
 
     vertices: tuple[str, ...]       # finite vertices, column blocks of width n
@@ -152,18 +153,19 @@ def _dense(rows, ncols: int) -> Mat:
     return tuple(map(tuple, out))
 
 
-@dataclass(frozen=True)
-class ComplexReport:
+class ComplexReport(Record):
     """The complex over Z (E1_rank, E2) from one transform-free reduction
     of its tree-reduced rows; ``sizes_over`` base-changes it to any
-    coefficient group."""
+    coefficient group.  n_rows counts the rows of the full matrix.
+    Equality and repr leave out the source curve."""
 
-    source: ParamTropicalCurve = field(repr=False, compare=False)
-    spec: ComplexSpec
-    layout: ComplexLayout
-    n_rows: int                   # rows of the full matrix
-    E1_rank: int
-    E2: FGAbelianGroup
+    _fields = ("spec", "layout", "n_rows", "E1_rank", "E2")
+
+    def __init__(self, source: ParamTropicalCurve, spec: ComplexSpec,
+                 layout: ComplexLayout, n_rows: int, E1_rank: int,
+                 E2: FGAbelianGroup):
+        self.__dict__.update(source=source, spec=spec, layout=layout,
+                             n_rows=n_rows, E1_rank=E1_rank, E2=E2)
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -222,8 +224,7 @@ def compute(p: ParamTropicalCurve, spec: ComplexSpec) -> ComplexReport:
     return ComplexReport(p, spec, layout, n_rows, e1_rank, e2)
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(NamedTuple):
     g_regular: bool
     elliptically_regular: bool | None
     obstruction: GroupSize

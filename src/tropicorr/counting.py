@@ -15,7 +15,7 @@ ZeroSlopeCycleEdge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import complexes as cx
 from . import paramcurve as pc
@@ -67,8 +67,7 @@ def stacky_multiplier(p: ParamTropicalCurve) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CountHypotheses:
+class CountHypotheses(NamedTuple):
     """The flags of a returned count, all True (``elliptic_regular`` is None
     on a plain count): a count raises at the first that fails."""
 
@@ -85,8 +84,7 @@ class CountHypotheses:
                    "elliptic_regular")
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     count: int
     torsor_order: int        # |E^1_{k*}(Gamma, A)| (elliptic: the full count)
     stacky_factor: int       # product of the bounded-edge multiplicities

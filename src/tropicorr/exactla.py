@@ -19,9 +19,9 @@ sparse, mostly +-1 matrices of the obstruction complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
+from typing import NamedTuple
 
 Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
@@ -232,23 +232,56 @@ def hnf(rows, ncols: int) -> Mat:
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """Base of the immutable values that check or derive fields in their
+    own ``__init__`` and store them with ``__dict__.update``: equal, hashed
+    and shown by the fields named in ``_fields``.  Setting or deleting an
+    attribute raises AttributeError; ``cached_property`` writes straight to
+    ``__dict__``, so caches still work and are not fields."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r}")
+
+    __delattr__ = __setattr__
+
+
+# ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Record):
     """Canonical form: free rank plus invariant factors >= 2 in a
     divisibility chain.  Unique per isomorphism class."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    _fields = ("rank", "torsion")
 
-    def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a chain")
-        if any(t < 2 for t in self.torsion):
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion coefficients must be >= 2")
+        self.__dict__.update(rank=rank, torsion=torsion)
 
     @property
     def is_trivial(self) -> bool:
@@ -281,19 +314,17 @@ def cokernel_group(a: Mat) -> FGAbelianGroup:
 # sublattices
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record):
     """Sublattice of Z^ambient_rank given by a basis (rows).  The basis is
     canonicalized to HNF at construction, so equal lattices compare equal."""
 
-    ambient_rank: int
-    basis: Mat
+    _fields = ("ambient_rank", "basis")
 
-    def __post_init__(self):
-        canon = hnf(self.basis, self.ambient_rank)
-        if len(canon) != len([r for r in self.basis if any(r)]):
+    def __init__(self, ambient_rank: int, basis: Mat):
+        canon = hnf(basis, ambient_rank)
+        if len(canon) != len([r for r in basis if any(r)]):
             raise ValueError("basis rows must be linearly independent")
-        object.__setattr__(self, "basis", canon)
+        self.__dict__.update(ambient_rank=ambient_rank, basis=canon)
 
     @property
     def rank(self) -> int:
@@ -328,19 +359,18 @@ def quotient_presentation(lat: Sublattice) -> Mat:
 # coefficient groups and base change
 
 
-@dataclass(frozen=True)
-class CoeffGroup:
+class CoeffGroup(Record):
     """Z, Q, a field k of characteristic p, or the units k* of an
     algebraically closed field of characteristic p."""
 
-    kind: str  # "Z" | "Q" | "field" | "kstar"
-    p: int = 0
+    _fields = ("kind", "p")     # kind: "Z" | "Q" | "field" | "kstar"
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "field", "kstar"):
-            raise ValueError(f"unknown coefficient group kind {self.kind!r}")
-        if self.p and not _is_prime(self.p):
+    def __init__(self, kind: str, p: int = 0):
+        if kind not in ("Z", "Q", "field", "kstar"):
+            raise ValueError(f"unknown coefficient group kind {kind!r}")
+        if p and not _is_prime(p):
             raise ValueError("characteristic must be zero or prime")
+        self.__dict__.update(kind=kind, p=p)
 
     @staticmethod
     def integers() -> "CoeffGroup":
@@ -409,8 +439,7 @@ def prime_to_part(d: int, p: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class GroupSize:
+class GroupSize(NamedTuple):
     """Size of a group built from copies of a coefficient group G plus a
     finite part.  free_rank counts copies of G (G = Z or k*), kdim is a
     k-vector-space dimension, finite_order is the order when the whole group

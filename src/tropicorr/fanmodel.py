@@ -35,11 +35,11 @@ general polyhedral machinery is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from math import lcm
+from typing import NamedTuple
 
 from . import paramcurve as pc
 from .errors import CrossCheckFailed
@@ -344,8 +344,7 @@ def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
 # the fan model with curve indexing
 
 
-@dataclass
-class FanModel:
+class FanModel(NamedTuple):
     ambient_rank: int                       # n + 1
     cones: tuple[Cone, ...]
     eta_rays: tuple[Ray, ...]               # rays with last coordinate 0

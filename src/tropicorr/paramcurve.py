@@ -12,7 +12,6 @@ Fractions remain at parse, in transport and in constraints.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -23,7 +22,7 @@ from typing import NamedTuple
 from . import tropgraph
 from .errors import ConstraintCountMismatch, CrossCheckFailed, NotBalanced
 from .exactla import (
-    Mat,
+    Record,
     Sublattice,
     integral_length,
     primitive_vector,
@@ -56,8 +55,7 @@ def vscale(c, a) -> QVec:
     return tuple(c * x for x in a)
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeGeometry:
+class EdgeGeometry(NamedTuple):
     slope: tuple[int, ...] | None  # primitive direction, None for zero slope
     multiplicity: int              # l(e); 0 exactly when the slope is zero
 
@@ -68,19 +66,18 @@ class _Slopes(NamedTuple):
     d: int      # lcm of the denominators of h and of the edge lengths
 
 
-@dataclass(frozen=True)
-class ParamTropicalCurve:
+class ParamTropicalCurve(Record):
     """A curve with its vertex map.  h is a read-only copy of the mapping
     given, so the facts derived from the object (its violation list, its
     edge slopes and its stabilization) are computed once and live exactly
     as long as the object."""
 
-    curve: TropicalCurve
-    lattice_rank: int
-    h: Mapping[str, QVec]
+    _fields = ("curve", "lattice_rank", "h")
 
-    def __post_init__(self):
-        object.__setattr__(self, "h", MappingProxyType(dict(self.h)))
+    def __init__(self, curve: TropicalCurve, lattice_rank: int,
+                 h: Mapping[str, QVec]):
+        self.__dict__.update(curve=curve, lattice_rank=lattice_rank,
+                             h=MappingProxyType(dict(h)))
 
     def hv(self, v: str) -> QVec:
         return self.h[v]
@@ -299,27 +296,23 @@ def rank(p: ParamTropicalCurve) -> int:
 # affine constraints
 
 
-@dataclass(frozen=True)
-class AffineConstraint:
+class AffineConstraint(Record):
     """point + space_Q, space saturated of corank >= 2.  ``presentation``,
     the matrix of N -> N/space, is computed once, here: over Q its kernel is
     space_Q, and its Smith divisors are all 1 iff space is saturated."""
 
-    space: Sublattice
-    point: QVec            # a_i in N_Q
-    presentation: Mat = field(init=False, repr=False, compare=False)
-    _point_image: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("space", "point")    # point: a_i in N_Q
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", qvec(self.point))
-        if self.space.corank < 2:
+    def __init__(self, space: Sublattice, point: QVec):
+        point = qvec(point)
+        if space.corank < 2:
             raise ValueError("constraint sublattice must have corank >= 2")
         try:
-            pres = quotient_presentation(self.space)
+            pres = quotient_presentation(space)
         except ValueError:
             raise ValueError("constraint sublattice must be saturated") from None
-        object.__setattr__(self, "presentation", pres)
-        object.__setattr__(self, "_point_image", self._image(self.point))
+        self.__dict__.update(space=space, point=point, presentation=pres)
+        self.__dict__["_point_image"] = self._image(point)
 
     def _image(self, v):
         """(d, P w) with v = w / d and w integral: P v in integers."""
@@ -339,9 +332,13 @@ class AffineConstraint:
         return [da * y for y in px] == [d * z for z in pa]
 
 
-@dataclass(frozen=True)
-class AffineConstraintSet:
-    items: tuple[AffineConstraint, ...]
+class AffineConstraintSet(Record):
+    """A record, not a tuple: its length is the number of constraints."""
+
+    _fields = ("items",)
+
+    def __init__(self, items: tuple[AffineConstraint, ...]):
+        self.__dict__.update(items=items)
 
     def __len__(self):
         return len(self.items)
@@ -359,8 +356,7 @@ def constraint_set(items, ambient_rank: int) -> AffineConstraintSet:
     ))
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     satisfies: bool
     simple: bool
     codim: int

@@ -17,9 +17,9 @@ bases are built only when ``assignment`` is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from . import fanmodel as fan
 from . import paramcurve as pc
@@ -35,8 +35,7 @@ def _scaled_gen(g, a: int):
     return primitive_vector(tuple(a * x for x in g[:-1]) + (g[-1],))
 
 
-@dataclass
-class StackySigma:
+class StackySigma(NamedTuple):
     fan: FanModel
     a: int
     bases: dict[Cone, tuple]                 # rows of N'_sigma, scaled coords
@@ -177,8 +176,7 @@ def is_dm(p: ParamTropicalCurve, char_p: int) -> bool:
     return True
 
 
-@dataclass
-class NodeStackData:
+class NodeStackData(NamedTuple):
     node_orders: dict[str, int]     # bounded edge -> l(sigma_e) / l(e)
     marked_orders: dict[str, int]   # infinite vertex -> l(rho) / l(v)
 

@@ -10,15 +10,15 @@ rational lengths.  Loops and multi-edges are allowed; a loop counts once in
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BadSubdivision, GenusNotOne, NotStabilizable
+from .exactla import Record
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     ends: tuple[str, str]
     length: Fraction | None  # None encodes infinite length
@@ -28,15 +28,17 @@ class Edge:
         return self.length is not None
 
 
-@dataclass(frozen=True)
-class TropicalCurve:
+class TropicalCurve(Record):
     """An immutable curve.  Its validity verdict, edge index, incidence
     lists, edge split and bounded-edge forest are built on first use and
     kept on the object."""
 
-    finite_vertices: tuple[str, ...]
-    infinite_vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    _fields = ("finite_vertices", "infinite_vertices", "edges")
+
+    def __init__(self, finite_vertices: tuple[str, ...],
+                 infinite_vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        self.__dict__.update(finite_vertices=finite_vertices,
+                             infinite_vertices=infinite_vertices, edges=edges)
 
     def vertex_ids(self):
         return self.finite_vertices + self.infinite_vertices
@@ -209,22 +211,21 @@ def cycle_edges(c: TropicalCurve) -> tuple[Edge, ...]:
 # the three-step modification algorithm
 
 
-@dataclass(frozen=True)
-class SubdivideBounded:
+# Steps are tuples, so a SubdivideBounded and a SubdivideUnbounded with equal
+# fields compare equal: dispatch on a step by isinstance, never by ==.
+class SubdivideBounded(NamedTuple):
     edge: str
     distances: tuple[Fraction, ...]  # strictly increasing, measured from ends[0]
     vertex_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SubdivideUnbounded:
+class SubdivideUnbounded(NamedTuple):
     edge: str
     distances: tuple[Fraction, ...]  # strictly increasing from the finite end
     vertex_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AttachTree:
+class AttachTree(NamedTuple):
     root: str               # finite vertex of the target curve
     tree: TropicalCurve     # metric tree; its root is identified with `root`
     tree_root: str

@@ -247,13 +247,23 @@ def test_golden_replays_in_a_fresh_process(name):
     assert out.returncode == codes[name]
 
 
+def loaded_modules(out):
+    """The modules that a process run with -v loaded, read off the
+    "import 'name'" lines on its stderr."""
+    return {line.split(b"'")[1].decode() for line in out.stderr.splitlines()
+            if line.startswith(b"import '")}
+
+
 def loaded_layers(out):
-    """The tropicorr submodules that a process run with -v loaded, read off
-    the "import 'name'" lines on its stderr."""
-    names = (line.split(b"'")[1].decode() for line in out.stderr.splitlines()
-             if line.startswith(b"import '"))
-    return {name.split(".", 1)[1] for name in names
+    """The tropicorr submodules among ``loaded_modules``."""
+    return {name.split(".", 1)[1] for name in loaded_modules(out)
             if name.startswith("tropicorr.")}
+
+
+# standard modules no library import may load: every CLI invocation is a
+# fresh process, and dataclasses (which imports inspect, ast, dis and
+# tokenize) plus the methods it generates with exec cost a sixth of one
+STARTUP_HEAVY = {"dataclasses", "inspect"}
 
 
 def test_import_tropicorr_loads_no_layer():
@@ -263,6 +273,7 @@ def test_import_tropicorr_loads_no_layer():
     out = python_process("-c", "import tropicorr; tropicorr.cokernel_group",
                          options=("-v",))
     assert out.returncode == 0 and loaded_layers(out) == {"exactla"}
+    assert not loaded_modules(out) & STARTUP_HEAVY
 
 
 # layers a subcommand runs none of, so must not import
@@ -274,13 +285,16 @@ UNUSED_LAYERS = {
 }
 
 
-@pytest.mark.parametrize("command", list(UNUSED_LAYERS))
+@pytest.mark.parametrize("command", list(COMMANDS))
 def test_subcommand_imports_only_its_layers(command):
     out = cli_process(command, "fixtures/dblline.json", "--json",
                       options=("-v",))
-    assert out.returncode == 0, out.stdout
-    layers = loaded_layers(out)
-    assert "paramcurve" in layers and not layers & UNUSED_LAYERS[command], layers
+    # dblline has genus zero, so the elliptic count refuses it after dispatch
+    assert out.returncode == (command == "count-elliptic"), out.stdout
+    modules, layers = loaded_modules(out), loaded_layers(out)
+    assert not modules & STARTUP_HEAVY, modules & STARTUP_HEAVY
+    assert "paramcurve" in layers, layers
+    assert not layers & UNUSED_LAYERS.get(command, set()), layers
 
 
 def test_human_output(capsys):

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -522,7 +521,9 @@ def _node_stack(p, a):
 def _half_edge_exponents(p, a):
     # dblline's edge e1 from v0 to v1 = (-1/4, 0) has direction (-1/2, 0)
     return fanmodel.reduction_exponents(
-        replace(p, h={**p.h, "v1": (Fraction(-1, 4), Fraction(0))}), "v0")
+        pc.ParamTropicalCurve(p.curve, p.lattice_rank,
+                              {**p.h, "v1": (Fraction(-1, 4), Fraction(0))}),
+        "v0")
 
 
 def _elliptic(p, a):
@@ -554,8 +555,9 @@ BROKEN_ROUTES = {
                         "triangle_elliptic.json", _elliptic),
     # the (beta, A, j) complex reports E1 of rank 1, the others stay
     "elliptic_finite": (complexes, "compute",
-                        lambda p, spec: replace(rep := _compute(p, spec),
-                                                E1_rank=rep.E1_rank + 1)
+                        lambda p, spec: complexes.ComplexReport(
+                            (rep := _compute(p, spec)).source, rep.spec,
+                            rep.layout, rep.n_rows, rep.E1_rank + 1, rep.E2)
                         if spec.elliptic else _compute(p, spec),
                         "triangle_elliptic.json", _elliptic),
     "fan_axiom": (fanmodel, "gamma_tr", lambda p: p, "xconfig.json", _fan),
@@ -564,13 +566,13 @@ BROKEN_ROUTES = {
                              lambda rows, s: 0, "dblline.json", _stacky),
     # l(sigma) = 1 on every cone, below dblline's edge multiplicity 2
     "node_order": (fanmodel, "fan_model",
-                   lambda p: replace(fm := _fan_model(p),
-                                     l_sigma=dict.fromkeys(fm.l_sigma, 1)),
+                   lambda p: (fm := _fan_model(p))._replace(
+                       l_sigma=dict.fromkeys(fm.l_sigma, 1)),
                    "dblline.json", _node_stack),
     # l(rho) = 1 on every eta ray, below dblline's end multiplicity 2
     "marked_order": (fanmodel, "fan_model",
-                     lambda p: replace(fm := _fan_model(p),
-                                       l_rho=dict.fromkeys(fm.l_rho, 1)),
+                     lambda p: (fm := _fan_model(p))._replace(
+                         l_rho=dict.fromkeys(fm.l_rho, 1)),
                      "dblline.json", _node_stack),
     # the balancing gate lets a curve with a non-integral edge through
     "integral_exponents": (pc, "require_balanced", lambda p: None,

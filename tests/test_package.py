@@ -1,16 +1,26 @@
 """The package namespace: every name in the export table resolves to its
-home module's object, and the README session runs."""
+home module's object, the README session runs, and the library's records
+keep their value semantics."""
 
+import functools
 import importlib
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tropicorr
-from tropicorr import _EXPORTS
+from fixture_curves import doubled_line
+from tropicorr import _EXPORTS, complexes, counting, exactla, fanmodel, stacky
+from tropicorr import paramcurve as pc
+from tropicorr import tropgraph
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("name", list(_EXPORTS))
@@ -37,3 +47,119 @@ def test_readme_session_runs(capsys):
                         re.DOTALL).group(1)
     exec(compile(session, str(README), "exec"), {})
     assert capsys.readouterr().out == "1\n"
+
+
+@functools.cache
+def records():
+    """One instance of every record class of the library, by class name,
+    taken from the outputs of a doubled-line run where there are any."""
+    p, a = doubled_line()
+    rep = complexes.compute(p, complexes.ComplexSpec("beta", a))
+    verdict = complexes.regularity(p, a, exactla.CoeffGroup.field(3))
+    res = counting.correspondence_count(p, a, 0)
+    tr = fanmodel.gamma_tr(p)
+    out = [p, p.curve, p.curve.edges[0], pc.edge_geometry(p, "e1"), a,
+           a.items[0], a.items[0].space, pc.check_constraint(p, a), rep.spec,
+           rep, rep.layout, rep.E2, verdict, verdict.obstruction,
+           exactla.CoeffGroup.units(3), res, res.hypotheses,
+           fanmodel.fan_model(tr),
+           stacky.stacky_data(tr, fanmodel.ramification(tr, 1)["minimal_a"]),
+           stacky.node_stack(tr),
+           tropgraph.SubdivideBounded("e1", (Fraction(1, 4),)),
+           tropgraph.SubdivideUnbounded("f1", (Fraction(1),)),
+           tropgraph.AttachTree("v0", tropgraph.curve(["r"]), "r")]
+    return {type(x).__name__: x for x in out}
+
+
+RECORDS = ["ParamTropicalCurve", "TropicalCurve", "Edge", "EdgeGeometry",
+           "AffineConstraintSet", "AffineConstraint", "Sublattice",
+           "ConstraintReport", "ComplexSpec", "ComplexReport", "ComplexLayout",
+           "FGAbelianGroup", "RegularityVerdict", "GroupSize", "CoeffGroup",
+           "CountResult", "CountHypotheses", "FanModel", "StackySigma",
+           "NodeStackData", "SubdivideBounded", "SubdivideUnbounded",
+           "AttachTree"]
+# hold dicts or a mapping proxy, so cannot be hashed
+UNHASHABLE = {"ParamTropicalCurve", "FanModel", "StackySigma", "NodeStackData"}
+
+# class -> (constructor call, its ValueError message): checks that raise,
+# not asserts, so they hold under python -O too
+VALUE_ERRORS = {
+    "FGAbelianGroup": [
+        ("exactla.FGAbelianGroup(0, (2, 3))",
+         "torsion coefficients must form a chain"),
+        ("exactla.FGAbelianGroup(0, (1,))", "torsion coefficients must be >= 2")],
+    "CoeffGroup": [
+        ("exactla.CoeffGroup('R')", "unknown coefficient group kind 'R'"),
+        ("exactla.CoeffGroup('field', 4)", "characteristic must be zero or prime")],
+    "Sublattice": [
+        ("exactla.Sublattice(2, ((1, 0), (2, 0)))",
+         "basis rows must be linearly independent")],
+    "ComplexSpec": [
+        ("complexes.ComplexSpec('gamma')", "variant must be 'b' or 'beta'")],
+    "AffineConstraint": [
+        ("pc.AffineConstraint(exactla.Sublattice(2, ((1, 0),)), (0, 0))",
+         "constraint sublattice must have corank >= 2"),
+        ("pc.AffineConstraint(exactla.Sublattice(3, ((2, 0, 0),)), (0, 0, 0))",
+         "constraint sublattice must be saturated")],
+}
+# the ValueError message each call raises, or None
+REPORT_VALUE_ERRORS = """
+import sys
+from tropicorr import complexes, exactla
+from tropicorr import paramcurve as pc
+for call in sys.argv[1:]:
+    try:
+        eval(call)
+        print(None)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def value_errors(calls, *options):
+    """What REPORT_VALUE_ERRORS prints for ``calls`` in a fresh process."""
+    out = subprocess.run(
+        [sys.executable, *options, "-c", REPORT_VALUE_ERRORS, *calls],
+        capture_output=True, text=True, cwd=ROOT, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+def test_records_cover_every_record_class():
+    # every public class with fields: a NamedTuple or a Record
+    found = {name for mod in (exactla, tropgraph, pc, complexes, fanmodel,
+                              stacky, counting)
+             for name, cls in vars(mod).items()
+             if isinstance(cls, type) and cls.__module__ == mod.__name__
+             and hasattr(cls, "_fields") and not name.startswith("_")
+             and cls is not exactla.Record}
+    assert found == set(RECORDS) == set(records())
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_keeps_value_semantics(name):
+    x = records()[name]
+    field = x._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(x, field))
+    fields = [getattr(x, f) for f in x._fields]
+    if name == "ComplexReport":
+        # the source curve is not a field: a report without one is equal
+        fields.insert(0, None)
+    copy = type(x)(*fields)
+    assert copy == x and not copy != x
+    if name not in UNHASHABLE:
+        assert hash(copy) == hash(x)
+    if name == "TropicalCurve":
+        other = type(x)(x.finite_vertices, x.infinite_vertices, x.edges[1:])
+        assert other != x and len({x, copy, other}) == 2
+    if name == "ParamTropicalCurve":
+        assert type(x)(x.curve, x.lattice_rank + 1, x.h) != x
+    if name in VALUE_ERRORS:
+        calls, messages = zip(*VALUE_ERRORS[name])
+        for call, message in VALUE_ERRORS[name]:
+            with pytest.raises(ValueError) as err:
+                eval(call, {"exactla": exactla, "complexes": complexes, "pc": pc})
+            assert str(err.value) == message
+        assert value_errors(calls, "-O") == list(messages)

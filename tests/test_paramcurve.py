@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,7 +56,8 @@ F = Fraction
 def test_balancing_examples():
     assert not param_violations(tropical_line())
     line = tropical_line()
-    skew = replace(line, h={**line.h, "u3": (F(1), F(2))})
+    skew = ParamTropicalCurve(line.curve, line.lattice_rank,
+                              {**line.h, "u3": (F(1), F(2))})
     assert param_violations(skew) == ["balancing fails at v0: defect ('0', '1')"]
     assert not param_violations(two_vertex_curve())
 
@@ -110,7 +110,7 @@ def _stretched(p):
     is halved: non-integral wherever it was odd, with fractional defects."""
     c = p.curve
     first = c.bounded_edges()[0]
-    edges = tuple(replace(e, length=2 * e.length) if e is first else e
+    edges = tuple(e._replace(length=2 * e.length) if e is first else e
                   for e in c.edges)
     return ParamTropicalCurve(type(c)(c.finite_vertices, c.infinite_vertices,
                                       edges), p.lattice_rank, p.h)
@@ -142,14 +142,18 @@ def _special_curves():
         load(str(golden / "frac_defect.json"))[0],
         load(str(golden / "nonint_edge.json"))[0],
         load(str(golden / "unbalanced_unstable.json"))[0],
-        replace(line, h={**line.h, "u3": (F(1, 2), F(1))}),
+        ParamTropicalCurve(line.curve, line.lattice_rank,
+                           {**line.h, "u3": (F(1, 2), F(1))}),
         _fresh(two_vertex_curve(), (F(1, 3), F(0))),
         # structural failures: every message comes before any direction
-        replace(line, h={k: x for k, x in line.h.items() if k != "u1"}),
-        replace(line, h={**line.h, "u1": (F(-1),)}),
-        replace(line, curve=curve(["v0"], ["u1", "u2", "u3"],
-                                  [("f1", ("v0", "u1"), None),
-                                   ("f2", ("v0", "u2"), None)])),
+        ParamTropicalCurve(line.curve, line.lattice_rank,
+                           {k: x for k, x in line.h.items() if k != "u1"}),
+        ParamTropicalCurve(line.curve, line.lattice_rank,
+                           {**line.h, "u1": (F(-1),)}),
+        ParamTropicalCurve(curve(["v0"], ["u1", "u2", "u3"],
+                                 [("f1", ("v0", "u1"), None),
+                                  ("f2", ("v0", "u2"), None)]),
+                           line.lattice_rank, line.h),
     ]
 
 
@@ -372,7 +376,8 @@ def test_stabilization_derived_once_per_object(monkeypatch):
     assert stabilize_param(p) is st and stabilize_param(st) is st
     assert calls == [p.curve, st.curve]
     # an unbalanced but valid curve is stabilized too
-    skew = replace(p, h={**p.h, "u3": (F(1), F(2))})
+    skew = ParamTropicalCurve(p.curve, p.lattice_rank,
+                              {**p.h, "u3": (F(1), F(2))})
     assert param_violations(skew)
     assert stabilize_param(skew).curve == st.curve
     # a curve with no stabilization raises the same error on every call

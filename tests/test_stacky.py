@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -134,8 +133,7 @@ def corrupted(st):
             for k in (2, 3):
                 bad = list(rows)
                 bad[i] = tuple(k * x for x in bad[i])
-                yield dataclasses.replace(
-                    st, bases={**st.bases, c: tuple(bad)})
+                yield st._replace(bases={**st.bases, c: tuple(bad)})
 
 
 def _stacky_of(p):
@@ -206,8 +204,7 @@ def test_compatibility_failure_names_cone_ray_and_lattices():
     lat = st.assignment[ray]
     doubled = tuple(tuple(2 * x for x in row) for row in st.bases[ray])
     with pytest.raises(CrossCheckFailed) as info:
-        _verify_compatibility(dataclasses.replace(
-            st, bases={**st.bases, ray: doubled}))
+        _verify_compatibility(st._replace(bases={**st.bases, ray: doubled}))
     message = str(info.value)
     for part in (f"cone{c}", ray[0], lat.basis,
                  Sublattice(lat.ambient_rank, doubled).basis):
