@@ -116,10 +116,10 @@ for call in sys.argv[1:]:
 """
 
 
-def value_errors(calls, *options):
-    """What REPORT_VALUE_ERRORS prints for ``calls`` in a fresh process."""
+def optimized_value_errors(calls):
+    """What REPORT_VALUE_ERRORS prints for ``calls`` under ``python -O``."""
     out = subprocess.run(
-        [sys.executable, *options, "-c", REPORT_VALUE_ERRORS, *calls],
+        [sys.executable, "-O", "-c", REPORT_VALUE_ERRORS, *calls],
         capture_output=True, text=True, cwd=ROOT, timeout=30,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.returncode == 0, out.stderr
@@ -162,4 +162,4 @@ def test_record_keeps_value_semantics(name):
             with pytest.raises(ValueError) as err:
                 eval(call, {"exactla": exactla, "complexes": complexes, "pc": pc})
             assert str(err.value) == message
-        assert value_errors(calls, "-O") == list(messages)
+        assert optimized_value_errors(calls) == list(messages)
