@@ -243,9 +243,19 @@ def modify(c: TropicalCurve, steps) -> TropicalCurve:
     """Apply subdivision and tree-attachment steps.  Subdivision preserves
     the metric; new infinite leaves are appended after the existing infinite
     vertices in input order."""
+    return _modify(c, steps)[0]
+
+
+def _modify(c: TropicalCurve, steps):
+    """``modify``'s one walk over the steps: the modified curve, and one
+    placement per step.  A subdivision's placement is (the edge as it was,
+    the vertices now running along it from its start: ends[0] of a bounded
+    edge, the finite end of an unbounded one); with no distances the edge
+    stays and runs along its own ends.  An attachment's placement is None."""
     finite = list(c.finite_vertices)
     infinite = list(c.infinite_vertices)
     edges = {e.id: e for e in c.edges}
+    placements = []
     for step in steps:
         if isinstance(step, (SubdivideBounded, SubdivideUnbounded)):
             e = edges.get(step.edge)
@@ -255,6 +265,7 @@ def modify(c: TropicalCurve, steps) -> TropicalCurve:
             if any(y <= x for x, y in zip(ds, ds[1:])):
                 raise BadSubdivision("distances must be strictly increasing")
             if not ds:
+                placements.append((e, e.ends))
                 continue
             if isinstance(step, SubdivideBounded):
                 if not e.is_bounded:
@@ -283,6 +294,7 @@ def modify(c: TropicalCurve, steps) -> TropicalCurve:
             del edges[e.id]
             for k, (u, w) in enumerate(zip(chain, chain[1:])):
                 edges[f"{e.id}.p{k}"] = Edge(f"{e.id}.p{k}", (u, w), lengths[k])
+            placements.append((e, tuple(chain)))
         elif isinstance(step, AttachTree):
             if step.root not in finite:
                 raise BadSubdivision(f"attachment root {step.root} not a finite vertex")
@@ -304,9 +316,11 @@ def modify(c: TropicalCurve, steps) -> TropicalCurve:
             for e in t.edges:
                 u, w = (rename.get(x, x) for x in e.ends)
                 edges[e.id] = Edge(e.id, (u, w), e.length)
+            placements.append(None)
         else:
             raise TypeError(f"unknown modification step {step!r}")
-    return TropicalCurve(tuple(finite), tuple(infinite), tuple(edges.values()))
+    return (TropicalCurve(tuple(finite), tuple(infinite), tuple(edges.values())),
+            placements)
 
 
 # ---------------------------------------------------------------------------

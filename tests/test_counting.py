@@ -541,8 +541,6 @@ _compute = complexes.compute
 BROKEN_ROUTES = {
     "count_routes": (counting, "stacky_multiplier", lambda p: 2,
                      "dblline.json", _count),
-    "rank_formula": (pc, "overvalency", lambda c: -1, "line2pts.json",
-                     _count),
     # E1 gains a free rank, so E1 over k* is infinite
     "torsor_finite": (complexes, "sizes_over",
                       lambda r, e2, g: _sizes_over(r + 1, e2, g),

@@ -16,6 +16,10 @@ reported.
 
 An error class counts as raised when a ``raise`` statement under src/
 names it, called or not.
+
+A module-level import is reported when nothing in its own module uses the
+name it binds; ``from __future__`` imports are read by the compiler and
+never reported.
 """
 
 import ast
@@ -91,6 +95,26 @@ def unreachable_definitions():
 
 def test_every_library_definition_is_reachable():
     assert unreachable_definitions() == []
+
+
+def unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = used_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_module_import_is_used():
+    assert unused_imports() == []
 
 
 def unraised_errors():

@@ -3,6 +3,7 @@ seeded random corpus."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -31,8 +32,17 @@ from tropicorr.paramcurve import (
     stabilize_param,
     zero_slope_bounded_count,
 )
+from tropicorr import tropgraph
 from tropicorr.stacky import stacky_data
-from tropicorr.tropgraph import AttachTree, SubdivideBounded, SubdivideUnbounded, curve, valency
+from tropicorr.tropgraph import (
+    AttachTree,
+    SubdivideBounded,
+    SubdivideUnbounded,
+    TropicalCurve,
+    curve,
+    modify,
+    valency,
+)
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -78,6 +88,68 @@ def test_extend_parameterization_balanced_and_restricts():
         assert not param_violations(p2)
         for v in p.curve.vertex_ids():
             assert p2.hv(v) == p.hv(v)
+
+
+def chained_steps(rng, p):
+    """``random_steps`` with attachments, then steps on what those made:
+    the far piece of each subdivided edge is cut again, each attached
+    tree's edge is cut, and a tree with a contracted end is hung at a new
+    subdivision vertex and its end cut."""
+    steps = random_steps(rng, p, with_attach=True)
+    more = []
+    for step in steps:
+        if isinstance(step, SubdivideBounded):
+            rest = p.curve.edge(step.edge).length - step.distances[-1]
+            more.append(SubdivideBounded(f"{step.edge}.p1", (rest / 2,)))
+        elif isinstance(step, SubdivideUnbounded):
+            more.append(SubdivideUnbounded(f"{step.edge}.p1", (F(1, 3),)))
+        else:
+            more.append(SubdivideBounded(step.tree.edges[0].id, (F(1, 2),)))
+    if more and not isinstance(steps[0], AttachTree):
+        tag = rng.randrange(10 ** 6)
+        r, s, x = f"cr{tag}", f"cs{tag}", f"cx{tag}"
+        tree = curve([r, s], [x], [(f"ca{tag}", (r, s), F(1, 2)),
+                                   (f"cb{tag}", (s, x), None)])
+        more += [AttachTree(f"{steps[0].edge}.v1", tree, r),
+                 SubdivideUnbounded(f"cb{tag}", (1,))]
+    return steps + more
+
+
+def test_one_walk_equals_stepwise_transport(monkeypatch):
+    # one _modify walk and one curve per call give what transporting the
+    # steps one at a time gives, and the curve that modify gives
+    walks, curves = [], []
+    walk, build = tropgraph._modify, TropicalCurve.__init__
+
+    def counted_walk(c, steps):
+        walks.append(steps)
+        return walk(c, steps)
+
+    def counted_build(self, *fields):
+        curves.append(fields)
+        build(self, *fields)
+
+    rng = random.Random(2718)
+    chained = 0
+    for p, _ in corpus(606, 60, constrained=False):
+        steps = chained_steps(rng, p)
+        if not steps:   # the fold would return p itself, h in input order
+            continue
+        chained += sum(".p1" in getattr(step, "edge", "") for step in steps)
+        with monkeypatch.context() as patch:
+            patch.setattr(tropgraph, "_modify", counted_walk)
+            patch.setattr(TropicalCurve, "__init__", counted_build)
+            walks.clear()
+            curves.clear()
+            q = extend_parameterization(p, iter(steps))
+            assert (len(walks), len(curves)) == (1, 1)
+        stepwise = reduce(lambda r, step: extend_parameterization(r, [step]),
+                          steps, p)
+        assert q == stepwise
+        assert list(q.h.items()) == list(stepwise.h.items())
+        assert q.curve == modify(p.curve, steps)
+        assert not param_violations(q)
+    assert chained >= 60
 
 
 def test_k_regular_implies_kstar_regular_and_orders():

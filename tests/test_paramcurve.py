@@ -15,7 +15,12 @@ from fixture_curves import (
 from tropicorr import fanmodel, tropgraph
 from tropicorr import paramcurve as pc
 from tropicorr.curvefile import load
-from tropicorr.errors import GenusNotOne, NotBalanced, NotStabilizable
+from tropicorr.errors import (
+    BadSubdivision,
+    GenusNotOne,
+    NotBalanced,
+    NotStabilizable,
+)
 from oracles import (
     fraction_edge_geometry,
     fraction_maps_to_zero,
@@ -263,6 +268,25 @@ def test_extend_parameterization_unbounded_and_tree():
     assert p3.hv("s") == p3.hv("v0")
     assert not param_violations(p3)
     assert genus(p3.curve) == 0
+
+
+_DBLLINE = Path(__file__).resolve().parent.parent / "fixtures" / "dblline.json"
+_LEAF = curve(["r", "s"], [], [("te", ("r", "s"), 1)])
+
+
+@pytest.mark.parametrize("step, message", [
+    (SubdivideBounded("nope", (F(1, 4),)), "no edge nope"),
+    (SubdivideBounded("f1", (F(1, 4),)), "f1 is not bounded"),
+    (AttachTree("nowhere", _LEAF, "r"),
+     "attachment root nowhere not a finite vertex"),
+], ids=["unknown-edge", "bounded-step-on-unbounded-edge", "unknown-root"])
+def test_extend_parameterization_raises_what_modify_raises(step, message):
+    p = load(str(_DBLLINE))[0]
+    with pytest.raises(BadSubdivision) as from_modify:
+        tropgraph.modify(p.curve, [step])
+    with pytest.raises(BadSubdivision) as from_extend:
+        extend_parameterization(p, [step])
+    assert str(from_extend.value) == str(from_modify.value) == message
 
 
 def test_rank_examples():
