@@ -15,16 +15,21 @@ finds no interior ray it returns its input and keeps on it the verdict (not
 the fan) of that refinement, the fan-axiom check of the collection
 ``fan_model`` builds.  ``gamma_tr`` itself refines on every call.
 
-Only pairs of 2-cones that can meet are intersected.  A cone whose
-generators have heights (last coordinates) >= 0, one of them > 0, meets
-height one in a segment or half-line, its slice.  Two such cones meet only
-in 0 if they share no generator and their slices' bounding boxes (integers
-over a common denominator) are disjoint: a common vector of height 0 would
-lie on a height-0 generator of each.  A cone with a negative-height
-generator, or none of positive height, is intersected with every cone.  A
-2-cone's interior rays are extreme rays of its nonzero intersections, or
-lone 1-cone rays, so only those are tested, and chains are ordered by
-cross-multiplied integers.
+Only pairs of 2-cones that can meet in more than a common ray are
+intersected; a common ray is a generator already, so the refinement is
+that of all pairs.  A cone whose generators have heights (last
+coordinates) >= 0, one of them > 0, meets height one in a segment or
+half-line, its slice, boxed by integers over a common denominator.  A
+sweep by the low end of the first box coordinate (Bentley and Ottmann)
+reaches only pairs whose boxes overlap there; the others meet at most in
+height-0 vectors, which lie on a height-0 generator of each, so in a
+common ray or in 0.  Reached cones (g, a) and (g, b) on a common ray meet
+in g alone unless b lies in span(g, a), which the 3x3 minors of (g, a, b)
+decide; other reached pairs are intersected unless their boxes are apart.
+A cone with a negative-height generator, or none of positive height, has
+no box and reaches every cone.  A 2-cone's interior rays are extreme rays
+of its nonzero intersections, or lone 1-cone rays, so only those are
+tested, and chains are ordered by cross-multiplied integers.
 
 A cone is the ascending tuple of its distinct primitive integer generators:
 ``()`` is the zero cone, ``(r,)`` the cone over the ray r and ``(g1, g2)`` a
@@ -245,20 +250,31 @@ def _apart(box1, box2) -> bool:
 
 
 def _refine(cones):
-    """The fan of ``refine_to_fan`` and, for each input 2-cone, the rays
-    strictly inside it, ordered from its first generator to its second."""
+    """The fan of ``refine_to_fan`` and, for each input 2-cone in input
+    order, the rays strictly inside it, ordered from its first generator to
+    its second.  Only the pairs the module's sweep reaches and keeps are
+    intersected; any other pair meets in 0 or in a common ray, a generator
+    already, so ``met``, the chains and the fan are those of all pairs."""
     cones = list(dict.fromkeys(cones))
     two = [c for c in cones if len(c) == 2]
     gens = {g for c in two for g in c}
     lone = {c[0] for c in cones if len(c) == 1} - gens
     scale = lcm(*(g[-1] for g in gens if g[-1] > 0))
-    boxes = [_slice_box(c, scale) for c in two]
+    boxes = {c: _slice_box(c, scale) for c in two}
+    ends = {c: (b[0][0], b[1][0]) if b else (None, None)
+            for c, b in boxes.items()}     # the slice's first coordinate
+    swept = sorted(two, key=lambda c: (ends[c][0] is not None, ends[c][0]))
     met = {c: set() for c in two}    # generators of c's nonzero intersections
-    for i, c1 in enumerate(two):
-        for j in range(i + 1, len(two)):
-            c2 = two[j]
-            if (boxes[i] and boxes[j] and _apart(boxes[i], boxes[j])
-                    and not set(c1) & set(c2)):
+    for i, c1 in enumerate(swept):
+        high = ends[c1][1]
+        for c2 in swept[i + 1:]:
+            low = ends[c2][0]
+            if high is not None and low is not None and low > high:
+                break       # this and every later slice start past c1's
+            if c1[0] in c2 or c1[1] in c2:
+                if any(_plane_minors(*c1, c2[c2[0] in c1])):
+                    continue    # they meet in the common ray alone
+            elif boxes[c1] and boxes[c2] and _apart(boxes[c1], boxes[c2]):
                 continue
             inter = intersect_cones(c1, c2)
             met[c1].update(inter)

@@ -261,21 +261,21 @@ def _modify(c: TropicalCurve, steps):
             e = edges.get(step.edge)
             if e is None:
                 raise BadSubdivision(f"no edge {step.edge}")
+            bounded = isinstance(step, SubdivideBounded)
+            if e.is_bounded != bounded:
+                raise BadSubdivision(
+                    f"{e.id} is not {'' if bounded else 'un'}bounded")
             ds = [Fraction(d) for d in step.distances]
             if any(y <= x for x, y in zip(ds, ds[1:])):
                 raise BadSubdivision("distances must be strictly increasing")
             if not ds:
                 placements.append((e, e.ends))
                 continue
-            if isinstance(step, SubdivideBounded):
-                if not e.is_bounded:
-                    raise BadSubdivision(f"{e.id} is not bounded")
+            if bounded:
                 if ds[0] <= 0 or ds[-1] >= e.length:
                     raise BadSubdivision("distances must lie inside the edge")
                 chain = [e.ends[0]]
             else:
-                if e.is_bounded:
-                    raise BadSubdivision(f"{e.id} is not unbounded")
                 if ds[0] <= 0:
                     raise BadSubdivision("distances must be positive")
                 start, far = _unbounded_ends(e, set(infinite))
@@ -283,7 +283,7 @@ def _modify(c: TropicalCurve, steps):
             new_vs = _subdivision_ids(step, len(ds))
             finite.extend(new_vs)
             chain.extend(new_vs)
-            if isinstance(step, SubdivideBounded):
+            if bounded:
                 chain.append(e.ends[1])
                 bounds = [Fraction(0)] + ds + [e.length]
                 lengths = [b - a for a, b in zip(bounds, bounds[1:])]

@@ -371,6 +371,31 @@ def elliptic_rigid(rng, n=2):
             return p, cons
 
 
+def plane_tree(seed, ends):
+    """An unconstrained rank-2 tree grown from a tripod by sprouting until
+    it has ``ends`` nonzero ends."""
+    rng = random.Random(seed)
+    while True:
+        b = Builder(2)
+        try:
+            star(rng, b, 3)
+            while len(b.true_ends()) < ends:
+                sprout(rng, b)
+        except Retry:
+            continue
+        return b.build()
+
+
+def moved(p, a, t):
+    """p under the affine lattice map x -> a x + t: a finite h(v) goes to
+    a h(v) + t, an infinite h(w) to a h(w), and lengths stay."""
+    inf = set(p.curve.infinite_vertices)
+    return ParamTropicalCurve(p.curve, p.lattice_rank, {
+        v: tuple(sum(r * x for r, x in zip(row, hv)) + (0 if v in inf else s)
+                 for row, s in zip(a, t))
+        for v, hv in p.h.items()})
+
+
 def marked_trees(seed, count, size=13, marks=4):
     """Trees with at least ``size`` finite vertices and ``marks`` point or
     line constraints: large enough that the elimination in

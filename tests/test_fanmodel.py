@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import corpus, elliptic_corpus
+from corpus import corpus, elliptic_corpus, plane_tree
 from fixture_curves import (
     doubled_line,
     line_through_two_points,
@@ -12,7 +12,13 @@ from fixture_curves import (
     two_vertex_curve,
     x_configuration,
 )
-from oracles import check_fan, oracle_contains, oracle_coords_in, oracle_intersect
+from oracles import (
+    check_fan,
+    oracle_contains,
+    oracle_coords_in,
+    oracle_intersect,
+    rank,
+)
 from tropicorr import exactla, fanmodel
 from tropicorr.curvefile import load
 from tropicorr.errors import CrossCheckFailed, NotBalanced
@@ -337,10 +343,12 @@ def _skipped_pairs(monkeypatch, cones):
             if (a, b) not in met]
 
 
-def test_refinement_skips_only_pairs_that_meet_in_zero(monkeypatch):
+def test_refinement_skips_only_pairs_that_meet_in_zero_or_a_common_ray(
+        monkeypatch):
     # curve collections and their refinements, random collections with
     # generators of any height, and the same collections turned into the
-    # upper half-space
+    # upper half-space; a skipped pair on a common ray adds nothing, as the
+    # ray is a generator already
     rng = random.Random(2006)
     curves = []
     for p, _ in corpus(11, 24) + elliptic_corpus(11, 8):
@@ -355,9 +363,83 @@ def test_refinement_skips_only_pairs_that_meet_in_zero(monkeypatch):
         skipped.append(0)
         for cones in group:
             for c1, c2 in _skipped_pairs(monkeypatch, cones):
-                assert oracle_intersect(c1, c2) == ZERO_CONE, (c1, c2)
+                shared = tuple(set(c1) & set(c2))
+                meet = oracle_intersect(c1, c2)
+                assert meet in {ZERO_CONE, shared}, (c1, c2)
                 skipped[-1] += 1
     assert skipped[0] > 1000 and skipped[2] > 100, skipped
+
+
+def _slice_intervals(c):
+    """Per coordinate of N, the (low, high) of the 2-cone's slice at height
+    one, None on an unbounded side; None for a cone with no such slice."""
+    if min(g[-1] for g in c) < 0 or max(g[-1] for g in c) == 0:
+        return None
+    points = [[F(x, g[-1]) for x in g[:-1]] for g in c if g[-1]]
+    out = []
+    for i in range(len(c[0]) - 1):
+        lo = min(pt[i] for pt in points)
+        hi = max(pt[i] for pt in points)
+        for g in c:
+            if g[-1] == 0 and g[i] > 0:
+                hi = None
+            if g[-1] == 0 and g[i] < 0:
+                lo = None
+        out.append((lo, hi))
+    return out
+
+
+def _overlap(s, t):
+    (lo1, hi1), (lo2, hi2) = s, t
+    return all(hi is None or lo is None or lo <= hi
+               for lo, hi in ((lo2, hi1), (lo1, hi2)))
+
+
+def test_refinement_tests_only_candidate_pairs(monkeypatch):
+    # a 40-end plane tree and its refinement: every pair the refinement
+    # intersects is a candidate (on a common ray and coplanar, boxless, or
+    # overlapping in the first slice coordinate), exactly the pairs that
+    # can meet in more than a common ray are intersected, and only pairs
+    # overlapping in the first coordinate reach the full box test
+    p = plane_tree(40, 40)
+    seen = {"intersect_cones": [], "_apart": []}
+    for name, calls in seen.items():
+        def recorded(x, y, _f=getattr(fanmodel, name), _calls=calls):
+            _calls.append((x, y))
+            return _f(x, y)
+
+        monkeypatch.setattr(fanmodel, name, recorded)
+    for cones in (build_K(p), build_K(gamma_tr(p))):
+        for calls in seen.values():
+            calls.clear()
+        refine_to_fan(cones)
+        two = [c for c in cones if len(c) == 2]
+        box = {c: _slice_intervals(c) for c in two}
+        candidates, expected, boxed_first, coplanar_pairs = set(), set(), 0, 0
+        for i, c1 in enumerate(two):
+            for c2 in two[i + 1:]:
+                pair, common = frozenset((c1, c2)), set(c1) & set(c2)
+                b1, b2 = box[c1], box[c2]
+                coplanar = bool(common) and rank((*c1, *c2)) == 2
+                first = not (b1 and b2) or _overlap(b1[0], b2[0])
+                if coplanar or first:
+                    candidates.add(pair)
+                if common:
+                    if coplanar:
+                        expected.add(pair)
+                        coplanar_pairs += 1
+                elif not (b1 and b2) or all(map(_overlap, b1, b2)):
+                    expected.add(pair)
+                boxed_first += bool(not common and b1 and b2 and first)
+        met = set(map(frozenset, seen["intersect_cones"]))
+        assert len(met) == len(seen["intersect_cones"])
+        assert met <= candidates
+        assert met == expected
+        pairs = len(two) * (len(two) - 1) // 2
+        assert len(seen["_apart"]) == boxed_first < pairs / 2
+    # the refined collection splits collinear edges, so it has many
+    # coplanar pairs on a common ray
+    assert len(two) > 300 and coplanar_pairs > 100, (len(two), coplanar_pairs)
 
 
 def test_gamma_tr_generic_identity():

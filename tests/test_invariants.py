@@ -8,15 +8,16 @@ from itertools import combinations
 from math import gcd
 from pathlib import Path
 
-from corpus import corpus, elliptic_corpus, rigid_genus0
+from corpus import corpus, elliptic_corpus, moved, rigid_genus0
 from fixture_curves import doubled_line, line_through_two_points
-from oracles import quotient_form_dims
+from oracles import mat_vec, quotient_form_dims, random_unimodular
 from tropicorr.complexes import ComplexSpec, compute, regularity, sizes_over
 from tropicorr.counting import moduli_dimension, stacky_multiplier
 from tropicorr.curvefile import load
 from tropicorr.exactla import CoeffGroup
 from tropicorr.fanmodel import (
     build_K,
+    cone,
     cone_contains,
     fan_model,
     gamma_tr,
@@ -33,7 +34,7 @@ from tropicorr.paramcurve import (
     zero_slope_bounded_count,
 )
 from tropicorr import tropgraph
-from tropicorr.stacky import stacky_data
+from tropicorr.stacky import node_stack, stacky_data
 from tropicorr.tropgraph import (
     AttachTree,
     SubdivideBounded,
@@ -216,6 +217,35 @@ def test_edge_multiplicity_divides_cone_stabilizer():
                     continue
                 mult = edge_geometry(tr, eid).multiplicity
                 assert st.stabilizer_order[c] % mult == 0
+
+
+def test_structure_is_covariant_under_lattice_automorphisms():
+    # x -> A x + t with A unimodular and t integral acts on N + R as
+    # (x, h) -> (A x + h t, h), an element of GL_{n+1}(Z): the refined
+    # curve, the minimal a and the node and marked orders stay, and the fan
+    # and its stacky orders map cone by cone
+    rng = random.Random(2607)
+    for n, count in ((2, 200), (3, 60)):
+        for _ in range(count):
+            p, _ = rigid_genus0(rng, n)
+            a = random_unimodular(rng, n)
+            t = tuple(rng.randint(-3, 3) for _ in range(n))
+
+            def lift(c):
+                return cone(*(tuple(x + r[-1] * s for x, s
+                                    in zip(mat_vec(a, r[:-1]), t)) + r[-1:]
+                              for r in c))
+
+            out = []
+            for q in (p, moved(p, a, t)):
+                tr = gamma_tr(q)
+                m = ramification(tr, 1)["minimal_a"]
+                out.append((tr, m, stacky_data(tr, m), node_stack(tr)))
+            (tr, m, st, ns), (tr2, m2, st2, ns2) = out
+            assert tr2.curve == tr.curve and m2 == m and ns2 == ns
+            assert {lift(c) for c in st.fan.cones} == set(st2.fan.cones)
+            assert {lift(c): k for c, k in st.stabilizer_order.items()} \
+                == st2.stabilizer_order
 
 
 def _canonical(c) -> bool:

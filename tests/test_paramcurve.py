@@ -277,9 +277,13 @@ _LEAF = curve(["r", "s"], [], [("te", ("r", "s"), 1)])
 @pytest.mark.parametrize("step, message", [
     (SubdivideBounded("nope", (F(1, 4),)), "no edge nope"),
     (SubdivideBounded("f1", (F(1, 4),)), "f1 is not bounded"),
+    (SubdivideBounded("f1", ()), "f1 is not bounded"),
+    (SubdivideUnbounded("e1", (), ("a", "b")), "e1 is not unbounded"),
     (AttachTree("nowhere", _LEAF, "r"),
      "attachment root nowhere not a finite vertex"),
-], ids=["unknown-edge", "bounded-step-on-unbounded-edge", "unknown-root"])
+], ids=["unknown-edge", "bounded-step-on-unbounded-edge",
+        "no-distance-bounded-step-on-unbounded-edge",
+        "no-distance-unbounded-step-on-bounded-edge", "unknown-root"])
 def test_extend_parameterization_raises_what_modify_raises(step, message):
     p = load(str(_DBLLINE))[0]
     with pytest.raises(BadSubdivision) as from_modify:
