@@ -1,9 +1,11 @@
 """Command-line front end.
 
-One curve file per invocation; every analysis is a subcommand.  Exit codes:
-0 on success, 1 on a domain error (with a stable machine-readable code), 2
-on a parse error.  --json emits a deterministic JSON report (sorted keys,
-canonical rational strings).
+One curve file per invocation: ``tropicorr COMMAND FILE`` with the flags
+before, between or after the two, all read by one parser; ``-h`` prints one
+usage line that lists every command.  Exit codes: 0 on success, 1 on a
+domain error (with a stable machine-readable code), 2 on a parse error.
+--json emits a deterministic JSON report (sorted keys, canonical rational
+strings).
 """
 
 from __future__ import annotations
@@ -193,24 +195,22 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="tropicorr",
         description="exact combinatorics of parameterized tropical curves")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("file", help="curve JSON file (tropicorr/1)")
-        sp.add_argument("--json", action="store_true",
-                        help="emit the full JSON report")
-        sp.add_argument("--char", type=int, default=None,
-                        help="residue characteristic (overrides the file)")
-        sp.add_argument("--group", choices=list(GROUP_KINDS),
-                        default="Z", help="coefficient group")
-        sp.add_argument("--constrained", action="store_true",
-                        help="use the file's constraints")
-        sp.add_argument("--elliptic", action="store_true",
-                        help="augment with the cycle (genus one)")
-        sp.add_argument("--variant", choices=["b", "beta"], default="beta",
-                        help="plain (b) or stacky (beta) complex")
-        sp.add_argument("--out", default=None,
-                        help="write the JSON report to this file")
+    ap.add_argument("command", choices=list(COMMANDS), help="analysis to run")
+    ap.add_argument("file", help="curve JSON file (tropicorr/1)")
+    ap.add_argument("--json", action="store_true",
+                    help="emit the full JSON report")
+    ap.add_argument("--char", type=int, default=None,
+                    help="residue characteristic (overrides the file)")
+    ap.add_argument("--group", choices=list(GROUP_KINDS),
+                    default="Z", help="coefficient group")
+    ap.add_argument("--constrained", action="store_true",
+                    help="use the file's constraints")
+    ap.add_argument("--elliptic", action="store_true",
+                    help="augment with the cycle (genus one)")
+    ap.add_argument("--variant", choices=["b", "beta"], default="beta",
+                    help="plain (b) or stacky (beta) complex")
+    ap.add_argument("--out", default=None,
+                    help="write the JSON report to this file")
     return ap
 
 
@@ -261,15 +261,11 @@ def run(argv=None) -> int:
         }
         _emit(report, args)
         return code
-    except ParseError as exc:
-        sys.stdout.write(json.dumps(
-            {"error": {"code": exc.code, "message": str(exc)}}) + "\n")
-        return 2
     except TropicorrError as exc:
         sys.stdout.write(json.dumps(
             {"error": {"code": exc.code, "message": str(exc)}},
             sort_keys=True) + "\n")
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 def main() -> None:

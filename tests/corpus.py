@@ -386,14 +386,23 @@ def plane_tree(seed, ends):
         return b.build()
 
 
-def moved(p, a, t):
-    """p under the affine lattice map x -> a x + t: a finite h(v) goes to
-    a h(v) + t, an infinite h(w) to a h(w), and lengths stay."""
+def moved(p, cons, a, t):
+    """p and its constraints cons (or None) under the affine lattice map
+    x -> a x + t: a finite h(v) and a constraint's point go to a h(v) + t,
+    an infinite h(w) and a constraint's basis row to a h(w), and lengths
+    stay."""
+    def image(v, shift=True):
+        return tuple(sum(r * x for r, x in zip(row, v)) + (s if shift else 0)
+                     for row, s in zip(a, t))
+
     inf = set(p.curve.infinite_vertices)
-    return ParamTropicalCurve(p.curve, p.lattice_rank, {
-        v: tuple(sum(r * x for r, x in zip(row, hv)) + (0 if v in inf else s)
-                 for row, s in zip(a, t))
-        for v, hv in p.h.items()})
+    q = ParamTropicalCurve(p.curve, p.lattice_rank, {
+        v: image(hv, v not in inf) for v, hv in p.h.items()})
+    if cons is None:
+        return q, None
+    return q, constraint_set(
+        [([image(r, False) for r in c.space.basis], image(c.point))
+         for c in cons.items], p.lattice_rank)
 
 
 def marked_trees(seed, count, size=13, marks=4):

@@ -417,7 +417,25 @@ def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as exit_:
         run(["count", "-h"])
     assert exit_.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: tropicorr count")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tropicorr ")
+    assert all(name in out for name in COMMANDS)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("count", ["--char", "3", "--json"]),
+    ("complex", ["--constrained", "--group", "Fp", "--char", "5"]),
+    ("regular", ["--elliptic"]),
+])
+def test_flags_may_go_anywhere(capsys, command, flags):
+    dblline = str(FIXTURES / "dblline.json")
+    outcomes = []
+    for argv in ([*flags, command, dblline],
+                 [command, *flags, dblline],
+                 [command, dblline, *flags]):
+        code = run(argv)
+        outcomes.append((code, capsys.readouterr().out))
+    assert outcomes[0][1] and outcomes.count(outcomes[0]) == 3, outcomes
 
 
 @pytest.mark.parametrize("target", ["missing-dir/out.json", "."])

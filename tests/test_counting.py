@@ -203,6 +203,40 @@ def test_plane_counts_equal_mikhalkin_multiplicity():
     assert min(at_char[char] for char in (2, 3, 5)) >= 20, at_char
 
 
+def test_plane_counts_fail_at_exactly_the_predicted_bad_primes():
+    # a prime is bad when it divides an edge multiplicity of the
+    # stabilization (the curve is not DM there: char_ok) or, failing that,
+    # the Mikhalkin multiplicity (E^2 has p-torsion: regular); at every
+    # other prime the count is the char-0 count
+    rng = random.Random(31)
+    curves = []
+    while len(curves) < 132:
+        p, a = rigid_genus0(rng, 2)
+        try:
+            curves.append((p, a, correspondence_count(p, a, 0).count))
+        except HypothesisFailed:
+            pass
+    refused = Counter()
+    for p, a, want in curves:
+        p_st = pc.stabilize_param(p)
+        mults = [oracles.fraction_edge_geometry(p_st, e.id).multiplicity
+                 for e in p_st.curve.edges]
+        mikhalkin = oracles.mikhalkin_multiplicity(p)
+        for char in (2, 3, 5, 7, 11, 13):
+            if any(m % char == 0 for m in mults if m):
+                flag = "char_ok"
+            elif mikhalkin % char == 0:
+                flag = "regular"
+            else:
+                assert correspondence_count(p, a, char).count == want
+                continue
+            with pytest.raises(HypothesisFailed) as err:
+                correspondence_count(p, a, char)
+            assert err.value.flag == flag, (p, char)
+            refused[flag] += 1
+    assert refused["char_ok"] >= 50 and refused["regular"] >= 15, refused
+
+
 def test_elliptic_count_triangle():
     p, a = triangle_elliptic()
     res = elliptic_count(p, a, 0)

@@ -2,18 +2,32 @@
 seeded random corpus."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd
 from pathlib import Path
 
-from corpus import corpus, elliptic_corpus, moved, rigid_genus0
+from corpus import (
+    corpus,
+    elliptic_corpus,
+    elliptic_rigid,
+    moved,
+    rigid_genus0,
+    rigid_with_lines,
+)
 from fixture_curves import doubled_line, line_through_two_points
 from oracles import mat_vec, quotient_form_dims, random_unimodular
 from tropicorr.complexes import ComplexSpec, compute, regularity, sizes_over
-from tropicorr.counting import moduli_dimension, stacky_multiplier
+from tropicorr.counting import (
+    correspondence_count,
+    elliptic_count,
+    moduli_dimension,
+    stacky_multiplier,
+)
 from tropicorr.curvefile import load
+from tropicorr.errors import TropicorrError
 from tropicorr.exactla import CoeffGroup
 from tropicorr.fanmodel import (
     build_K,
@@ -237,7 +251,7 @@ def test_structure_is_covariant_under_lattice_automorphisms():
                               for r in c))
 
             out = []
-            for q in (p, moved(p, a, t)):
+            for q, _ in ((p, None), moved(p, None, a, t)):
                 tr = gamma_tr(q)
                 m = ramification(tr, 1)["minimal_a"]
                 out.append((tr, m, stacky_data(tr, m), node_stack(tr)))
@@ -246,6 +260,37 @@ def test_structure_is_covariant_under_lattice_automorphisms():
             assert {lift(c) for c in st.fan.cones} == set(st2.fan.cones)
             assert {lift(c): k for c, k in st.stabilizer_order.items()} \
                 == st2.stabilizer_order
+
+
+def _count_outcome(count, p, a, char_p):
+    try:
+        res = count(p, a, char_p)
+    except TropicorrError as exc:
+        return exc.code
+    return res.count, res.torsor_order
+
+
+def test_counts_are_invariant_under_lattice_automorphisms():
+    # x -> A x + t moves the curve and each constraint (its basis by A, its
+    # point like a finite vertex) by one automorphism of N_Q preserving N,
+    # so every count, torsor order and refusal stays
+    rng = random.Random(808)
+    items = [(correspondence_count, rigid_genus0(rng, n))
+             for n in (2, 3) for _ in range(60)]
+    items += [(correspondence_count, rigid_with_lines(rng)) for _ in range(60)]
+    items += [(elliptic_count, elliptic_rigid(rng, n))
+              for n in (2, 3) for _ in range(60)]
+    counted = Counter()
+    for count, (p, a) in items:
+        n = p.lattice_rank
+        q, b = moved(p, a, random_unimodular(rng, n),
+                     tuple(rng.randint(-3, 3) for _ in range(n)))
+        for char_p in (0, 2, 3):
+            before = _count_outcome(count, p, a, char_p)
+            assert _count_outcome(count, q, b, char_p) == before, (p, char_p)
+            counted[count.__name__] += not isinstance(before, str)
+    assert counted["correspondence_count"] >= 120, counted
+    assert counted["elliptic_count"] >= 40, counted
 
 
 def _canonical(c) -> bool:
