@@ -9,22 +9,23 @@ terms.  E^1/E^2 (resp. CE^1/CE^2) are the kernel and cokernel.  Constraint
 i appends P_i x_v, P_i presenting N -> N/L_i at its vertex v; the elliptic
 augmentation appends one row summing the y_e of the cycle.
 
-``compute`` reduces over Z in tree coordinates, on the curve's frame
-(``_frame``), built once and shared by the complexes of a count.  The
-spanning forest of the bounded edges (``bounded_forest``) is rooted at the
-first finite vertex; each tree edge's n rows hold +-1 on its child's x
-columns, so the unimodular substitution x_child = x_parent -+ coef s_e y_e
-turns them into n(|V| - 1) unit rows, invariant factors 1 with no
-elimination.  The frame holds each vertex's signed tree path to the root,
-and only the rows that can carry an obstruction reach ``invariant_factors``:
-per non-tree edge and coordinate k, its own y entry and +-coef s_e[k] on
-its fundamental cycle (its ends' paths subtracted); per constraint row a,
-a on x_root and +-coef <a, s_e> along its vertex's path; the j-row.  That
-is n g + sum corank L_i (+1) rows, none for an unconstrained genus-0
-curve.  The full rows (``_assemble``, from the frame's layout, edges and
-weights, never its paths) and the dense matrix are built only when read.
-A coefficient group enters only at the final base change, ``sizes_over``
-for E^1_G and E^2_G and ``base_change`` for the regularity verdicts.
+``compute`` checks balancing and satisfaction, then reduces over Z in tree
+coordinates (``_reduce``) on the curve's frame (``_frame``); a count or
+``regularity`` builds one frame for all its complexes.  The spanning forest
+of the bounded edges (``bounded_forest``) is rooted at the first finite
+vertex; each tree edge's n rows hold +-1 on its child's x columns, so the
+unimodular substitution x_child = x_parent -+ coef s_e y_e turns them into
+n(|V| - 1) unit rows, invariant factors 1 with no elimination.  The frame
+holds each vertex's signed tree path to the root, and only the rows that can
+carry an obstruction reach ``invariant_factors``: per non-tree edge and
+coordinate k, its own y entry and +-coef s_e[k] on its fundamental cycle
+(its ends' paths subtracted); per constraint row a, a on x_root and +-coef
+<a, s_e> along its vertex's path; the j-row.  That is n g + sum corank L_i
+(+1) rows, none for an unconstrained genus-0 curve.  The full rows
+(``_assemble``, from the frame's layout, edges and weights, never its paths)
+and the dense matrix are built only when read.  A coefficient group enters
+only at the final base change, ``sizes_over`` for E^1_G and E^2_G and
+``base_change`` for the regularity verdicts.
 """
 
 from __future__ import annotations
@@ -99,13 +100,10 @@ def _frame(p: ParamTropicalCurve):
 
 
 def _spec_part(p: ParamTropicalCurve, spec: ComplexSpec, edges, weights):
-    """The spec's checks after balancing, in order; then each constraint as
-    (vertex, P_i), the variant's weights and the j-row's columns."""
+    """The spec's checks after satisfaction, in order; then each constraint
+    as (vertex, P_i), the variant's weights and the j-row's columns."""
     constraints = []
     if spec.constraints is not None:
-        # the count's last verdict, so a count decides it once
-        if problems := pc._last_satisfaction(p, spec.constraints):
-            raise ConstraintUnsatisfied("; ".join(problems))
         constraints = [(vfin, con.presentation) for (_, vfin), con in zip(
             pc.marked_pairs(p, len(spec.constraints)), spec.constraints.items)]
     cycle = ()
@@ -125,7 +123,7 @@ def _spec_part(p: ParamTropicalCurve, spec: ComplexSpec, edges, weights):
 
 def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
     """The full rows, each the sorted tuple of its nonzeros (col, value)."""
-    layout, edges, _, _, weights = _frame(p)  # compute checked balancing
+    layout, edges, _, _, weights = _frame(p)  # compute ran _check on p
     constraints, weight, jrow = _spec_part(p, spec, edges, weights)
     vcol = {v: layout.n * i for i, v in enumerate(layout.vertices)}
     rows = []
@@ -186,17 +184,21 @@ def sizes_over(e1_rank: int, e2: FGAbelianGroup, g: CoeffGroup):
     return combine_sizes(e1_free, e1_tor), base_change(e2, g, "tensor")
 
 
-# (curve, frame) of the curve ``compute`` last reduced, which the complexes
-# of a count share: one tuple, matched by identity (held, so never reused)
-_last_frame = (None, None)
+def _check(p: ParamTropicalCurve, constraints: AffineConstraintSet | None):
+    """``compute``'s checks before its reduction, in order: balancing, then
+    satisfaction of the constraint."""
+    pc.require_balanced(p)
+    if constraints and (problems := pc._unsatisfied(p, constraints)):
+        raise ConstraintUnsatisfied("; ".join(problems))
 
 
 def compute(p: ParamTropicalCurve, spec: ComplexSpec) -> ComplexReport:
-    global _last_frame
-    pc.require_balanced(p)
-    last, frame = _last_frame
-    if last is not p:
-        _last_frame = p, (frame := _frame(p))
+    _check(p, spec.constraints)
+    return _reduce(p, _frame(p), spec)
+
+
+def _reduce(p: ParamTropicalCurve, frame, spec: ComplexSpec) -> ComplexReport:
+    """The complex of spec on p's frame, p having passed ``_check``."""
     layout, edges, off_tree, paths, weights = frame
     constraints, weight, jrow = _spec_part(p, spec, edges, weights)
     rows = []
@@ -234,10 +236,12 @@ def regularity(p: ParamTropicalCurve, constraints: AffineConstraintSet | None,
                group: CoeffGroup, elliptic: bool = False) -> RegularityVerdict:
     """G-regularity is the vanishing of the stacky obstruction CE^2_G; the
     elliptic variant asks the same of the j-augmented complex."""
-    ce = compute(p, ComplexSpec("beta", constraints))
+    _check(p, constraints)
+    frame = _frame(p)
+    ce = _reduce(p, frame, ComplexSpec("beta", constraints))
     obstruction = base_change(ce.E2, group, "tensor")
     if not elliptic:
         return RegularityVerdict(obstruction.is_trivial, None, obstruction)
-    ce_j = compute(p, ComplexSpec("beta", constraints, elliptic=True))
+    ce_j = _reduce(p, frame, ComplexSpec("beta", constraints, elliptic=True))
     ell = base_change(ce_j.E2, group, "tensor")
     return RegularityVerdict(obstruction.is_trivial, ell.is_trivial, ell)

@@ -96,23 +96,29 @@ def _hypotheses(p_st, constraints, char_p, elliptic):
     """Check the hypotheses in CHECK_ORDER and raise HypothesisFailed at the
     first that fails, evaluating no later one.  Satisfaction of the
     constraint is decided before them all, as it rejects bad input;
-    simplicity only when ``regular`` reads it.  Returns the all-True record
-    and the stacky report over Z the last flag was read from: (beta, A),
-    or (beta, A, j) when elliptic; the counts reuse it."""
-    problems = pc._satisfaction(p_st, constraints)
-    reports = []
+    simplicity only when ``regular`` reads it.  The first flag that reads
+    a complex builds the curve's frame, and every complex is reduced on it.
+    Returns the all-True record, the frame and the stacky report over Z the
+    last flag was read from: (beta, A), or (beta, A, j) when elliptic."""
+    problems = pc._unsatisfied(p_st, constraints)
+    built = []      # the frame, then each complex reduced on it
+
+    def reduce(spec):
+        if not built:
+            built.append(cx._frame(p_st))
+        built.append(cx._reduce(p_st, built[0], spec))
+        return built[-1]
 
     def regular(j):
-        reports.append(cx.compute(p_st, cx.ComplexSpec("beta", constraints,
-                                                       elliptic=j)))
-        return base_change(reports[-1].E2, CoeffGroup.field(char_p),
-                           "tensor").is_trivial
+        return base_change(reduce(cx.ComplexSpec("beta", constraints, j)).E2,
+                           CoeffGroup.field(char_p), "tensor").is_trivial
 
     checks = {
         "trivalent": lambda: all(tropgraph.valency(p_st.curve, v) == 3
                                  for v in p_st.curve.finite_vertices),
         "satisfies_A": lambda: not problems,
-        "codim_match": lambda: pc.rank(p_st) == constraints.codim + elliptic,
+        "codim_match": lambda: (pc._rank(p_st, reduce(cx.ComplexSpec("b")))
+                                == constraints.codim + elliptic),
         "no_zero_slope_bounded": lambda: not pc.zero_slope_bounded_count(p_st),
         "char_ok": lambda: stacky.is_dm(p_st, char_p),
         "regular": lambda: (pc._simple(p_st, constraints)
@@ -123,7 +129,7 @@ def _hypotheses(p_st, constraints, char_p, elliptic):
     for flag in flags:
         if not checks[flag]():
             raise HypothesisFailed(flag)
-    return CountHypotheses(**dict.fromkeys(flags, True)), reports[-1]
+    return CountHypotheses(**dict.fromkeys(flags, True)), built[0], built[-1]
 
 
 def correspondence_count(p: ParamTropicalCurve,
@@ -140,9 +146,9 @@ def correspondence_count(p: ParamTropicalCurve,
     """
     pc.require_balanced(p)
     p_st = pc.stabilize_param(p)
-    hyp, ce_rep = _hypotheses(p_st, constraints, char_p, elliptic=False)
+    hyp, frame, ce_rep = _hypotheses(p_st, constraints, char_p, elliptic=False)
 
-    e_rep = cx.compute(p_st, cx.ComplexSpec("b", constraints))
+    e_rep = cx._reduce(p_st, frame, cx.ComplexSpec("b", constraints))
     e1_kstar, _ = cx.sizes_over(e_rep.E1_rank, e_rep.E2,
                                 CoeffGroup.units(char_p))
     torsor = e1_kstar.finite_order
@@ -175,7 +181,7 @@ def elliptic_count(p: ParamTropicalCurve,
         raise GenusNotOne(f"genus is {tropgraph.genus(p.curve)}")
     pc.require_balanced(p)
     p_st = pc.stabilize_param(p)
-    hyp, rep = _hypotheses(p_st, constraints, char_p, elliptic=True)
+    hyp, _, rep = _hypotheses(p_st, constraints, char_p, elliptic=True)
 
     if rep.E2.rank or rep.E1_rank:
         raise CrossCheckFailed(

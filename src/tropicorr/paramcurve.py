@@ -265,9 +265,12 @@ def rank(p: ParamTropicalCurve) -> int:
     no second route; the tests check rank against independent complexes."""
     from . import complexes
 
-    require_balanced(p)
-    rep = complexes.compute(p, complexes.ComplexSpec(variant="b"))
-    return zero_slope_bounded_count(p) + rep.E1_rank
+    return _rank(p, complexes.compute(p, complexes.ComplexSpec(variant="b")))
+
+
+def _rank(p: ParamTropicalCurve, plain) -> int:
+    """c(Gamma) + rank E^1, plain the unconstrained plain complex of p."""
+    return zero_slope_bounded_count(p) + plain.E1_rank
 
 
 # ---------------------------------------------------------------------------
@@ -358,33 +361,19 @@ def check_constraint(p: ParamTropicalCurve, a: AffineConstraintSet) -> Constrain
     finite neighbour lies on the affine translate.  Simplicity additionally
     needs the neighbour trivalent with every bounded edge there of nonzero
     slope meeting the constraint space trivially.  Both are decided on
-    every call.
+    every call, and no verdict is kept on the curve.
     """
-    problems = _satisfaction(p, a)
+    require_balanced(p)
+    problems = tuple(_unsatisfied(p, a))
     satisfied = not problems
     return ConstraintReport(satisfied, satisfied and _simple(p, a), a.codim,
                             problems)
 
 
-def _satisfaction(p: ParamTropicalCurve, a: AffineConstraintSet):
-    """The problems that keep p from satisfying a, none when it does.  The
-    verdict is kept on the curve object, where the complexes read it for
-    the same constraint set, so a count decides once."""
-    require_balanced(p)
-    problems = tuple(_unsatisfied(p, a))
-    object.__setattr__(p, "_satisfaction_of", (a, problems))
-    return problems
-
-
-def _last_satisfaction(p: ParamTropicalCurve, a: AffineConstraintSet):
-    """The last ``_satisfaction`` verdict on p for a, decided if none."""
-    last, problems = getattr(p, "_satisfaction_of", (None, None))
-    return problems if last is a else _satisfaction(p, a)
-
-
 def _unsatisfied(p: ParamTropicalCurve, a: AffineConstraintSet) -> list[str]:
     """The satisfaction part of ``check_constraint``: its problems, none
-    when the curve satisfies the constraint."""
+    when the curve satisfies the constraint; the complexes' checks and a
+    count's ``satisfies_A`` flag read it too."""
     problems = []
     for i, ((vinf, vfin), con) in enumerate(zip(marked_pairs(p, len(a)), a.items)):
         if con.space.ambient_rank != p.lattice_rank:

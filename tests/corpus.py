@@ -386,17 +386,21 @@ def plane_tree(seed, ends):
         return b.build()
 
 
-def moved(p, cons, a, t):
-    """p and its constraints cons (or None) under the affine lattice map
-    x -> a x + t: a finite h(v) and a constraint's point go to a h(v) + t,
-    an infinite h(w) and a constraint's basis row to a h(w), and lengths
-    stay."""
+def moved(p, cons, a, t, lam=1):
+    """p and its constraints cons (or None) under the affine map
+    x -> lam a x + t, with lam > 0 rational: a finite h(v) and a
+    constraint's point go to lam a h(v) + t, an infinite h(w) and a
+    constraint's basis row to a h(w), and each bounded length l(e) to
+    lam l(e), so every edge keeps its slope up to a."""
     def image(v, shift=True):
-        return tuple(sum(r * x for r, x in zip(row, v)) + (s if shift else 0)
-                     for row, s in zip(a, t))
+        av = tuple(sum(r * x for r, x in zip(row, v)) for row in a)
+        return tuple(lam * x + s for x, s in zip(av, t)) if shift else av
 
-    inf = set(p.curve.infinite_vertices)
-    q = ParamTropicalCurve(p.curve, p.lattice_rank, {
+    g, inf = p.curve, set(p.curve.infinite_vertices)
+    scaled = TropicalCurve(g.finite_vertices, g.infinite_vertices, tuple(
+        e._replace(length=lam * e.length) if e.is_bounded else e
+        for e in g.edges))
+    q = ParamTropicalCurve(scaled, p.lattice_rank, {
         v: image(hv, v not in inf) for v, hv in p.h.items()})
     if cons is None:
         return q, None

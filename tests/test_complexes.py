@@ -1,9 +1,7 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from corpus import corpus, elliptic_corpus
 from fixture_curves import (
     doubled_line,
     line_through_two_points,
@@ -22,13 +20,12 @@ from oracles import (
     six_term_ledgers,
     transpose,
 )
-from tropicorr import complexes
+from tropicorr import complexes, exactla
+from tropicorr import paramcurve as pc
 from tropicorr.complexes import ComplexSpec, compute, regularity, sizes_over
 from tropicorr.errors import (
     ConstraintUnsatisfied,
     GenusNotOne,
-    NonUnitMultiplicity,
-    TropicorrError,
     ZeroSlopeCycleEdge,
 )
 from tropicorr.exactla import CoeffGroup, FGAbelianGroup
@@ -105,7 +102,7 @@ def test_constraint_must_be_satisfied():
     p, a = line_through_two_points()
     bad = constraint_set([((), (5, 5)), ((), (1, 1))], 2)
     # compute raises the same message on a fresh curve object and on one
-    # that already holds the verdict of check_constraint
+    # that check_constraint has already judged
     messages = []
     for q in (ParamTropicalCurve(p.curve, p.lattice_rank, p.h), p):
         if q is p:
@@ -132,6 +129,22 @@ def test_regularity_elliptic():
     assert v.g_regular and v.elliptically_regular
     v3 = regularity(p, a, CoeffGroup.field(3), elliptic=True)
     assert v3.g_regular and not v3.elliptically_regular
+
+
+def test_regularity_checks_once_on_one_frame(monkeypatch):
+    # the (beta, A) and (beta, A, j) complexes are reduced on one frame,
+    # after one decision of the constraint's satisfaction
+    p, a = triangle_elliptic()
+    calls = []
+    for module, name in ((complexes, "_frame"), (pc, "_unsatisfied"),
+                         (exactla, "invariant_factors")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _fn=fn, _name=name:
+                            calls.append(_name) or _fn(*args))
+    v = regularity(p, a, CoeffGroup.field(0), elliptic=True)
+    assert v.g_regular and v.elliptically_regular
+    assert sorted(calls) == ["_frame", "_unsatisfied", "invariant_factors",
+                             "invariant_factors"]
 
 
 def test_elliptic_complex_pinned():
@@ -290,80 +303,3 @@ def test_one_bounded_edge_forest_per_curve_object(monkeypatch):
         compute(p, ComplexSpec(variant, constraints, elliptic=True))
     assert len(cycle_edges(p.curve)) == 3
     assert len(calls) == 1
-
-
-def fresh_copy(p):
-    """p rebuilt from new curve and parameterization objects, so nothing
-    derived from p (its frame, forest or slopes) is shared."""
-    c = p.curve
-    return ParamTropicalCurve(TropicalCurve(c.finite_vertices, c.infinite_vertices,
-                                            c.edges), p.lattice_rank, dict(p.h))
-
-
-def complex_outcome(p, spec):
-    try:
-        rep = compute(p, spec)
-    except TropicorrError as exc:
-        return type(exc).__name__, str(exc)
-    return rep.layout, rep.n_rows, rep.E1_rank, rep.E2
-
-
-def spy_frames(monkeypatch):
-    """The curves ``compute`` builds a frame for, in call order."""
-    built, frame = [], complexes._frame
-    monkeypatch.setattr(complexes, "_frame",
-                        lambda q: built.append(q) or frame(q))
-    return built
-
-
-def test_frame_memo_never_serves_a_stale_frame(monkeypatch):
-    # every spec on several curves, in a shuffled order, twice each: each
-    # report equals the one computed on a fresh copy of its curve, whether
-    # compute reused the last frame or built a new one
-    items = corpus(4711, 6) + elliptic_corpus(4712, 4) + [doubled_line()]
-    calls = []
-    for p, a in items:
-        for spec in [ComplexSpec(v, cons) for v in ("b", "beta")
-                     for cons in (None, a)]:
-            calls.append((p, spec))
-        if genus(p.curve) == 1:
-            calls += [(p, ComplexSpec(v, a, elliptic=True))
-                      for v in ("b", "beta")]
-    expected = {id(spec): complex_outcome(fresh_copy(p), spec)
-                for p, spec in calls}
-    order = calls * 2
-    random.Random(4713).shuffle(order)
-    built = spy_frames(monkeypatch)
-    hits = 0
-    for p, spec in order:
-        before = len(built)
-        assert complex_outcome(p, spec) == expected[id(spec)]
-        hits += len(built) == before
-    assert hits and len(built) + hits == len(order)
-    assert any(isinstance(out[0], str) for out in expected.values())  # errors
-
-
-def test_frame_memo_hit_raises_the_same_errors(monkeypatch):
-    # a spec that fails raises the same error on a curve whose frame the
-    # memo holds as on a fresh copy, which builds its own
-    p, a = line_through_two_points()
-    bad = constraint_set([((), (5, 5)), ((), (1, 1))], 2)
-    zero = param_curve(
-        curve(["v", "w"], ["a", "b"],
-              [("l1", ("v", "w"), 1), ("l2", ("v", "w"), 1),
-               ("r1", ("v", "a"), None), ("r2", ("w", "b"), None)]),
-        2, {"v": (0, 0), "w": (0, 0), "a": (0, 0), "b": (0, 0)})
-    dbl, _ = doubled_line()
-    cases = [(p, ComplexSpec("b", bad), ConstraintUnsatisfied),
-             (zero, ComplexSpec("beta", elliptic=True), ZeroSlopeCycleEdge),
-             (dbl, ComplexSpec("b", elliptic=True), NonUnitMultiplicity)]
-    built = spy_frames(monkeypatch)
-    for q, spec, error in cases:
-        messages = []
-        for r in (fresh_copy(q), q):
-            compute(r, ComplexSpec("b"))        # the memo now holds r
-            with pytest.raises(error) as err:
-                compute(r, spec)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-    assert len(built) == 2 * len(cases)

@@ -20,6 +20,10 @@ names it, called or not.
 A module-level import is reported when nothing in its own module uses the
 name it binds; ``from __future__`` imports are read by the compiler and
 never reported.
+
+No state hides between calls: the library has no ``global`` or ``nonlocal``
+statement, and writes past an immutable record with ``object.__setattr__``
+only where fanmodel marks a refined curve as a fan.
 """
 
 import ast
@@ -132,3 +136,25 @@ def unraised_errors():
 
 def test_every_error_class_is_raised():
     assert unraised_errors() == []
+
+
+def hidden_state():
+    """(module, statement) for every global or nonlocal statement under
+    src/, and (module, attribute name) for every ``object.__setattr__``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.append((path.stem, type(node).__name__))
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__setattr__"
+                  and getattr(node.func.value, "id", None) == "object"):
+                found.append((path.stem, ast.literal_eval(node.args[1])))
+    return found
+
+
+def test_no_state_hides_between_calls():
+    # the fan verdict stays on the curve: node_stack is handed the curve
+    # and cannot be handed the FanModel that checked it
+    assert hidden_state() == [("fanmodel", "_is_fan")] * 2

@@ -273,8 +273,10 @@ def _count_outcome(count, p, a, char_p):
 def test_counts_are_invariant_under_lattice_automorphisms():
     # x -> A x + t moves the curve and each constraint (its basis by A, its
     # point like a finite vertex) by one automorphism of N_Q preserving N,
-    # so every count, torsor order and refusal stays
-    rng = random.Random(808)
+    # so every count, torsor order and refusal stays.  So does x -> lam A x
+    # + t with lam > 0 and t rational, which also scales each bounded length
+    # by lam: every edge keeps its slope and multiplicity up to A
+    rng, scales = random.Random(808), random.Random(809)
     items = [(correspondence_count, rigid_genus0(rng, n))
              for n in (2, 3) for _ in range(60)]
     items += [(correspondence_count, rigid_with_lines(rng)) for _ in range(60)]
@@ -283,11 +285,16 @@ def test_counts_are_invariant_under_lattice_automorphisms():
     counted = Counter()
     for count, (p, a) in items:
         n = p.lattice_rank
-        q, b = moved(p, a, random_unimodular(rng, n),
-                     tuple(rng.randint(-3, 3) for _ in range(n)))
+        moves = [moved(p, a, random_unimodular(rng, n),
+                       tuple(rng.randint(-3, 3) for _ in range(n))),
+                 moved(p, a, random_unimodular(scales, n),
+                       tuple(Fraction(scales.randint(-6, 6),
+                                      scales.randint(1, 4)) for _ in range(n)),
+                       Fraction(scales.randint(1, 5), scales.randint(1, 5)))]
         for char_p in (0, 2, 3):
             before = _count_outcome(count, p, a, char_p)
-            assert _count_outcome(count, q, b, char_p) == before, (p, char_p)
+            assert [_count_outcome(count, q, b, char_p)
+                    for q, b in moves] == [before] * 2, (p, char_p)
             counted[count.__name__] += not isinstance(before, str)
     assert counted["correspondence_count"] >= 120, counted
     assert counted["elliptic_count"] >= 40, counted
