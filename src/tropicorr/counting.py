@@ -96,40 +96,36 @@ def _hypotheses(p_st, constraints, char_p, elliptic):
     """Check the hypotheses in CHECK_ORDER and raise HypothesisFailed at the
     first that fails, evaluating no later one.  Satisfaction of the
     constraint is decided before them all, as it rejects bad input;
-    simplicity only when ``regular`` reads it.  The first flag that reads
-    a complex builds the curve's frame, and every complex is reduced on it.
-    Returns the all-True record, the frame and the stacky report over Z the
-    last flag was read from: (beta, A), or (beta, A, j) when elliptic."""
+    simplicity only when ``regular`` reads it, before its complex is
+    reduced.  The curve's frame is built once ``satisfies_A`` holds, and
+    every complex is reduced on it.  Returns the all-True record, the
+    frame and the stacky report over Z the last flag was read from:
+    (beta, A), or (beta, A, j) when elliptic."""
     problems = pc._unsatisfied(p_st, constraints)
-    built = []      # the frame, then each complex reduced on it
-
-    def reduce(spec):
-        if not built:
-            built.append(cx._frame(p_st))
-        built.append(cx._reduce(p_st, built[0], spec))
-        return built[-1]
-
-    def regular(j):
-        return base_change(reduce(cx.ComplexSpec("beta", constraints, j)).E2,
-                           CoeffGroup.field(char_p), "tensor").is_trivial
-
-    checks = {
-        "trivalent": lambda: all(tropgraph.valency(p_st.curve, v) == 3
-                                 for v in p_st.curve.finite_vertices),
-        "satisfies_A": lambda: not problems,
-        "codim_match": lambda: (pc._rank(p_st, reduce(cx.ComplexSpec("b")))
-                                == constraints.codim + elliptic),
-        "no_zero_slope_bounded": lambda: not pc.zero_slope_bounded_count(p_st),
-        "char_ok": lambda: stacky.is_dm(p_st, char_p),
-        "regular": lambda: (pc._simple(p_st, constraints)
-                            and regular(False)),
-        "elliptic_regular": lambda: regular(True),
-    }
-    flags = CountHypotheses.CHECK_ORDER[:None if elliptic else -1]
-    for flag in flags:
-        if not checks[flag]():
-            raise HypothesisFailed(flag)
-    return CountHypotheses(**dict.fromkeys(flags, True)), built[0], built[-1]
+    if any(tropgraph.valency(p_st.curve, v) != 3
+           for v in p_st.curve.finite_vertices):
+        raise HypothesisFailed("trivalent")
+    if problems:
+        raise HypothesisFailed("satisfies_A")
+    frame = cx._frame(p_st)
+    rank = pc._rank(p_st, cx._reduce(p_st, frame, cx.ComplexSpec("b")))
+    if rank != constraints.codim + elliptic:
+        raise HypothesisFailed("codim_match")
+    if pc.zero_slope_bounded_count(p_st):
+        raise HypothesisFailed("no_zero_slope_bounded")
+    if not stacky.is_dm(p_st, char_p):
+        raise HypothesisFailed("char_ok")
+    if not pc._simple(p_st, constraints):
+        raise HypothesisFailed("regular")
+    field = CoeffGroup.field(char_p)
+    rep = cx._reduce(p_st, frame, cx.ComplexSpec("beta", constraints))
+    if not base_change(rep.E2, field, "tensor").is_trivial:
+        raise HypothesisFailed("regular")
+    if elliptic:
+        rep = cx._reduce(p_st, frame, cx.ComplexSpec("beta", constraints, True))
+        if not base_change(rep.E2, field, "tensor").is_trivial:
+            raise HypothesisFailed("elliptic_regular")
+    return CountHypotheses(*(True,) * 6, elliptic or None), frame, rep
 
 
 def correspondence_count(p: ParamTropicalCurve,

@@ -65,19 +65,18 @@ def invariant_factors(a) -> tuple[int, ...]:
     One sparse elimination (Dumas, Saunders and Villard, J. Symbolic
     Comput. 2001).  The pivot is an entry of least absolute value, ties
     broken by the least Markowitz cost (r - 1)(c - 1), r and c the
-    nonzeros in its row and column; zero-cost unit pivots (a +-1 alone in
-    its row or column) come off a worklist, and the search for the others
-    stops at the first unit of cost 16 or less.  Row operations reduce
-    column j of the pivot p at (i, j) modulo p.  Once column j holds
-    only p, column operations reduce row i modulo p and touch no other
-    row.  A remainder is nonzero only when p does not divide the entry,
-    and is then smaller than p in absolute value, so it becomes the next
-    pivot (Euclid); a pivot that clears both its row and its column
-    splits A as diag(p, A'), and row i and column j are dropped.  Every
-    step multiplies by unimodular matrices, which leave the invariant
-    factors alone, so the pivot order cannot change the result.  The
-    pivots collected form a diagonal matrix, brought into a divisibility
-    chain by replacing each pair (a, b) with (gcd(a, b), lcm(a, b))."""
+    nonzeros in its row and column, and the search stops at the first unit
+    of cost 16 or less.  Row operations reduce column j of the pivot p at
+    (i, j) modulo p.  Once column j holds only p, column operations reduce
+    row i modulo p and touch no other row.  A remainder is nonzero only
+    when p does not divide the entry, and is then smaller than p in
+    absolute value, so it becomes the next pivot (Euclid); a pivot that
+    clears both its row and its column splits A as diag(p, A'), and row i
+    and column j are dropped.  Every step multiplies by unimodular
+    matrices, which leave the invariant factors alone, so the pivot order
+    cannot change the result.  The pivots collected form a diagonal
+    matrix, brought into a divisibility chain by replacing each pair
+    (a, b) with (gcd(a, b), lcm(a, b))."""
     rows = {}                      # row -> {col: nonzero entry}
     cols = {}                      # col -> rows with a nonzero there
     for i, row in enumerate(a):
@@ -87,9 +86,6 @@ def invariant_factors(a) -> tuple[int, ...]:
             rows[i] = r
             for j in r:
                 cols.setdefault(j, set()).add(i)
-    # (row, None) or (None, col) that may hold a single nonzero
-    todo = [(i, None) for i, r in rows.items() if len(r) == 1]
-    todo += [(None, j) for j, c in cols.items() if len(c) == 1]
     units = 0
     core = []                      # the pivots that are not units
 
@@ -109,18 +105,7 @@ def invariant_factors(a) -> tuple[int, ...]:
         return pos
 
     while rows:
-        pos = None
-        while todo and pos is None:
-            i, j = todo.pop()
-            if i is None and len(cols.get(j, ())) == 1:
-                (i,) = cols[j]
-            elif j is None and len(rows.get(i, ())) == 1:
-                (j,) = rows[i]
-            else:
-                continue
-            if rows[i][j] in (1, -1):
-                pos = i, j
-        i, j = pos or scan()
+        i, j = scan()
         while True:
             piv = rows[i]
             p = piv.pop(j)
@@ -141,16 +126,13 @@ def invariant_factors(a) -> tuple[int, ...]:
                         else:
                             del r[c]
                             cols[c].discard(k)
-                            todo.append((None, c))
                 if x:              # Euclid: a smaller pivot in column j
                     r[j] = x
                     if nxt is None or abs(x) < abs(rows[nxt][j]):
                         nxt = k
                     continue
                 col.discard(k)
-                if r:
-                    todo.append((k, None))
-                else:
+                if not r:
                     del rows[k]
             if nxt is not None:
                 piv[j] = p
@@ -165,7 +147,6 @@ def invariant_factors(a) -> tuple[int, ...]:
                 else:
                     del piv[c]
                     cols[c].discard(i)
-                    todo.append((None, c))
             if piv:                # Euclid: a smaller pivot in row i
                 piv[j] = p
                 col.add(i)
@@ -195,9 +176,6 @@ def hnf(rows, ncols: int) -> Mat:
     right as you go down, entries above a pivot reduced into [0, pivot).
     Zero rows are dropped, so equal lattices have equal HNFs."""
     work = [list(r) for r in rows if any(r)]
-    if len(work) == 1:   # a single row only gets a positive pivot
-        sign = 1 if next(x for x in work[0] if x) > 0 else -1
-        return freeze([[sign * x for x in work[0]]])
     pr = 0
     for col in range(ncols):
         if pr >= len(work):

@@ -407,6 +407,21 @@ def test_hnf_canonical():
     assert hnf([[4, 6], [2, 2]], 2) == hnf([[2, 2], [0, 2]], 2)
 
 
+def test_hnf_of_one_row_makes_its_first_nonzero_positive():
+    # one row through the general loop, with leading zeros and either sign
+    rng = random.Random(4011)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        lead = rng.randint(0, n)
+        row = [0] * lead + [rng.randint(-9, 9) for _ in range(n - lead)]
+        nonzero = [x for x in row if x]
+        if not nonzero:
+            assert hnf([row], n) == ()
+            continue
+        sign = 1 if nonzero[0] > 0 else -1
+        assert hnf([row], n) == (tuple(sign * x for x in row),), row
+
+
 def test_saturation_examples():
     assert saturation(Sublattice(2, [[2, 0]])) == Sublattice(2, [[1, 0]])
     assert saturation(Sublattice(2, [[1, 1]])) == Sublattice(2, [[1, 1]])

@@ -40,6 +40,7 @@ from tropicorr.fanmodel import (
     refine_to_fan,
 )
 from tropicorr.paramcurve import (
+    constraint_set,
     edge_geometry,
     extend_parameterization,
     param_violations,
@@ -298,6 +299,32 @@ def test_counts_are_invariant_under_lattice_automorphisms():
             counted[count.__name__] += not isinstance(before, str)
     assert counted["correspondence_count"] >= 120, counted
     assert counted["elliptic_count"] >= 40, counted
+
+
+def test_line_constraints_do_not_depend_on_the_point_on_the_line():
+    # a line constraint point + Q v is the same affine space wherever its
+    # point sits on the line, so moving the point by t v, t a rational of
+    # denominator 2 to 7, keeps every count, torsor order and refusal
+    rng, shifts = random.Random(808), random.Random(809)
+
+    def slide(c):
+        d = shifts.randint(2, 7)
+        t = shifts.randint(-3, 3) + Fraction(shifts.randint(1, d - 1), d)
+        return tuple(x + t * v for x, v in zip(c.point, c.space.basis[0]))
+
+    counted = 0
+    for _ in range(60):
+        p, a = rigid_with_lines(rng)
+        b = constraint_set([(c.space.basis,
+                             slide(c) if c.space.rank else c.point)
+                            for c in a.items], p.lattice_rank)
+        assert b != a
+        for char_p in (0, 2, 3):
+            before = _count_outcome(correspondence_count, p, a, char_p)
+            assert _count_outcome(correspondence_count, p, b, char_p) \
+                == before, (p, a, b, char_p)
+            counted += not isinstance(before, str)
+    assert counted >= 30, counted
 
 
 def _canonical(c) -> bool:
