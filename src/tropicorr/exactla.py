@@ -324,7 +324,7 @@ def quotient_presentation(lat: Sublattice) -> Mat:
     the r pivots of T are all 1 (Cohen, A Course in Computational
     Algebraic Number Theory, section 2.4)."""
     n, r = lat.ambient_rank, lat.rank
-    if r == 0:
+    if r == 0:      # every point constraint: skips the costlier HNF of I_n
         return identity(n)
     h = hnf([[b[i] for b in lat.basis] + [int(i == j) for j in range(n)]
              for i in range(n)], r + n)

@@ -33,9 +33,10 @@ tested, and chains are ordered by cross-multiplied integers.
 
 A cone is the ascending tuple of its distinct primitive integer generators:
 ``()`` is the zero cone, ``(r,)`` the cone over the ray r and ``(g1, g2)`` a
-2-cone, so its dimension is its length.  All cones here have dimension at
-most two, so every intersection reduces to 2x2 and 3x3 integer minors; no
-general polyhedral machinery is needed.
+2-cone, so its dimension is its length.  The refinement intersects only
+pairs of 2-cones, so the cone arithmetic here serves that case alone, with
+2x2 and 3x3 integer minors; general cone constructors live with the test
+oracles.
 """
 
 from __future__ import annotations
@@ -58,24 +59,6 @@ Cone = tuple[Ray, ...]
 ZERO_CONE: Cone = ()
 
 
-def cone(*gens) -> Cone:
-    prims = []
-    for g in gens:
-        p = primitive_vector(g)
-        if p is None:
-            raise ValueError("zero generator")
-        prims.append(p)
-    uniq = sorted(set(prims))
-    if len(uniq) == 2 and _parallel(uniq[0], uniq[1]):
-        raise ValueError("generators are parallel")
-    return tuple(uniq)
-
-
-def _parallel(u, v) -> bool:
-    return all(u[i] * v[j] == u[j] * v[i]
-               for i, j in combinations(range(len(u)), 2))
-
-
 def _pair_cone(a: Ray, b: Ray) -> Cone:
     """The 2-cone over two primitive, non-parallel rays."""
     return (a, b) if a < b else (b, a)
@@ -83,16 +66,8 @@ def _pair_cone(a: Ray, b: Ray) -> Cone:
 
 def _coords_in(gens, w) -> tuple[int, int, int] | None:
     """Integers (na, nb, d) with d > 0 and d w = na g1 + nb g2, or None
-    when w is outside the span of the at most two independent vectors
-    gens = (g1, g2).  For a single vector nb is reported as 0."""
-    if not gens:
-        return (0, 0, 1) if all(x == 0 for x in w) else None
-    if len(gens) == 1:
-        (g,) = gens
-        k = next(i for i, x in enumerate(g) if x)
-        if all(x * g[k] == w[k] * y for x, y in zip(w, g)):
-            return (w[k], 0, g[k]) if g[k] > 0 else (-w[k], 0, -g[k])
-        return None
+    when w is outside the span of the two independent vectors
+    gens = (g1, g2)."""
     g1, g2 = gens
     for i, j in combinations(range(len(g1)), 2):
         d = g1[i] * g2[j] - g1[j] * g2[i]
@@ -131,14 +106,15 @@ def _by_position(x, y) -> int:
 def _sector_intersection(c1: Cone, c2: Cone) -> Cone:
     """Intersection of two 2-cones with a common span: the cone over the
     first and the last, from g1 to g2 of c1, of the generators of either
-    that lie in the other."""
+    that lie in the other (distinct primitive vectors of one pointed
+    2-cone, so never parallel)."""
     cands = {g for g in c1 if cone_contains(c2, g)}
     cands |= {g for g in c2 if cone_contains(c1, g)}
     if len(cands) < 2:
         return tuple(cands)
     chain = sorted(((_coords_in(c1, g)[:2], g) for g in cands),
                    key=cmp_to_key(_by_position))
-    return cone(chain[0][1], chain[-1][1])
+    return _pair_cone(chain[0][1], chain[-1][1])
 
 
 def _plane_minors(h1, h2, w) -> list[int]:
@@ -151,18 +127,10 @@ def _plane_minors(h1, h2, w) -> list[int]:
 
 
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:
-    if len(c1) > len(c2):
-        c1, c2 = c2, c1
-    if not c1:
-        return ZERO_CONE
-    if len(c1) == 1:
-        if len(c2) == 1:
-            return c1 if c1 == c2 else ZERO_CONE
-        return c1 if cone_contains(c2, c1[0]) else ZERO_CONE
-    # two 2-cones: the minors of (h1, h2, a g1 + b g2) are linear in (a, b).
-    # All vanish iff the spans coincide; otherwise the first nonzero one cuts
-    # out the only line that can be common, and cone_contains checks exactly
-    # that it lies in c2 (so planes meeting only in 0 give 0)
+    # of two 2-cones: the minors of (h1, h2, a g1 + b g2) are linear in
+    # (a, b).  All vanish iff the spans coincide; otherwise the first nonzero
+    # one cuts out the only line that can be common, and cone_contains
+    # checks exactly that it lies in c2 (so planes meeting only in 0 give 0)
     g1, g2 = c1
     h1, h2 = c2
     rows = [(x, y) for x, y in zip(_plane_minors(h1, h2, g1),

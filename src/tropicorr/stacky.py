@@ -117,16 +117,16 @@ def _index(basis) -> int:
 
 
 def _ray_multiplier(rows, s) -> int:
-    """The least m > 0 with m s in the lattice of at most two independent
-    rows, for primitive s; 0 when s is outside their span.
+    """The least m > 0 with m s in the lattice of two independent rows,
+    for primitive s; 0 when s is outside their span.
 
     Cramer's rule on the 2x2 minors of the rows (b1, b2) gives integers
-    (na, nb, d) with d > 0 and d s = na b1 + nb b2 (nb = 0 for one row),
-    or shows that s is outside the span.  b1 and b2 are independent, so
-    (na/d, nb/d) are the only coordinates of s: k s lies in the lattice iff
-    d divides k na and k nb, i.e. iff m = d / gcd(na, nb, d) divides k.  As
-    s is primitive no other rational multiple of s is integral, so the
-    lattice meets the line through s in Z m s.
+    (na, nb, d) with d > 0 and d s = na b1 + nb b2, or shows that s is
+    outside the span.  b1 and b2 are independent, so (na/d, nb/d) are the
+    only coordinates of s: k s lies in the lattice iff d divides k na and
+    k nb, i.e. iff m = d / gcd(na, nb, d) divides k.  As s is primitive no
+    other rational multiple of s is integral, so the lattice meets the
+    line through s in Z m s.
     """
     coords = fan._coords_in(rows, s)
     if coords is None:

@@ -352,13 +352,16 @@ def rigid_with_lines(rng):
 
 def elliptic_rigid(rng, n=2):
     """Trivalent genus-one curve with a nonzero-slope cycle and point
-    constraints with rank = codim + 1, the elliptic counting regime."""
+    constraints with rank = codim + 1, the elliptic counting regime.  A
+    regular genus-one curve with e ends deforms in e dimensions and k points
+    cut (n - 1) k, so it grows (n - 1) k + 1 ends before marking; with
+    fewer, only superabundant curves (planar cycles in rank 3) pass."""
     while True:
         k = rng.randint(2, 3)
         b = Builder(n)
         try:
             polygon(rng, b, rng.randint(3, 4))
-            while len(b.true_ends()) < k + 1:
+            while len(b.true_ends()) < (n - 1) * k + 1:
                 sprout(rng, b, extra=1)
             if mark(rng, b, k) < k:
                 raise Retry
@@ -407,6 +410,23 @@ def moved(p, cons, a, t, lam=1):
     return q, constraint_set(
         [([image(r, False) for r in c.space.basis], image(c.point))
          for c in cons.items], p.lattice_rank)
+
+
+def relabeled(p, rng):
+    """p with every vertex and edge id renamed to a fresh name drawn from
+    rng, each list in its order.  Constraints bind by infinite-vertex
+    order, so they carry over unchanged."""
+    g = p.curve
+    fresh = iter(f"n{i}" for i in rng.sample(
+        range(10 ** 6), len(g.vertex_ids()) + len(g.edges)))
+    name = {v: next(fresh) for v in g.vertex_ids()}
+    renamed = TropicalCurve(
+        tuple(name[v] for v in g.finite_vertices),
+        tuple(name[v] for v in g.infinite_vertices),
+        tuple(e._replace(id=next(fresh), ends=tuple(name[v] for v in e.ends))
+              for e in g.edges))
+    return ParamTropicalCurve(renamed, p.lattice_rank,
+                              {name[v]: hv for v, hv in p.h.items()})
 
 
 def marked_trees(seed, count, size=13, marks=4):

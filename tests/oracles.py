@@ -11,7 +11,8 @@ Fraction products with the presentation; the one-term quotient complex;
 the ranks of the plain complex, assembled from Fraction directions and
 reduced over Q by Fraction elimination;
 the six-term comparison ledger from one plain and one stacky report;
-cone coordinates in Fractions; the fan axiom over every pair of cones;
+cones of any dimension, checked with the oracles' own rank, and their
+coordinates in Fractions; the fan axiom over every pair of cones;
 the all-pairs stacky compatibility; isomorphism of metric graphs;
 stabilization by rescanning every edge; edge directions, balancing,
 violation lists, edge geometry and reduction exponents in Fractions, each
@@ -43,7 +44,6 @@ from tropicorr.exactla import (
     primitive_vector,
     quotient_presentation,
 )
-from tropicorr.fanmodel import ZERO_CONE, cone
 from tropicorr.paramcurve import AffineConstraintSet, ParamTropicalCurve
 from tropicorr.tropgraph import (
     Edge,
@@ -587,6 +587,21 @@ def six_term_ledgers(p: ParamTropicalCurve,
 # of [g1 g2 -h1 -h2]
 
 
+def cone(*gens):
+    """The cone over gens in the engine's spelling, the ascending tuple of
+    their distinct primitive vectors: () for none, (r,) for a ray; raises
+    ValueError on a zero or on two parallel generators."""
+    prims = set()
+    for g in gens:
+        p = primitive_vector(g)
+        if p is None:
+            raise ValueError("zero generator")
+        prims.add(p)
+    if len(prims) == 2 and rank(tuple(prims)) < 2:
+        raise ValueError("generators are parallel")
+    return tuple(sorted(prims))
+
+
 def oracle_coords_in(conee, w):
     """(a, b) in Q with w = a g1 + b g2, or None outside the span."""
     if not conee:
@@ -618,22 +633,22 @@ def oracle_intersect(c1, c2):
     if len(c1) > len(c2):
         c1, c2 = c2, c1
     if not c1:
-        return ZERO_CONE
+        return ()
     if len(c1) == 1:
         if len(c2) == 1:
-            return c1 if c1 == c2 else ZERO_CONE
-        return c1 if oracle_contains(c2, c1[0]) else ZERO_CONE
+            return c1 if c1 == c2 else ()
+        return c1 if oracle_contains(c2, c1[0]) else ()
     g1, g2 = c1
     h1, h2 = c2
     ker = kernel_basis(tuple(zip(g1, g2, tuple(-x for x in h1),
                                  tuple(-x for x in h2))))
     if len(ker) == 0:
-        return ZERO_CONE
+        return ()
     if len(ker) >= 2:  # same plane: order the candidate rays by angle
         cands = sorted({g for g in c1 if oracle_contains(c2, g)}
                        | {g for g in c2 if oracle_contains(c1, g)})
         if not cands:
-            return ZERO_CONE
+            return ()
         key = []
         for g in cands:
             a, b = oracle_coords_in(c1, g)
@@ -645,7 +660,7 @@ def oracle_intersect(c1, c2):
     for cand in (w, tuple(-x for x in w)):
         if oracle_contains(c1, cand) and oracle_contains(c2, cand):
             return (cand,)
-    return ZERO_CONE
+    return ()
 
 
 def is_face(f, c):

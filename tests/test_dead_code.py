@@ -24,6 +24,9 @@ never reported.
 No state hides between calls: the library has no ``global`` or ``nonlocal``
 statement, and writes past an immutable record with ``object.__setattr__``
 only where fanmodel marks a refined curve as a fan.
+
+The test oracles, the reference route for the fan layer's cone arithmetic,
+import nothing from ``tropicorr.fanmodel``.
 """
 
 import ast
@@ -158,3 +161,19 @@ def test_no_state_hides_between_calls():
     # the fan verdict stays on the curve: node_stack is handed the curve
     # and cannot be handed the FanModel that checked it
     assert hidden_state() == [("fanmodel", "_is_fan")] * 2
+
+
+def imported_names(path):
+    """The dotted name of everything a file's import statements bind."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out += [f"{node.module}.{alias.name}" for alias in node.names]
+    return out
+
+
+def test_oracles_share_no_code_with_the_fan_layer():
+    assert [name for name in imported_names(ROOT / "tests" / "oracles.py")
+            if f"{name}.".startswith("tropicorr.fanmodel.")] == []
