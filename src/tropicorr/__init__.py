@@ -10,7 +10,7 @@ import importlib
 # home module -> the names it exports at package level
 _HOMES = {
     "exactla": ("CoeffGroup", "FGAbelianGroup", "GroupSize", "Sublattice",
-                "base_change", "cokernel_group"),
+                "cokernel_group"),
     "tropgraph": ("TropicalCurve", "curve", "genus", "modify", "stabilize",
                   "validate"),
     "paramcurve": ("AffineConstraintSet", "ParamTropicalCurve",
@@ -22,7 +22,7 @@ _HOMES = {
                  "refine_to_fan"),
     "stacky": ("is_dm", "node_stack", "stacky_data"),
     "counting": ("correspondence_count", "elliptic_count", "moduli_dimension",
-                 "reduction_torsor", "stacky_multiplier"),
+                 "stacky_multiplier"),
 }
 _EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
 __all__ = list(_EXPORTS)

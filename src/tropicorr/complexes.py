@@ -24,8 +24,8 @@ coordinate k, its own y entry and +-coef s_e[k] on its fundamental cycle
 (+1) rows, none for an unconstrained genus-0 curve.  The full rows
 (``_assemble``, from the frame's layout, edges and weights, never its paths)
 and the dense matrix are built only when read.  A coefficient group enters
-only at the final base change, ``sizes_over`` for E^1_G and E^2_G and
-``base_change`` for the regularity verdicts.
+only at the final base change, ``sizes_over``: E^1_G and E^2_G for the
+counts, E^2_G for the regularity verdicts.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ from .exactla import (
     GroupSize,
     Mat,
     Record,
-    base_change,
     cokernel_group,
-    combine_sizes,
 )
 from .paramcurve import AffineConstraintSet, ParamTropicalCurve
 
@@ -176,12 +174,26 @@ class ComplexReport(Record):
         return _dense(self.rows, self.layout.domain_dim)
 
 
+def _size(free_rank: int = 0, kdim: int = 0, order: int = 1) -> GroupSize:
+    return GroupSize(free_rank, kdim, None if free_rank or kdim else order)
+
+
 def sizes_over(e1_rank: int, e2: FGAbelianGroup, g: CoeffGroup):
     """(E^1_G, E^2_G) sizes via the universal-coefficient sequence
-    0 -> E^1 (x) G -> E^1_G -> Tor(E^2, G) -> 0 and E^2_G = E^2 (x) G."""
-    e1_free = base_change(FGAbelianGroup(e1_rank), g, "tensor")
-    e1_tor = base_change(e2, g, "tor")
-    return combine_sizes(e1_free, e1_tor), base_change(e2, g, "tensor")
+    0 -> E^1 (x) G -> E^1_G -> Tor(E^2, G) -> 0 and E^2_G = E^2 (x) G,
+    read off E^2's canonical form (E^1 is free).  Tor(-, Z) = Tor(-, Q) = 0
+    and Z/d (x) Q = 0; Z/d (x) k = Tor(Z/d, k) = k when p | d, else 0;
+    Z/d (x) k* = 0 (k* is divisible) and Tor(Z/d, k*) = mu_d, of order
+    the prime-to-p part of d."""
+    if g.kind == "Z":
+        return _size(e1_rank), _size(e2.rank, order=e2.torsion_order)
+    if g.kind == "kstar":
+        mu = e2.torsion_order
+        while g.p and mu % g.p == 0:
+            mu //= g.p
+        return _size(e1_rank, order=mu), _size(e2.rank)
+    t = sum(d % g.p == 0 for d in e2.torsion) if g.kind == "field" and g.p else 0
+    return _size(kdim=e1_rank + t), _size(kdim=e2.rank + t)
 
 
 def _check(p: ParamTropicalCurve, constraints: AffineConstraintSet | None):
@@ -239,9 +251,9 @@ def regularity(p: ParamTropicalCurve, constraints: AffineConstraintSet | None,
     _check(p, constraints)
     frame = _frame(p)
     ce = _reduce(p, frame, ComplexSpec("beta", constraints))
-    obstruction = base_change(ce.E2, group, "tensor")
+    obstruction = sizes_over(ce.E1_rank, ce.E2, group)[1]
     if not elliptic:
         return RegularityVerdict(obstruction.is_trivial, None, obstruction)
     ce_j = _reduce(p, frame, ComplexSpec("beta", constraints, elliptic=True))
-    ell = base_change(ce_j.E2, group, "tensor")
+    ell = sizes_over(ce_j.E1_rank, ce_j.E2, group)[1]
     return RegularityVerdict(obstruction.is_trivial, ell.is_trivial, ell)

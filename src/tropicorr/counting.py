@@ -20,13 +20,8 @@ from typing import NamedTuple
 from . import complexes as cx
 from . import paramcurve as pc
 from . import stacky, tropgraph
-from .errors import (
-    CrossCheckFailed,
-    GenusNotOne,
-    HypothesisFailed,
-    ObstructionNonzero,
-)
-from .exactla import CoeffGroup, GroupSize, base_change
+from .errors import CrossCheckFailed, GenusNotOne, HypothesisFailed
+from .exactla import CoeffGroup
 from .paramcurve import AffineConstraintSet, ParamTropicalCurve
 
 
@@ -37,23 +32,6 @@ def moduli_dimension(p: ParamTropicalCurve) -> int:
     p_st = pc.stabilize_param(p)
     return sum(max(tropgraph.valency(p_st.curve, v) - 3, 0)
                for v in p_st.curve.finite_vertices)
-
-
-def reduction_torsor(p: ParamTropicalCurve,
-                     constraints: AffineConstraintSet | None,
-                     char_p: int) -> GroupSize:
-    """Size of the group acting simply transitively on the (constrained)
-    reductions over each point of the moduli base: E^1_{k*} of the
-    stabilization.  Requires the k*-obstruction to vanish."""
-    pc.require_balanced(p)
-    if pc.zero_slope_bounded_count(p):
-        raise ObstructionNonzero("zero-slope bounded edges present")
-    p_st = pc.stabilize_param(p)
-    rep = cx.compute(p_st, cx.ComplexSpec("b", constraints))
-    e1, e2 = cx.sizes_over(rep.E1_rank, rep.E2, CoeffGroup.units(char_p))
-    if not e2.is_trivial:
-        raise ObstructionNonzero(f"E2 over k* has size {e2}")
-    return e1
 
 
 def stacky_multiplier(p: ParamTropicalCurve) -> int:
@@ -119,11 +97,11 @@ def _hypotheses(p_st, constraints, char_p, elliptic):
         raise HypothesisFailed("regular")
     field = CoeffGroup.field(char_p)
     rep = cx._reduce(p_st, frame, cx.ComplexSpec("beta", constraints))
-    if not base_change(rep.E2, field, "tensor").is_trivial:
+    if not cx.sizes_over(rep.E1_rank, rep.E2, field)[1].is_trivial:
         raise HypothesisFailed("regular")
     if elliptic:
         rep = cx._reduce(p_st, frame, cx.ComplexSpec("beta", constraints, True))
-        if not base_change(rep.E2, field, "tensor").is_trivial:
+        if not cx.sizes_over(rep.E1_rank, rep.E2, field)[1].is_trivial:
             raise HypothesisFailed("elliptic_regular")
     return CountHypotheses(*(True,) * 6, elliptic or None), frame, rep
 

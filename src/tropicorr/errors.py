@@ -49,10 +49,6 @@ class NotReduced(TropicorrError):
     code = "NotReduced"
 
 
-class ObstructionNonzero(TropicorrError):
-    code = "ObstructionNonzero"
-
-
 class HypothesisFailed(TropicorrError):
     """A counting theorem hypothesis does not hold; ``flag`` names the first
     violated one."""

@@ -6,11 +6,12 @@ exception is that ``invariant_factors`` also takes sparse rows, dicts
 {col: value} of the nonzeros.  The module provides invariant factors (the
 Smith normal form without its transforms), the Hermite normal form,
 cokernels, sublattices in canonical (HNF) form and the quotient
-presentation of a saturated one, read off one HNF, and base change of
-finitely generated abelian groups along the coefficient groups used
-downstream (Z, Q, a field of characteristic p, and the units k* of an
-algebraically closed field).  It holds only what the engine calls; the
-general lattice routes the tests compare against live with the tests.
+presentation of a saturated one, read off one HNF, and the plain types of
+the coefficient groups used downstream (Z, Q, a field of characteristic p,
+and the units k* of an algebraically closed field) and of the group sizes
+over them; ``complexes.sizes_over`` is the base change.  It holds only
+what the engine calls; the general lattice routes the tests compare against
+live with the tests.
 
 ``invariant_factors`` is one elimination over sparse rows, units first
 and Euclid steps on whatever is left, with no dense phase: it suits the
@@ -272,10 +273,6 @@ class FGAbelianGroup(Record):
             n *= t
         return n
 
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        return None if self.rank else self.torsion_order
-
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"
@@ -334,7 +331,7 @@ def quotient_presentation(lat: Sublattice) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# coefficient groups and base change
+# coefficient groups and group sizes
 
 
 class CoeffGroup(Record):
@@ -349,14 +346,6 @@ class CoeffGroup(Record):
         if p and not _is_prime(p):
             raise ValueError("characteristic must be zero or prime")
         self.__dict__.update(kind=kind, p=p)
-
-    @staticmethod
-    def integers() -> "CoeffGroup":
-        return CoeffGroup("Z")
-
-    @staticmethod
-    def rationals() -> "CoeffGroup":
-        return CoeffGroup("Q")
 
     @staticmethod
     def field(p: int = 0) -> "CoeffGroup":
@@ -408,15 +397,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def prime_to_part(d: int, p: int) -> int:
-    """Largest divisor of d coprime to p (d itself when p = 0)."""
-    if p <= 1:
-        return d
-    while d % p == 0:
-        d //= p
-    return d
-
-
 class GroupSize(NamedTuple):
     """Size of a group built from copies of a coefficient group G plus a
     finite part.  free_rank counts copies of G (G = Z or k*), kdim is a
@@ -431,10 +411,6 @@ class GroupSize(NamedTuple):
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and self.kdim == 0 and self.finite_order == 1
 
-    @property
-    def is_finite(self) -> bool:
-        return self.finite_order is not None
-
     def __str__(self):
         if self.kdim or self.free_rank:
             bits = []
@@ -446,58 +422,10 @@ class GroupSize(NamedTuple):
         return str(self.finite_order)
 
 
-def base_change(group: FGAbelianGroup, g: CoeffGroup, mode: str) -> GroupSize:
-    """A (x) G for mode="tensor" and Tor^1(A, G) for mode="tor".
-
-    Z/d (x) k is k iff p | d and 0 otherwise; Z/d (x) k* = 0 and
-    Z/d (x) Q = 0; Tor(Z/d, k*) = mu_d whose order is the prime-to-p part
-    of d; Tor(free, G) = 0.
-    """
-    if mode not in ("tensor", "tor"):
-        raise ValueError("mode must be 'tensor' or 'tor'")
-    p_torsion = sum(1 for d in group.torsion if g.p and d % g.p == 0)
-    if mode == "tensor":
-        if g.kind == "Z":
-            order = None if group.rank else group.torsion_order
-            return GroupSize(free_rank=group.rank, finite_order=order)
-        if g.kind == "Q":
-            return GroupSize(kdim=group.rank,
-                             finite_order=1 if group.rank == 0 else None)
-        if g.kind == "field":
-            dim = group.rank + p_torsion
-            return GroupSize(kdim=dim, finite_order=1 if dim == 0 else None)
-        # k*: divisible, so all torsion dies
-        return GroupSize(free_rank=group.rank,
-                         finite_order=1 if group.rank == 0 else None)
-    # Tor^1: the free part never contributes
-    if g.kind in ("Z", "Q"):
-        return GroupSize()
-    if g.kind == "field":
-        return GroupSize(kdim=p_torsion, finite_order=1 if p_torsion == 0 else None)
-    order = 1
-    for d in group.torsion:
-        order *= prime_to_part(d, g.p)
-    return GroupSize(finite_order=order)
-
-
-def combine_sizes(a: GroupSize, b: GroupSize) -> GroupSize:
-    """Size of an extension of b by a (both over the same G)."""
-    free = a.free_rank + b.free_rank
-    kdim = a.kdim + b.kdim
-    if a.finite_order is None or b.finite_order is None:
-        order = None
-    else:
-        order = a.finite_order * b.finite_order
-    if free or kdim:
-        order = None
-    return GroupSize(free_rank=free, kdim=kdim, finite_order=order)
-
-
 __all__ = [
     "Mat", "Vec", "freeze", "identity",
     "integral_length", "primitive_vector",
     "invariant_factors", "hnf", "FGAbelianGroup",
     "cokernel_group", "Sublattice", "quotient_presentation",
-    "CoeffGroup", "prime_to_part", "GroupSize", "base_change",
-    "combine_sizes",
+    "CoeffGroup", "GroupSize",
 ]

@@ -37,7 +37,6 @@ from tropicorr.exactla import (
     CoeffGroup,
     Mat,
     Sublattice,
-    base_change,
     freeze,
     hnf,
     integral_length,
@@ -928,13 +927,13 @@ def eager_hypotheses(p_st: ParamTropicalCurve,
              for e in p_st.curve.edges]
     regular = elliptic_regular = None
     if con.satisfies:
-        fp = CoeffGroup.field(char_p)
         specs = [cx.ComplexSpec("beta", constraints)]
         if elliptic:
             specs.append(cx.ComplexSpec("beta", constraints, elliptic=True))
         reports = [cx.compute(p_st, spec) for spec in specs]
-        verdicts = [con.simple
-                    and base_change(rep.E2, fp, "tensor").is_trivial
+        # E^2 (x) k vanishes iff E^2 is finite of order prime to char k
+        verdicts = [con.simple and not rep.E2.rank
+                    and not (char_p and rep.E2.torsion_order % char_p == 0)
                     for rep in reports]
         regular = verdicts[0]
         if elliptic:

@@ -46,8 +46,8 @@ from tropicorr.tropgraph import (
 )
 
 F = Fraction
-Z = CoeffGroup.integers()
-Q = CoeffGroup.rationals()
+Z = CoeffGroup("Z")
+Q = CoeffGroup("Q")
 
 
 def rename_vertices(p, mapping):
@@ -96,6 +96,48 @@ def test_doubled_line_stacky_obstruction():
     assert abs(det(rep.matrix)) == 4
     e1_kstar, _ = sizes_over(rep.E1_rank, rep.E2, CoeffGroup.units(0))
     assert e1_kstar.finite_order == 4
+
+
+# G, then per E^2 in SIZES_E2 the sizes (E^1_G at E^1 rank 0, which is
+# Tor(E^2, G); E^1_G at E^1 rank 1; E^2_G), as GroupSize prints them
+SIZES_E2 = (FGAbelianGroup(0, (2, 6)), FGAbelianGroup(1, (2, 6)),
+            FGAbelianGroup(0, (2,)))
+SIZES = (
+    (Z, ("1", "G^1", "12"), ("1", "G^1", "G^1"), ("1", "G^1", "2")),
+    (Q, ("1", "k^1", "1"), ("1", "k^1", "k^1"), ("1", "k^1", "1")),
+    (CoeffGroup.field(0), ("1", "k^1", "1"), ("1", "k^1", "k^1"),
+     ("1", "k^1", "1")),
+    (CoeffGroup.field(2), ("k^2", "k^3", "k^2"), ("k^2", "k^3", "k^3"),
+     ("k^1", "k^2", "k^1")),
+    (CoeffGroup.field(3), ("k^1", "k^2", "k^1"), ("k^1", "k^2", "k^2"),
+     ("1", "k^1", "1")),
+    (CoeffGroup.field(5), ("1", "k^1", "1"), ("1", "k^1", "k^1"),
+     ("1", "k^1", "1")),
+    (CoeffGroup.units(0), ("12", "G^1", "1"), ("12", "G^1", "G^1"),
+     ("2", "G^1", "1")),
+    (CoeffGroup.units(2), ("3", "G^1", "1"), ("3", "G^1", "G^1"),
+     ("1", "G^1", "1")),
+    (CoeffGroup.units(5), ("12", "G^1", "1"), ("12", "G^1", "G^1"),
+     ("2", "G^1", "1")),
+)
+
+
+def test_sizes_over_table():
+    for g, *row in SIZES:
+        for e2, want in zip(SIZES_E2, row):
+            (tor, e2_g), (e1_g, e2_g1) = sizes_over(0, e2, g), sizes_over(1, e2, g)
+            assert e2_g1 == e2_g                   # E^2_G ignores E^1
+            assert (str(tor), str(e1_g), str(e2_g)) == want, (g, e2)
+            for s in (tor, e1_g, e2_g):     # finite iff no copy of G or k
+                assert (s.finite_order is None) == bool(s.free_rank or s.kdim)
+    # over Q and k of characteristic 0 only the ranks survive
+    for g in (Q, CoeffGroup.field(0)):
+        for r1 in range(4):
+            for r2 in range(4):
+                for t in ((), (2,), (2, 4), (2, 4, 12)):
+                    e1, e2 = sizes_over(r1, FGAbelianGroup(r2, t), g)
+                    assert (e1.kdim, e2.kdim, e1.free_rank, e2.free_rank) \
+                        == (r1, r2, 0, 0)
 
 
 def test_constraint_must_be_satisfied():

@@ -16,7 +16,6 @@ from fixture_curves import (
     doubled_line,
     line_through_two_points,
     triangle_elliptic,
-    tropical_line,
 )
 from tropicorr import complexes, counting, exactla, fanmodel, stacky, tropgraph
 from tropicorr import paramcurve as pc
@@ -25,7 +24,6 @@ from tropicorr.counting import (
     correspondence_count,
     elliptic_count,
     moduli_dimension,
-    reduction_torsor,
     stacky_multiplier,
 )
 from tropicorr.curvefile import load
@@ -34,7 +32,6 @@ from tropicorr.errors import (
     GenusNotOne,
     HypothesisFailed,
     NotBalanced,
-    ObstructionNonzero,
     TropicorrError,
     ZeroSlopeCycleEdge,
 )
@@ -64,34 +61,12 @@ def test_unbalanced_curve_is_not_counted():
     q = param_curve(hung, 2, {**p.h, "y": (1, 1)})
     assert elliptic_count(p, a, 0).count == 9
     assert pc.stabilize_param(q).curve == c
-    for call in (elliptic_count, correspondence_count, reduction_torsor):
+    for call in (elliptic_count, correspondence_count):
         with pytest.raises(NotBalanced):
             call(q, a, 0)
     for call in (moduli_dimension, stacky_multiplier):
         with pytest.raises(NotBalanced):
             call(q)
-
-
-def test_reduction_torsor():
-    p, a = line_through_two_points()
-    size = reduction_torsor(p, a, 0)
-    assert size.finite_order == 1
-    free = reduction_torsor(tropical_line(), None, 0)
-    assert free.free_rank == 2
-    dbl, da = doubled_line()
-    assert reduction_torsor(dbl, da, 0).finite_order == 1
-
-
-def test_reduction_torsor_obstruction():
-    # a planar double loop is k*-obstructed (rank E^2 > 0)
-    theta = param_curve(
-        curve(["v", "w"], ["a", "b"],
-              [("e1", ("v", "w"), 1), ("e2", ("v", "w"), 1), ("e3", ("v", "w"), 1),
-               ("r1", ("v", "a"), None), ("r2", ("w", "b"), None)]),
-        2,
-        {"v": (0, 0), "w": (1, 0), "a": (-3, 0), "b": (3, 0)})
-    with pytest.raises(ObstructionNonzero):
-        reduction_torsor(theta, None, 0)
 
 
 def test_stacky_multiplier():

@@ -1,6 +1,6 @@
-"""Every module-level function, class and constant of the library is
-reachable from an entry point, and every error class is raised somewhere in
-the library.
+"""Every module-level function, class and constant of the library, and
+every method and property of its classes, is reachable from an entry
+point, and every error class is raised somewhere in the library.
 
 Roots are the names in the package's export table (``_EXPORTS`` in
 ``__init__``), every name in ``cli.py``, every name used in decorators,
@@ -8,11 +8,15 @@ default values and module-level code other than definitions, and every
 name in ``bench/*.py``.  Import statements are not roots.  A definition (a
 function, a class, or a constant bound by a module-level assignment to a
 plain name) reaches the names used in it: a function's body, a class's
-bases, decorators and body, a constant's value and annotation.  Names are
-matched across modules by spelling alone, so a definition is reported only
-when no reachable code uses its name at all.  Dunder names such as
-``__all__`` are read by the interpreter, not by name, and are never
-reported.
+bases, decorators and body, a constant's value and annotation.  A class's
+non-dunder methods and properties are definitions of their own: the class
+reaches only the rest of its body, and their decorators and default values
+are roots like a function's.  A member that overrides an attribute of a
+base class outside the library (``cli._Parser.error``, which argparse
+calls) is reached.  Names are matched across modules by spelling alone, so
+a definition is reported only when no reachable code uses its name at
+all.  Dunder names such as ``__all__`` or ``__eq__`` are read by the
+interpreter, not by name, and are never reported.
 
 An error class counts as raised when a ``raise`` statement under src/
 names it, called or not.
@@ -30,6 +34,7 @@ import nothing from ``tropicorr.fanmodel``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 from tropicorr import _EXPORTS, errors
@@ -59,12 +64,24 @@ def defined_names(node):
         names = [node.target.id]
     else:
         names = []
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return [n for n in names if not is_dunder(n)]
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def overrides_foreign(module, cls, name):
+    """Whether a base of the class outside the library has the attribute,
+    so that the base's own code reaches the override."""
+    obj = getattr(importlib.import_module(f"tropicorr.{module}"), cls)
+    return any(hasattr(base, name) for base in obj.__mro__[1:]
+               if not base.__module__.startswith("tropicorr"))
 
 
 def unreachable_definitions():
     roots = set(_EXPORTS)
-    definitions = {}               # (module, name) -> names used in it
+    definitions = {}       # (module, dotted name) -> (spelling, names used)
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         module = path.stem
@@ -82,8 +99,22 @@ def unreachable_definitions():
                 continue
             elif not names:
                 roots |= used_names(node)
+            body = [node]
+            if isinstance(node, ast.ClassDef):
+                members = [m for m in node.body if isinstance(
+                    m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not is_dunder(m.name)]
+                body = [*node.bases, *node.keywords, *node.decorator_list,
+                        *(m for m in node.body if m not in members)]
+                for m in members:
+                    roots |= used_names(*m.decorator_list, *m.args.defaults,
+                                        *(d for d in m.args.kw_defaults if d))
+                    if overrides_foreign(module, node.name, m.name):
+                        roots.add(m.name)
+                    definitions[module, f"{node.name}.{m.name}"] = (
+                        m.name, used_names(m))
             for name in names:
-                definitions[module, name] = used_names(node)
+                definitions[module, name] = (name, used_names(*body))
     for path in sorted((ROOT / "bench").glob("*.py")):
         roots |= used_names(ast.parse(path.read_text(encoding="utf-8")))
 
@@ -92,8 +123,8 @@ def unreachable_definitions():
     grew = True
     while grew:
         grew = False
-        for key, names in definitions.items():
-            if key not in done and key[1] in reached:
+        for key, (spelling, names) in definitions.items():
+            if key not in done and spelling in reached:
                 done.add(key)
                 reached |= names
                 grew = True

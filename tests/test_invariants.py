@@ -42,6 +42,7 @@ from tropicorr.fanmodel import (
     gamma_tr,
     intersect_cones,
     ramification,
+    reduction_exponents,
     refine_to_fan,
 )
 from tropicorr.paramcurve import (
@@ -201,7 +202,7 @@ def test_elliptic_regular_kernel_rank():
     count = 0
     for p, a in elliptic_corpus(246810, 40):
         rep = compute(p, ComplexSpec("beta", a, elliptic=True))
-        _, e2_q = sizes_over(rep.E1_rank, rep.E2, CoeffGroup.rationals())
+        _, e2_q = sizes_over(rep.E1_rank, rep.E2, CoeffGroup("Q"))
         if e2_q.kdim != 0:
             continue
         assert rep.E1_rank == rank(p) - a.codim - 1
@@ -242,10 +243,12 @@ def test_edge_multiplicity_divides_cone_stabilizer():
 def test_structure_is_covariant_under_lattice_automorphisms():
     # x -> A x + t with A unimodular and t integral acts on N + R as
     # (x, h) -> (A x + h t, h), an element of GL_{n+1}(Z): the refined
-    # curve, the minimal a and the node and marked orders stay, and the fan
-    # and its stacky orders map cone by cone.  Renaming every vertex and
-    # edge moves no point: the fan and its orders stay cone by cone, and the
-    # refined curve, the minimal a and the order values stay up to names
+    # curve, the minimal a and the node and marked orders stay, the fan
+    # and its stacky orders map cone by cone, and each vertex's reduction
+    # exponents map by A edge by edge.  Renaming every vertex and edge
+    # moves no point: the fan and its orders stay cone by cone, and the
+    # refined curve, the minimal a, the order values and each vertex's
+    # exponent vectors stay up to names
     rng, names = random.Random(2607), random.Random(811)
     for n, count in ((2, 200), (3, 60)):
         for _ in range(count):
@@ -262,8 +265,11 @@ def test_structure_is_covariant_under_lattice_automorphisms():
             for q in (p, moved(p, None, a, t)[0], relabeled(p, names)):
                 tr = gamma_tr(q)
                 m = ramification(tr, 1)["minimal_a"]
-                out.append((tr, m, stacky_data(tr, m), node_stack(tr)))
-            (tr, m, st, ns), (tr2, m2, st2, ns2), (tr3, m3, st3, ns3) = out
+                out.append((tr, m, stacky_data(tr, m), node_stack(tr), {
+                    v: reduction_exponents(tr, v)
+                    for v in tr.curve.finite_vertices}))
+            ((tr, m, st, ns, ex), (tr2, m2, st2, ns2, ex2),
+             (tr3, m3, st3, ns3, ex3)) = out
             assert tr2.curve == tr.curve and m2 == m and ns2 == ns
             assert {lift(c) for c in st.fan.cones} == set(st2.fan.cones)
             assert {lift(c): k for c, k in st.stabilizer_order.items()} \
@@ -274,6 +280,12 @@ def test_structure_is_covariant_under_lattice_automorphisms():
                     == len(tr.curve.finite_vertices))
             assert ([sorted(orders.values()) for orders in ns3]
                     == [sorted(orders.values()) for orders in ns])
+            assert ex2 == {v: [(eid, mat_vec(a, s)) for eid, s in row]
+                           for v, row in ex.items()}
+            assert (Counter(tuple(sorted(s for _, s in row))
+                            for row in ex3.values())
+                    == Counter(tuple(sorted(s for _, s in row))
+                               for row in ex.values()))
 
 
 def _count_outcome(count, p, a, char_p):
@@ -406,7 +418,7 @@ def test_quotient_form_matches_full_complex_on_corpus():
                  for e in p.curve.bounded_edges()]
         e_rep = compute(p, ComplexSpec("b", a))
         ce_rep = compute(p, ComplexSpec("beta", a))
-        for grp in (CoeffGroup.rationals(), CoeffGroup.field(2),
+        for grp in (CoeffGroup("Q"), CoeffGroup.field(2),
                     CoeffGroup.field(3)):
             char_p = 0 if grp.kind == "Q" else grp.p
             k, c = quotient_form_dims(p, a, grp)
