@@ -100,7 +100,7 @@ def cmd_complex(p, constraints, char, args):
     return {
         "variant": args.variant,
         "group": str(group),
-        "matrix_shape": [rep.n_rows, rep.layout.domain_dim],
+        "matrix_shape": [rep.n_rows, rep.domain_dim],
         "E1_rank": rep.E1_rank,
         "E2": _group_json(rep.E2),
         "zero_slope_bounded": pc.zero_slope_bounded_count(p),

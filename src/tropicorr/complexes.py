@@ -21,11 +21,11 @@ carry an obstruction reach ``invariant_factors``: per non-tree edge and
 coordinate k, its own y entry and +-coef s_e[k] on its fundamental cycle
 (its ends' paths subtracted); per constraint row a, a on x_root and +-coef
 <a, s_e> along its vertex's path; the j-row.  That is n g + sum corank L_i
-(+1) rows, none for an unconstrained genus-0 curve.  The full rows
-(``_assemble``, from the frame's layout, edges and weights, never its paths)
-and the dense matrix are built only when read.  A coefficient group enters
-only at the final base change, ``sizes_over``: E^1_G and E^2_G for the
-counts, E^2_G for the regularity verdicts.
+(+1) rows, none for an unconstrained genus-0 curve; the unit rows enter
+only the row count.  The dense full matrix (``ComplexReport.matrix``) is
+assembled only when read, and nothing in the library reads it.  A
+coefficient group enters only at the final base change, ``sizes_over``:
+E^1_G and E^2_G for the counts, E^2_G for the regularity verdicts.
 """
 
 from __future__ import annotations
@@ -58,46 +58,35 @@ class ComplexSpec(Record):
                              elliptic=elliptic)
 
 
-class ComplexLayout(NamedTuple):
-    """Index bookkeeping for the assembled matrix."""
-
-    vertices: tuple[str, ...]       # finite vertices, column blocks of width n
-    slope_edges: tuple[str, ...]    # bounded edges with nonzero slope, one column each
-    n: int
-
-    @property
-    def domain_dim(self) -> int:
-        return self.n * len(self.vertices) + len(self.slope_edges)
-
-
 def _frame(p: ParamTropicalCurve):
-    """What every complex of a balanced curve shares: the layout; each
-    bounded edge as (id, init, target, y column or None at zero slope); the
-    edges off the tree; each finite vertex's tree path, leaf first, as
-    (y column, sign) per step where x_v = x_parent + sign coef s_e y_e; and
-    per variant, coef s_e by y column."""
+    """What every complex of a balanced curve shares: the domain's
+    dimension; the y column of each bounded edge of nonzero slope, by id;
+    the edges off the tree as (init, target, y column or None); each finite
+    vertex's tree path, leaf first, as (y column, sign) per step where
+    x_v = x_parent + sign coef s_e y_e; the number of tree edges; and per
+    variant, coef s_e by y column."""
     n, bounded = p.lattice_rank, p.curve.bounded_edges()
     geo = {e.id: g for e in bounded if (g := pc.edge_geometry(p, e.id)).slope}
-    layout = ComplexLayout(tuple(p.curve.finite_vertices), tuple(geo), n)
-    col = dict(zip(geo, range(n * len(layout.vertices), layout.domain_dim)))
-    weights = {"b": {col[eid]: g.slope for eid, g in geo.items()}, "beta": {
-        col[eid]: tuple(g.multiplicity * s for s in g.slope)
+    start = n * len(p.curve.finite_vertices)
+    ycol = dict(zip(geo, range(start, start + len(geo))))
+    weights = {"b": {ycol[eid]: g.slope for eid, g in geo.items()}, "beta": {
+        ycol[eid]: tuple(g.multiplicity * s for s in g.slope)
         for eid, g in geo.items()}}
-    edges = tuple((e.id, *pc._orient(e), col.get(e.id)) for e in bounded)
     paths, tree = {}, set()
     for v, link in p.curve.bounded_forest.items():      # parents first
         paths[v] = ()
         if link is not None:
             parent, e = link
             tree.add(e.id)
-            c, sign = col.get(e.id), -1 if pc._orient(e)[1] == v else 1
+            c, sign = ycol.get(e.id), -1 if pc._orient(e)[1] == v else 1
             paths[v] = paths[parent] if c is None else (
                 (c, sign),) + paths[parent]
-    off_tree = [e for e in edges if e[0] not in tree]
-    return layout, edges, off_tree, paths, weights
+    off_tree = [(*pc._orient(e), ycol.get(e.id)) for e in bounded
+                if e.id not in tree]
+    return start + len(geo), ycol, off_tree, paths, len(tree), weights
 
 
-def _spec_part(p: ParamTropicalCurve, spec: ComplexSpec, edges, weights):
+def _spec_part(p: ParamTropicalCurve, spec: ComplexSpec, ycol, weights):
     """The spec's checks after satisfaction, in order; then each constraint
     as (vertex, P_i), the variant's weights and the j-row's columns."""
     constraints = []
@@ -115,63 +104,50 @@ def _spec_part(p: ParamTropicalCurve, spec: ComplexSpec, edges, weights):
         for eid in cycle:
             if pc.edge_geometry(p, eid).slope is None:
                 raise ZeroSlopeCycleEdge(f"cycle edge {eid} has zero slope")
-    return constraints, weights[spec.variant], sorted(
-        c for e, _, _, c in edges if e in cycle)
-
-
-def _assemble(p: ParamTropicalCurve, spec: ComplexSpec):
-    """The full rows, each the sorted tuple of its nonzeros (col, value)."""
-    layout, edges, _, _, weights = _frame(p)  # compute ran _check on p
-    constraints, weight, jrow = _spec_part(p, spec, edges, weights)
-    vcol = {v: layout.n * i for i, v in enumerate(layout.vertices)}
-    rows = []
-    for _, init, target, col in edges:
-        ends = (sorted(((vcol[init], -1), (vcol[target], 1)))
-                if init != target else ())
-        for k in range(layout.n):
-            row = [(c + k, s) for c, s in ends]
-            if col is not None and weight[col][k]:
-                row.append((col, weight[col][k]))
-            rows.append(tuple(row))
-    for vfin, proj in constraints:
-        rows.extend(tuple((vcol[vfin] + k, x) for k, x in enumerate(prow) if x)
-                    for prow in proj)
-    if jrow:
-        rows.append(tuple((col, 1) for col in jrow))
-    return tuple(rows), layout
-
-
-def _dense(rows, ncols: int) -> Mat:
-    out = [[0] * ncols for _ in rows]
-    for dense, row in zip(out, rows):
-        for j, x in row:
-            dense[j] = x
-    return tuple(map(tuple, out))
+    return constraints, weights[spec.variant], sorted(ycol[e] for e in cycle)
 
 
 class ComplexReport(Record):
     """The complex over Z (E1_rank, E2) from one transform-free reduction
     of its tree-reduced rows; ``sizes_over`` base-changes it to any
-    coefficient group.  n_rows counts the rows of the full matrix.
-    Equality and repr leave out the source curve."""
+    coefficient group.  n_rows and domain_dim give the full matrix's shape.
+    Equality and repr leave out the source curve, which only ``matrix``
+    reads."""
 
-    _fields = ("spec", "layout", "n_rows", "E1_rank", "E2")
+    _fields = ("spec", "domain_dim", "n_rows", "E1_rank", "E2")
 
     def __init__(self, source: ParamTropicalCurve, spec: ComplexSpec,
-                 layout: ComplexLayout, n_rows: int, E1_rank: int,
+                 domain_dim: int, n_rows: int, E1_rank: int,
                  E2: FGAbelianGroup):
-        self.__dict__.update(source=source, spec=spec, layout=layout,
+        self.__dict__.update(source=source, spec=spec, domain_dim=domain_dim,
                              n_rows=n_rows, E1_rank=E1_rank, E2=E2)
 
     @property
-    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The full rows, assembled on each read; counts never read them."""
-        return _assemble(self.source, self.spec)[0]
-
-    @property
     def matrix(self) -> Mat:
-        """The dense matrix, built on each read."""
-        return _dense(self.rows, self.layout.domain_dim)
+        """The full matrix, dense, assembled from the source curve on each
+        read.  Nothing in the library reads it; the benchmark's tracer
+        (``bench/tracing.py``) keys each traced ``compute`` by it."""
+        p, n = self.source, self.source.lattice_rank
+        dim, ycol, _, _, _, weights = _frame(p)
+        constraints, weight, jrow = _spec_part(p, self.spec, ycol, weights)
+        vcol = {v: n * i for i, v in enumerate(p.curve.finite_vertices)}
+        rows = []
+        for e in p.curve.bounded_edges():
+            init, target = pc._orient(e)
+            for k in range(n):
+                row = [0] * dim
+                row[vcol[init] + k] -= 1
+                row[vcol[target] + k] += 1      # so a loop has no x terms
+                if e.id in ycol:
+                    row[ycol[e.id]] = weight[ycol[e.id]][k]
+                rows.append(row)
+        for vfin, proj in constraints:
+            for a in proj:
+                rows.append([0] * dim)
+                rows[-1][vcol[vfin]:vcol[vfin] + n] = a
+        if jrow:
+            rows.append([int(j in jrow) for j in range(dim)])
+        return tuple(map(tuple, rows))
 
 
 def _size(free_rank: int = 0, kdim: int = 0, order: int = 1) -> GroupSize:
@@ -211,17 +187,17 @@ def compute(p: ParamTropicalCurve, spec: ComplexSpec) -> ComplexReport:
 
 def _reduce(p: ParamTropicalCurve, frame, spec: ComplexSpec) -> ComplexReport:
     """The complex of spec on p's frame, p having passed ``_check``."""
-    layout, edges, off_tree, paths, weights = frame
-    constraints, weight, jrow = _spec_part(p, spec, edges, weights)
-    rows = []
-    for _, init, target, own in off_tree:
+    dim, ycol, off_tree, paths, n_tree, weights = frame
+    constraints, weight, jrow = _spec_part(p, spec, ycol, weights)
+    n, rows = p.lattice_rank, []
+    for init, target, own in off_tree:
         cycle = dict(paths[target])     # the fundamental cycle, signed
         for col, s in paths[init]:
             cycle[col] = cycle.get(col, 0) - s
         if own is not None:
             cycle[own] = 1
         rows += ({col: m * weight[col][k] for col, m in cycle.items()
-                  if m and weight[col][k]} for k in range(layout.n))
+                  if m and weight[col][k]} for k in range(n))
     for vfin, proj in constraints:
         for a in proj:
             row = {k: x for k, x in enumerate(a) if x}      # on x_root
@@ -233,9 +209,8 @@ def _reduce(p: ParamTropicalCurve, frame, spec: ComplexSpec) -> ComplexReport:
         rows.append(dict.fromkeys(jrow, 1))
     e2 = cokernel_group(rows)
     # rank-nullity, the full matrix adding n unit rows per tree edge
-    n_rows = len(rows) + layout.n * (len(edges) - len(off_tree))
-    e1_rank = layout.domain_dim - (n_rows - e2.rank)
-    return ComplexReport(p, spec, layout, n_rows, e1_rank, e2)
+    n_rows = len(rows) + n * n_tree
+    return ComplexReport(p, spec, dim, n_rows, dim - (n_rows - e2.rank), e2)
 
 
 class RegularityVerdict(NamedTuple):

@@ -3,18 +3,19 @@
 Each route here computes the same quantity as an engine path by a more
 general or more direct method: the Smith normal form with its transforms,
 by a textbook elimination that shares no code with the library's; integer
-kernels from its transforms, and E^1 of a complex as the kernel lattice of
-its dense matrix; lattice membership, intersection, saturation and index
-by rational solving and integer kernels; ranks by Gauss-Jordan
+kernels from its transforms; lattice membership, intersection, saturation
+and index by rational solving and integer kernels; ranks by Gauss-Jordan
 elimination and determinants by Bareiss; constraint membership by
 Fraction products with the presentation; the one-term quotient complex;
-the ranks of the plain complex, assembled from Fraction directions and
-reduced over Q by Fraction elimination;
-the six-term comparison ledger from one plain and one stacky report;
-cones of any dimension, checked with the oracles' own rank, and their
-coordinates in Fractions; the fan axiom over every pair of cones;
-the all-pairs stacky compatibility; isomorphism of metric graphs;
-stabilization by rescanning every edge; edge directions, balancing,
+the full matrix of every complex, assembled straight from the curve
+(Fraction directions, each constraint's annihilator by the oracles' own
+kernel, the cycle by edge deletion), with E^1 as its kernel lattice and
+the plain ranks by Fraction elimination; the six-term comparison ledger
+from one plain and one stacky report; cones of any dimension, checked
+with the oracles' own rank, and their coordinates in Fractions; the fan
+axiom over every pair of cones; the all-pairs stacky compatibility;
+isomorphism of metric graphs; stabilization by rescanning every edge;
+edge directions, balancing,
 violation lists, edge geometry and reduction exponents in Fractions, each
 bounded edge's direction taken from each end; Mikhalkin's multiplicity of
 a plane curve, the count by vertex determinants; the cycle of a genus-one
@@ -28,6 +29,7 @@ The engine calls none of them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from tropicorr import paramcurve as pc
@@ -516,42 +518,80 @@ def fraction_rank(rows) -> int:
     return r
 
 
-def plain_complex_ranks(p: ParamTropicalCurve) -> tuple[int, int, int]:
-    """(c, rank E^1, rank E^2) of the plain complex (b, no constraints),
-    assembled from the Fraction directions and reduced over Q: c counts the
-    bounded edges of zero direction.  Edge u -> w gives the n rows
-    x_w - x_u + d_e y_e, with no y_e at zero direction; over Q the column of
-    y_e may hold the direction d_e = l(e) s_e in place of s_e without
-    changing the rank."""
-    n = p.lattice_rank
-    vcol = {v: n * i for i, v in enumerate(p.curve.finite_vertices)}
-    dirs = [(e, fraction_direction(p, e)) for e in p.curve.bounded_edges()]
+class FullComplex(NamedTuple):
+    """A complex's full integer matrix with its own layout: finite vertex
+    vertices[i] owns the x columns n i, ..., n i + n - 1, and ycol maps each
+    bounded edge of nonzero direction to its y column; dim is the domain's
+    dimension, which a matrix with no rows does not show."""
+
+    matrix: Mat
+    vertices: tuple[str, ...]
+    ycol: dict[str, int]
+    dim: int
+
+
+def full_complex(p: ParamTropicalCurve, spec: ComplexSpec) -> FullComplex:
+    """The complex of spec assembled straight from the curve.  Bounded edge
+    u -> w, in its default orientation, gives the n rows x_w - x_u + w_e y_e,
+    with no y_e at zero direction: w_e is the Fraction direction d_e in the
+    stacky variant and d_e / gcd(d_e) = s_e in the plain one.  Constraint i
+    binds at the finite neighbour of the i-th infinite vertex, with one row
+    per vector of a basis of the integer annihilator of L_i, the kernel of
+    L_i's basis (all of Z^n at a point).  The elliptic j-row is 1 on the y
+    columns of ``oracle_cycle_ids``.  Nothing is checked: the engine's
+    ``compute`` rejects the specs that have no complex."""
+    n, c = p.lattice_rank, p.curve
+    vertices = tuple(c.finite_vertices)
+    vcol = {v: n * i for i, v in enumerate(vertices)}
+    dirs = [(e, _as_int_vec(fraction_direction(p, e)))
+            for e in c.bounded_edges()]
     ycol = {}
     for e, d in dirs:
         if any(d):
-            ycol[e.id] = n * len(vcol) + len(ycol)
-    dim = n * len(vcol) + len(ycol)
+            ycol[e.id] = n * len(vertices) + len(ycol)
+    dim = n * len(vertices) + len(ycol)
     rows = []
     for e, d in dirs:
         u, w = pc._orient(e)
+        l = gcd(*d) if spec.variant == "b" else 1     # w_e = d_e / l
         for k in range(n):
             row = [0] * dim
             row[vcol[u] + k] -= 1
             row[vcol[w] + k] += 1       # so a loop has no x terms
             if e.id in ycol:
-                row[ycol[e.id]] = d[k]
+                row[ycol[e.id]] = d[k] // l
             rows.append(row)
-    r = fraction_rank(rows)
-    return len(dirs) - len(ycol), dim - r, len(rows) - r
+    constraints = spec.constraints.items if spec.constraints else ()
+    for vinf, con in zip(c.infinite_vertices, constraints):
+        (vfin,) = (x for e in c.edges if vinf in e.ends for x in e.ends
+                   if x != vinf)
+        # a zero row when L_i = 0, so that the kernel is all of Z^n
+        for a in kernel_basis(con.space.basis or ((0,) * n,)):
+            row = [0] * dim
+            row[vcol[vfin]:vcol[vfin] + n] = a
+            rows.append(row)
+    if spec.elliptic:
+        cycle = [ycol[eid] for eid in oracle_cycle_ids(c)]
+        rows.append([int(j in cycle) for j in range(dim)])
+    return FullComplex(freeze(rows), vertices, ycol, dim)
 
 
-def e1_lattice(rep) -> Sublattice:
-    """E^1 of a complex report: the kernel lattice of its dense matrix in
-    the domain Z^domain_dim, all of it when the matrix has no rows."""
-    dim = rep.layout.domain_dim
-    if not rep.n_rows:
-        return full_lattice(dim)
-    return Sublattice(dim, kernel_basis(rep.matrix))
+def plain_complex_ranks(p: ParamTropicalCurve) -> tuple[int, int, int]:
+    """(c, rank E^1, rank E^2) of the plain complex (b, no constraints):
+    ``full_complex`` reduced over Q by Fraction elimination; c counts the
+    bounded edges of zero direction."""
+    full = full_complex(p, ComplexSpec("b"))
+    r = fraction_rank(full.matrix)
+    return (len(p.curve.bounded_edges()) - len(full.ycol), full.dim - r,
+            len(full.matrix) - r)
+
+
+def e1_lattice(full: FullComplex) -> Sublattice:
+    """E^1 of a complex: the kernel lattice of its full matrix in Z^dim,
+    all of it when the matrix has no rows."""
+    if not full.matrix:
+        return full_lattice(full.dim)
+    return Sublattice(full.dim, kernel_basis(full.matrix))
 
 
 def six_term_ledgers(p: ParamTropicalCurve,
@@ -562,12 +602,13 @@ def six_term_ledgers(p: ParamTropicalCurve,
 
     over each field G of ``fields``, base-changed from one (beta, A) and one
     (b, A) report; the sequence is exact iff the alternating sum vanishes.
-    mu is read off the dense (beta, A) matrix as its y_e columns that
+    mu is read off the oracle's (beta, A) matrix as its y_e columns that
     vanish in G: the column holds l(e) s_e, which is zero mod p iff p | l(e)
     as s_e is primitive.  quot counts the edges whose l(e) is zero in G."""
     ce = compute(p, ComplexSpec("beta", constraints))
     ee = compute(p, ComplexSpec("b", constraints))
-    ycols = list(zip(*ce.matrix))[ce.layout.n * len(ce.layout.vertices):]
+    full = full_complex(p, ComplexSpec("beta", constraints))
+    ycols = list(zip(*full.matrix))[len(full.vertices) * p.lattice_rank:]
     mults = [pc.edge_geometry(p, e.id).multiplicity
              for e in p.curve.bounded_edges()]
     ledgers = []

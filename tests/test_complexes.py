@@ -12,6 +12,7 @@ from fixture_curves import (
 from oracles import (
     det,
     e1_lattice,
+    full_complex,
     kernel_basis,
     lemma_complexes,
     mat_mul,
@@ -66,7 +67,8 @@ def rename_vertices(p, mapping):
 def test_single_vertex_no_bounded_edges():
     p = tropical_line()
     rep = compute(p, ComplexSpec("b"))
-    assert rep.matrix == () and rep.layout.domain_dim == 2
+    assert full_complex(p, ComplexSpec("b")).matrix == ()
+    assert rep.domain_dim == 2
     assert rep.E1_rank == 2
     assert rep.E2.is_trivial
 
@@ -81,8 +83,8 @@ def test_two_vertex_kernel():
 def test_line2pts_constrained_unimodular():
     p, a = line_through_two_points()
     rep = compute(p, ComplexSpec("b", a))
-    mat = rep.matrix
-    assert len(mat) == len(mat[0]) == 8
+    mat = full_complex(p, ComplexSpec("b", a)).matrix
+    assert len(mat) == len(mat[0]) == rep.n_rows == rep.domain_dim == 8
     assert abs(det(mat)) == 1
     assert rep.E1_rank == 0 and rep.E2.is_trivial
     e1_kstar, _ = sizes_over(rep.E1_rank, rep.E2, CoeffGroup.units(0))
@@ -93,7 +95,7 @@ def test_doubled_line_stacky_obstruction():
     p, a = doubled_line()
     rep = compute(p, ComplexSpec("beta", a))
     assert rep.E2 == FGAbelianGroup(0, (2, 2))
-    assert abs(det(rep.matrix)) == 4
+    assert abs(det(full_complex(p, ComplexSpec("beta", a)).matrix)) == 4
     e1_kstar, _ = sizes_over(rep.E1_rank, rep.E2, CoeffGroup.units(0))
     assert e1_kstar.finite_order == 4
 
@@ -194,10 +196,11 @@ def test_elliptic_complex_pinned():
     # independent route to the same order
     p, a = triangle_elliptic()
     rep = compute(p, ComplexSpec("beta", a, elliptic=True))
-    assert len(rep.matrix) == len(rep.matrix[0]) == 15
+    mat = full_complex(p, ComplexSpec("beta", a, elliptic=True)).matrix
+    assert len(mat) == len(mat[0]) == rep.n_rows == rep.domain_dim == 15
     assert rep.E1_rank == 0
     assert rep.E2 == FGAbelianGroup(0, (9,))
-    assert abs(det(rep.matrix)) == 9
+    assert abs(det(mat)) == 9
 
 
 def test_elliptic_requires_genus_one():
@@ -303,11 +306,12 @@ def test_prop_e1_constrained_is_kernel_of_projection():
     from tropicorr.exactla import Sublattice, freeze
 
     for p, a in (line_through_two_points(), doubled_line(), triangle_elliptic()):
-        free = compute(p, ComplexSpec("b"))
-        con = compute(p, ComplexSpec("b", a))
+        free = full_complex(p, ComplexSpec("b"))
+        e1_con = e1_lattice(full_complex(p, ComplexSpec("b", a)))
+        assert compute(p, ComplexSpec("b", a)).E1_rank == e1_con.rank
         ker = e1_lattice(free).basis  # rows in domain coordinates
         if not ker:
-            assert con.E1_rank == 0
+            assert e1_con.rank == 0
             continue
         n = p.lattice_rank
         proj_rows = []
@@ -316,10 +320,10 @@ def test_prop_e1_constrained_is_kernel_of_projection():
 
         for (vinf, vfin), item in zip(marked_pairs(p, len(a)), a.items):
             q = quotient_presentation(item.space)
-            i = free.layout.vertices.index(vfin)
+            i = free.vertices.index(vfin)
             cols = range(n * i, n * (i + 1))
             for prow in q:
-                row = [0] * free.layout.domain_dim
+                row = [0] * free.dim
                 for k, cidx in enumerate(cols):
                     row[cidx] = prow[k]
                 proj_rows.append(row)
@@ -327,10 +331,10 @@ def test_prop_e1_constrained_is_kernel_of_projection():
         m = mat_mul(freeze(proj_rows), transpose(freeze(ker)))
         combos = kernel_basis(m)
         gens = [tuple(sum(c * ker[i][j] for i, c in enumerate(combo))
-                      for j in range(free.layout.domain_dim))
+                      for j in range(free.dim))
                 for combo in combos]
-        lhs = Sublattice(free.layout.domain_dim, freeze(gens) if gens else ())
-        assert lhs == e1_lattice(con)
+        lhs = Sublattice(free.dim, freeze(gens) if gens else ())
+        assert lhs == e1_con
 
 
 def test_one_bounded_edge_forest_per_curve_object(monkeypatch):

@@ -432,24 +432,23 @@ def test_failing_count_builds_only_the_complexes_its_flags_read(
 @pytest.mark.parametrize("count, fixture, expected", FIXTURE_COUNTS)
 def test_count_builds_no_dense_complex_matrix(monkeypatch, count, fixture,
                                               expected):
-    # each complex is assembled and reduced as sparse rows, its nonzeros
-    # only; the dense matrix is built only when a report's matrix is read
+    # each complex is reduced as tree-reduced sparse rows; the dense full
+    # matrix is assembled only when a report's matrix is read
     p, a, _, _ = load(str(FIXTURES / fixture))
     reports, dense = [], []
-    reduce, to_dense = complexes._reduce, complexes._dense
+    reduce, matrix = complexes._reduce, complexes.ComplexReport.matrix
 
     def recorded(*args):
         reports.append(reduce(*args))
         return reports[-1]
 
     monkeypatch.setattr(complexes, "_reduce", recorded)
-    monkeypatch.setattr(complexes, "_dense",
-                        lambda *args: dense.append(args) or to_dense(*args))
+    monkeypatch.setattr(complexes.ComplexReport, "matrix", property(
+        lambda rep: dense.append(rep) or matrix.fget(rep)))
     assert count(p, a, 0).count == expected
     assert len(reports) == 3 and dense == []
-    for rep in reports:
-        nonzeros = [x for row in rep.matrix for x in row if x]
-        assert [x for row in rep.rows for _, x in row] == nonzeros
+    shapes = [(len(m), len(m[0])) for m in (rep.matrix for rep in reports)]
+    assert shapes == [(rep.n_rows, rep.domain_dim) for rep in reports]
     assert len(dense) == 3
 
 
@@ -560,7 +559,7 @@ BROKEN_ROUTES = {
     "elliptic_finite": (complexes, "_reduce",
                         lambda p, frame, spec: complexes.ComplexReport(
                             (rep := _reduce(p, frame, spec)).source,
-                            rep.spec, rep.layout, rep.n_rows,
+                            rep.spec, rep.domain_dim, rep.n_rows,
                             rep.E1_rank + 1, rep.E2)
                         if spec.elliptic else _reduce(p, frame, spec),
                         "triangle_elliptic.json", _elliptic),

@@ -208,3 +208,30 @@ def imported_names(path):
 def test_oracles_share_no_code_with_the_fan_layer():
     assert [name for name in imported_names(ROOT / "tests" / "oracles.py")
             if f"{name}.".startswith("tropicorr.fanmodel.")] == []
+
+
+def private_complexes_reads(path):
+    """The private names of tropicorr.complexes that a file imports, or
+    reads off the module imported from tropicorr."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "tropicorr"
+               for alias in node.names if alias.name == "complexes"}
+    return [name for name in imported_names(path)
+            if name.startswith("tropicorr.complexes._")] + [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and getattr(node.value, "id", None) in aliases]
+
+
+def test_oracles_assemble_complexes_without_the_engine():
+    # the full complex, the reference of the complex tests, reads none of
+    # the engine's frame or spec helpers and no constraint presentation
+    oracles = ROOT / "tests" / "oracles.py"
+    assert private_complexes_reads(oracles) == []
+    tree = ast.parse(oracles.read_text(encoding="utf-8"))
+    (full,) = (node for node in tree.body
+               if getattr(node, "name", None) == "full_complex")
+    assert [node for node in ast.walk(full) if isinstance(node, ast.Attribute)
+            and node.attr == "presentation"] == []

@@ -16,6 +16,7 @@ from corpus import (
 from oracles import (
     contains,
     det,
+    full_complex,
     full_lattice,
     kernel_basis,
     lattice_index,
@@ -229,8 +230,9 @@ def tree_route_shapes(seed):
 
 
 def every_complex():
-    """(curve, report) for every complex of the fixtures, the corpora, a few
-    large marked trees and the tree-route shapes that assembles."""
+    """(curve, report, the oracle's full complex) for every complex of the
+    fixtures, the corpora, a few large marked trees and the tree-route
+    shapes that the engine computes."""
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     curves = [load(str(f))[:2] for f in sorted(fixtures.glob("*.json"))]
     curves += corpus(5005, 60) + elliptic_corpus(5006, 30)
@@ -241,30 +243,32 @@ def every_complex():
                 for elliptic in {False, genus(p.curve) == 1}:
                     spec = ComplexSpec(variant, cons, elliptic)
                     try:
-                        yield p, compute(p, spec)
+                        rep = compute(p, spec)
                     except TropicorrError:
                         continue
+                    yield p, rep, full_complex(p, spec)
 
 
 def test_unit_elimination_on_every_complex_matrix():
     seen = 0
-    for _, rep in every_complex():
-        mat = rep.matrix
+    for _, _, full in every_complex():
+        mat = full.matrix
         assert invariant_factors(mat) == smith(mat).divisors, mat
         seen += 1
     assert seen >= 450, seen
 
 
 def test_sparse_count_route_matches_dense_reference():
-    # compute reduces the tree-reduced sparse rows; the reference reduces
-    # the dense full matrix with the oracle's Smith form and reads E^1's
-    # rank and E^2 off its divisors
+    # compute reduces the tree-reduced sparse rows; the reference assembles
+    # the full matrix from the curve, reduces it with the oracle's Smith
+    # form and reads E^1's rank and E^2 off its divisors
     seen = 0
     large_torsion = set()
-    for p, rep in every_complex():
-        mat = rep.matrix
+    for p, rep, full in every_complex():
+        mat = full.matrix
         divisors = smith(mat).divisors
-        assert rep.E1_rank == rep.layout.domain_dim - len(divisors)
+        assert (rep.n_rows, rep.domain_dim) == (len(mat), full.dim)
+        assert rep.E1_rank == full.dim - len(divisors)
         assert rep.E2 == FGAbelianGroup(
             len(mat) - len(divisors), tuple(d for d in divisors if d > 1))
         if len(p.curve.finite_vertices) >= 13 and rep.E2.torsion:

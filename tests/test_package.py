@@ -60,7 +60,7 @@ def records():
     tr = fanmodel.gamma_tr(p)
     out = [p, p.curve, p.curve.edges[0], pc.edge_geometry(p, "e1"), a,
            a.items[0], a.items[0].space, pc.check_constraint(p, a), rep.spec,
-           rep, rep.layout, rep.E2, verdict, verdict.obstruction,
+           rep, rep.E2, verdict, verdict.obstruction,
            exactla.CoeffGroup.units(3), res, res.hypotheses,
            fanmodel.fan_model(tr),
            stacky.stacky_data(tr, fanmodel.ramification(tr, 1)["minimal_a"]),
@@ -73,7 +73,7 @@ def records():
 
 RECORDS = ["ParamTropicalCurve", "TropicalCurve", "Edge", "EdgeGeometry",
            "AffineConstraintSet", "AffineConstraint", "Sublattice",
-           "ConstraintReport", "ComplexSpec", "ComplexReport", "ComplexLayout",
+           "ConstraintReport", "ComplexSpec", "ComplexReport",
            "FGAbelianGroup", "RegularityVerdict", "GroupSize", "CoeffGroup",
            "CountResult", "CountHypotheses", "FanModel", "StackySigma",
            "NodeStackData", "SubdivideBounded", "SubdivideUnbounded",
