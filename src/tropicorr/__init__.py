@@ -15,12 +15,13 @@ _HOMES = {
                   "validate"),
     "paramcurve": ("AffineConstraintSet", "ParamTropicalCurve",
                    "check_constraint", "constraint_set", "degree",
-                   "edge_geometry", "extend_parameterization", "param_curve",
-                   "rank", "tropical_j"),
-    "complexes": ("ComplexSpec", "compute", "regularity", "sizes_over"),
+                   "edge_geometry", "extend_parameterization", "is_dm",
+                   "param_curve", "tropical_j"),
+    "complexes": ("ComplexSpec", "compute", "rank", "regularity",
+                  "sizes_over"),
     "fanmodel": ("build_K", "fan_model", "gamma_tr", "ramification",
                  "refine_to_fan"),
-    "stacky": ("is_dm", "node_stack", "stacky_data"),
+    "stacky": ("node_stack", "stacky_data"),
     "counting": ("correspondence_count", "elliptic_count", "moduli_dimension",
                  "stacky_multiplier"),
 }

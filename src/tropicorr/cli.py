@@ -52,12 +52,13 @@ def cmd_validate(p, constraints, char, args):
 
 
 def cmd_info(p, constraints, char, args):
+    from . import complexes as cx
     pc.require_balanced(p)
     g = tropgraph.genus(p.curve)
     out = {
         "genus": g,
         "degree": [[list(d), m] for d, m in pc.degree(p)],
-        "rank": pc.rank(p),
+        "rank": cx.rank(p),
         "zero_slope_bounded": pc.zero_slope_bounded_count(p),
         "stable": tropgraph.is_stable(p.curve),
         "finite_vertices": len(p.curve.finite_vertices),
@@ -154,7 +155,7 @@ def cmd_stacky(p, constraints, char, args):
         "stacky": stacky.stacky_to_json(st),
         "node_orders": dict(sorted(ns.node_orders.items())),
         "marked_orders": dict(sorted(ns.marked_orders.items())),
-        "dm": stacky.is_dm(p, char),
+        "dm": pc.is_dm(p, char),
         "char": char,
     }, 0
 

@@ -213,6 +213,20 @@ def _reduce(p: ParamTropicalCurve, frame, spec: ComplexSpec) -> ComplexReport:
     return ComplexReport(p, spec, dim, n_rows, dim - (n_rows - e2.rank), e2)
 
 
+def rank(p: ParamTropicalCurve) -> int:
+    """Dimension of the universal deformation: c(Gamma) + rank E^1(Gamma)
+    of the plain complex (variant b).  The closed formula
+    (rank N - 3) chi + |E_inf| - ov + rank E^2 reads the rank of the same
+    matrix and differs from it by 3|V| - 2|E_b| - |E_inf| + ov = 0, so it is
+    no second route; the tests check rank against independent complexes."""
+    return _rank(p, compute(p, ComplexSpec("b")))
+
+
+def _rank(p: ParamTropicalCurve, plain: ComplexReport) -> int:
+    """c(Gamma) + rank E^1, plain the unconstrained plain complex of p."""
+    return pc.zero_slope_bounded_count(p) + plain.E1_rank
+
+
 class RegularityVerdict(NamedTuple):
     g_regular: bool
     elliptically_regular: bool | None

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import complexes as cx
 from . import paramcurve as pc
-from . import stacky, tropgraph
+from . import tropgraph
 from .errors import CrossCheckFailed, GenusNotOne, HypothesisFailed
 from .exactla import CoeffGroup
 from .paramcurve import AffineConstraintSet, ParamTropicalCurve
@@ -86,12 +86,12 @@ def _hypotheses(p_st, constraints, char_p, elliptic):
     if problems:
         raise HypothesisFailed("satisfies_A")
     frame = cx._frame(p_st)
-    rank = pc._rank(p_st, cx._reduce(p_st, frame, cx.ComplexSpec("b")))
+    rank = cx._rank(p_st, cx._reduce(p_st, frame, cx.ComplexSpec("b")))
     if rank != constraints.codim + elliptic:
         raise HypothesisFailed("codim_match")
     if pc.zero_slope_bounded_count(p_st):
         raise HypothesisFailed("no_zero_slope_bounded")
-    if not stacky.is_dm(p_st, char_p):
+    if not pc.is_dm(p_st, char_p):
         raise HypothesisFailed("char_ok")
     if not pc._simple(p_st, constraints):
         raise HypothesisFailed("regular")

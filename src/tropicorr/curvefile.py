@@ -9,6 +9,7 @@ fields are rejected.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -139,8 +140,6 @@ def parse_curve(data: dict):
 
 
 def load(path: str):
-    import json
-
     try:
         with open(path, "rb") as fh:
             raw = fh.read()

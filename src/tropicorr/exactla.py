@@ -421,11 +421,3 @@ class GroupSize(NamedTuple):
             return " + ".join(bits)
         return str(self.finite_order)
 
-
-__all__ = [
-    "Mat", "Vec", "freeze", "identity",
-    "integral_length", "primitive_vector",
-    "invariant_factors", "hnf", "FGAbelianGroup",
-    "cokernel_group", "Sublattice", "quotient_presentation",
-    "CoeffGroup", "GroupSize",
-]

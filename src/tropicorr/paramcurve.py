@@ -188,6 +188,19 @@ def edge_geometry(p: ParamTropicalCurve, eid: str) -> EdgeGeometry:
     return geo
 
 
+def is_dm(p: ParamTropicalCurve, char_p: int) -> bool:
+    """Deligne-Mumford criterion: the residue characteristic divides no
+    multiplicity l(e) over the stabilization's nonzero-slope edges."""
+    if char_p == 0:
+        return True
+    p_st = stabilize_param(p)
+    for e in p_st.curve.edges:
+        mult = edge_geometry(p_st, e.id).multiplicity
+        if mult and mult % char_p == 0:
+            return False
+    return True
+
+
 def end_geometry(p: ParamTropicalCurve, v: str) -> EdgeGeometry:
     """The geometry of the unbounded edge at the infinite vertex v, whose
     direction is h(v)."""
@@ -251,26 +264,6 @@ def stabilize_param(p: ParamTropicalCurve) -> ParamTropicalCurve:
     is returned as it is, so the facts derived from it are kept."""
     st = p._stabilization
     return p if st is None else st
-
-
-# ---------------------------------------------------------------------------
-# the deformation rank
-
-
-def rank(p: ParamTropicalCurve) -> int:
-    """Dimension of the universal deformation: c(Gamma) + rank E^1(Gamma)
-    of the plain complex (variant b).  The closed formula
-    (rank N - 3) chi + |E_inf| - ov + rank E^2 reads the rank of the same
-    matrix and differs from it by 3|V| - 2|E_b| - |E_inf| + ov = 0, so it is
-    no second route; the tests check rank against independent complexes."""
-    from . import complexes
-
-    return _rank(p, complexes.compute(p, complexes.ComplexSpec(variant="b")))
-
-
-def _rank(p: ParamTropicalCurve, plain) -> int:
-    """c(Gamma) + rank E^1, plain the unconstrained plain complex of p."""
-    return zero_slope_bounded_count(p) + plain.E1_rank
 
 
 # ---------------------------------------------------------------------------

@@ -163,17 +163,7 @@ def _verify_compatibility(st: StackySigma):
                     f"{g}, whose sublattice is {st.assignment[ray].basis}")
 
 
-def is_dm(p: ParamTropicalCurve, char_p: int) -> bool:
-    """Deligne-Mumford criterion: the residue characteristic divides no
-    multiplicity l(e) over the stabilization's nonzero-slope edges."""
-    if char_p == 0:
-        return True
-    p_st = pc.stabilize_param(p)
-    for e in p_st.curve.edges:
-        mult = pc.edge_geometry(p_st, e.id).multiplicity
-        if mult and mult % char_p == 0:
-            return False
-    return True
+is_dm = pc.is_dm  # bench/run.py calls stacky.is_dm
 
 
 class NodeStackData(NamedTuple):

@@ -12,13 +12,13 @@ at most 6 finite vertices.
 import random
 from fractions import Fraction
 
+from tropicorr.complexes import rank
 from tropicorr.exactla import integral_length
 from tropicorr.paramcurve import (
     ParamTropicalCurve,
     constraint_set,
     marked_pairs,
     param_violations,
-    rank,
 )
 from tropicorr.tropgraph import Edge, TropicalCurve
 

@@ -6,7 +6,8 @@ by a textbook elimination that shares no code with the library's; integer
 kernels from its transforms; lattice membership, intersection, saturation
 and index by rational solving and integer kernels; ranks by Gauss-Jordan
 elimination and determinants by Bareiss; constraint membership by
-Fraction products with the presentation; the one-term quotient complex;
+Fraction products with the presentation; the one-term quotient complex,
+each edge's and constraint's rows an annihilator by the oracles' own kernel;
 the full matrix of every complex, assembled straight from the curve
 (Fraction directions, each constraint's annihilator by the oracles' own
 kernel, the cycle by edge deletion), with E^1 as its kernel lattice and
@@ -43,7 +44,6 @@ from tropicorr.exactla import (
     hnf,
     integral_length,
     primitive_vector,
-    quotient_presentation,
 )
 from tropicorr.paramcurve import AffineConstraintSet, ParamTropicalCurve
 from tropicorr.tropgraph import (
@@ -466,7 +466,9 @@ def quotient_form_dims(p: ParamTropicalCurve,
 
     quasi-isomorphic to the plain two-term complex over any coefficients,
     and to the stacky one as well when every l(e) is invertible.  The tests
-    use it as an independent route to the same dimensions."""
+    use it as an independent route to the same dimensions: each edge's
+    rows are the annihilator of its Fraction direction and each
+    constraint's come from ``constraint_blocks``, with no presentation."""
     if group.kind not in ("Q", "field"):
         raise ValueError("quotient form needs a field")
     p_char = 0 if group.kind == "Q" else group.p
@@ -475,25 +477,20 @@ def quotient_form_dims(p: ParamTropicalCurve,
     vindex = {v: i for i, v in enumerate(vertices)}
     rows = []
     for e in p.curve.bounded_edges():
-        geo = pc.edge_geometry(p, e.id)
-        sub = Sublattice(n, (geo.slope,) if geo.slope is not None else ())
-        proj = quotient_presentation(sub)
         init, target = pc._orient(e)
-        for prow in proj:
+        # N -> N/N_e by the annihilator of the direction (all of Z^n at 0)
+        for a in kernel_basis((_as_int_vec(fraction_direction(p, e)),)):
             row = [0] * (n * len(vertices))
             if init != target:
                 for k in range(n):
-                    row[n * vindex[init] + k] -= prow[k]
-                    row[n * vindex[target] + k] += prow[k]
+                    row[n * vindex[init] + k] -= a[k]
+                    row[n * vindex[target] + k] += a[k]
             rows.append(row)
-    if constraints is not None:
-        for (vinf, vfin), con in zip(pc.marked_pairs(p, len(constraints)),
-                                     constraints.items):
-            for prow in con.presentation:
-                row = [0] * (n * len(vertices))
-                for k in range(n):
-                    row[n * vindex[vfin] + k] = prow[k]
-                rows.append(row)
+    for vfin, ann in constraint_blocks(p, constraints):
+        for a in ann:
+            row = [0] * (n * len(vertices))
+            row[n * vindex[vfin]:n * vindex[vfin] + n] = a
+            rows.append(row)
     mat = freeze(rows)
     r = rank_mod_p(mat, p_char) if p_char else rank(mat)
     return n * len(vertices) - r, len(mat) - r
@@ -518,6 +515,24 @@ def fraction_rank(rows) -> int:
     return r
 
 
+def constraint_blocks(p: ParamTropicalCurve,
+                      constraints: AffineConstraintSet | None):
+    """(vertex, rows) per constraint, read straight off the curve:
+    constraint i binds at the finite neighbour of the i-th infinite vertex,
+    found in the edge list, with one row per vector of a basis of the
+    integer annihilator of L_i, the kernel of L_i's basis (all of Z^n at a
+    point)."""
+    n, c = p.lattice_rank, p.curve
+    blocks = []
+    for vinf, con in zip(c.infinite_vertices,
+                         constraints.items if constraints else ()):
+        (vfin,) = (x for e in c.edges if vinf in e.ends for x in e.ends
+                   if x != vinf)
+        # a zero row when L_i = 0, so that the kernel is all of Z^n
+        blocks.append((vfin, kernel_basis(con.space.basis or ((0,) * n,))))
+    return blocks
+
+
 class FullComplex(NamedTuple):
     """A complex's full integer matrix with its own layout: finite vertex
     vertices[i] owns the x columns n i, ..., n i + n - 1, and ycol maps each
@@ -534,12 +549,11 @@ def full_complex(p: ParamTropicalCurve, spec: ComplexSpec) -> FullComplex:
     """The complex of spec assembled straight from the curve.  Bounded edge
     u -> w, in its default orientation, gives the n rows x_w - x_u + w_e y_e,
     with no y_e at zero direction: w_e is the Fraction direction d_e in the
-    stacky variant and d_e / gcd(d_e) = s_e in the plain one.  Constraint i
-    binds at the finite neighbour of the i-th infinite vertex, with one row
-    per vector of a basis of the integer annihilator of L_i, the kernel of
-    L_i's basis (all of Z^n at a point).  The elliptic j-row is 1 on the y
-    columns of ``oracle_cycle_ids``.  Nothing is checked: the engine's
-    ``compute`` rejects the specs that have no complex."""
+    stacky variant and d_e / gcd(d_e) = s_e in the plain one.  Each
+    constraint's rows sit on its vertex's x columns as ``constraint_blocks``
+    gives them.  The elliptic j-row is 1 on the y columns of
+    ``oracle_cycle_ids``.  Nothing is checked: the engine's ``compute``
+    rejects the specs that have no complex."""
     n, c = p.lattice_rank, p.curve
     vertices = tuple(c.finite_vertices)
     vcol = {v: n * i for i, v in enumerate(vertices)}
@@ -561,12 +575,8 @@ def full_complex(p: ParamTropicalCurve, spec: ComplexSpec) -> FullComplex:
             if e.id in ycol:
                 row[ycol[e.id]] = d[k] // l
             rows.append(row)
-    constraints = spec.constraints.items if spec.constraints else ()
-    for vinf, con in zip(c.infinite_vertices, constraints):
-        (vfin,) = (x for e in c.edges if vinf in e.ends for x in e.ends
-                   if x != vinf)
-        # a zero row when L_i = 0, so that the kernel is all of Z^n
-        for a in kernel_basis(con.space.basis or ((0,) * n,)):
+    for vfin, ann in constraint_blocks(p, spec.constraints):
+        for a in ann:
             row = [0] * dim
             row[vcol[vfin]:vcol[vfin] + n] = a
             rows.append(row)
@@ -958,20 +968,22 @@ def eager_hypotheses(p_st: ParamTropicalCurve,
     """Every hypothesis flag of a count on the stabilization p_st, each
     computed even when an earlier one fails: the (beta, A) and, when
     elliptic, (beta, A, j) complexes are built whenever the curve satisfies
-    the constraint.  A count raises the first False flag in CHECK_ORDER,
-    and returns this record when every flag holds."""
-    from tropicorr import complexes as cx
+    the constraint, and codim_match compares c + rank E^1 of the oracles'
+    own plain complex (``plain_complex_ranks``).  A count raises the first
+    False flag in CHECK_ORDER, and returns this record when every flag
+    holds."""
     from tropicorr.counting import CountHypotheses
 
     con = pc.check_constraint(p_st, constraints)
+    c, e1, _ = plain_complex_ranks(p_st)
     mults = [pc.edge_geometry(p_st, e.id).multiplicity
              for e in p_st.curve.edges]
     regular = elliptic_regular = None
     if con.satisfies:
-        specs = [cx.ComplexSpec("beta", constraints)]
+        specs = [ComplexSpec("beta", constraints)]
         if elliptic:
-            specs.append(cx.ComplexSpec("beta", constraints, elliptic=True))
-        reports = [cx.compute(p_st, spec) for spec in specs]
+            specs.append(ComplexSpec("beta", constraints, elliptic=True))
+        reports = [compute(p_st, spec) for spec in specs]
         # E^2 (x) k vanishes iff E^2 is finite of order prime to char k
         verdicts = [con.simple and not rep.E2.rank
                     and not (char_p and rep.E2.torsion_order % char_p == 0)
@@ -983,7 +995,7 @@ def eager_hypotheses(p_st: ParamTropicalCurve,
         trivalent=all(len(p_st.curve.incidence[v]) == 3
                       for v in p_st.curve.finite_vertices),
         satisfies_A=con.satisfies,
-        codim_match=pc.rank(p_st) == constraints.codim + elliptic,
+        codim_match=c + e1 == constraints.codim + elliptic,
         no_zero_slope_bounded=all(
             pc.edge_geometry(p_st, e.id).slope is not None
             for e in p_st.curve.bounded_edges()),

@@ -20,7 +20,7 @@ from oracles import (
     six_term_ledgers,
     smith,
 )
-from tropicorr.complexes import ComplexSpec, compute, sizes_over
+from tropicorr.complexes import ComplexSpec, compute, rank, sizes_over
 from tropicorr.counting import correspondence_count, elliptic_count
 from tropicorr.errors import HypothesisFailed
 from tropicorr.exactla import CoeffGroup, FGAbelianGroup
@@ -28,10 +28,10 @@ from tropicorr.fanmodel import build_K, gamma_tr, ramification, refine_to_fan
 from tropicorr.paramcurve import (
     edge_geometry,
     extend_parameterization,
-    rank,
+    is_dm,
     zero_slope_bounded_count,
 )
-from tropicorr.stacky import is_dm, stacky_data
+from tropicorr.stacky import stacky_data
 from tropicorr.tropgraph import SubdivideBounded, SubdivideUnbounded, genus
 
 F = Fraction

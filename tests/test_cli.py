@@ -276,12 +276,20 @@ def test_import_tropicorr_loads_no_layer():
     assert not loaded_modules(out) & STARTUP_HEAVY
 
 
-# layers a subcommand runs none of, so must not import
-UNUSED_LAYERS = {
-    "validate": {"complexes", "fanmodel", "stacky", "counting"},
-    "stabilize": {"complexes", "fanmodel", "stacky", "counting"},
-    "fan": {"complexes", "counting"},
-    "complex": {"fanmodel", "stacky", "counting"},
+# the layers each subcommand imports: those it runs, and no other
+READ = {"curvefile", "errors", "exactla", "paramcurve", "tropgraph"}
+LOADED_LAYERS = {
+    "validate": READ,
+    "info": READ | {"complexes"},
+    "stabilize": READ,
+    "tr": READ | {"fanmodel"},
+    "fan": READ | {"fanmodel"},
+    "complex": READ | {"complexes"},
+    "regular": READ | {"complexes"},
+    "count": READ | {"complexes", "counting"},
+    "count-elliptic": READ | {"complexes", "counting"},
+    "stacky": READ | {"fanmodel", "stacky"},
+    "reduction-data": READ | {"fanmodel"},
 }
 
 
@@ -293,8 +301,7 @@ def test_subcommand_imports_only_its_layers(command):
     assert out.returncode == (command == "count-elliptic"), out.stdout
     modules, layers = loaded_modules(out), loaded_layers(out)
     assert not modules & STARTUP_HEAVY, modules & STARTUP_HEAVY
-    assert "paramcurve" in layers, layers
-    assert not layers & UNUSED_LAYERS.get(command, set()), layers
+    assert layers == LOADED_LAYERS[command], layers
 
 
 def test_human_output(capsys):

@@ -10,6 +10,7 @@ from fixture_curves import (
     two_vertex_curve,
 )
 from oracles import (
+    constraint_blocks,
     det,
     e1_lattice,
     full_complex,
@@ -315,17 +316,11 @@ def test_prop_e1_constrained_is_kernel_of_projection():
             continue
         n = p.lattice_rank
         proj_rows = []
-        from tropicorr.paramcurve import marked_pairs
-        from tropicorr.exactla import quotient_presentation
-
-        for (vinf, vfin), item in zip(marked_pairs(p, len(a)), a.items):
-            q = quotient_presentation(item.space)
+        for vfin, ann in constraint_blocks(p, a):
             i = free.vertices.index(vfin)
-            cols = range(n * i, n * (i + 1))
-            for prow in q:
+            for prow in ann:
                 row = [0] * free.dim
-                for k, cidx in enumerate(cols):
-                    row[cidx] = prow[k]
+                row[n * i:n * (i + 1)] = prow
                 proj_rows.append(row)
         # restriction of the projection to the kernel lattice
         m = mat_mul(freeze(proj_rows), transpose(freeze(ker)))

@@ -166,7 +166,7 @@ def test_plane_counts_equal_mikhalkin_multiplicity():
         assert oracles.mikhalkin_multiplicity(p) == want, p
         counted += 1
         for char in (2, 3, 5):
-            if not stacky.is_dm(pc.stabilize_param(p), char):
+            if not pc.is_dm(pc.stabilize_param(p), char):
                 continue
             if want % char:
                 assert correspondence_count(p, a, char).count == want
@@ -421,7 +421,7 @@ def test_failing_count_builds_only_the_complexes_its_flags_read(
         monkeypatch, count, path, char_p, flag, built):
     p, a, _, _ = load(str(ROOT / path))
     computed = _count_calls(monkeypatch, ("_reduce",), complexes)
-    ranks = _count_calls(monkeypatch, ("_rank",), pc)
+    ranks = _count_calls(monkeypatch, ("_rank",), complexes)
     with pytest.raises(HypothesisFailed) as err:
         count(p, a, char_p)
     assert err.value.flag == flag

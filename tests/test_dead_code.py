@@ -25,6 +25,11 @@ A module-level import is reported when nothing in its own module uses the
 name it binds; ``from __future__`` imports are read by the compiler and
 never reported.
 
+Imports point downward: the modules form the layers of ``LAYERS``, lowest
+first, and each imports only layers before its own.  Only ``cli.py``
+imports inside a function, so that each subcommand loads the layers it
+runs; every other module imports at its top.
+
 No state hides between calls: the library has no ``global`` or ``nonlocal``
 statement, and writes past an immutable record with ``object.__setattr__``
 only where fanmodel marks a refined curve as a fan.
@@ -155,6 +160,59 @@ def test_every_module_import_is_used():
     assert unused_imports() == []
 
 
+LAYERS = ("errors", "exactla", "tropgraph", "paramcurve", "complexes",
+          "counting", "fanmodel", "stacky", "curvefile", "cli")
+
+
+def import_sites(node, where):
+    """(where, statement) for each import statement under the node, where
+    the dotted name of its innermost enclosing function or class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield where, child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield from import_sites(child, f"{where}.{child.name}")
+        else:
+            yield from import_sites(child, where)
+
+
+def imported_modules(node):
+    """The modules an import statement names, package-relative ones as
+    ``tropicorr.<module>``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = "tropicorr" if node.level else ""
+    if node.module and node.module != "tropicorr":
+        return [".".join(filter(None, (base, node.module)))]
+    return [f"tropicorr.{alias.name}" for alias in node.names]
+
+
+def layer_breaches():
+    """'<where> -> <module>' for each import that names a layer not below
+    its own, and for each import inside a function outside cli.py."""
+    breaches = []
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        if module == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for where, node in import_sites(tree, module):
+            for name in imported_modules(node):
+                layer = name.removeprefix("tropicorr.")
+                upward = layer != name and (
+                    LAYERS.index(layer) >= LAYERS.index(module))
+                if upward or (where != module and module != "cli"):
+                    breaches.append(f"{where} -> {layer}")
+    return breaches
+
+
+def test_layers_import_downward_only():
+    assert sorted(path.stem for path in SRC.glob("*.py")
+                  if path.stem != "__init__") == sorted(LAYERS)
+    assert layer_breaches() == []
+
+
 def unraised_errors():
     raised = set()
     for path in sorted(SRC.glob("*.py")):
@@ -225,13 +283,20 @@ def private_complexes_reads(path):
         and getattr(node.value, "id", None) in aliases]
 
 
+# the engine's constraint and edge code: each constraint's presentation,
+# where it binds, and the integer edge geometry
+ENGINE_CONSTRAINT_CODE = {"presentation", "quotient_presentation",
+                          "marked_pairs", "edge_geometry"}
+
+
 def test_oracles_assemble_complexes_without_the_engine():
-    # the full complex, the reference of the complex tests, reads none of
-    # the engine's frame or spec helpers and no constraint presentation
+    # the full complex and the one-term quotient complex, the references
+    # of the complex tests, read none of the engine's frame or spec
+    # helpers, and build their edge and constraint rows without its code
     oracles = ROOT / "tests" / "oracles.py"
     assert private_complexes_reads(oracles) == []
     tree = ast.parse(oracles.read_text(encoding="utf-8"))
-    (full,) = (node for node in tree.body
-               if getattr(node, "name", None) == "full_complex")
-    assert [node for node in ast.walk(full) if isinstance(node, ast.Attribute)
-            and node.attr == "presentation"] == []
+    for name in ("full_complex", "quotient_form_dims", "constraint_blocks"):
+        (fn,) = (node for node in tree.body
+                 if getattr(node, "name", None) == name)
+        assert used_names(fn) & ENGINE_CONSTRAINT_CODE == set(), name

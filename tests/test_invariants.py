@@ -26,7 +26,13 @@ from oracles import (
     quotient_form_dims,
     random_unimodular,
 )
-from tropicorr.complexes import ComplexSpec, compute, regularity, sizes_over
+from tropicorr.complexes import (
+    ComplexSpec,
+    compute,
+    rank,
+    regularity,
+    sizes_over,
+)
 from tropicorr.counting import (
     correspondence_count,
     elliptic_count,
@@ -50,7 +56,6 @@ from tropicorr.paramcurve import (
     edge_geometry,
     extend_parameterization,
     param_violations,
-    rank,
     stabilize_param,
     zero_slope_bounded_count,
 )

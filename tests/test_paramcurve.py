@@ -14,6 +14,7 @@ from fixture_curves import (
 )
 from tropicorr import fanmodel, tropgraph
 from tropicorr import paramcurve as pc
+from tropicorr.complexes import rank
 from tropicorr.curvefile import load
 from tropicorr.errors import (
     BadSubdivision,
@@ -42,7 +43,6 @@ from tropicorr.paramcurve import (
     extend_parameterization,
     param_curve,
     param_violations,
-    rank,
     stabilize_param,
     tropical_j,
     zero_slope_bounded_count,

@@ -21,10 +21,9 @@ from tropicorr import exactla, stacky
 from tropicorr.errors import CrossCheckFailed, NotReduced
 from tropicorr.exactla import Sublattice, primitive_vector
 from tropicorr.fanmodel import gamma_tr, ramification
-from tropicorr.paramcurve import param_curve
+from tropicorr.paramcurve import is_dm, param_curve
 from tropicorr.stacky import (
     _verify_compatibility,
-    is_dm,
     node_stack,
     stacky_data,
     stacky_to_json,
