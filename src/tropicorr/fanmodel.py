@@ -1,14 +1,17 @@
 """Fans attached to a parameterized curve.
 
 The curve's vertices and edges span cones in N_R + R: a finite vertex v
-gives the ray through (h(v), 1), an infinite vertex with nonzero direction
+gives the ray through (h(v), 1), read off the integers (d h(v), d) that
+paramcurve derived the slopes from, an infinite vertex with nonzero direction
 gives the ray through (h(v), 0), and every edge with nonzero slope gives the
 two-dimensional cone over its image segment or ray.  This cone collection
 K(p) need not be a fan; its common refinement is, and the curve subdivided
 at the interior crossing rays (``gamma_tr``) realizes the refinement as its
-own cone collection.  K(p) holds the zero cone and the facet rays of its
-2-cones, so it is a fan exactly when the refinement puts no ray strictly
-inside any 2-cone: the fan axiom is the refinement's fixed point.
+own cone collection.  The refinement (``_refine``) yields only its chains,
+the rays strictly inside each 2-cone, which ``gamma_tr`` cuts at and
+``refine_to_fan`` assembles the fan from.  K(p) holds the zero cone and the
+facet rays of its 2-cones, so it is a fan exactly when every chain is
+empty: the fan axiom is the refinement's fixed point.
 
 ``fan_model`` refines each curve object at most once.  When ``gamma_tr``
 finds no interior ray it returns its input and keeps on it the verdict (not
@@ -149,19 +152,13 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
 # the cone collection of a curve
 
 
-def _ray_of_point(h) -> Ray:
-    """The primitive integer vector on the ray through (h, 1)."""
-    den = lcm(*(x.denominator for x in h))
-    return primitive_vector(
-        tuple(x.numerator * (den // x.denominator) for x in h) + (den,))
-
-
 def _curve_cones(p: ParamTropicalCurve):
     """The ray of every vertex (None at a contracted end) and the 2-cone of
     every edge whose integer direction (``edge_geometry``) is nonzero, both
     in the curve's order; the one place where either is derived."""
     pc.require_balanced(p)
-    rays = {v: _ray_of_point(p.hv(v)) for v in p.curve.finite_vertices}
+    d, hd = p._slopes.d, p._slopes.hd
+    rays = {v: primitive_vector((*hd[v], d)) for v in p.curve.finite_vertices}
     for v in p.curve.infinite_vertices:
         slope = pc.end_geometry(p, v).slope     # h(v) made primitive
         rays[v] = None if slope is None else slope + (0,)
@@ -189,17 +186,16 @@ def build_K(p: ParamTropicalCurve) -> tuple[Cone, ...]:
     return _collection(*_curve_cones(p))
 
 
-def _slice_box(c: Cone, scale: int):
-    """(lows, highs) bounding the slice at height one, times ``scale`` (a
-    common multiple of the heights), None on an unbounded side; None for a
-    cone outside the closed upper half-space or inside height 0."""
+def _slice_box(c: Cone, points):
+    """(lows, highs) bounding the slice at height one, over the generators'
+    ``points``, None on an unbounded side; None for a cone outside the
+    closed upper half-space or inside height 0."""
     heights = [g[-1] for g in c]
     if min(heights) < 0 or max(heights) == 0:
         return None
-    points = [tuple(x * (scale // g[-1]) for x in g[:-1])
-              for g in c if g[-1]]
-    lows = [min(xs) for xs in zip(*points)]
-    highs = [max(xs) for xs in zip(*points)]
+    pts = [points[g] for g in c if g[-1]]
+    lows = [min(xs) for xs in zip(*pts)]
+    highs = [max(xs) for xs in zip(*pts)]
     for g in c:
         if g[-1] == 0:      # the slice is a half-line along g
             for i, x in enumerate(g[:-1]):
@@ -217,18 +213,20 @@ def _apart(box1, box2) -> bool:
                for h, lo in zip(hi1 + hi2, lo2 + lo1))
 
 
-def _refine(cones):
-    """The fan of ``refine_to_fan`` and, for each input 2-cone in input
-    order, the rays strictly inside it, ordered from its first generator to
-    its second.  Only the pairs the module's sweep reaches and keeps are
-    intersected; any other pair meets in 0 or in a common ray, a generator
-    already, so ``met``, the chains and the fan are those of all pairs."""
+def _refine(cones) -> dict[Cone, tuple[Ray, ...]]:
+    """The chains: for each input 2-cone, in input order, the rays strictly
+    inside it, from its first generator to its second.  Only the pairs the
+    module's sweep reaches and keeps are intersected; any other pair meets
+    in 0 or in a common ray, a generator already, so ``met`` and the
+    chains are those of all pairs."""
     cones = list(dict.fromkeys(cones))
     two = [c for c in cones if len(c) == 2]
     gens = {g for c in two for g in c}
     lone = {c[0] for c in cones if len(c) == 1} - gens
     scale = lcm(*(g[-1] for g in gens if g[-1] > 0))
-    boxes = {c: _slice_box(c, scale) for c in two}
+    points = {g: tuple(x * (scale // g[-1]) for x in g[:-1])
+              for g in gens if g[-1] > 0}   # slice points, times scale
+    boxes = {c: _slice_box(c, points) for c in two}
     ends = {c: (b[0][0], b[1][0]) if b else (None, None)
             for c, b in boxes.items()}     # the slice's first coordinate
     swept = sorted(two, key=lambda c: (ends[c][0] is not None, ends[c][0]))
@@ -247,8 +245,6 @@ def _refine(cones):
             inter = intersect_cones(c1, c2)
             met[c1].update(inter)
             met[c2].update(inter)
-    out = {ZERO_CONE}
-    out.update((r,) for r in gens.union(lone, *met.values()))
     chains = {}
     for c in two:
         interior = []
@@ -258,24 +254,31 @@ def _refine(cones):
                 interior.append((pos, r))
         interior.sort(key=cmp_to_key(_by_position))
         chains[c] = tuple(r for _, r in interior)
-        chain = [c[0], *chains[c], c[1]]
-        out.update(_pair_cone(a, b) for a, b in zip(chain, chain[1:]))
-    return _sorted_cones(out), chains
+    return chains
 
 
 def refine_to_fan(cones) -> tuple[Cone, ...]:
     """The unique fan whose rays are the pairwise 1-dimensional
-    intersections and whose support is the union of the input cones."""
-    return _refine(cones)[0]
+    intersections and whose support is the union of the input cones: the
+    zero cone, the input rays, and each 2-cone cut at its chain (a ray of
+    an intersection is a generator of each cone or in its chain)."""
+    cones = tuple(cones)
+    out = {ZERO_CONE, *(c for c in cones if len(c) == 1)}
+    for c, chain in _refine(cones).items():
+        rays = (c[0], *chain, c[1])
+        out.update((r,) for r in rays)
+        out.update(_pair_cone(a, b) for a, b in zip(rays, rays[1:]))
+    return _sorted_cones(out)
 
 
 def _require_fan(cones) -> None:
-    """Raise fan_axiom unless the collection is its own refinement, which
-    for a collection holding the zero cone and its facet rays is the fan
-    axiom.  The evidence is each 2-cone the refinement splits, with the
-    rays inside it."""
-    fan, chains = _refine(cones)
-    if set(fan) != set(cones):
+    """Raise fan_axiom unless the collection is its own refinement: it
+    holds the zero cone and its facet rays, and every chain is empty (the
+    fan axiom).  The evidence is each 2-cone with its chain."""
+    chains = _refine(cones)
+    rays = {c[0] for c in cones if len(c) == 1}
+    if (ZERO_CONE not in cones or any(chains.values())
+            or not rays.issuperset(g for c in chains for g in c)):
         bad = [f"cone{c} contains {', '.join(map(str, chain))}"
                for c, chain in chains.items() if chain]
         raise CrossCheckFailed(
@@ -296,7 +299,7 @@ def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
     g_w = (s_e, 0) and h(w) = l(e) s_e.  A finite vertex's ray has positive
     height, so both denominators are positive."""
     rays, edge_cones = _curve_cones(p)
-    chains = _refine(_collection(rays, edge_cones))[1]
+    chains = _refine(_collection(rays, edge_cones))
     n, inf_set = p.lattice_rank, set(p.curve.infinite_vertices)
     steps = []
     for eid in sorted(edge_cones):

@@ -5,8 +5,9 @@ h is stored at vertices only; on edges the map is the implicit straight
 interpolation.  For a finite vertex h(v) is a point of N_Q, for an infinite
 vertex it is the outgoing direction vector of its unbounded edge (the zero
 vector marks a contracted end, i.e. a marked point).  Each edge's direction
-is derived once per curve object, in integers (``_derive_slopes``);
-Fractions remain at parse, in transport and in constraints.
+is derived once per curve object, from h cleared to integers over one
+common denominator (``_derive_slopes``, which keeps them); Fractions remain
+at parse, in transport and in a constraint's own point.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ class _Slopes(NamedTuple):
     edges: dict[str, EdgeGeometry | None]   # None: direction not integral
     defects: dict[str, QVec]                # nonzero balancing sums
     d: int      # lcm of the denominators of h and of the edge lengths
+    hd: dict[str, tuple[int, ...]]          # d h(v), integral, per vertex
 
 
 class ParamTropicalCurve(Record):
@@ -120,7 +122,7 @@ def _derive_slopes(p: ParamTropicalCurve) -> _Slopes:
     c, inf_set = p.curve, set(p.curve.infinite_vertices)
     d = lcm(*(x.denominator for vec in p.h.values() for x in vec),
             *(e.length.denominator for e in c.bounded_edges()))
-    hd = {v: [x.numerator * (d // x.denominator) for x in vec]
+    hd = {v: tuple(x.numerator * (d // x.denominator) for x in vec)
           for v, vec in p.h.items()}
     exact, edges = {}, {}
     for e in c.edges:
@@ -146,7 +148,7 @@ def _derive_slopes(p: ParamTropicalCurve) -> _Slopes:
             total = [t + k * x for t, x in zip(total, num)]
         if any(total):
             defects[v] = tuple(Fraction(x, scale) for x in total)
-    return _Slopes(edges, defects, d)
+    return _Slopes(edges, defects, d, hd)
 
 
 def param_violations(p: ParamTropicalCurve) -> list[str]:
@@ -299,11 +301,11 @@ class AffineConstraint(Record):
         """Is v in space_Q?"""
         return not any(self._image(v)[1])
 
-    def on_translate(self, x) -> bool:
-        """Is x in point + space_Q, i.e. P x = P point?"""
-        d, px = self._image(x)
+    def on_translate(self, d: int, x) -> bool:
+        """Is x / d in point + space_Q, for integral x and d > 0?"""
         da, pa = self._point_image
-        return [da * y for y in px] == [d * z for z in pa]
+        return all(da * sum(map(mul, row, x)) == d * z
+                   for row, z in zip(self.presentation, pa))
 
 
 class AffineConstraintSet(Record):
@@ -373,7 +375,7 @@ def _unsatisfied(p: ParamTropicalCurve, a: AffineConstraintSet) -> list[str]:
             raise ValueError("constraint ambient rank mismatch")
         if end_geometry(p, vinf).slope is not None:
             problems.append(f"constraint {i}: h({vinf}) != 0")
-        if not con.on_translate(p.hv(vfin)):
+        if not con.on_translate(p._slopes.d, p._slopes.hd[vfin]):
             problems.append(f"constraint {i}: h({vfin}) not on the translate")
     return problems
 

@@ -99,7 +99,8 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
             rows = (s1, tuple(m * x for x in primitive_vector(diff)) + (0,))
         bases[c], orders[c] = rows, _index(rows)
         if not orders[c]:
-            raise ValueError("basis rows must be linearly independent")
+            raise CrossCheckFailed("stacky_index", f"the rows {rows} of "
+                                   f"cone{c} are linearly dependent")
 
     st = StackySigma(fm, a, bases, orders, scaled_of)
     _verify_compatibility(st)

@@ -13,7 +13,8 @@ the full matrix of every complex, assembled straight from the curve
 kernel, the cycle by edge deletion), with E^1 as its kernel lattice and
 the plain ranks by Fraction elimination; the six-term comparison ledger
 from one plain and one stacky report; cones of any dimension, checked
-with the oracles' own rank, and their coordinates in Fractions; the fan
+with the oracles' own rank, and their coordinates in Fractions; a
+vertex's ray through (h(v), 1), from h in Fractions; the fan
 axiom over every pair of cones; the all-pairs stacky compatibility;
 isomorphism of metric graphs; stabilization by rescanning every edge;
 edge directions, balancing,
@@ -30,7 +31,7 @@ The engine calls none of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from tropicorr import paramcurve as pc
@@ -650,6 +651,14 @@ def cone(*gens):
     if len(prims) == 2 and rank(tuple(prims)) < 2:
         raise ValueError("generators are parallel")
     return tuple(sorted(prims))
+
+
+def ray_through(h):
+    """The primitive integer vector on the ray through (h, 1), for h in
+    Fractions: the single generator of the cone over (den h, den)."""
+    den = lcm(*(F(x).denominator for x in h))
+    (r,) = cone(tuple(int(F(x) * den) for x in h) + (den,))
+    return r
 
 
 def oracle_coords_in(conee, w):

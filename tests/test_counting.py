@@ -567,6 +567,9 @@ BROKEN_ROUTES = {
     # every facet ray read as outside its 2-cone's sublattice
     "stacky_compatibility": (stacky, "_ray_multiplier",
                              lambda rows, s: 0, "dblline.json", _stacky),
+    # every stabilizer order read as that of dependent rows
+    "stacky_index": (stacky, "_index", lambda rows: 0, "xconfig.json",
+                     _stacky),
     # l(sigma) = 1 on every cone, below dblline's edge multiplicity 2
     "node_order": (fanmodel, "fan_model",
                    lambda p: (fm := _fan_model(p))._replace(

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -19,8 +21,10 @@ from oracles import (
     oracle_coords_in,
     oracle_intersect,
     rank,
+    ray_through,
 )
-from tropicorr import exactla, fanmodel
+from tropicorr import exactla, fanmodel, stacky
+from tropicorr import paramcurve as pc
 from tropicorr.curvefile import load
 from tropicorr.errors import CrossCheckFailed, NotBalanced
 from tropicorr.exactla import primitive_vector
@@ -295,6 +299,26 @@ def test_fan_axiom_failure_names_split_cones_and_rays():
         assert f"cone{c} contains (1, 1, 1)" in str(info.value)
 
 
+def test_fan_axiom_needs_the_faces_and_empty_chains():
+    # each collection has one defect: a facet ray or the zero cone missing
+    # (every chain still empty), or a lone ray strictly inside a 2-cone.
+    # The oracle takes the zero cone for granted, so it passes fan[1:]
+    low, high = cone((0, 0, 1), (1, 0, 1)), cone((0, 0, 1), (0, 1, 1))
+    fan = (ZERO_CONE, ((0, 0, 1),), ((0, 1, 1),), ((1, 0, 1),), low, high)
+    assert not check_fan(fan)
+    _require_fan(fan)
+    head = "curve cones do not form a fan (apply gamma_tr first): "
+    for cones, evidence in [
+            (tuple(c for c in fan if c != ((1, 0, 1),)), ""),
+            (fan[1:], ""),
+            (fan + (((1, 0, 2),),), f"cone{low} contains (1, 0, 2)")]:
+        assert bool(check_fan(cones)) == (ZERO_CONE in cones)
+        with pytest.raises(CrossCheckFailed) as info:
+            _require_fan(cones)
+        assert info.value.code == "CrossCheckFailed:fan_axiom"
+        assert str(info.value) == head + evidence
+
+
 def test_fan_axiom_intersects_only_pairs_of_two_cones(monkeypatch):
     tr = gamma_tr(load(str(FIXTURES / "xconfig.json"))[0])
     pairs = []
@@ -473,22 +497,37 @@ def test_gamma_tr_realizes_refinement():
         assert fan_model(tr).eta_rays == eta_rays(p)
 
 
-def test_vertex_rays_derived_once_per_call(monkeypatch):
-    calls = []
-    ray_of_point = fanmodel._ray_of_point
+def test_structure_item_derives_slopes_once_per_curve(monkeypatch):
+    # gamma_tr -> stacky_data -> node_stack derives each curve object's
+    # slopes, and with them its vertex rays' integers, once; those rays are
+    # the oracle's rays through (h(v), 1)
+    alive, derived = [], Counter()     # alive: no id is reused meanwhile
+    kinds = set()       # (refined, largest denominator of h)
+    derive_slopes = pc._derive_slopes
 
-    def counted(h):
-        calls.append(h)
-        return ray_of_point(h)
+    def counted(q):
+        alive.append(q)
+        derived[id(q)] += 1
+        return derive_slopes(q)
 
-    monkeypatch.setattr(fanmodel, "_ray_of_point", counted)
-    fixture = Path(__file__).resolve().parent.parent / "fixtures/xconfig.json"
-    p = load(str(fixture))[0]
-    tr = gamma_tr(p)
-    assert len(calls) == len(p.curve.finite_vertices) == 4
-    calls.clear()
-    fan_model(tr)
-    assert len(calls) == len(tr.curve.finite_vertices) == 6
+    monkeypatch.setattr(pc, "_derive_slopes", counted)
+    curves = [load(str(FIXTURES / "xconfig.json"))[0], collinear_overlap()]
+    curves += [p for p, _ in corpus(11, 6) + elliptic_corpus(11, 3)]
+    for p in curves:
+        p = pc.ParamTropicalCurve(p.curve, p.lattice_rank, p.h)   # afresh
+        derived.clear()
+        tr = gamma_tr(p)
+        stacky.stacky_data(tr, ramification(tr, 1)["minimal_a"])
+        stacky.node_stack(tr)
+        assert id(p) in derived and id(tr) in derived
+        assert set(derived.values()) == {1}
+        for q in (p, tr):
+            rays = fanmodel._curve_cones(q)[0]
+            assert all(rays[v] == ray_through(q.hv(v))
+                       for v in q.curve.finite_vertices)
+        den = max(x.denominator for x in chain(*p.h.values()))
+        kinds.add((tr is not p, den))
+    assert kinds == {(False, 1), (False, 2), (True, 1), (True, 2)}
 
 
 def test_gamma_tr_collinear_overlap():

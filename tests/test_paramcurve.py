@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -500,8 +501,9 @@ def _membership_vectors(rng, con, count):
 
 
 def test_integer_membership_matches_fraction_route():
-    # maps_to_zero and on_translate clear denominators and multiply in
-    # integers; the reference multiplies the presentation out in Fractions
+    # maps_to_zero clears denominators and multiplies in integers, as
+    # on_translate does on a point already cleared over d; the reference
+    # multiplies the presentation out in Fractions
     rng = random.Random(7007)
     cons = [con for _, a in corpus(7008, 80) for con in a.items]
     assert {(c.space.ambient_rank, c.space.corank) for c in cons} == {
@@ -515,7 +517,11 @@ def test_integer_membership_matches_fraction_route():
             want = fraction_maps_to_zero(con.presentation, v)
             assert con.maps_to_zero(v) == want, (con, v)
             x = tuple(a + y for a, y in zip(con.point, v))
-            assert con.on_translate(x) == want, (con, x)
+            d = lcm(*(y.denominator for y in x))
+            dx = tuple(y.numerator * (d // y.denominator) for y in x)
+            for k in (1, 6):    # over the least d and over a multiple
+                assert con.on_translate(k * d, tuple(k * y for y in dx)) \
+                    == want, (con, x, k)
             outcomes.add((con.space.rank > 0, want))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 

@@ -1,6 +1,8 @@
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +20,11 @@ from oracles import (
     saturation,
 )
 from tropicorr import exactla, stacky
+from tropicorr.cli import run
+from tropicorr.curvefile import load
 from tropicorr.errors import CrossCheckFailed, NotReduced
 from tropicorr.exactla import Sublattice, primitive_vector
-from tropicorr.fanmodel import gamma_tr, ramification
+from tropicorr.fanmodel import fan_model, gamma_tr, ramification
 from tropicorr.paramcurve import is_dm, param_curve
 from tropicorr.stacky import (
     _verify_compatibility,
@@ -31,6 +35,7 @@ from tropicorr.stacky import (
 from tropicorr.tropgraph import curve
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_trivial_stacky_data():
@@ -209,6 +214,26 @@ def test_compatibility_failure_names_cone_ray_and_lattices():
     for part in (f"cone{c}", ray[0], lat.basis,
                  Sublattice(lat.ambient_rank, doubled).basis):
         assert str(part) in message
+
+
+def test_dependent_rows_fail_the_index_check(monkeypatch, capsys):
+    # a 2-cone whose rows came out dependent fails a named check that names
+    # the cone and its rows, in the library and through the CLI
+    index = stacky._index
+    monkeypatch.setattr(stacky, "_index",
+                        lambda rows: 0 if len(rows) == 2 else index(rows))
+    fixture = str(FIXTURES / "xconfig.json")
+    tr = gamma_tr(load(fixture)[0])
+    with pytest.raises(CrossCheckFailed) as info:
+        stacky_data(tr, ramification(tr, 1)["minimal_a"])
+    assert info.value.code == "CrossCheckFailed:stacky_index"
+    c = fan_model(tr).two_cones()[0]
+    assert str(info.value).startswith("the rows ((")
+    assert str(info.value).endswith(f" of cone{c} are linearly dependent")
+    assert run(["stacky", fixture, "--json"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"code": "CrossCheckFailed:stacky_index",
+                     "message": str(info.value)}
 
 
 def test_orders_match_lattice_index_in_the_cone_lattice():
