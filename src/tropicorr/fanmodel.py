@@ -54,7 +54,7 @@ from . import paramcurve as pc
 from .errors import CrossCheckFailed
 from .exactla import primitive_vector
 from .paramcurve import ParamTropicalCurve
-from .tropgraph import SubdivideBounded, SubdivideUnbounded, _unbounded_ends
+from .tropgraph import Subdivide, _unbounded_ends
 
 Ray = tuple[int, ...]
 Cone = tuple[Ray, ...]
@@ -318,8 +318,7 @@ def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
         for r in chain:
             na, nb, _ = _coords_in((gu, gw), r)
             dists.append(scale * Fraction(nb, na * gu[n] + nb * gw[n]))
-        step = SubdivideBounded if e.is_bounded else SubdivideUnbounded
-        steps.append(step(eid, tuple(sorted(dists))))
+        steps.append(Subdivide(eid, tuple(sorted(dists))))
     if not steps:
         # K(p) is its own refinement: keep the verdict (not the fan) on p
         object.__setattr__(p, "_is_fan", True)

@@ -38,19 +38,6 @@ def qvec(xs) -> QVec:
     return tuple(Fraction(x) for x in xs)
 
 
-def vadd(a, b) -> QVec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a, b) -> QVec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a) -> QVec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 class EdgeGeometry(NamedTuple):
     slope: tuple[int, ...] | None  # primitive direction, None for zero slope
     multiplicity: int              # l(e); 0 exactly when the slope is zero
@@ -232,9 +219,11 @@ def degree(p: ParamTropicalCurve) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def extend_parameterization(p: ParamTropicalCurve, steps) -> ParamTropicalCurve:
-    """Apply modification steps, interpolating h on subdivision vertices,
-    copying h(root) onto attached tree vertices, and setting h = 0 on new
-    infinite leaves.  The steps are resolved in one ``tropgraph._modify``
+    """Apply modification steps, copying h(root) onto attached tree
+    vertices and setting h = 0 on new infinite leaves.  A subdivision
+    vertex at distance dist along its edge's chain gets h(start) + dist vel,
+    with vel = (h(end) - h(start))/|e| on a bounded edge and h(end) on an
+    unbounded one.  The steps are resolved in one ``tropgraph._modify``
     walk, so they raise ``BadSubdivision`` as ``modify`` does; h is then
     placed along what it resolved, step by step.  The output is balanced
     whenever the input is."""
@@ -250,12 +239,11 @@ def extend_parameterization(p: ParamTropicalCurve, steps) -> ParamTropicalCurve:
                 h[v] = (Fraction(0),) * p.lattice_rank
             continue
         e, (start, *new, end) = placed
-        for vid, dist in zip(new, step.distances):
-            if e.is_bounded:
-                lam = Fraction(dist) / e.length
-                h[vid] = vadd(h[start], vscale(lam, vsub(h[end], h[start])))
-            else:
-                h[vid] = vadd(h[start], vscale(dist, h[end]))
+        hs = h[start]
+        vel = (tuple((y - x) / e.length for x, y in zip(hs, h[end]))
+               if e.is_bounded else h[end])
+        for vid, dist in zip(new, map(Fraction, step.distances)):
+            h[vid] = tuple(x + dist * y for x, y in zip(hs, vel))
     return ParamTropicalCurve(cur, p.lattice_rank, {v: h[v] for v in cur.vertex_ids()})
 
 

@@ -211,17 +211,11 @@ def cycle_edges(c: TropicalCurve) -> tuple[Edge, ...]:
 # the three-step modification algorithm
 
 
-# Steps are tuples, so a SubdivideBounded and a SubdivideUnbounded with equal
-# fields compare equal: dispatch on a step by isinstance, never by ==.
-class SubdivideBounded(NamedTuple):
+class Subdivide(NamedTuple):
     edge: str
-    distances: tuple[Fraction, ...]  # strictly increasing, measured from ends[0]
-    vertex_ids: tuple[str, ...] = ()
-
-
-class SubdivideUnbounded(NamedTuple):
-    edge: str
-    distances: tuple[Fraction, ...]  # strictly increasing from the finite end
+    # strictly increasing, measured from ends[0] of a bounded edge and from
+    # the finite end of an unbounded one
+    distances: tuple[Fraction, ...]
     vertex_ids: tuple[str, ...] = ()
 
 
@@ -231,70 +225,65 @@ class AttachTree(NamedTuple):
     tree_root: str
 
 
-def _subdivision_ids(step, r):
-    if step.vertex_ids:
-        if len(step.vertex_ids) != r:
-            raise BadSubdivision("vertex id count does not match distances")
-        return list(step.vertex_ids)
-    return [f"{step.edge}.v{k + 1}" for k in range(r)]
-
-
 def modify(c: TropicalCurve, steps) -> TropicalCurve:
     """Apply subdivision and tree-attachment steps.  Subdivision preserves
     the metric; new infinite leaves are appended after the existing infinite
-    vertices in input order."""
+    vertices in input order.  Every id a step adds must be new."""
     return _modify(c, steps)[0]
 
 
 def _modify(c: TropicalCurve, steps):
     """``modify``'s one walk over the steps: the modified curve, and one
-    placement per step.  A subdivision's placement is (the edge as it was,
-    the vertices now running along it from its start: ends[0] of a bounded
-    edge, the finite end of an unbounded one); with no distances the edge
-    stays and runs along its own ends.  An attachment's placement is None."""
+    placement per step.  A subdivision reads its edge's kind off the curve:
+    the chain runs from the edge's start (ends[0] of a bounded edge, the
+    finite end of an unbounded one) through the new vertices to its other
+    end, cut at bounds [0, *distances, |e|], the last piece unbounded when
+    |e| is.  Its placement is (the edge as it was, that chain); with no
+    distances the edge stays and runs along its own ends.  An attachment's
+    placement is None.  A new vertex id that is already a vertex or repeats
+    within the step, a new piece id that is already an edge, and an
+    attached tree id already in use raise ``BadSubdivision``."""
     finite = list(c.finite_vertices)
     infinite = list(c.infinite_vertices)
     edges = {e.id: e for e in c.edges}
     placements = []
     for step in steps:
-        if isinstance(step, (SubdivideBounded, SubdivideUnbounded)):
+        if isinstance(step, Subdivide):
             e = edges.get(step.edge)
             if e is None:
                 raise BadSubdivision(f"no edge {step.edge}")
-            bounded = isinstance(step, SubdivideBounded)
-            if e.is_bounded != bounded:
-                raise BadSubdivision(
-                    f"{e.id} is not {'' if bounded else 'un'}bounded")
             ds = [Fraction(d) for d in step.distances]
             if any(y <= x for x, y in zip(ds, ds[1:])):
                 raise BadSubdivision("distances must be strictly increasing")
             if not ds:
                 placements.append((e, e.ends))
                 continue
-            if bounded:
+            if e.is_bounded:
                 if ds[0] <= 0 or ds[-1] >= e.length:
                     raise BadSubdivision("distances must lie inside the edge")
-                chain = [e.ends[0]]
+                start, end = e.ends
             else:
                 if ds[0] <= 0:
                     raise BadSubdivision("distances must be positive")
-                start, far = _unbounded_ends(e, set(infinite))
-                chain = [start]
-            new_vs = _subdivision_ids(step, len(ds))
+                start, end = _unbounded_ends(e, set(infinite))
+            new_vs = (list(step.vertex_ids)
+                      or [f"{e.id}.v{k + 1}" for k in range(len(ds))])
+            if len(new_vs) != len(ds):
+                raise BadSubdivision("vertex id count does not match distances")
+            pieces = [f"{e.id}.p{k}" for k in range(len(ds) + 1)]
+            clash = {v for v in new_vs
+                     if v in finite or v in infinite or new_vs.count(v) > 1}
+            clash.update(x for x in pieces if x in edges)
+            if clash:
+                raise BadSubdivision(f"id clash with subdivision: {sorted(clash)}")
             finite.extend(new_vs)
-            chain.extend(new_vs)
-            if bounded:
-                chain.append(e.ends[1])
-                bounds = [Fraction(0)] + ds + [e.length]
-                lengths = [b - a for a, b in zip(bounds, bounds[1:])]
-            else:
-                chain.append(far)
-                bounds = [Fraction(0)] + ds
-                lengths = [b - a for a, b in zip(bounds, bounds[1:])] + [None]
+            chain = (start, *new_vs, end)
+            bounds = (Fraction(0), *ds, e.length)
             del edges[e.id]
-            for k, (u, w) in enumerate(zip(chain, chain[1:])):
-                edges[f"{e.id}.p{k}"] = Edge(f"{e.id}.p{k}", (u, w), lengths[k])
-            placements.append((e, tuple(chain)))
+            for k, eid in enumerate(pieces):
+                ln = None if bounds[k + 1] is None else bounds[k + 1] - bounds[k]
+                edges[eid] = Edge(eid, chain[k:k + 2], ln)
+            placements.append((e, chain))
         elif isinstance(step, AttachTree):
             if step.root not in finite:
                 raise BadSubdivision(f"attachment root {step.root} not a finite vertex")
@@ -339,8 +328,9 @@ def is_stable(c: TropicalCurve) -> bool:
 
 def stabilize(c: TropicalCurve) -> TropicalCurve:
     """The unique stable curve from which c arises by subdivision and tree
-    attachment: prune the maximal forest with finite leaves, then smooth
-    2-valent vertices, adding lengths.  A stable c is returned itself."""
+    attachment: prune finite leaves until none is left, then smooth the
+    2-valent vertices in one pass in id order, adding lengths.  A stable c
+    is returned itself."""
     bad = c.defects
     if bad:
         raise NotStabilizable("input curve is invalid: " + "; ".join(bad))
@@ -368,39 +358,37 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
                 drop(incident[v][0])
                 finite.remove(v)
                 changed = True
-    # smooth 2-valent finite vertices
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(finite):
-            if len(incident[v]) != 2:
-                continue
-            inc = [edges[i] for i in dict.fromkeys(incident[v])]
-            if len(inc) == 1:
-                # lone loop vertex; excluded by the stability bound
-                raise NotStabilizable("degenerate loop survives smoothing")
-            e1, e2 = inc
-            u = e1.ends[0] if e1.ends[1] == v else e1.ends[1]
-            w = e2.ends[0] if e2.ends[1] == v else e2.ends[1]
-            if e1.is_bounded and e2.is_bounded:
-                ln = e1.length + e2.length
-            elif e1.is_bounded != e2.is_bounded:
-                ln = None
-            else:
-                raise NotStabilizable("2-valent vertex joins two unbounded edges")
-            # keep the infinite endpoint second for unbounded merges
-            if ln is None and u in set(infinite):
-                u, w = w, u
-            nid = f"{e1.id}+{e2.id}"
-            drop(e1.id)
-            drop(e2.id)
-            while nid in edges:
-                nid += "'"
-            edges[nid] = Edge(nid, (u, w), ln)
-            for x in (u, w):
-                incident[x].append(nid)
-            finite.remove(v)
-            changed = True
+    # smooth 2-valent finite vertices in one pass: the edge that replaces
+    # v's two keeps the valency of every other vertex (two edges to one
+    # neighbour become a loop there), so no vertex becomes 2-valent later
+    for v in sorted(finite):
+        if len(incident[v]) != 2:
+            continue
+        inc = [edges[i] for i in dict.fromkeys(incident[v])]
+        if len(inc) == 1:
+            # lone loop vertex; excluded by the stability bound
+            raise NotStabilizable("degenerate loop survives smoothing")
+        e1, e2 = inc
+        u = e1.ends[0] if e1.ends[1] == v else e1.ends[1]
+        w = e2.ends[0] if e2.ends[1] == v else e2.ends[1]
+        if e1.is_bounded and e2.is_bounded:
+            ln = e1.length + e2.length
+        elif e1.is_bounded != e2.is_bounded:
+            ln = None
+        else:
+            raise NotStabilizable("2-valent vertex joins two unbounded edges")
+        # keep the infinite endpoint second for unbounded merges
+        if ln is None and u in set(infinite):
+            u, w = w, u
+        nid = f"{e1.id}+{e2.id}"
+        drop(e1.id)
+        drop(e2.id)
+        while nid in edges:
+            nid += "'"
+        edges[nid] = Edge(nid, (u, w), ln)
+        for x in (u, w):
+            incident[x].append(nid)
+        finite.remove(v)
     out = TropicalCurve(tuple(finite), tuple(infinite), tuple(edges.values()))
     if not is_stable(out):
         raise NotStabilizable("no stable curve under this input")

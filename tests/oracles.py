@@ -732,11 +732,11 @@ def is_face(f, c):
 
 def check_fan(cones):
     """Violations of the fan axiom, over every pair of cones: the faces of
-    every cone belong to the collection, and every pairwise intersection
-    is a common face."""
-    out = []
+    every cone, the zero cone among them, belong to the collection, and
+    every pairwise intersection is a common face."""
     cones = list(dict.fromkeys(cones))
     present = set(cones)
+    out = [] if () in present else ["zero cone missing from the fan"]
     for c in cones:
         if len(c) == 2:
             for g in c:

@@ -32,7 +32,7 @@ from tropicorr.paramcurve import (
     zero_slope_bounded_count,
 )
 from tropicorr.stacky import stacky_data
-from tropicorr.tropgraph import SubdivideBounded, SubdivideUnbounded, genus
+from tropicorr.tropgraph import Subdivide, genus
 
 F = Fraction
 FIELDS = (CoeffGroup("Q"), CoeffGroup.field(2), CoeffGroup.field(3),
@@ -125,11 +125,11 @@ def _random_subdivision(rng, p):
             continue
         cuts = sorted({F(rng.randint(1, 5), 6) * e.length
                        for _ in range(rng.randint(1, 2))})
-        steps.append(SubdivideBounded(e.id, tuple(cuts)))
+        steps.append(Subdivide(e.id, tuple(cuts)))
     for e in p.curve.unbounded_edges():
         if edge_geometry(p, e.id).slope is None or rng.random() < 0.7:
             continue
-        steps.append(SubdivideUnbounded(e.id, (F(rng.randint(1, 4), 2),)))
+        steps.append(Subdivide(e.id, (F(rng.randint(1, 4), 2),)))
     return extend_parameterization(p, steps), sum(len(s.distances) for s in steps)
 
 

@@ -452,3 +452,93 @@ def test_unwritable_out_exit_2(tmp_path, capsys, target):
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["code"] == "ParseError"
     assert path in err["error"]["message"]
+
+
+# the default text output, pinned as it is: keys joined by dots, a list of
+# lists as JSON, any other value as Python prints it
+TEXT_OUTPUT = {
+    ("validate", "xconfig.json"): """\
+valid: True
+violations: []
+""",
+    ("fan", "xconfig.json"): """\
+fan.rays: [[-1, -1, 0], [-1, 1, 0], [0, 0, 1], [0, 2, 1], [1, -2, 0], \
+[1, 1, 1], [1, 2, 0], [2, 0, 1], [2, 2, 1]]
+fan.eta: [True, True, False, False, True, False, True, False, False]
+fan.cones: [[0, 2], [1, 3], [2, 5], [3, 5], [4, 7], [5, 7], [5, 8], [6, 8], \
+[7, 8]]
+fan.ray_vertices.0: ['q1']
+fan.ray_vertices.1: ['q4']
+fan.ray_vertices.2: ['p1']
+fan.ray_vertices.3: ['p4']
+fan.ray_vertices.4: ['q3']
+fan.ray_vertices.5: ['E1.v1', 'E2.v1']
+fan.ray_vertices.6: ['q2']
+fan.ray_vertices.7: ['p3']
+fan.ray_vertices.8: ['p2']
+fan.cone_edges.0-2: ['r1']
+fan.cone_edges.1-3: ['r4']
+fan.cone_edges.2-5: ['E1.p0']
+fan.cone_edges.3-5: ['E2.p1']
+fan.cone_edges.4-7: ['r3']
+fan.cone_edges.5-7: ['E2.p0']
+fan.cone_edges.5-8: ['E1.p1']
+fan.cone_edges.6-8: ['r2']
+fan.cone_edges.7-8: ['EM']
+fan.cone_multiplicities.0-2: 1
+fan.cone_multiplicities.1-3: 1
+fan.cone_multiplicities.2-5: 1
+fan.cone_multiplicities.3-5: 1
+fan.cone_multiplicities.4-7: 1
+fan.cone_multiplicities.5-7: 1
+fan.cone_multiplicities.5-8: 1
+fan.cone_multiplicities.6-8: 1
+fan.cone_multiplicities.7-8: 1
+fan.ray_multiplicities.0: 1
+fan.ray_multiplicities.1: 1
+fan.ray_multiplicities.4: 1
+fan.ray_multiplicities.6: 1
+""",
+    ("count", "line2pts.json"): """\
+count: 1
+factorization: ['1', '1']
+hypotheses.trivalent: True
+hypotheses.satisfies_A: True
+hypotheses.codim_match: True
+hypotheses.no_zero_slope_bounded: True
+hypotheses.char_ok: True
+hypotheses.regular: True
+hypotheses.elliptic_regular: None
+cross_checks: ['|E1_kstar| * prod l(e) = 1 * 1 = 1', \
+'|E2(Gamma,A)| * prod l(e) = 1 * 1', '|CE2(Gamma,A)| by direct SNF = 1']
+""",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(TEXT_OUTPUT))
+def test_text_output(capsys, command, name):
+    assert run([command, str(FIXTURES / name)]) == 0
+    assert capsys.readouterr().out == TEXT_OUTPUT[command, name]
+
+
+def test_text_mode_error_is_one_json_object(capsys):
+    assert run(["count", str(FIXTURES / "xconfig.json")]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": {
+        "code": "ConstraintCountMismatch",
+        "message": "the curve file carries no constraints"}}
+
+
+@pytest.mark.parametrize("command", ["tr", "fan", "stacky", "reduction-data"])
+def test_subdivision_id_clash_exits_1(tmp_path, capsys, command):
+    # a valid file whose edge r1 bears the id that cutting E1 gives a piece
+    f = _edited_fixture(tmp_path, _set(("edges", 3, "id"), "E1.p0"),
+                        name="xconfig.json")
+    code, rep = run_json(capsys, "validate", f)
+    assert code == 0 and rep["result"]["valid"]
+    code, err = run_json(capsys, command, f)
+    assert code == 1
+    assert err == {"error": {
+        "code": "BadSubdivision",
+        "message": "id clash with subdivision: ['E1.p0']"}}

@@ -40,7 +40,7 @@ from tropicorr.paramcurve import (
 )
 from tropicorr import tropgraph
 from tropicorr.tropgraph import (
-    SubdivideBounded,
+    Subdivide,
     TropicalCurve,
     curve,
     cycle_edges,
@@ -246,7 +246,7 @@ def test_subdivision_transport():
     # each complex keeps E^2 and gains one in E^1's rank per new vertex
     p = two_vertex_curve()
     for cuts in ((F(1, 2),), (F(1, 4), F(1, 2)), ()):
-        p_sub = extend_parameterization(p, [SubdivideBounded("m", cuts)])
+        p_sub = extend_parameterization(p, [Subdivide("m", cuts)])
         new = len(p_sub.h.keys() - p.h.keys())
         assert new == len(cuts)
         for (r, e2), (r_sub, e2_sub) in zip(lemma_complexes(p),
@@ -256,7 +256,7 @@ def test_subdivision_transport():
 
 def test_subdivision_transport_constrained_elliptic():
     p, a = triangle_elliptic()
-    p2 = extend_parameterization(p, [SubdivideBounded("c23", (F(1, 2),))])
+    p2 = extend_parameterization(p, [Subdivide("c23", (F(1, 2),))])
     pairs = list(zip(lemma_complexes(p, a), lemma_complexes(p2, a)))
     assert len(pairs) == 3          # the j-augmented complex too
     for (r, e2), (r_sub, e2_sub) in pairs:

@@ -36,7 +36,7 @@ from tropicorr.errors import (
     ZeroSlopeCycleEdge,
 )
 from tropicorr.paramcurve import constraint_set, extend_parameterization, param_curve
-from tropicorr.tropgraph import SubdivideBounded, curve
+from tropicorr.tropgraph import Subdivide, curve
 
 
 def test_moduli_dimension():
@@ -130,7 +130,7 @@ def test_correspondence_count_hypothesis_flags():
 
 def test_count_subdivision_invariant():
     p, a = doubled_line()
-    p2 = extend_parameterization(p, [SubdivideBounded("e1", ("1/4",))])
+    p2 = extend_parameterization(p, [Subdivide("e1", ("1/4",))])
     res = correspondence_count(p2, a, 0)
     assert res.count == 4
 
@@ -139,10 +139,8 @@ def test_count_normalizes_two_valent_marked_vertex():
     # pushing the marked point onto a zero-slope stalk (subdividing its
     # contracted end) must not change the count: stabilization smooths the
     # 2-valent marked vertex back onto its support
-    from tropicorr.tropgraph import SubdivideUnbounded
-
     p, a = line_through_two_points()
-    p2 = extend_parameterization(p, [SubdivideUnbounded("g1", (1,))])
+    p2 = extend_parameterization(p, [Subdivide("g1", (1,))])
     assert p2.hv("g1.v1") == p.hv("v1")
     res = correspondence_count(p2, a, 0)
     assert res.count == 1

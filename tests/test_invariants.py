@@ -63,8 +63,7 @@ from tropicorr import tropgraph
 from tropicorr.stacky import node_stack, stacky_data
 from tropicorr.tropgraph import (
     AttachTree,
-    SubdivideBounded,
-    SubdivideUnbounded,
+    Subdivide,
     TropicalCurve,
     curve,
     modify,
@@ -85,10 +84,10 @@ def random_steps(rng, p, with_attach):
     for e in p.curve.bounded_edges():
         if rng.random() < 0.5:
             cuts = sorted({F(rng.randint(1, 3), 4) * e.length})
-            steps.append(SubdivideBounded(e.id, tuple(cuts)))
+            steps.append(Subdivide(e.id, tuple(cuts)))
     for e in p.curve.unbounded_edges():
         if rng.random() < 0.3:
-            steps.append(SubdivideUnbounded(e.id, (F(rng.randint(1, 4), 2),)))
+            steps.append(Subdivide(e.id, (F(rng.randint(1, 4), 2),)))
     if with_attach and rng.random() < 0.5:
         root = rng.choice(p.curve.finite_vertices)
         tree = curve([f"tr{tag}", f"ts{tag}"], [],
@@ -125,20 +124,20 @@ def chained_steps(rng, p):
     steps = random_steps(rng, p, with_attach=True)
     more = []
     for step in steps:
-        if isinstance(step, SubdivideBounded):
-            rest = p.curve.edge(step.edge).length - step.distances[-1]
-            more.append(SubdivideBounded(f"{step.edge}.p1", (rest / 2,)))
-        elif isinstance(step, SubdivideUnbounded):
-            more.append(SubdivideUnbounded(f"{step.edge}.p1", (F(1, 3),)))
+        if isinstance(step, AttachTree):
+            more.append(Subdivide(step.tree.edges[0].id, (F(1, 2),)))
+        elif (e := p.curve.edge(step.edge)).is_bounded:
+            rest = e.length - step.distances[-1]
+            more.append(Subdivide(f"{step.edge}.p1", (rest / 2,)))
         else:
-            more.append(SubdivideBounded(step.tree.edges[0].id, (F(1, 2),)))
+            more.append(Subdivide(f"{step.edge}.p1", (F(1, 3),)))
     if more and not isinstance(steps[0], AttachTree):
         tag = rng.randrange(10 ** 6)
         r, s, x = f"cr{tag}", f"cs{tag}", f"cx{tag}"
         tree = curve([r, s], [x], [(f"ca{tag}", (r, s), F(1, 2)),
                                    (f"cb{tag}", (s, x), None)])
         more += [AttachTree(f"{steps[0].edge}.v1", tree, r),
-                 SubdivideUnbounded(f"cb{tag}", (1,))]
+                 Subdivide(f"cb{tag}", (1,))]
     return steps + more
 
 

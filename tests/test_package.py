@@ -65,8 +65,7 @@ def records():
            fanmodel.fan_model(tr),
            stacky.stacky_data(tr, fanmodel.ramification(tr, 1)["minimal_a"]),
            stacky.node_stack(tr),
-           tropgraph.SubdivideBounded("e1", (Fraction(1, 4),)),
-           tropgraph.SubdivideUnbounded("f1", (Fraction(1),)),
+           tropgraph.Subdivide("e1", (Fraction(1, 4),)),
            tropgraph.AttachTree("v0", tropgraph.curve(["r"]), "r")]
     return {type(x).__name__: x for x in out}
 
@@ -76,7 +75,7 @@ RECORDS = ["ParamTropicalCurve", "TropicalCurve", "Edge", "EdgeGeometry",
            "ConstraintReport", "ComplexSpec", "ComplexReport",
            "FGAbelianGroup", "RegularityVerdict", "GroupSize", "CoeffGroup",
            "CountResult", "CountHypotheses", "FanModel", "StackySigma",
-           "NodeStackData", "SubdivideBounded", "SubdivideUnbounded",
+           "NodeStackData", "Subdivide",
            "AttachTree"]
 # hold dicts or a mapping proxy, so cannot be hashed
 UNHASHABLE = {"ParamTropicalCurve", "FanModel", "StackySigma", "NodeStackData"}

@@ -50,8 +50,7 @@ from tropicorr.paramcurve import (
 )
 from tropicorr.tropgraph import (
     AttachTree,
-    SubdivideBounded,
-    SubdivideUnbounded,
+    Subdivide,
     curve,
     genus,
 )
@@ -251,7 +250,7 @@ def test_degree_sums_to_zero():
 
 def test_extend_parameterization_bounded():
     p = two_vertex_curve()
-    p2 = extend_parameterization(p, [SubdivideBounded("m", (F(1, 2),))])
+    p2 = extend_parameterization(p, [Subdivide("m", (F(1, 2),))])
     assert p2.hv("m.v1") == (F(1, 2), F(1, 2))
     assert not param_violations(p2)
     # restriction back to the original vertices is the input
@@ -261,7 +260,7 @@ def test_extend_parameterization_bounded():
 
 def test_extend_parameterization_unbounded_and_tree():
     p = tropical_line()
-    p2 = extend_parameterization(p, [SubdivideUnbounded("f3", (2,))])
+    p2 = extend_parameterization(p, [Subdivide("f3", (2,))])
     assert p2.hv("f3.v1") == (F(2), F(2))
     assert not param_violations(p2)
     tree = curve(["r", "s"], [], [("te", ("r", "s"), 1)])
@@ -275,22 +274,44 @@ _DBLLINE = Path(__file__).resolve().parent.parent / "fixtures" / "dblline.json"
 _LEAF = curve(["r", "s"], [], [("te", ("r", "s"), 1)])
 
 
-@pytest.mark.parametrize("step, message", [
-    (SubdivideBounded("nope", (F(1, 4),)), "no edge nope"),
-    (SubdivideBounded("f1", (F(1, 4),)), "f1 is not bounded"),
-    (SubdivideBounded("f1", ()), "f1 is not bounded"),
-    (SubdivideUnbounded("e1", (), ("a", "b")), "e1 is not unbounded"),
-    (AttachTree("nowhere", _LEAF, "r"),
+# every BadSubdivision branch of the walk, pinned by its message
+@pytest.mark.parametrize("steps, message", [
+    ([Subdivide("nope", (F(1, 4),))], "no edge nope"),
+    ([Subdivide("e1", (F(1, 4), F(1, 4)))],
+     "distances must be strictly increasing"),
+    ([Subdivide("e1", (F(1, 2),))], "distances must lie inside the edge"),
+    ([Subdivide("e1", (0, F(1, 4)))], "distances must lie inside the edge"),
+    ([Subdivide("f1", (0,))], "distances must be positive"),
+    ([Subdivide("e1", (F(1, 4),), ("a", "b"))],
+     "vertex id count does not match distances"),
+    ([Subdivide("f1", (1,), ("v2",))], "id clash with subdivision: ['v2']"),
+    ([Subdivide("e1", (F(1, 8), F(1, 4)), ("u1", "a"))],
+     "id clash with subdivision: ['u1']"),
+    ([Subdivide("e1", (F(1, 8), F(1, 4)), ("a", "a"))],
+     "id clash with subdivision: ['a']"),
+    ([Subdivide("e1", (F(1, 4),)), Subdivide("e2", (F(1, 4),), ("e1.v1",))],
+     "id clash with subdivision: ['e1.v1']"),
+    ([AttachTree("v0", curve(["r", "s"], [], [("f1.p1", ("r", "s"), 1)]), "r"),
+      Subdivide("f1", (1,))], "id clash with subdivision: ['f1.p1']"),
+    ([AttachTree("nowhere", _LEAF, "r")],
      "attachment root nowhere not a finite vertex"),
-], ids=["unknown-edge", "bounded-step-on-unbounded-edge",
-        "no-distance-bounded-step-on-unbounded-edge",
-        "no-distance-unbounded-step-on-bounded-edge", "unknown-root"])
-def test_extend_parameterization_raises_what_modify_raises(step, message):
+    ([AttachTree("v0", curve(["r"], [], [("l", ("r", "r"), 1)]), "r")],
+     "attachment must be a tree"),
+    ([AttachTree("v0", curve(["r", "s"], [], [("te", ("r", "s"), 0)]), "r")],
+     "attachment tree is not a valid curve"),
+    ([AttachTree("v0", curve(["r", "v1"], [], [("e2", ("r", "v1"), 1)]), "r")],
+     "id clash with attached tree: ['e2', 'v1']"),
+], ids=["unknown-edge", "not-increasing", "at-the-end-of-a-bounded-edge",
+        "at-the-start-of-a-bounded-edge", "not-positive-on-an-unbounded-edge",
+        "vertex-id-count", "vertex-clash", "infinite-vertex-clash", "repeated-vertex-id",
+        "clash-with-an-earlier-subdivision", "edge-clash", "unknown-root",
+        "attachment-not-a-tree", "attachment-not-valid", "attachment-clash"])
+def test_extend_parameterization_raises_what_modify_raises(steps, message):
     p = load(str(_DBLLINE))[0]
     with pytest.raises(BadSubdivision) as from_modify:
-        tropgraph.modify(p.curve, [step])
+        tropgraph.modify(p.curve, steps)
     with pytest.raises(BadSubdivision) as from_extend:
-        extend_parameterization(p, [step])
+        extend_parameterization(p, steps)
     assert str(from_extend.value) == str(from_modify.value) == message
 
 
@@ -340,7 +361,7 @@ def test_tropical_j():
 def test_tropical_j_subdivision_invariant():
     p, _ = triangle_elliptic()
     j = tropical_j(p)
-    p2 = extend_parameterization(p, [SubdivideBounded("c12", (F(1, 4), F(1, 2)))])
+    p2 = extend_parameterization(p, [Subdivide("c12", (F(1, 4), F(1, 2)))])
     assert tropical_j(p2) == j
 
 
@@ -349,7 +370,7 @@ def _cycle_and_contraction_cases():
     edge, and the genus-one shapes of the golden inputs."""
     curves = [p for p, _ in corpus(4111, 60) + elliptic_corpus(4112, 40)]
     halved = [extend_parameterization(p, [
-        SubdivideBounded(e.id, (e.length / 2,))
+        Subdivide(e.id, (e.length / 2,))
         for e in p.curve.bounded_edges()]) for p in curves]
     golden = Path(__file__).resolve().parent / "golden" / "inputs"
     shapes = [load(str(golden / f"{name}.json"))[0] for name in (
@@ -383,7 +404,7 @@ def test_cycle_and_contraction_match_oracles():
 
 def test_stabilize_param():
     p = extend_parameterization(
-        tropical_line(), [SubdivideUnbounded("f1", (1, 2))])
+        tropical_line(), [Subdivide("f1", (1, 2))])
     st = stabilize_param(p)
     assert not param_violations(st)
     assert len(st.curve.finite_vertices) == 1
@@ -400,7 +421,7 @@ def test_stabilization_derived_once_per_object(monkeypatch):
     monkeypatch.setattr(tropgraph, "stabilize",
                         lambda c: calls.append(c) or stabilize(c))
     p = extend_parameterization(
-        tropical_line(), [SubdivideUnbounded("f1", (1, 2))])
+        tropical_line(), [Subdivide("f1", (1, 2))])
     st = stabilize_param(p)
     assert stabilize_param(p) is st and stabilize_param(st) is st
     assert calls == [p.curve, st.curve]

@@ -10,8 +10,7 @@ from tropicorr.curvefile import load
 from tropicorr.errors import BadSubdivision, NotStabilizable
 from tropicorr.tropgraph import (
     AttachTree,
-    SubdivideBounded,
-    SubdivideUnbounded,
+    Subdivide,
     curve,
     genus,
     is_stable,
@@ -65,7 +64,7 @@ def test_genus_examples():
 
 def test_subdivide_bounded():
     c = curve(["a", "b"], [], [("e", ("a", "b"), 1)])
-    c2 = modify(c, [SubdivideBounded("e", (Fraction(1, 3),))])
+    c2 = modify(c, [Subdivide("e", (Fraction(1, 3),))])
     lens = sorted(e.length for e in c2.edges)
     assert lens == [Fraction(1, 3), Fraction(2, 3)]
     assert genus(c2) == genus(c)
@@ -74,7 +73,7 @@ def test_subdivide_bounded():
 
 def test_subdivide_unbounded():
     c = tripod()
-    c2 = modify(c, [SubdivideUnbounded("e1", (Fraction(2),))])
+    c2 = modify(c, [Subdivide("e1", (Fraction(2),))])
     bounded = [e for e in c2.edges if e.is_bounded]
     assert len(bounded) == 1 and bounded[0].length == 2
     assert len(c2.unbounded_edges()) == 3
@@ -100,9 +99,9 @@ def test_attach_tree_with_infinite_leaf_appends_order():
 def test_bad_subdivisions():
     c = curve(["a", "b"], [], [("e", ("a", "b"), 1)])
     with pytest.raises(BadSubdivision):
-        modify(c, [SubdivideBounded("e", (Fraction(2, 3), Fraction(1, 3)))])
+        modify(c, [Subdivide("e", (Fraction(2, 3), Fraction(1, 3)))])
     with pytest.raises(BadSubdivision):
-        modify(c, [SubdivideBounded("e", (Fraction(3, 2),))])
+        modify(c, [Subdivide("e", (Fraction(3, 2),))])
 
 
 def test_stabilize_identity_on_stable():
@@ -144,7 +143,7 @@ def test_stabilize_reports_the_violations():
 
 
 def test_stabilize_idempotent_and_preserves_infinite_order():
-    c = modify(tripod(), [SubdivideUnbounded("e2", (1, 2))])
+    c = modify(tripod(), [Subdivide("e2", (1, 2))])
     st = stabilize(c)
     assert stabilize(st) == st
     assert st.infinite_vertices == c.infinite_vertices
@@ -162,7 +161,7 @@ def test_stabilize_prunes_hanging_tree():
 def test_stabilize_returns_a_stable_input_itself():
     c = tripod()
     assert stabilize(c) is c
-    st = stabilize(modify(c, [SubdivideUnbounded("e2", (1, 2))]))
+    st = stabilize(modify(c, [Subdivide("e2", (1, 2))]))
     assert st is not c and stabilize(st) is st
 
 
@@ -186,13 +185,13 @@ def random_modification(rng, c, allow_attach=True):
         e = c.edge(eid)
         cuts = sorted({Fraction(rng.randint(1, 7), 8) * e.length
                        for _ in range(rng.randint(1, 2))})
-        steps.append(SubdivideBounded(eid, tuple(cuts),
-                                      tuple(f"w{tag}.{i}" for i in range(len(cuts)))))
+        steps.append(Subdivide(eid, tuple(cuts),
+                               tuple(f"w{tag}.{i}" for i in range(len(cuts)))))
     if unbounded and rng.random() < 0.7:
         eid = rng.choice(unbounded)
         cuts = sorted({Fraction(rng.randint(1, 6), 2) for _ in range(rng.randint(1, 2))})
-        steps.append(SubdivideUnbounded(eid, tuple(cuts),
-                                        tuple(f"u{tag}.{i}" for i in range(len(cuts)))))
+        steps.append(Subdivide(eid, tuple(cuts),
+                               tuple(f"u{tag}.{i}" for i in range(len(cuts)))))
     if allow_attach and rng.random() < 0.5:
         root = rng.choice(c.finite_vertices)
         tree = curve([f"r{tag}", f"s{tag}"], [],
