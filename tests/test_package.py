@@ -65,9 +65,12 @@ def records():
            fanmodel.fan_model(tr),
            stacky.stacky_data(tr, fanmodel.ramification(tr, 1)["minimal_a"]),
            stacky.node_stack(tr),
-           tropgraph.Subdivide("e1", (Fraction(1, 4),)),
            tropgraph.AttachTree("v0", tropgraph.curve(["r"]), "r")]
-    return {type(x).__name__: x for x in out}
+    cases = {type(x).__name__: x for x in out}
+    # the one subdivision step, on a bounded and on an unbounded edge
+    cases["SubdivideBounded"] = tropgraph.Subdivide("e1", (Fraction(1, 4),))
+    cases["SubdivideUnbounded"] = tropgraph.Subdivide("f1", (Fraction(1),))
+    return cases
 
 
 RECORDS = ["ParamTropicalCurve", "TropicalCurve", "Edge", "EdgeGeometry",
@@ -75,7 +78,7 @@ RECORDS = ["ParamTropicalCurve", "TropicalCurve", "Edge", "EdgeGeometry",
            "ConstraintReport", "ComplexSpec", "ComplexReport",
            "FGAbelianGroup", "RegularityVerdict", "GroupSize", "CoeffGroup",
            "CountResult", "CountHypotheses", "FanModel", "StackySigma",
-           "NodeStackData", "Subdivide",
+           "NodeStackData", "SubdivideBounded", "SubdivideUnbounded",
            "AttachTree"]
 # hold dicts or a mapping proxy, so cannot be hashed
 UNHASHABLE = {"ParamTropicalCurve", "FanModel", "StackySigma", "NodeStackData"}
@@ -133,7 +136,9 @@ def test_records_cover_every_record_class():
              if isinstance(cls, type) and cls.__module__ == mod.__name__
              and hasattr(cls, "_fields") and not name.startswith("_")
              and cls is not exactla.Record}
-    assert found == set(RECORDS) == set(records())
+    cases = records()
+    assert found == {type(x).__name__ for x in cases.values()}
+    assert set(RECORDS) == set(cases)
 
 
 @pytest.mark.parametrize("name", RECORDS)
