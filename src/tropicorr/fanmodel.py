@@ -9,14 +9,13 @@ K(p) need not be a fan; its common refinement is, and the curve subdivided
 at the interior crossing rays (``gamma_tr``) realizes the refinement as its
 own cone collection.  The refinement (``_refine``) yields only its chains,
 the rays strictly inside each 2-cone, which ``gamma_tr`` cuts at and
-``refine_to_fan`` assembles the fan from.  K(p) holds the zero cone and the
+``_fan_of`` assembles the fan from.  K(p) holds the zero cone and the
 facet rays of its 2-cones, so it is a fan exactly when every chain is
 empty: the fan axiom is the refinement's fixed point.
 
-``fan_model`` refines each curve object at most once.  When ``gamma_tr``
-finds no interior ray it returns its input and keeps on it the verdict (not
-the fan) of that refinement, the fan-axiom check of the collection
-``fan_model`` builds.  ``gamma_tr`` itself refines on every call.
+``gamma_tr`` refines once per call, checks that its output's collection is
+the fan of those chains, and keeps that verdict on the output; so
+``fan_model`` refines only a curve that ``gamma_tr`` did not return.
 
 Only pairs of 2-cones that can meet in more than a common ray are
 intersected; a common ray is a generator already, so the refinement is
@@ -257,28 +256,30 @@ def _refine(cones) -> dict[Cone, tuple[Ray, ...]]:
     return chains
 
 
-def refine_to_fan(cones) -> tuple[Cone, ...]:
-    """The unique fan whose rays are the pairwise 1-dimensional
-    intersections and whose support is the union of the input cones: the
-    zero cone, the input rays, and each 2-cone cut at its chain (a ray of
-    an intersection is a generator of each cone or in its chain)."""
-    cones = tuple(cones)
+def _fan_of(cones, chains) -> set[Cone]:
+    """The refined fan from the input cones and their chains: the zero cone,
+    the input rays, and each 2-cone cut at its chain."""
     out = {ZERO_CONE, *(c for c in cones if len(c) == 1)}
-    for c, chain in _refine(cones).items():
+    for c, chain in chains.items():
         rays = (c[0], *chain, c[1])
         out.update((r,) for r in rays)
         out.update(_pair_cone(a, b) for a, b in zip(rays, rays[1:]))
-    return _sorted_cones(out)
+    return out
+
+
+def refine_to_fan(cones) -> tuple[Cone, ...]:
+    """The unique fan whose rays are the pairwise 1-dimensional
+    intersections and whose support is the union of the input cones (a ray
+    of an intersection is a generator of each cone or in its chain)."""
+    cones = tuple(cones)
+    return _sorted_cones(_fan_of(cones, _refine(cones)))
 
 
 def _require_fan(cones) -> None:
     """Raise fan_axiom unless the collection is its own refinement: it
     holds the zero cone and its facet rays, and every chain is empty (the
     fan axiom).  The evidence is each 2-cone with its chain."""
-    chains = _refine(cones)
-    rays = {c[0] for c in cones if len(c) == 1}
-    if (ZERO_CONE not in cones or any(chains.values())
-            or not rays.issuperset(g for c in chains for g in c)):
+    if set(cones) != _fan_of(cones, chains := _refine(cones)):
         bad = [f"cone{c} contains {', '.join(map(str, chain))}"
                for c, chain in chains.items() if chain]
         raise CrossCheckFailed(
@@ -289,7 +290,7 @@ def _require_fan(cones) -> None:
 def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
     """Subdivide every nonzero-slope edge at the interior crossing rays of
     the refined fan, so that the curve's own cone collection becomes that
-    fan.  Idempotent.
+    fan, and keep on the output the verdict that it is one.  Idempotent.
 
     Let the edge run from u to w (from its finite end u, if unbounded),
     with rays g_u and g_w of heights g_u[n] and g_w[n].  A ray r inside its
@@ -297,9 +298,10 @@ def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
     cut lies at distance nb g_w[n] / (na g_u[n] + nb g_w[n]) |e| from u on
     a bounded edge, and at nb / (na g_u[n] l(e)) on an unbounded one, where
     g_w = (s_e, 0) and h(w) = l(e) s_e.  A finite vertex's ray has positive
-    height, so both denominators are positive."""
+    height, so both denominators are positive.  The output's cones must be
+    this refinement's fan; fan_axiom names any cone that differs."""
     rays, edge_cones = _curve_cones(p)
-    chains = _refine(_collection(rays, edge_cones))
+    chains = _refine(cones := _collection(rays, edge_cones))
     n, inf_set = p.lattice_rank, set(p.curve.infinite_vertices)
     steps = []
     for eid in sorted(edge_cones):
@@ -319,11 +321,16 @@ def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
             na, nb, _ = _coords_in((gu, gw), r)
             dists.append(scale * Fraction(nb, na * gu[n] + nb * gw[n]))
         steps.append(Subdivide(eid, tuple(sorted(dists))))
-    if not steps:
-        # K(p) is its own refinement: keep the verdict (not the fan) on p
-        object.__setattr__(p, "_is_fan", True)
-        return p
-    return pc.extend_parameterization(p, steps)
+    if steps:   # else every chain is empty: K(p) is its own refinement
+        p = pc.extend_parameterization(p, steps)
+        got, fan = set(_collection(*_curve_cones(p))), _fan_of(cones, chains)
+        if got != fan:
+            bad = [f"{'extra' if c in got else 'missing'} cone{c}"
+                   for c in _sorted_cones(got ^ fan)]
+            raise CrossCheckFailed("fan_axiom", "the subdivided curve's cones "
+                                   "are not the refined fan: " + "; ".join(bad))
+    object.__setattr__(p, "_is_fan", True)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +355,12 @@ class FanModel(NamedTuple):
 
 def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
     """Index the fan of a refined curve (a gamma_tr output) by its vertices
-    and edges, with the multiplicities l(sigma) and l(rho).  The fan axiom
-    is checked once per curve object."""
+    and edges, with the multiplicities l(sigma) and l(rho).  A curve
+    without gamma_tr's verdict is refined to check the fan axiom."""
     rays, edge_cones = _curve_cones(p_tr)
     cones = _collection(rays, edge_cones)
     if not getattr(p_tr, "_is_fan", False):
         _require_fan(cones)
-        object.__setattr__(p_tr, "_is_fan", True)
     ray_vertices: dict[Ray, list] = {}
     for v, r in rays.items():
         if r is not None:

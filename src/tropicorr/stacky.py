@@ -140,14 +140,14 @@ def _verify_compatibility(st: StackySigma):
     """The defining compatibility: restricted to the span of any pairwise
     intersection, the sublattices of the two cones agree.
 
-    fan_model has enforced the fan axiom, so every pairwise intersection is
-    a common face, and scaling by a is a linear bijection that keeps faces.
-    A face of a 2-cone is 0, a facet ray or the cone itself, and every
-    restriction to 0 is 0.  Each ray's sublattice lies on the ray's span, so
-    the pairwise condition holds iff each 2-cone's sublattice restricts to
-    each facet ray's sublattice on that ray's span: 2 checks per 2-cone,
-    each comparing the ray's row k s (k = l(rho) on the eta rays, else 1)
-    with m s, m from ``_ray_multiplier``.
+    gamma_tr's check, or fan_model's, has enforced the fan axiom, so every
+    pairwise intersection is a common face, and scaling by a is a linear
+    bijection that keeps faces.  A face of a 2-cone is 0, a facet ray or the
+    cone itself, and every restriction to 0 is 0.  Each ray's sublattice
+    lies on the ray's span, so the pairwise condition holds iff each
+    2-cone's sublattice restricts to each facet ray's sublattice on that
+    ray's span: 2 checks per 2-cone, each comparing the ray's row k s
+    (k = l(rho) on the eta rays, else 1) with m s, m from ``_ray_multiplier``.
     """
     n1 = st.fan.ambient_rank
     for c in st.fan.two_cones():

@@ -245,6 +245,7 @@ def _modify(c: TropicalCurve, steps):
     attached tree id already in use raise ``BadSubdivision``."""
     finite = list(c.finite_vertices)
     infinite = list(c.infinite_vertices)
+    fin_ids, inf_ids = set(finite), set(infinite)
     edges = {e.id: e for e in c.edges}
     placements = []
     for step in steps:
@@ -255,6 +256,10 @@ def _modify(c: TropicalCurve, steps):
             ds = [Fraction(d) for d in step.distances]
             if any(y <= x for x, y in zip(ds, ds[1:])):
                 raise BadSubdivision("distances must be strictly increasing")
+            new_vs = (list(step.vertex_ids)
+                      or [f"{e.id}.v{k + 1}" for k in range(len(ds))])
+            if len(new_vs) != len(ds):
+                raise BadSubdivision("vertex id count does not match distances")
             if not ds:
                 placements.append((e, e.ends))
                 continue
@@ -265,18 +270,15 @@ def _modify(c: TropicalCurve, steps):
             else:
                 if ds[0] <= 0:
                     raise BadSubdivision("distances must be positive")
-                start, end = _unbounded_ends(e, set(infinite))
-            new_vs = (list(step.vertex_ids)
-                      or [f"{e.id}.v{k + 1}" for k in range(len(ds))])
-            if len(new_vs) != len(ds):
-                raise BadSubdivision("vertex id count does not match distances")
+                start, end = _unbounded_ends(e, inf_ids)
             pieces = [f"{e.id}.p{k}" for k in range(len(ds) + 1)]
-            clash = {v for v in new_vs
-                     if v in finite or v in infinite or new_vs.count(v) > 1}
+            clash = {v for v, k in Counter(new_vs).items()
+                     if k > 1 or v in fin_ids or v in inf_ids}
             clash.update(x for x in pieces if x in edges)
             if clash:
                 raise BadSubdivision(f"id clash with subdivision: {sorted(clash)}")
             finite.extend(new_vs)
+            fin_ids.update(new_vs)
             chain = (start, *new_vs, end)
             bounds = (Fraction(0), *ds, e.length)
             del edges[e.id]
@@ -285,7 +287,7 @@ def _modify(c: TropicalCurve, steps):
                 edges[eid] = Edge(eid, chain[k:k + 2], ln)
             placements.append((e, chain))
         elif isinstance(step, AttachTree):
-            if step.root not in finite:
+            if step.root not in fin_ids:
                 raise BadSubdivision(f"attachment root {step.root} not a finite vertex")
             t = step.tree
             if genus(t) != 0:
@@ -293,15 +295,17 @@ def _modify(c: TropicalCurve, steps):
             if validate(t):
                 raise BadSubdivision("attachment tree is not a valid curve")
             rename = {step.tree_root: step.root}
-            clash = (set(t.vertex_ids()) - {step.tree_root}) & set(finite + infinite)
-            clash |= {e.id for e in t.edges} & set(edges)
+            clash = {v for v in t.vertex_ids() if v != step.tree_root
+                     and (v in fin_ids or v in inf_ids)}
+            clash.update(e.id for e in t.edges if e.id in edges)
             if clash:
                 raise BadSubdivision(f"id clash with attached tree: {sorted(clash)}")
             for v in t.finite_vertices:
                 if v != step.tree_root:
                     finite.append(v)
-            for v in t.infinite_vertices:
-                infinite.append(v)
+                    fin_ids.add(v)
+            infinite.extend(t.infinite_vertices)
+            inf_ids.update(t.infinite_vertices)
             for e in t.edges:
                 u, w = (rename.get(x, x) for x in e.ends)
                 edges[e.id] = Edge(e.id, (u, w), e.length)

@@ -247,9 +247,9 @@ def hidden_state():
 
 
 def test_no_state_hides_between_calls():
-    # the fan verdict stays on the curve: node_stack is handed the curve
-    # and cannot be handed the FanModel that checked it
-    assert hidden_state() == [("fanmodel", "_is_fan")] * 2
+    # gamma_tr keeps its fan verdict on the curve it returns: node_stack is
+    # handed the curve and cannot be handed the FanModel built from it
+    assert hidden_state() == [("fanmodel", "_is_fan")]
 
 
 def imported_names(path):

@@ -43,7 +43,7 @@ from tropicorr.fanmodel import (
     refine_to_fan,
 )
 from tropicorr.paramcurve import param_curve
-from tropicorr.tropgraph import curve
+from tropicorr.tropgraph import Subdivide, curve
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -333,7 +333,9 @@ def test_fan_axiom_needs_the_faces_and_empty_chains():
 
 
 def test_fan_axiom_intersects_only_pairs_of_two_cones(monkeypatch):
-    tr = gamma_tr(load(str(FIXTURES / "xconfig.json"))[0])
+    # fan_model keeps gamma_tr's verdict, so the check is run on Gamma_tr's
+    # collection directly
+    cones = build_K(gamma_tr(load(str(FIXTURES / "xconfig.json"))[0]))
     pairs = []
     intersect = fanmodel.intersect_cones
 
@@ -342,7 +344,8 @@ def test_fan_axiom_intersects_only_pairs_of_two_cones(monkeypatch):
         return intersect(c1, c2)
 
     monkeypatch.setattr(fanmodel, "intersect_cones", counted)
-    t = len(fan_model(tr).two_cones())
+    _require_fan(cones)
+    t = sum(len(c) == 2 for c in cones)
     assert set(pairs) == {(2, 2)}
     # pairs whose height-one slices lie apart are never intersected
     assert 0 < len(pairs) < t * (t - 1) // 2
@@ -541,6 +544,53 @@ def test_structure_item_derives_slopes_once_per_curve(monkeypatch):
         den = max(x.denominator for x in chain(*p.h.values()))
         kinds.add((tr is not p, den))
     assert kinds == {(False, 1), (False, 2), (True, 1), (True, 2)}
+
+
+def test_structure_item_refines_once_per_curve(monkeypatch):
+    # gamma_tr -> stacky_data -> node_stack refines each fresh curve once,
+    # on K(p): gamma_tr checks its output against that refinement and
+    # fan_model keeps gamma_tr's verdict
+    refined = []
+    refine = fanmodel._refine
+    monkeypatch.setattr(fanmodel, "_refine",
+                        lambda cones: refined.append(cones) or refine(cones))
+    curves = [load(str(FIXTURES / "xconfig.json"))[0]]
+    curves += [p for p, _ in corpus(11, 6)]
+    curves += [plane_tree(seed, 40) for seed in (1, 2)]
+    subdivided = 0
+    for p in curves:
+        p = pc.ParamTropicalCurve(p.curve, p.lattice_rank, p.h)   # afresh
+        refined.clear()
+        tr = gamma_tr(p)
+        stacky.stacky_data(tr, ramification(tr, 1)["minimal_a"])
+        stacky.node_stack(tr)
+        assert refined == [build_K(p)]
+        subdivided += tr is not p
+    assert subdivided >= 3
+
+
+def test_gamma_tr_names_the_cones_a_wrong_cut_leaves(monkeypatch):
+    # one cut moved off its crossing ray: the subdivided curve's cones are
+    # not the refined fan, and gamma_tr names the cones that differ
+    extend, out = pc.extend_parameterization, []
+
+    def shifted(p, steps):
+        (eid, ds, ids), *rest = steps
+        out.append(extend(p, [Subdivide(eid, (ds[0] / 2, *ds[1:]), ids),
+                              *rest]))
+        return out[-1]
+
+    monkeypatch.setattr(pc, "extend_parameterization", shifted)
+    p = load(str(FIXTURES / "xconfig.json"))[0]
+    with pytest.raises(CrossCheckFailed) as info:
+        gamma_tr(p)
+    assert info.value.code == "CrossCheckFailed:fan_axiom"
+    got, fan = set(build_K(out[0])), set(refine_to_fan(build_K(p)))
+    assert got - fan and fan - got
+    for c in got - fan:
+        assert f"extra cone{c}" in str(info.value)
+    for c in fan - got:
+        assert f"missing cone{c}" in str(info.value)
 
 
 def test_gamma_tr_collinear_overlap():

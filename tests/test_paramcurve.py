@@ -284,6 +284,7 @@ _LEAF = curve(["r", "s"], [], [("te", ("r", "s"), 1)])
     ([Subdivide("f1", (0,))], "distances must be positive"),
     ([Subdivide("e1", (F(1, 4),), ("a", "b"))],
      "vertex id count does not match distances"),
+    ([Subdivide("e1", (), ("a",))], "vertex id count does not match distances"),
     ([Subdivide("f1", (1,), ("v2",))], "id clash with subdivision: ['v2']"),
     ([Subdivide("e1", (F(1, 8), F(1, 4)), ("u1", "a"))],
      "id clash with subdivision: ['u1']"),
@@ -293,6 +294,8 @@ _LEAF = curve(["r", "s"], [], [("te", ("r", "s"), 1)])
      "id clash with subdivision: ['e1.v1']"),
     ([AttachTree("v0", curve(["r", "s"], [], [("f1.p1", ("r", "s"), 1)]), "r"),
       Subdivide("f1", (1,))], "id clash with subdivision: ['f1.p1']"),
+    ([AttachTree("v0", _LEAF, "r"), Subdivide("e1", (F(1, 4),), ("s",))],
+     "id clash with subdivision: ['s']"),
     ([AttachTree("nowhere", _LEAF, "r")],
      "attachment root nowhere not a finite vertex"),
     ([AttachTree("v0", curve(["r"], [], [("l", ("r", "r"), 1)]), "r")],
@@ -303,8 +306,10 @@ _LEAF = curve(["r", "s"], [], [("te", ("r", "s"), 1)])
      "id clash with attached tree: ['e2', 'v1']"),
 ], ids=["unknown-edge", "not-increasing", "at-the-end-of-a-bounded-edge",
         "at-the-start-of-a-bounded-edge", "not-positive-on-an-unbounded-edge",
-        "vertex-id-count", "vertex-clash", "infinite-vertex-clash", "repeated-vertex-id",
-        "clash-with-an-earlier-subdivision", "edge-clash", "unknown-root",
+        "vertex-id-count", "vertex-ids-without-distances", "vertex-clash",
+        "infinite-vertex-clash", "repeated-vertex-id",
+        "clash-with-an-earlier-subdivision", "edge-clash",
+        "clash-with-an-attached-vertex", "unknown-root",
         "attachment-not-a-tree", "attachment-not-valid", "attachment-clash"])
 def test_extend_parameterization_raises_what_modify_raises(steps, message):
     p = load(str(_DBLLINE))[0]
