@@ -401,11 +401,10 @@ def reduction_exponents(p_tr: ParamTropicalCurve, v: str):
     to the component), the edge's integer direction leaving v.  The entries
     sum to zero by balancing."""
     pc.require_balanced(p_tr)
-    inf_set, zero = set(p_tr.curve.infinite_vertices), (0,) * p_tr.lattice_rank
     out = []
     # the sort is stable, so the two ends of a loop keep their order
     for e, w in sorted(p_tr.curve.incidence.get(v, ()), key=lambda x: x[0].id):
-        if not (e.is_bounded or w in inf_set):
+        if not (e.is_bounded or w in p_tr.curve.infinite_set):
             continue
         geo = p_tr._slopes.edges[e.id]
         if geo is None:
@@ -413,7 +412,7 @@ def reduction_exponents(p_tr: ParamTropicalCurve, v: str):
                                    f"leaves {v} along a non-integral direction")
         k = -1 if e.is_bounded and pc._orient(e)[0] != v else 1
         out.append((e.id, tuple(k * geo.multiplicity * x
-                                for x in geo.slope or zero)))
+                                for x in geo.slope or (0,) * p_tr.lattice_rank)))
     return out
 
 

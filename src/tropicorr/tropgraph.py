@@ -29,9 +29,9 @@ class Edge(NamedTuple):
 
 
 class TropicalCurve(Record):
-    """An immutable curve.  Its validity verdict, edge index, incidence
-    lists, edge split and bounded-edge forest are built on first use and
-    kept on the object."""
+    """An immutable curve.  Its validity verdict, set of infinite vertices,
+    edge index, incidence lists, edge split and bounded-edge forest are
+    built on first use and kept on the object."""
 
     _fields = ("finite_vertices", "infinite_vertices", "edges")
 
@@ -47,6 +47,11 @@ class TropicalCurve(Record):
     def defects(self) -> tuple[str, ...]:
         """``validate``'s verdict, decided once per curve object."""
         return tuple(validate(self))
+
+    @cached_property
+    def infinite_set(self) -> frozenset[str]:
+        """For one-vertex queries; a walk over every edge builds its own."""
+        return frozenset(self.infinite_vertices)
 
     @cached_property
     def _edge_index(self) -> dict[str, Edge]:
@@ -233,21 +238,19 @@ def modify(c: TropicalCurve, steps) -> TropicalCurve:
 
 
 def _modify(c: TropicalCurve, steps):
-    """``modify``'s one walk over the steps: the modified curve, and one
-    placement per step.  A subdivision reads its edge's kind off the curve:
-    the chain runs from the edge's start (ends[0] of a bounded edge, the
-    finite end of an unbounded one) through the new vertices to its other
-    end, cut at bounds [0, *distances, |e|], the last piece unbounded when
-    |e| is.  Its placement is (the edge as it was, that chain); with no
-    distances the edge stays and runs along its own ends.  An attachment's
-    placement is None.  A new vertex id that is already a vertex or repeats
-    within the step, a new piece id that is already an edge, and an
-    attached tree id already in use raise ``BadSubdivision``."""
-    finite = list(c.finite_vertices)
-    infinite = list(c.infinite_vertices)
-    fin_ids, inf_ids = set(finite), set(infinite)
-    edges = {e.id: e for e in c.edges}
-    placements = []
+    """``modify``'s one walk over the steps, keeping each vertex class in
+    one insertion-ordered dict: the modified curve, and one placement per
+    step.  A subdivision reads its edge's kind off the curve: the chain runs
+    from the edge's start (ends[0] of a bounded edge, the finite end of an
+    unbounded one) through the new vertices to its other end, cut at bounds
+    [0, *distances, |e|], the last piece unbounded when |e| is.  Its
+    placement is (the edge as it was, that chain); with no distances the
+    edge stays on its own ends.  An attachment's placement is None.  A new
+    id already in use, a vertex id repeated within a step and a tree root
+    that is not a finite vertex of its tree raise ``BadSubdivision``."""
+    finite = dict.fromkeys(c.finite_vertices)
+    infinite = dict.fromkeys(c.infinite_vertices)
+    edges, placements = {e.id: e for e in c.edges}, []
     for step in steps:
         if isinstance(step, Subdivide):
             e = edges.get(step.edge)
@@ -270,15 +273,14 @@ def _modify(c: TropicalCurve, steps):
             else:
                 if ds[0] <= 0:
                     raise BadSubdivision("distances must be positive")
-                start, end = _unbounded_ends(e, inf_ids)
+                start, end = _unbounded_ends(e, infinite)
             pieces = [f"{e.id}.p{k}" for k in range(len(ds) + 1)]
             clash = {v for v, k in Counter(new_vs).items()
-                     if k > 1 or v in fin_ids or v in inf_ids}
+                     if k > 1 or v in finite or v in infinite}
             clash.update(x for x in pieces if x in edges)
             if clash:
                 raise BadSubdivision(f"id clash with subdivision: {sorted(clash)}")
-            finite.extend(new_vs)
-            fin_ids.update(new_vs)
+            finite.update(dict.fromkeys(new_vs))
             chain = (start, *new_vs, end)
             bounds = (Fraction(0), *ds, e.length)
             del edges[e.id]
@@ -287,25 +289,23 @@ def _modify(c: TropicalCurve, steps):
                 edges[eid] = Edge(eid, chain[k:k + 2], ln)
             placements.append((e, chain))
         elif isinstance(step, AttachTree):
-            if step.root not in fin_ids:
+            if step.root not in finite:
                 raise BadSubdivision(f"attachment root {step.root} not a finite vertex")
             t = step.tree
             if genus(t) != 0:
                 raise BadSubdivision("attachment must be a tree")
             if validate(t):
                 raise BadSubdivision("attachment tree is not a valid curve")
-            rename = {step.tree_root: step.root}
+            if step.tree_root not in t.finite_vertices:
+                raise BadSubdivision(f"tree root {step.tree_root} not a finite vertex")
             clash = {v for v in t.vertex_ids() if v != step.tree_root
-                     and (v in fin_ids or v in inf_ids)}
+                     and (v in finite or v in infinite)}
             clash.update(e.id for e in t.edges if e.id in edges)
             if clash:
                 raise BadSubdivision(f"id clash with attached tree: {sorted(clash)}")
-            for v in t.finite_vertices:
-                if v != step.tree_root:
-                    finite.append(v)
-                    fin_ids.add(v)
-            infinite.extend(t.infinite_vertices)
-            inf_ids.update(t.infinite_vertices)
+            finite.update((v, None) for v in t.finite_vertices if v != step.tree_root)
+            infinite.update(dict.fromkeys(t.infinite_vertices))
+            rename = {step.tree_root: step.root}
             for e in t.edges:
                 u, w = (rename.get(x, x) for x in e.ends)
                 edges[e.id] = Edge(e.id, (u, w), e.length)
@@ -332,7 +332,7 @@ def is_stable(c: TropicalCurve) -> bool:
 
 def stabilize(c: TropicalCurve) -> TropicalCurve:
     """The unique stable curve from which c arises by subdivision and tree
-    attachment: prune finite leaves until none is left, then smooth the
+    attachment: prune finite leaves from one worklist, then smooth the
     2-valent vertices in one pass in id order, adding lengths.  A stable c
     is returned itself."""
     bad = c.defects
@@ -343,8 +343,7 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
             "genus and infinite-vertex count violate the stability bound")
     if is_stable(c):   # no finite leaf and no 2-valent vertex to remove
         return c
-    finite = list(c.finite_vertices)
-    infinite = list(c.infinite_vertices)
+    finite = dict.fromkeys(c.finite_vertices)
     edges = {e.id: e for e in c.edges}
     # edge ids at each vertex in the order of ``edges``, a loop twice
     incident = {v: [e.id for e, _ in ends] for v, ends in c.incidence.items()}
@@ -353,15 +352,16 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
         for x in edges.pop(eid).ends:
             incident[x].remove(eid)
 
-    # prune finite leaves
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(finite):
-            if len(incident[v]) == 1:
-                drop(incident[v][0])
-                finite.remove(v)
-                changed = True
+    # pruning a leaf re-examines only its neighbour; the pruned set is the
+    # same in any order, and the stability bound keeps a core it never reaches
+    leaves = [v for v in finite if len(incident[v]) == 1]
+    for v in leaves:
+        e = edges[incident[v][0]]
+        w = e.ends[0] if e.ends[1] == v else e.ends[1]
+        drop(e.id)
+        del finite[v]
+        if w in finite and len(incident[w]) == 1:
+            leaves.append(w)
     # smooth 2-valent finite vertices in one pass: the edge that replaces
     # v's two keeps the valency of every other vertex (two edges to one
     # neighbour become a loop there), so no vertex becomes 2-valent later
@@ -381,8 +381,8 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
             ln = None
         else:
             raise NotStabilizable("2-valent vertex joins two unbounded edges")
-        # keep the infinite endpoint second for unbounded merges
-        if ln is None and u in set(infinite):
+        # keep the infinite endpoint second: it is the unbounded edge's far end
+        if not e1.is_bounded:
             u, w = w, u
         nid = f"{e1.id}+{e2.id}"
         drop(e1.id)
@@ -392,8 +392,8 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
         edges[nid] = Edge(nid, (u, w), ln)
         for x in (u, w):
             incident[x].append(nid)
-        finite.remove(v)
-    out = TropicalCurve(tuple(finite), tuple(infinite), tuple(edges.values()))
+        del finite[v]
+    out = TropicalCurve(tuple(finite), c.infinite_vertices, tuple(edges.values()))
     if not is_stable(out):
         raise NotStabilizable("no stable curve under this input")
     return out

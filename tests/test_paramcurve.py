@@ -304,13 +304,18 @@ _LEAF = curve(["r", "s"], [], [("te", ("r", "s"), 1)])
      "attachment tree is not a valid curve"),
     ([AttachTree("v0", curve(["r", "v1"], [], [("e2", ("r", "v1"), 1)]), "r")],
      "id clash with attached tree: ['e2', 'v1']"),
+    ([AttachTree("v0", curve(["r", "v1"], [], [("te", ("r", "v1"), 1)]), "zzz")],
+     "tree root zzz not a finite vertex"),
+    ([AttachTree("v0", curve(["r"], ["a"], [("ta", ("r", "a"), None)]), "a")],
+     "tree root a not a finite vertex"),
 ], ids=["unknown-edge", "not-increasing", "at-the-end-of-a-bounded-edge",
         "at-the-start-of-a-bounded-edge", "not-positive-on-an-unbounded-edge",
         "vertex-id-count", "vertex-ids-without-distances", "vertex-clash",
         "infinite-vertex-clash", "repeated-vertex-id",
         "clash-with-an-earlier-subdivision", "edge-clash",
         "clash-with-an-attached-vertex", "unknown-root",
-        "attachment-not-a-tree", "attachment-not-valid", "attachment-clash"])
+        "attachment-not-a-tree", "attachment-not-valid", "attachment-clash",
+        "tree-root-not-in-the-tree", "tree-root-an-infinite-vertex"])
 def test_extend_parameterization_raises_what_modify_raises(steps, message):
     p = load(str(_DBLLINE))[0]
     with pytest.raises(BadSubdivision) as from_modify:

@@ -6,7 +6,9 @@ import pytest
 
 from corpus import corpus, elliptic_corpus
 from oracles import stabilize_by_rescanning, tropical_isomorphic
+from tropicorr import tropgraph
 from tropicorr.curvefile import load
+from tropicorr.fanmodel import gamma_tr
 from tropicorr.errors import BadSubdivision, NotStabilizable
 from tropicorr.tropgraph import (
     AttachTree,
@@ -165,14 +167,59 @@ def test_stabilize_returns_a_stable_input_itself():
     assert st is not c and stabilize(st) is st
 
 
+def hanging_tree(parents, root_first, tag):
+    """A metric tree rooted at "r": vertex k >= 1, numbered parents first,
+    hangs from vertex parents[k - 1] by an edge of length k.  The other ids
+    sort root-first or leaf-first."""
+    n = len(parents)
+
+    def name(k):
+        return "r" if k == 0 else f"{tag}{k if root_first else n + 1 - k:04d}"
+
+    return curve([name(k) for k in range(n + 1)], [],
+                 [(f"{tag}e{k}", (name(p), name(k)), k)
+                  for k, p in enumerate(parents, 1)])
+
+
 def test_stabilize_matches_the_rescanning_loops_on_the_corpus():
     rng = random.Random(4711)
     curves = [p.curve for p, _ in corpus(8080, 40, constrained=False)]
     curves += [modify(c, random_modification(rng, c)) for c in curves]
+    # deep hanging trees, pruned from a 3-valent vertex, and from a vertex
+    # that is left 2-valent and smoothed, on a tree and on a loop
+    for shape in ([0, 1, 2, 3, 4], [0, 0, 1, 1, 2, 4, 4]):
+        for root_first in (True, False):
+            t = hanging_tree(shape, root_first, "h")
+            curves += [
+                modify(tripod(), [AttachTree("v", t, "r")]),
+                modify(tripod(), [Subdivide("e1", (1,), ("m",)),
+                                  AttachTree("m", t, "r")]),
+                modify(loop_with_leg(), [Subdivide("loop", (Fraction(1, 2),), ("m",)),
+                                         AttachTree("m", t, "r")])]
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    tr = gamma_tr(load(str(fixtures / "xconfig.json"))[0]).curve
+    curves.append(tr)
     for c in curves:
         assert stabilize(c) == stabilize_by_rescanning(c), c
-    # both branches of stabilize are reached: 28 of the 80 are stable
-    assert 0 < sum(map(is_stable, curves)) < len(curves)
+    # both branches of stabilize are reached: 28 of the 93 are stable, and
+    # the gamma_tr output is not
+    assert 0 < sum(map(is_stable, curves)) < len(curves) and not is_stable(tr)
+
+
+def test_stabilize_sorts_once_however_deep_the_hanging_tree(monkeypatch):
+    # a leaf worklist prunes without sorting; the smoothing pass sorts once.
+    # Rescanning the sorted finite vertices until no leaf is left takes one
+    # pass per vertex of a path whose ids sort root-first.
+    c = modify(tripod(), [AttachTree("v", hanging_tree(range(2000), True, "h"), "r")])
+    calls = []
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(tropgraph, "sorted", counting_sorted, raising=False)
+    assert stabilize(c) == tripod()
+    assert len(calls) == 1
 
 
 def random_modification(rng, c, allow_attach=True):
