@@ -14,7 +14,7 @@ facet rays of its 2-cones, so it is a fan exactly when every chain is
 empty: the fan axiom is the refinement's fixed point.
 
 ``gamma_tr`` refines once per call, checks that its output's collection is
-the fan of those chains, and keeps that verdict on the output; so
+the fan of those chains, and returns the output holding that fan; so
 ``fan_model`` refines only a curve that ``gamma_tr`` did not return.
 
 Only pairs of 2-cones that can meet in more than a common ray are
@@ -275,22 +275,26 @@ def refine_to_fan(cones) -> tuple[Cone, ...]:
     return _sorted_cones(_fan_of(cones, _refine(cones)))
 
 
+def _require_same(head: str, got: set, fan: set) -> None:
+    """Raise fan_axiom naming each cone in one set and not the other."""
+    if got != fan:
+        bad = [f"{'extra' if c in got else 'missing'} cone{c}"
+               for c in _sorted_cones(got ^ fan)]
+        raise CrossCheckFailed("fan_axiom", f"{head}: " + "; ".join(bad))
+
+
 def _require_fan(cones) -> None:
     """Raise fan_axiom unless the collection is its own refinement: it
     holds the zero cone and its facet rays, and every chain is empty (the
-    fan axiom).  The evidence is each 2-cone with its chain."""
-    if set(cones) != _fan_of(cones, chains := _refine(cones)):
-        bad = [f"cone{c} contains {', '.join(map(str, chain))}"
-               for c, chain in chains.items() if chain]
-        raise CrossCheckFailed(
-            "fan_axiom", "curve cones do not form a fan (apply gamma_tr "
-            "first): " + "; ".join(bad))
+    fan axiom)."""
+    _require_same("curve cones do not form a fan (apply gamma_tr first)",
+                  set(cones), _fan_of(cones, _refine(cones)))
 
 
-def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
+def gamma_tr(p: ParamTropicalCurve) -> RefinedCurve:
     """Subdivide every nonzero-slope edge at the interior crossing rays of
     the refined fan, so that the curve's own cone collection becomes that
-    fan, and keep on the output the verdict that it is one.  Idempotent.
+    fan, and return it (p if nothing is cut) holding that fan.  Idempotent.
 
     Let the edge run from u to w (from its finite end u, if unbounded),
     with rays g_u and g_w of heights g_u[n] and g_w[n].  A ray r inside its
@@ -322,15 +326,13 @@ def gamma_tr(p: ParamTropicalCurve) -> ParamTropicalCurve:
             dists.append(scale * Fraction(nb, na * gu[n] + nb * gw[n]))
         steps.append(Subdivide(eid, tuple(sorted(dists))))
     if steps:   # else every chain is empty: K(p) is its own refinement
+        fan = _fan_of(cones, chains)
         p = pc.extend_parameterization(p, steps)
-        got, fan = set(_collection(*_curve_cones(p))), _fan_of(cones, chains)
-        if got != fan:
-            bad = [f"{'extra' if c in got else 'missing'} cone{c}"
-                   for c in _sorted_cones(got ^ fan)]
-            raise CrossCheckFailed("fan_axiom", "the subdivided curve's cones "
-                                   "are not the refined fan: " + "; ".join(bad))
-    object.__setattr__(p, "_is_fan", True)
-    return p
+        rays, edge_cones = _curve_cones(p)
+        cones = _collection(rays, edge_cones)
+        _require_same("the subdivided curve's cones are not the refined fan",
+                      set(cones), fan)
+    return RefinedCurve(p, _indexed_fan(p, rays, edge_cones, cones))
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +355,28 @@ class FanModel(NamedTuple):
         return tuple(c for c in self.cones if len(c) == 2)
 
 
+class RefinedCurve(ParamTropicalCurve):
+    """A ``gamma_tr`` output: the curve it refined, sharing its fields and
+    the facts derived from them, with the fan its cones form as ``fan``."""
+
+    def __init__(self, p: ParamTropicalCurve, fan: FanModel):
+        self.__dict__.update(p.__dict__, fan=fan)
+
+
 def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
-    """Index the fan of a refined curve (a gamma_tr output) by its vertices
-    and edges, with the multiplicities l(sigma) and l(rho).  A curve
-    without gamma_tr's verdict is refined to check the fan axiom."""
+    """The fan of a refined curve indexed by its vertices and edges, with
+    the multiplicities l(sigma) and l(rho): a gamma_tr output holds it,
+    and any other curve is refined to check the fan axiom."""
+    if isinstance(p_tr, RefinedCurve):
+        return p_tr.fan
     rays, edge_cones = _curve_cones(p_tr)
     cones = _collection(rays, edge_cones)
-    if not getattr(p_tr, "_is_fan", False):
-        _require_fan(cones)
+    _require_fan(cones)
+    return _indexed_fan(p_tr, rays, edge_cones, cones)
+
+
+def _indexed_fan(p: ParamTropicalCurve, rays, edge_cones, cones) -> FanModel:
+    """Index the fan ``cones`` of a curve by its ``_curve_cones``."""
     ray_vertices: dict[Ray, list] = {}
     for v, r in rays.items():
         if r is not None:
@@ -370,14 +386,14 @@ def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
     for eid, c in edge_cones.items():
         cone_edges.setdefault(c, []).append(eid)
         l_sigma[c] = lcm(l_sigma.get(c, 1),
-                         pc.edge_geometry(p_tr, eid).multiplicity)
+                         pc.edge_geometry(p, eid).multiplicity)
     l_rho: dict[Ray, int] = {}
-    for v in p_tr.curve.infinite_vertices:
+    for v in p.curve.infinite_vertices:
         if rays[v] is not None:
             l_rho[rays[v]] = lcm(l_rho.get(rays[v], 1),
-                                 pc.end_geometry(p_tr, v).multiplicity)
+                                 pc.end_geometry(p, v).multiplicity)
     return FanModel(
-        p_tr.lattice_rank + 1, cones, tuple(sorted(l_rho)),
+        p.lattice_rank + 1, cones, tuple(sorted(l_rho)),
         {r: tuple(vs) for r, vs in ray_vertices.items()},
         {c: tuple(es) for c, es in cone_edges.items()}, l_sigma, l_rho,
     )

@@ -140,7 +140,7 @@ def _verify_compatibility(st: StackySigma):
     """The defining compatibility: restricted to the span of any pairwise
     intersection, the sublattices of the two cones agree.
 
-    gamma_tr's check, or fan_model's, has enforced the fan axiom, so every
+    gamma_tr checked the fan axiom on its fan, fan_model on any other, so every
     pairwise intersection is a common face, and scaling by a is a linear
     bijection that keeps faces.  A face of a 2-cone is 0, a facet ray or the
     cone itself, and every restriction to 0 is 0.  Each ray's sublattice

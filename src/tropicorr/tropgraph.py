@@ -368,19 +368,12 @@ def stabilize(c: TropicalCurve) -> TropicalCurve:
     for v in sorted(finite):
         if len(incident[v]) != 2:
             continue
-        inc = [edges[i] for i in dict.fromkeys(incident[v])]
-        if len(inc) == 1:
-            # lone loop vertex; excluded by the stability bound
-            raise NotStabilizable("degenerate loop survives smoothing")
-        e1, e2 = inc
+        # two distinct edges, at most one unbounded: a lone loop vertex
+        # (g = 1, no ends) and a line (g = 0, two ends) break the bound
+        e1, e2 = (edges[i] for i in incident[v])
         u = e1.ends[0] if e1.ends[1] == v else e1.ends[1]
         w = e2.ends[0] if e2.ends[1] == v else e2.ends[1]
-        if e1.is_bounded and e2.is_bounded:
-            ln = e1.length + e2.length
-        elif e1.is_bounded != e2.is_bounded:
-            ln = None
-        else:
-            raise NotStabilizable("2-valent vertex joins two unbounded edges")
+        ln = e1.length + e2.length if e1.is_bounded and e2.is_bounded else None
         # keep the infinite endpoint second: it is the unbounded edge's far end
         if not e1.is_bounded:
             u, w = w, u

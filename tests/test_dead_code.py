@@ -31,8 +31,8 @@ imports inside a function, so that each subcommand loads the layers it
 runs; every other module imports at its top.
 
 No state hides between calls: the library has no ``global`` or ``nonlocal``
-statement, and writes past an immutable record with ``object.__setattr__``
-only where fanmodel marks a refined curve as a fan.
+statement, and never writes past an immutable record with
+``object.__setattr__``.
 
 The test oracles, the reference route for the fan layer's cone arithmetic,
 import nothing from ``tropicorr.fanmodel``.
@@ -247,9 +247,9 @@ def hidden_state():
 
 
 def test_no_state_hides_between_calls():
-    # gamma_tr keeps its fan verdict on the curve it returns: node_stack is
-    # handed the curve and cannot be handed the FanModel built from it
-    assert hidden_state() == [("fanmodel", "_is_fan")]
+    # gamma_tr returns a curve that holds its fan, so node_stack, handed the
+    # curve, reads the FanModel built with it and nothing is marked on it
+    assert hidden_state() == []
 
 
 def imported_names(path):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -310,21 +311,29 @@ def test_fan_axiom_failure_names_split_cones_and_rays():
         fan_model(p)
     assert info.value.code == "CrossCheckFailed:fan_axiom"
     for c in crossed:
-        assert f"cone{c} contains (1, 1, 1)" in str(info.value)
+        assert f"extra cone{c}" in str(info.value)
+    assert "missing cone((1, 1, 1),)" in str(info.value)
+    for c in refine_to_fan(build_K(p)):
+        if len(c) == 2 and (1, 1, 1) in c:
+            assert f"missing cone{c}" in str(info.value)
 
 
 def test_fan_axiom_needs_the_faces_and_empty_chains():
     # each collection has one defect: a facet ray or the zero cone missing
-    # (every chain still empty), or a lone ray strictly inside a 2-cone
+    # (every chain still empty), or a lone ray strictly inside a 2-cone,
+    # whose cone is extra and whose two halves are missing
     low, high = cone((0, 0, 1), (1, 0, 1)), cone((0, 0, 1), (0, 1, 1))
     fan = (ZERO_CONE, ((0, 0, 1),), ((0, 1, 1),), ((1, 0, 1),), low, high)
     assert not check_fan(fan)
     _require_fan(fan)
     head = "curve cones do not form a fan (apply gamma_tr first): "
     for cones, evidence in [
-            (tuple(c for c in fan if c != ((1, 0, 1),)), ""),
-            (fan[1:], ""),
-            (fan + (((1, 0, 2),),), f"cone{low} contains (1, 0, 2)")]:
+            (tuple(c for c in fan if c != ((1, 0, 1),)),
+             "missing cone((1, 0, 1),)"),
+            (fan[1:], "missing cone()"),
+            (fan + (((1, 0, 2),),),
+             f"extra cone{low}; missing cone({low[0]}, (1, 0, 2)); "
+             f"missing cone({low[1]}, (1, 0, 2))")]:
         assert check_fan(cones)
         with pytest.raises(CrossCheckFailed) as info:
             _require_fan(cones)
@@ -333,8 +342,8 @@ def test_fan_axiom_needs_the_faces_and_empty_chains():
 
 
 def test_fan_axiom_intersects_only_pairs_of_two_cones(monkeypatch):
-    # fan_model keeps gamma_tr's verdict, so the check is run on Gamma_tr's
-    # collection directly
+    # fan_model reads the fan a gamma_tr output holds, so the check is run
+    # on Gamma_tr's collection directly
     cones = build_K(gamma_tr(load(str(FIXTURES / "xconfig.json"))[0]))
     pairs = []
     intersect = fanmodel.intersect_cones
@@ -499,9 +508,27 @@ def collinear_overlap():
                               "z1": (-1, 0), "z2": (-1, 0), "z3": (2, 0)})
 
 
+def _afresh(p):
+    """An equal curve built from scratch, so no derived fact is shared."""
+    return pc.ParamTropicalCurve(p.curve, p.lattice_rank, p.h)
+
+
+def _structure_item(p):
+    """gamma_tr -> stacky_data -> node_stack, as one structure item runs."""
+    tr = gamma_tr(p)
+    stacky.stacky_data(tr, ramification(tr, 1)["minimal_a"])
+    stacky.node_stack(tr)
+    return tr
+
+
+def _param_values(q):
+    return q.curve, q.lattice_rank, dict(q.h)
+
+
 def test_gamma_tr_realizes_refinement():
     # the refined curve's own cone collection IS the refined fan, and the
-    # eta rays are untouched
+    # eta rays are untouched; the refined curve holds that fan, which
+    # fan_model returns, equal to the fan of a fresh copy of the curve
     curves = [x_configuration(), doubled_line()[0], two_vertex_curve(),
               collinear_overlap()]
     curves += [p for p, _ in corpus(8, 30) + elliptic_corpus(8, 15)]
@@ -511,12 +538,17 @@ def test_gamma_tr_realizes_refinement():
         assert not check_fan(build_K(tr))
         assert gamma_tr(tr).curve == tr.curve
         assert fan_model(tr).eta_rays == eta_rays(p)
+        assert isinstance(tr, fanmodel.RefinedCurve) and tr != p
+        assert fan_model(tr) is tr.fan
+        assert tr.fan == fan_model(_afresh(tr))
 
 
 def test_structure_item_derives_slopes_once_per_curve(monkeypatch):
     # gamma_tr -> stacky_data -> node_stack derives each curve object's
     # slopes, and with them its vertex rays' integers, once; those rays are
-    # the oracle's rays through (h(v), 1)
+    # the oracle's rays through (h(v), 1).  The refined curve derives
+    # nothing: it shares the facts of the curve it wraps (p itself when
+    # nothing is cut), and they equal a fresh derivation
     alive, derived = [], Counter()     # alive: no id is reused meanwhile
     kinds = set()       # (refined, largest denominator of h)
     derive_slopes = pc._derive_slopes
@@ -530,26 +562,35 @@ def test_structure_item_derives_slopes_once_per_curve(monkeypatch):
     curves = [load(str(FIXTURES / "xconfig.json"))[0], collinear_overlap()]
     curves += [p for p, _ in corpus(11, 6) + elliptic_corpus(11, 3)]
     for p in curves:
-        p = pc.ParamTropicalCurve(p.curve, p.lattice_rank, p.h)   # afresh
+        p = _afresh(p)
         derived.clear()
-        tr = gamma_tr(p)
-        stacky.stacky_data(tr, ramification(tr, 1)["minimal_a"])
-        stacky.node_stack(tr)
-        assert id(p) in derived and id(tr) in derived
-        assert set(derived.values()) == {1}
+        tr = _structure_item(p)
+        wrapped = alive[-1]
+        cut = tr.curve != p.curve
+        assert id(p) in derived and id(tr) not in derived
+        assert set(derived.values()) == {1} and len(derived) == 1 + cut
+        assert (wrapped is p) == (not cut)
+        assert _param_values(wrapped) == _param_values(tr)
+        assert tr._violations is wrapped._violations
+        assert tr._slopes is wrapped._slopes
+        new = _afresh(tr)
+        assert tr._violations == new._violations == ()
+        assert tr._slopes == new._slopes
+        assert (_param_values(pc.stabilize_param(tr))
+                == _param_values(pc.stabilize_param(new)))
         for q in (p, tr):
             rays = fanmodel._curve_cones(q)[0]
             assert all(rays[v] == ray_through(q.hv(v))
                        for v in q.curve.finite_vertices)
         den = max(x.denominator for x in chain(*p.h.values()))
-        kinds.add((tr is not p, den))
+        kinds.add((cut, den))
     assert kinds == {(False, 1), (False, 2), (True, 1), (True, 2)}
 
 
 def test_structure_item_refines_once_per_curve(monkeypatch):
     # gamma_tr -> stacky_data -> node_stack refines each fresh curve once,
-    # on K(p): gamma_tr checks its output against that refinement and
-    # fan_model keeps gamma_tr's verdict
+    # on K(p): gamma_tr checks its output against that refinement, and
+    # fan_model reads the fan the output holds
     refined = []
     refine = fanmodel._refine
     monkeypatch.setattr(fanmodel, "_refine",
@@ -559,14 +600,67 @@ def test_structure_item_refines_once_per_curve(monkeypatch):
     curves += [plane_tree(seed, 40) for seed in (1, 2)]
     subdivided = 0
     for p in curves:
-        p = pc.ParamTropicalCurve(p.curve, p.lattice_rank, p.h)   # afresh
+        p = _afresh(p)
         refined.clear()
-        tr = gamma_tr(p)
-        stacky.stacky_data(tr, ramification(tr, 1)["minimal_a"])
-        stacky.node_stack(tr)
+        tr = _structure_item(p)
         assert refined == [build_K(p)]
-        subdivided += tr is not p
+        subdivided += tr.curve != p.curve
     assert subdivided >= 3
+
+
+def test_structure_item_derives_cones_and_fan_once_per_curve(monkeypatch):
+    # the input's cones are derived once, and the subdivided curve's once
+    # when something is cut; the FanModel is indexed once, by gamma_tr
+    alive, derived, indexed = [], Counter(), []
+    curve_cones, indexed_fan = fanmodel._curve_cones, fanmodel._indexed_fan
+
+    def counted(q):
+        alive.append(q)
+        derived[id(q)] += 1
+        return curve_cones(q)
+
+    monkeypatch.setattr(fanmodel, "_curve_cones", counted)
+    monkeypatch.setattr(fanmodel, "_indexed_fan",
+                        lambda *args: indexed.append(args[0])
+                        or indexed_fan(*args))
+    curves = [load(str(FIXTURES / "xconfig.json"))[0], collinear_overlap()]
+    curves += [p for p, _ in corpus(11, 6) + elliptic_corpus(11, 3)]
+    curves += [plane_tree(seed, 40) for seed in (1, 2)]
+    subdivided = 0
+    for p in curves:
+        p = _afresh(p)
+        derived.clear()
+        indexed.clear()
+        tr = _structure_item(p)
+        cut = tr.curve != p.curve
+        assert id(p) in derived and set(derived.values()) == {1}
+        assert len(derived) == 1 + cut and len(indexed) == 1
+        assert indexed[0] is alive[-1]
+        subdivided += cut
+    assert 3 <= subdivided < len(curves)
+
+
+def test_gamma_tr_writes_nothing_on_its_input():
+    # only the fields and the cached facts are ever in a curve's __dict__,
+    # and what the input held before is what it holds after; a refined
+    # curve that cuts nothing shares every fact the input had derived
+    cached = {name for name, attr in vars(pc.ParamTropicalCurve).items()
+              if isinstance(attr, cached_property)}
+    curves = [load(str(FIXTURES / "xconfig.json"))[0], collinear_overlap()]
+    curves += [p for p, _ in corpus(11, 6) + elliptic_corpus(11, 3)]
+    cuts = set()
+    for i, p in enumerate(curves):
+        p = _afresh(p)
+        if i % 2:
+            pc.stabilize_param(p)
+        before = dict(vars(p))
+        tr = _structure_item(p)
+        assert set(vars(p)) <= {*pc.ParamTropicalCurve._fields, *cached}
+        assert all(vars(p)[k] is x for k, x in before.items())
+        cuts.add(tr.curve != p.curve)
+        if tr.curve == p.curve:
+            assert all(vars(tr)[k] is x for k, x in vars(p).items())
+    assert cuts == {False, True}
 
 
 def test_gamma_tr_names_the_cones_a_wrong_cut_leaves(monkeypatch):

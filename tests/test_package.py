@@ -61,7 +61,7 @@ def records():
     out = [p, p.curve, p.curve.edges[0], pc.edge_geometry(p, "e1"), a,
            a.items[0], a.items[0].space, pc.check_constraint(p, a), rep.spec,
            rep, rep.E2, verdict, verdict.obstruction,
-           exactla.CoeffGroup.units(3), res, res.hypotheses,
+           exactla.CoeffGroup.units(3), res, res.hypotheses, tr,
            fanmodel.fan_model(tr),
            stacky.stacky_data(tr, fanmodel.ramification(tr, 1)["minimal_a"]),
            stacky.node_stack(tr),
@@ -77,11 +77,12 @@ RECORDS = ["ParamTropicalCurve", "TropicalCurve", "Edge", "EdgeGeometry",
            "AffineConstraintSet", "AffineConstraint", "Sublattice",
            "ConstraintReport", "ComplexSpec", "ComplexReport",
            "FGAbelianGroup", "RegularityVerdict", "GroupSize", "CoeffGroup",
-           "CountResult", "CountHypotheses", "FanModel", "StackySigma",
-           "NodeStackData", "SubdivideBounded", "SubdivideUnbounded",
-           "AttachTree"]
+           "CountResult", "CountHypotheses", "RefinedCurve", "FanModel",
+           "StackySigma", "NodeStackData", "SubdivideBounded",
+           "SubdivideUnbounded", "AttachTree"]
 # hold dicts or a mapping proxy, so cannot be hashed
-UNHASHABLE = {"ParamTropicalCurve", "FanModel", "StackySigma", "NodeStackData"}
+UNHASHABLE = {"ParamTropicalCurve", "RefinedCurve", "FanModel", "StackySigma",
+              "NodeStackData"}
 
 # class -> (constructor call, its ValueError message): checks that raise,
 # not asserts, so they hold under python -O too
@@ -151,6 +152,10 @@ def test_record_keeps_value_semantics(name):
     if name == "ComplexReport":
         # the source curve is not a field: a report without one is equal
         fields.insert(0, None)
+    if name == "RefinedCurve":
+        # made from the curve it refined, with its fan; equal only by class
+        fields = [pc.ParamTropicalCurve(*fields), x.fan]
+        assert fields[0] != x and x != fields[0]
     copy = type(x)(*fields)
     assert copy == x and not copy != x
     if name not in UNHASHABLE:

@@ -6,6 +6,7 @@ import pytest
 
 from corpus import corpus, elliptic_corpus
 from oracles import stabilize_by_rescanning, tropical_isomorphic
+from tropicorr import paramcurve as pc
 from tropicorr import tropgraph
 from tropicorr.curvefile import load
 from tropicorr.fanmodel import gamma_tr
@@ -124,11 +125,24 @@ def test_stabilize_loop_subdivided():
 
 
 def test_stabilize_rejects_two_ended_line():
-    c = curve(["v"], ["a", "b"],
-              [("e1", ("v", "a"), None), ("e2", ("v", "b"), None)])
-    assert not satisfies_stability_bound(c)
-    with pytest.raises(NotStabilizable):
-        stabilize(c)
+    # pruning a tree keeps the genus and the ends, so a line (g = 0, two
+    # ends) or a lone loop vertex (g = 1, no ends), bare or under a hanging
+    # tree, fails the stability bound on entry: smoothing never meets either
+    tree = [("t1", ("v", "s"), 1), ("t2", ("s", "t"), 2)]
+    line = [("e1", ("v", "a"), None), ("e2", ("v", "b"), None)]
+    loop = [("l", ("v", "v"), 1)]
+    h = {"v": (0, 0), "s": (0, 0), "t": (0, 0), "a": (-1, 0), "b": (1, 0)}
+    for c in [curve(["v"], ["a", "b"], line),
+              curve(["v", "s", "t"], ["a", "b"], line + tree),
+              curve(["v", "s", "t"], [], loop + tree)]:
+        assert not validate(c) and not satisfies_stability_bound(c)
+        p = pc.param_curve(c, 2, {v: h[v] for v in c.vertex_ids()})
+        assert not pc.param_violations(p)
+        for call, arg in [(stabilize, c), (pc.stabilize_param, p)]:
+            with pytest.raises(NotStabilizable) as info:
+                call(arg)
+            assert str(info.value) == ("genus and infinite-vertex count "
+                                       "violate the stability bound")
 
 
 def test_stabilize_reports_the_violations():
