@@ -5,7 +5,8 @@ before, between or after the two, all read by one parser; ``-h`` prints one
 usage line that lists every command.  Exit codes: 0 on success, 1 on a
 domain error (with a stable machine-readable code), 2 on a parse error.
 --json emits a deterministic JSON report (sorted keys, canonical rational
-strings).
+strings); without it the result prints one line per leaf (an empty mapping
+as {}), then one ``warning:`` line per warning.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flat(prefix, value, lines):
-    if isinstance(value, dict):
+    if isinstance(value, dict) and value:       # an empty one prints {}
         for k in value:
             _flat(f"{prefix}.{k}" if prefix else str(k), value[k], lines)
     elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
@@ -239,6 +240,7 @@ def _emit(report, args) -> None:
     else:
         lines = []
         _flat("", report["result"], lines)
+        lines += [f"warning: {w}" for w in report["warnings"]]
         sys.stdout.write("\n".join(lines) + "\n")
 
 

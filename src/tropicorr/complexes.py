@@ -20,12 +20,15 @@ holds each vertex's signed tree path to the root, and only the rows that can
 carry an obstruction reach ``invariant_factors``: per non-tree edge and
 coordinate k, its own y entry and +-coef s_e[k] on its fundamental cycle
 (its ends' paths subtracted); per constraint row a, a on x_root and +-coef
-<a, s_e> along its vertex's path; the j-row.  That is n g + sum corank L_i
-(+1) rows, none for an unconstrained genus-0 curve; the unit rows enter
-only the row count.  The dense full matrix (``ComplexReport.matrix``) is
-assembled only when read, and nothing in the library reads it.  A
-coefficient group enters only at the final base change, ``sizes_over``:
-E^1_G and E^2_G for the counts, E^2_G for the regularity verdicts.
+<a, s_e> along its vertex's path, less the same row of the constraint at
+the nearest ancestor with an equal presentation, where there is one, which
+leaves only the steps below that ancestor; the j-row.  That is n g + sum
+corank L_i (+1) rows, none for an unconstrained genus-0 curve; the unit
+rows enter only the row count.  The dense full matrix
+(``ComplexReport.matrix``) is assembled only when read, and nothing in the
+library reads it.  A coefficient group enters only at the final base
+change, ``sizes_over``: E^1_G and E^2_G for the counts, E^2_G for the
+regularity verdicts.
 """
 
 from __future__ import annotations
@@ -186,7 +189,10 @@ def compute(p: ParamTropicalCurve, spec: ComplexSpec) -> ComplexReport:
 
 
 def _reduce(p: ParamTropicalCurve, frame, spec: ComplexSpec) -> ComplexReport:
-    """The complex of spec on p's frame, p having passed ``_check``."""
+    """The complex of spec on p's frame, p having passed ``_check``.  The
+    rows of a constraint at v, less those of the one at v's nearest strict
+    ancestor u with an equal presentation (unitriangular): x_root cancels,
+    and as u's path is a suffix of v's, only v's steps below u remain."""
     dim, ycol, off_tree, paths, n_tree, weights = frame
     constraints, weight, jrow = _spec_part(p, spec, ycol, weights)
     n, rows = p.lattice_rank, []
@@ -198,10 +204,16 @@ def _reduce(p: ParamTropicalCurve, frame, spec: ComplexSpec) -> ComplexReport:
             cycle[own] = 1
         rows += ({col: m * weight[col][k] for col, m in cycle.items()
                   if m and weight[col][k]} for k in range(n))
+    up, at = p.curve.bounded_forest, set(constraints)
     for vfin, proj in constraints:
+        u, steps = vfin, paths[vfin]
+        while (link := up[u]) is not None:
+            if (u := link[0], proj) in at:      # minus u's rows
+                steps = steps[:len(steps) - len(paths[u])]
+                break
         for a in proj:
-            row = {k: x for k, x in enumerate(a) if x}      # on x_root
-            for col, m in paths[vfin]:
+            row = {} if link else {k: x for k, x in enumerate(a) if x}
+            for col, m in steps:
                 if x := m * sum(map(mul, a, weight[col])):
                     row[col] = x
             rows.append(row)

@@ -389,6 +389,62 @@ def plane_tree(seed, ends):
         return b.build()
 
 
+def mikhalkin_tree(p):
+    """A trivalent plane tree p with ends - 1 marked points in Mikhalkin
+    position, and their point constraints.  Below each vertex (away from
+    the first finite vertex, the root of ``bounded_forest``) one edge is
+    kept, an end where there is one, and every other edge is cut at a
+    marked point: a bounded edge at its middle, an end at length 1.  Each
+    component of the curve minus the points runs from a vertex down kept
+    edges to exactly one end, and the points on cut bounded edges lie above
+    the points cut below them in the forest."""
+    c, up = p.curve, p.curve.bounded_forest
+    b = Builder(2)
+    b.finite, b.infinite = list(c.finite_vertices), list(c.infinite_vertices)
+    b.edges, b.h = list(c.edges), {v: p.hv(v) for v in b.finite + b.infinite}
+    b.serial = max(int(x[1:]) for x in
+                   b.finite + b.infinite + [e.id for e in b.edges])
+    for v in up:                                    # parents first
+        below = [e for e, _ in c.incidence[v]
+                 if up[v] is None or e.id != up[v][1].id]
+        keep = next((e for e in below if e.length is None), below[0])
+        for e in below:
+            if e is keep:
+                continue
+            u, w = e.ends
+            if e.length is None:
+                half, slope, rest = 1, b.h[w], None
+            else:
+                half = rest = e.length / 2
+                slope = tuple((y - x) / e.length
+                              for x, y in zip(b.h[u], b.h[w]))
+            x = b.add_finite(vsum(b.h[u], tuple(half * s for s in slope)))
+            b.edges.remove(e)
+            b.edges.append(Edge(e.id, (x, w), rest))
+            b.add_edge(u, x, half)
+            b.add_end(x, (0, 0), front=True)
+    q = b.build()
+    k = len(c.infinite_vertices) - 1
+    return q, constraint_set([((), q.hv(x)) for _, x in marked_pairs(q, k)], 2)
+
+
+def constrained_ancestors(p, a):
+    """Per constraint of a, the presentations of the constraints at the
+    strict ancestors of its vertex in ``bounded_forest``, nearest first."""
+    up = p.curve.bounded_forest
+    pairs = marked_pairs(p, len(a.items))
+    at = {}
+    for (_, v), con in zip(pairs, a.items):
+        at.setdefault(v, []).append(con.presentation)
+    out = []
+    for _, v in pairs:
+        out.append([])
+        while up[v] is not None:
+            v = up[v][0]
+            out[-1] += at.get(v, [])
+    return out
+
+
 def moved(p, cons, a, t, lam=1):
     """p and its constraints cons (or None) under the affine map
     x -> lam a x + t, with lam > 0 rational: a finite h(v) and a

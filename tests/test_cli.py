@@ -455,7 +455,7 @@ def test_unwritable_out_exit_2(tmp_path, capsys, target):
 
 
 # the default text output, pinned as it is: keys joined by dots, a list of
-# lists as JSON, any other value as Python prints it
+# lists as JSON, an empty mapping as {}, any other value as Python prints it
 TEXT_OUTPUT = {
     ("validate", "xconfig.json"): """\
 valid: True
@@ -519,6 +519,65 @@ cross_checks: ['|E1_kstar| * prod l(e) = 1 * 1 = 1', \
 def test_text_output(capsys, command, name):
     assert run([command, str(FIXTURES / name)]) == 0
     assert capsys.readouterr().out == TEXT_OUTPUT[command, name]
+
+
+TRIPOD = {
+    "schema": "tropicorr/1", "lattice_rank": 2, "char": 0,
+    "finite_vertices": [{"id": "v", "h": ["0", "0"]}],
+    "infinite_vertices": [{"id": "a", "h": [1, 0]}, {"id": "b", "h": [0, 1]},
+                          {"id": "c", "h": [-1, -1]}],
+    "edges": [{"id": f"e{w}", "ends": ["v", w], "length": "inf"}
+              for w in "abc"],
+    "constraints": []}
+
+
+def test_text_output_keeps_an_empty_mapping(tmp_path, capsys):
+    # a tripod has no node, so node_orders is {} in the JSON report and its
+    # line must not vanish from the text one
+    f = tmp_path / "tripod.json"
+    f.write_text(json.dumps(TRIPOD))
+    code, rep = run_json(capsys, "stacky", str(f))
+    assert code == 0 and rep["result"]["node_orders"] == {}
+    assert run(["stacky", str(f)]) == 0
+    assert capsys.readouterr().out == """\
+stacky.a: 1
+stacky.rays: [[-1, -1, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
+stacky.assignment.0: []
+stacky.assignment.r0: [[1, 1, 0]]
+stacky.assignment.r1: [[0, 0, 1]]
+stacky.assignment.r2: [[0, 1, 0]]
+stacky.assignment.r3: [[1, 0, 0]]
+stacky.assignment.0-1: [[1, 1, 0], [0, 0, 1]]
+stacky.assignment.1-2: [[0, 1, 0], [0, 0, 1]]
+stacky.assignment.1-3: [[1, 0, 0], [0, 0, 1]]
+stacky.stabilizer_orders.0: 1
+stacky.stabilizer_orders.r0: 1
+stacky.stabilizer_orders.r1: 1
+stacky.stabilizer_orders.r2: 1
+stacky.stabilizer_orders.r3: 1
+stacky.stabilizer_orders.0-1: 1
+stacky.stabilizer_orders.1-2: 1
+stacky.stabilizer_orders.1-3: 1
+node_orders: {}
+marked_orders.a: 1
+marked_orders.b: 1
+marked_orders.c: 1
+dm: True
+char: 0
+"""
+
+
+def test_text_output_ends_with_the_warnings(tmp_path, capsys):
+    # the JSON report's warnings, one line each after the result's lines
+    f = _edited_fixture(tmp_path, _set(("char",), 5))
+    code, rep = run_json(capsys, "count", f, "--char", "3")
+    warning = "--char 3 overrides char 5 from the file"
+    assert code == 0 and rep["warnings"] == [warning]
+    assert run(["count", f, "--char", "3"]) == 0
+    assert capsys.readouterr().out == (
+        TEXT_OUTPUT["count", "line2pts.json"] + f"warning: {warning}\n")
+    assert run(["count", f, "--char", "5"]) == 0
+    assert capsys.readouterr().out == TEXT_OUTPUT["count", "line2pts.json"]
 
 
 def test_text_mode_error_is_one_json_object(capsys):

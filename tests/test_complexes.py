@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import constrained_ancestors, mikhalkin_tree, plane_tree
 from fixture_curves import (
     doubled_line,
     line_through_two_points,
@@ -17,6 +18,7 @@ from oracles import (
     kernel_basis,
     lemma_complexes,
     mat_mul,
+    mikhalkin_multiplicity,
     oracle_contraction,
     quotient_form_dims,
     six_term_ledgers,
@@ -25,6 +27,7 @@ from oracles import (
 from tropicorr import complexes, exactla
 from tropicorr import paramcurve as pc
 from tropicorr.complexes import ComplexSpec, compute, regularity, sizes_over
+from tropicorr.counting import correspondence_count
 from tropicorr.errors import (
     ConstraintUnsatisfied,
     GenusNotOne,
@@ -344,3 +347,45 @@ def test_one_bounded_edge_forest_per_curve_object(monkeypatch):
         compute(p, ComplexSpec(variant, constraints, elliptic=True))
     assert len(cycle_edges(p.curve)) == 3
     assert len(calls) == 1
+
+
+def eliminated_rows(monkeypatch):
+    """The row lists handed to ``invariant_factors`` from now on."""
+    seen = []
+    fn = exactla.invariant_factors
+    monkeypatch.setattr(exactla, "invariant_factors", lambda rows: seen.append(
+        [dict(r) for r in rows]) or fn(rows))
+    return seen
+
+
+def rows_on_x_root(p, a, rows):
+    """Per constraint of a genus-0 curve, whether its rows (which come first,
+    as there is no cycle) touch the root's x columns, the first n; and
+    whether the engine should keep them there: no constrained ancestor has
+    the same presentation, so none is subtracted."""
+    n, start, got, want = p.lattice_rank, 0, [], []
+    for con, above in zip(a.items, constrained_ancestors(p, a)):
+        block = rows[start:start + len(con.presentation)]
+        start += len(con.presentation)
+        got.append(any(c < n for r in block for c in r))
+        want.append(con.presentation not in above)
+    return got, want
+
+
+def test_point_rows_run_from_the_nearest_constrained_ancestor(monkeypatch):
+    # each point's rows minus those of the nearest point above it in the
+    # tree: a unitriangular row operation that drops the x_root columns and
+    # the path steps the two points share.  With 11 points in Mikhalkin
+    # position on a 21-vertex tree, each constrained elimination of the
+    # count gets 39 nonzeros; rows along the whole root path give 112
+    p, a = mikhalkin_tree(plane_tree(10, 12))
+    seen = eliminated_rows(monkeypatch)
+    assert correspondence_count(p, a, 0).count == 2304
+    assert mikhalkin_multiplicity(p) == 2304
+    assert [sum(map(len, rows)) for rows in seen] == [0, 39, 39]
+    above = constrained_ancestors(p, a)
+    assert sum(not ps for ps in above) == 2 and len(above) == 11
+    for rows in seen[1:]:
+        got, want = rows_on_x_root(p, a, rows)
+        assert got == want == [not ps for ps in above]
+

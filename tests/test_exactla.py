@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -8,10 +9,12 @@ import pytest
 
 from corpus import (
     Builder,
+    constrained_ancestors,
     constraints_at_marks,
     corpus,
     elliptic_corpus,
     marked_trees,
+    rigid_with_lines,
 )
 from oracles import (
     contains,
@@ -231,12 +234,24 @@ def tree_route_shapes(seed):
 
 def every_complex():
     """(curve, report, the oracle's full complex) for every complex of the
-    fixtures, the corpora, a few large marked trees and the tree-route
-    shapes that the engine computes."""
+    fixtures, the corpora, a few large marked trees, the tree-route shapes
+    and rank-3 curves through lines and points that the engine computes."""
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     curves = [load(str(f))[:2] for f in sorted(fixtures.glob("*.json"))]
     curves += corpus(5005, 60) + elliptic_corpus(5006, 30)
     curves += marked_trees(5007, 6) + tree_route_shapes(5008)
+    rng = random.Random(5009)
+    curves += [rigid_with_lines(rng) for _ in range(12)]
+    # guard: some constraint's nearest constrained ancestor has another
+    # presentation, of the same shape (a line below a line) and of another
+    # (a point below a line or the reverse), so a row subtracted where it
+    # must not be makes the reduction disagree with the full matrix
+    nearest = Counter(
+        "same" if ps[0] == con.presentation else
+        "same shape" if len(ps[0]) == len(con.presentation) else "other"
+        for p, a in curves if a is not None
+        for con, ps in zip(a.items, constrained_ancestors(p, a)) if ps)
+    assert min(nearest["same shape"], nearest["other"]) >= 3, nearest
     for p, a in curves:
         for variant in ("b", "beta"):
             for cons in {None, a}:
