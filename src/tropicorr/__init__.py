@@ -19,8 +19,7 @@ _HOMES = {
                    "param_curve", "tropical_j"),
     "complexes": ("ComplexSpec", "compute", "rank", "regularity",
                   "sizes_over"),
-    "fanmodel": ("build_K", "fan_model", "gamma_tr", "ramification",
-                 "refine_to_fan"),
+    "fanmodel": ("build_K", "gamma_tr", "ramification", "refine_to_fan"),
     "stacky": ("node_stack", "stacky_data"),
     "counting": ("correspondence_count", "elliptic_count", "moduli_dimension",
                  "stacky_multiplier"),

@@ -87,8 +87,7 @@ def cmd_tr(p, constraints, char, args):
 
 def cmd_fan(p, constraints, char, args):
     from . import fanmodel
-    tr = fanmodel.gamma_tr(p)
-    return {"fan": fanmodel.fan_to_json(fanmodel.fan_model(tr))}, 0
+    return {"fan": fanmodel.fan_to_json(fanmodel.gamma_tr(p).fan)}, 0
 
 
 def cmd_complex(p, constraints, char, args):

@@ -46,6 +46,12 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _id(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def _list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected an array, got {value!r}")
@@ -93,7 +99,8 @@ def parse_curve(data: dict):
                              ("infinite", infinite, _int)):
         for item in _list(data.get(f"{kind}_vertices", []), f"{kind}_vertices"):
             _check_fields(item, {"id", "h"}, f"{kind} vertex")
-            vid = str(_required(item, "id", f"{kind} vertex"))
+            vid = _id(_required(item, "id", f"{kind} vertex"),
+                      f"{kind} vertex id")
             vec = _list(_required(item, "h", f"vertex {vid}"), f"h({vid})")
             if len(vec) != n:
                 raise ParseError(f"vertex {vid}: h must have {n} entries")
@@ -103,16 +110,17 @@ def parse_curve(data: dict):
     edges = []
     for item in _list(data.get("edges", []), "edges"):
         _check_fields(item, {"id", "ends", "length"}, "edge")
-        eid = str(_required(item, "id", "edge"))
+        eid = _id(_required(item, "id", "edge"), "edge id")
         ends = _list(_required(item, "ends", f"edge {eid}"), f"edge {eid} ends")
         if len(ends) != 2:
             raise ParseError(f"edge {eid}: ends must list two vertices")
+        ends = tuple(_id(u, f"edge {eid} ends") for u in ends)
         ln = _required(item, "length", f"edge {eid}")
         if ln == "inf":
             length = None
         else:
             length = _rat(ln, f"length({eid})")
-        edges.append(Edge(eid, (str(ends[0]), str(ends[1])), length))
+        edges.append(Edge(eid, ends, length))
 
     curve = TropicalCurve(tuple(finite), tuple(infinite), tuple(edges))
     p = ParamTropicalCurve(curve, n, h)

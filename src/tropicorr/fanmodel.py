@@ -14,8 +14,8 @@ facet rays of its 2-cones, so it is a fan exactly when every chain is
 empty: the fan axiom is the refinement's fixed point.
 
 ``gamma_tr`` refines once per call, checks that its output's collection is
-the fan of those chains, and returns the output holding that fan; so
-``fan_model`` refines only a curve that ``gamma_tr`` did not return.
+the fan of those chains, and returns the output holding that fan: the one
+fan model, which the stacky layer reads.
 
 Only pairs of 2-cones that can meet in more than a common ray are
 intersected; a common ray is a generator already, so the refinement is
@@ -275,22 +275,6 @@ def refine_to_fan(cones) -> tuple[Cone, ...]:
     return _sorted_cones(_fan_of(cones, _refine(cones)))
 
 
-def _require_same(head: str, got: set, fan: set) -> None:
-    """Raise fan_axiom naming each cone in one set and not the other."""
-    if got != fan:
-        bad = [f"{'extra' if c in got else 'missing'} cone{c}"
-               for c in _sorted_cones(got ^ fan)]
-        raise CrossCheckFailed("fan_axiom", f"{head}: " + "; ".join(bad))
-
-
-def _require_fan(cones) -> None:
-    """Raise fan_axiom unless the collection is its own refinement: it
-    holds the zero cone and its facet rays, and every chain is empty (the
-    fan axiom)."""
-    _require_same("curve cones do not form a fan (apply gamma_tr first)",
-                  set(cones), _fan_of(cones, _refine(cones)))
-
-
 def gamma_tr(p: ParamTropicalCurve) -> RefinedCurve:
     """Subdivide every nonzero-slope edge at the interior crossing rays of
     the refined fan, so that the curve's own cone collection becomes that
@@ -303,7 +287,9 @@ def gamma_tr(p: ParamTropicalCurve) -> RefinedCurve:
     a bounded edge, and at nb / (na g_u[n] l(e)) on an unbounded one, where
     g_w = (s_e, 0) and h(w) = l(e) s_e.  A finite vertex's ray has positive
     height, so both denominators are positive.  The output's cones must be
-    this refinement's fan; fan_axiom names any cone that differs."""
+    this refinement's fan; fan_axiom names any cone that differs.  The
+    output's ``fan`` is the fan model of p; nothing is cut when K(p) is a
+    fan already."""
     rays, edge_cones = _curve_cones(p)
     chains = _refine(cones := _collection(rays, edge_cones))
     n, inf_set = p.lattice_rank, set(p.curve.infinite_vertices)
@@ -330,8 +316,11 @@ def gamma_tr(p: ParamTropicalCurve) -> RefinedCurve:
         p = pc.extend_parameterization(p, steps)
         rays, edge_cones = _curve_cones(p)
         cones = _collection(rays, edge_cones)
-        _require_same("the subdivided curve's cones are not the refined fan",
-                      set(cones), fan)
+        if (got := set(cones)) != fan:
+            bad = [f"{'extra' if c in got else 'missing'} cone{c}"
+                   for c in _sorted_cones(got ^ fan)]
+            raise CrossCheckFailed("fan_axiom", "the subdivided curve's cones "
+                                   "are not the refined fan: " + "; ".join(bad))
     return RefinedCurve(p, _indexed_fan(p, rays, edge_cones, cones))
 
 
@@ -342,11 +331,10 @@ def gamma_tr(p: ParamTropicalCurve) -> RefinedCurve:
 class FanModel(NamedTuple):
     ambient_rank: int                       # n + 1
     cones: tuple[Cone, ...]
-    eta_rays: tuple[Ray, ...]               # rays with last coordinate 0
     ray_vertices: dict[Ray, tuple[str, ...]]
     cone_edges: dict[Cone, tuple[str, ...]]
     l_sigma: dict[Cone, int]    # lcm of the edge multiplicities over a 2-cone
-    l_rho: dict[Ray, int]       # lcm of the end multiplicities over an eta ray
+    l_rho: dict[Ray, int]       # lcm of the end multiplicities, per eta ray
 
     def rays(self) -> tuple[Ray, ...]:
         return tuple(c[0] for c in self.cones if len(c) == 1)
@@ -361,18 +349,6 @@ class RefinedCurve(ParamTropicalCurve):
 
     def __init__(self, p: ParamTropicalCurve, fan: FanModel):
         self.__dict__.update(p.__dict__, fan=fan)
-
-
-def fan_model(p_tr: ParamTropicalCurve) -> FanModel:
-    """The fan of a refined curve indexed by its vertices and edges, with
-    the multiplicities l(sigma) and l(rho): a gamma_tr output holds it,
-    and any other curve is refined to check the fan axiom."""
-    if isinstance(p_tr, RefinedCurve):
-        return p_tr.fan
-    rays, edge_cones = _curve_cones(p_tr)
-    cones = _collection(rays, edge_cones)
-    _require_fan(cones)
-    return _indexed_fan(p_tr, rays, edge_cones, cones)
 
 
 def _indexed_fan(p: ParamTropicalCurve, rays, edge_cones, cones) -> FanModel:
@@ -393,7 +369,7 @@ def _indexed_fan(p: ParamTropicalCurve, rays, edge_cones, cones) -> FanModel:
             l_rho[rays[v]] = lcm(l_rho.get(rays[v], 1),
                                  pc.end_geometry(p, v).multiplicity)
     return FanModel(
-        p.lattice_rank + 1, cones, tuple(sorted(l_rho)),
+        p.lattice_rank + 1, cones,
         {r: tuple(vs) for r, vs in ray_vertices.items()},
         {c: tuple(es) for c, es in cone_edges.items()}, l_sigma, l_rho,
     )
@@ -446,10 +422,9 @@ def json_keys(fm: FanModel) -> tuple[dict[Ray, int], dict[Cone, str]]:
 
 def fan_to_json(fm: FanModel) -> dict:
     index, keys = json_keys(fm)
-    eta = set(fm.eta_rays)
     return {
         "rays": [list(r) for r in index],
-        "eta": [r in eta for r in index],
+        "eta": [r in fm.l_rho for r in index],
         "cones": [[index[g] for g in c] for c in fm.two_cones()],
         "ray_vertices": {str(index[r]): sorted(vs)
                          for r, vs in sorted(fm.ray_vertices.items())},

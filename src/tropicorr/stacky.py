@@ -25,8 +25,7 @@ from . import fanmodel as fan
 from . import paramcurve as pc
 from .errors import CrossCheckFailed, NotReduced
 from .exactla import Sublattice, integral_length, primitive_vector
-from .fanmodel import Cone, FanModel
-from .paramcurve import ParamTropicalCurve
+from .fanmodel import Cone, FanModel, RefinedCurve
 
 
 def _scaled_gen(g, a: int):
@@ -52,9 +51,9 @@ class StackySigma(NamedTuple):
         return sorted(self.stabilizer_order.values())
 
 
-def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
-    """Assign the stacky sublattices on the fan of a reduced configuration
-    and compute the stabilizer orders.
+def stacky_data(p_tr: RefinedCurve, a: int) -> StackySigma:
+    """Assign the stacky sublattices on the fan ``p_tr.fan`` of a reduced
+    configuration, a ``gamma_tr`` output, and compute the stabilizer orders.
 
     The order at a cone sigma is the index [N_sigma : N'_sigma], where
     N_sigma is the lattice of all points of sigma's span.  Each N'_sigma is
@@ -67,7 +66,7 @@ def stacky_data(p_tr: ParamTropicalCurve, a: int) -> StackySigma:
     ram = fan.ramification(p_tr, a)
     if not ram["reduced"]:
         raise NotReduced(f"minimal ramification is {ram['minimal_a']}")
-    fm = fan.fan_model(p_tr)
+    fm = p_tr.fan
     scaled = {g: _scaled_gen(g, a) for g in fm.rays()}
 
     bases: dict[Cone, tuple] = {}
@@ -140,7 +139,7 @@ def _verify_compatibility(st: StackySigma):
     """The defining compatibility: restricted to the span of any pairwise
     intersection, the sublattices of the two cones agree.
 
-    gamma_tr checked the fan axiom on its fan, fan_model on any other, so every
+    gamma_tr checked the fan axiom on the fan it returns, so every
     pairwise intersection is a common face, and scaling by a is a linear
     bijection that keeps faces.  A face of a 2-cone is 0, a facet ray or the
     cone itself, and every restriction to 0 is 0.  Each ray's sublattice
@@ -172,10 +171,11 @@ class NodeStackData(NamedTuple):
     marked_orders: dict[str, int]   # infinite vertex -> l(rho) / l(v)
 
 
-def node_stack(p_tr: ParamTropicalCurve) -> NodeStackData:
+def node_stack(p_tr: RefinedCurve) -> NodeStackData:
     """Orders of the stabilizers at the nodes and marked points of the
-    reduction; ratio 1 means the stacky structure there is trivial."""
-    fm = fan.fan_model(p_tr)
+    reduction, read off the fan of a ``gamma_tr`` output; ratio 1 means the
+    stacky structure there is trivial."""
+    fm = p_tr.fan
     node_orders = {}
     for c, eids in fm.cone_edges.items():
         for eid in eids:

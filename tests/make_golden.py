@@ -124,7 +124,7 @@ def slice_text() -> str:
     lengths and edge order are pinned."""
     from corpus import corpus
     from tropicorr.curvefile import curve_to_json
-    from tropicorr.fanmodel import fan_model, fan_to_json, gamma_tr, ramification
+    from tropicorr.fanmodel import fan_to_json, gamma_tr, ramification
     from tropicorr.stacky import node_stack, stacky_data, stacky_to_json
 
     lines = []
@@ -133,7 +133,7 @@ def slice_text() -> str:
         ns = node_stack(tr)
         st = stacky_data(tr, ramification(tr, 1)["minimal_a"])
         for part, data in (("tr", curve_to_json(tr)),
-                           ("fan", fan_to_json(fan_model(tr))),
+                           ("fan", fan_to_json(tr.fan)),
                            ("stacky", stacky_to_json(st)),
                            ("node_orders", ns.node_orders),
                            ("marked_orders", ns.marked_orders)):

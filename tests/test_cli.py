@@ -368,6 +368,37 @@ def test_unknown_endpoint_exits_1_with_json(tmp_path, capsys):
         assert code == 1 and "unknown endpoint" in err["error"]["message"]
 
 
+def _null_v0(data):
+    """v0's id and every edge end naming it set to null."""
+    data["finite_vertices"][0]["id"] = None
+    for e in data["edges"]:
+        e["ends"] = [None if u == "v0" else u for u in e["ends"]]
+
+
+# an id or an edge end that is not a JSON string is refused, not read as
+# the string of its Python value ("None", "True", "['v0']")
+NOT_STRINGS = {
+    "null-vertex-count": (_null_v0, "count",
+                          "finite vertex id: expected a string, got None"),
+    "null-vertex-stabilize": (_null_v0, "stabilize",
+                              "finite vertex id: expected a string, got None"),
+    "true-vertex": (_set(("infinite_vertices", 0, "id"), True), "info",
+                    "infinite vertex id: expected a string, got True"),
+    "int-edge-id": (_set(("edges", 0, "id"), 7), "info",
+                    "edge id: expected a string, got 7"),
+    "list-edge-end": (_set(("edges", 0, "ends"), [["v0"], "v1"]), "count",
+                      "edge e1 ends: expected a string, got ['v0']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_STRINGS))
+def test_non_string_id_exit_2(tmp_path, capsys, case):
+    edit, command, message = NOT_STRINGS[case]
+    code, err = run_json(capsys, command, _edited_fixture(tmp_path, edit))
+    assert code == 2
+    assert err["error"] == {"code": "ParseError", "message": message}
+
+
 # a field that is not an array, or an array-like string, must be refused
 NOT_ARRAYS = {
     "finite_vertices": (("finite_vertices",), {"id": "v0"}),

@@ -508,7 +508,7 @@ def _count(p, a):
 
 
 def _fan(p, a):
-    return fanmodel.fan_model(fanmodel.gamma_tr(p))
+    return fanmodel.gamma_tr(p).fan
 
 
 def _stacky(p, a):
@@ -532,7 +532,8 @@ def _elliptic(p, a):
     return elliptic_count(p, a, 0)
 
 
-_fan_model = fanmodel.fan_model
+_extend = pc.extend_parameterization
+_indexed_fan = fanmodel._indexed_fan
 _sizes_over = complexes.sizes_over
 _reduce = complexes._reduce
 
@@ -561,21 +562,28 @@ BROKEN_ROUTES = {
                             rep.E1_rank + 1, rep.E2)
                         if spec.elliptic else _reduce(p, frame, spec),
                         "triangle_elliptic.json", _elliptic),
-    "fan_axiom": (fanmodel, "gamma_tr", lambda p: p, "xconfig.json", _fan),
+    # every cut of gamma_tr at half its distance, off the crossing ray
+    "fan_axiom": (pc, "extend_parameterization",
+                  lambda p, steps: _extend(p, [
+                      s._replace(distances=tuple(d / 2 for d in s.distances))
+                      for s in steps]),
+                  "xconfig.json", _fan),
     # every facet ray read as outside its 2-cone's sublattice
     "stacky_compatibility": (stacky, "_ray_multiplier",
                              lambda rows, s: 0, "dblline.json", _stacky),
     # every stabilizer order read as that of dependent rows
     "stacky_index": (stacky, "_index", lambda rows: 0, "xconfig.json",
                      _stacky),
-    # l(sigma) = 1 on every cone, below dblline's edge multiplicity 2
-    "node_order": (fanmodel, "fan_model",
-                   lambda p: (fm := _fan_model(p))._replace(
+    # gamma_tr indexes l(sigma) = 1 on every cone, below dblline's edge
+    # multiplicity 2
+    "node_order": (fanmodel, "_indexed_fan",
+                   lambda *args: (fm := _indexed_fan(*args))._replace(
                        l_sigma=dict.fromkeys(fm.l_sigma, 1)),
                    "dblline.json", _node_stack),
-    # l(rho) = 1 on every eta ray, below dblline's end multiplicity 2
-    "marked_order": (fanmodel, "fan_model",
-                     lambda p: (fm := _fan_model(p))._replace(
+    # gamma_tr indexes l(rho) = 1 on every eta ray, below dblline's end
+    # multiplicity 2
+    "marked_order": (fanmodel, "_indexed_fan",
+                     lambda *args: (fm := _indexed_fan(*args))._replace(
                          l_rho=dict.fromkeys(fm.l_rho, 1)),
                      "dblline.json", _node_stack),
     # the balancing gate lets a curve with a non-integral edge through

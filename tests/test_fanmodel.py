@@ -32,10 +32,8 @@ from tropicorr.exactla import primitive_vector
 from tropicorr.fanmodel import (
     ZERO_CONE,
     _coords_in,
-    _require_fan,
     build_K,
     cone_contains,
-    fan_model,
     fan_to_json,
     gamma_tr,
     intersect_cones,
@@ -150,7 +148,7 @@ def test_intersect_cones_makes_no_smith_reduction(monkeypatch):
     for m in (2, 3, 4):
         for c1, c2 in _cone_pairs(rng, m):
             intersect_cones(c1, c2)
-    fan_model(gamma_tr(x_configuration()))
+    gamma_tr(x_configuration())
     assert calls == []
 
 
@@ -167,15 +165,16 @@ def eta_rays(p):
 
 
 def test_fan_eta_examples():
-    eta = ((-1, 0, 0), (0, -1, 0), (1, 1, 0))
-    assert fan_model(tropical_line()).eta_rays == eta
+    # the eta rays of a fan model are the rays l(rho) is kept on
+    eta = [(-1, 0, 0), (0, -1, 0), (1, 1, 0)]
+    assert sorted(gamma_tr(tropical_line()).fan.l_rho) == eta
     dbl, _ = doubled_line()
-    assert fan_model(gamma_tr(dbl)).eta_rays == eta == eta_rays(dbl)
+    assert sorted(gamma_tr(dbl).fan.l_rho) == eta == list(eta_rays(dbl))
     marked_only = param_curve(
         curve(["v"], ["a", "b"],
               [("r1", ("v", "a"), None), ("r2", ("v", "b"), None)]),
         2, {"v": (0, 0), "a": (0, 0), "b": (0, 0)})
-    assert fan_model(marked_only).eta_rays == ()
+    assert gamma_tr(marked_only).fan.l_rho == {}
 
 
 def test_build_K_tropical_line():
@@ -215,13 +214,9 @@ def test_gamma_tr_x_configuration():
 
 
 def _is_fan(cones):
-    """fan_model's verdict on a collection holding the zero cone."""
-    try:
-        _require_fan(cones)
-    except CrossCheckFailed as exc:
-        assert exc.code == "CrossCheckFailed:fan_axiom"
-        return False
-    return True
+    """The fan axiom as the refinement's fixed point: a collection is a fan
+    exactly when it equals its refinement."""
+    return set(refine_to_fan(cones)) == set(cones)
 
 
 def _with_faces(cones, *extra):
@@ -302,48 +297,44 @@ def test_fan_axiom_matches_all_pairs_oracle():
 
 
 def test_fan_axiom_failure_names_split_cones_and_rays():
+    # K(p) of the X configuration is no fan: the refinement drops the two
+    # crossed cones and adds the crossing ray and the halves on it
     p = load(str(FIXTURES / "xconfig.json"))[0]
-    crossed = [c for c in build_K(p) if len(c) == 2
+    k = build_K(p)
+    crossed = {c for c in k if len(c) == 2
                and oracle_contains(c, (1, 1, 1))
-               and (1, 1, 1) not in c]
+               and (1, 1, 1) not in c}
     assert len(crossed) == 2
-    with pytest.raises(CrossCheckFailed) as info:
-        fan_model(p)
-    assert info.value.code == "CrossCheckFailed:fan_axiom"
-    for c in crossed:
-        assert f"extra cone{c}" in str(info.value)
-    assert "missing cone((1, 1, 1),)" in str(info.value)
-    for c in refine_to_fan(build_K(p)):
-        if len(c) == 2 and (1, 1, 1) in c:
-            assert f"missing cone{c}" in str(info.value)
+    fan = refine_to_fan(k)
+    halves = {c for c in fan if len(c) == 2 and (1, 1, 1) in c}
+    assert len(halves) == 4
+    assert set(k) - set(fan) == crossed
+    assert set(fan) - set(k) == {((1, 1, 1),), *halves}
 
 
 def test_fan_axiom_needs_the_faces_and_empty_chains():
     # each collection has one defect: a facet ray or the zero cone missing
     # (every chain still empty), or a lone ray strictly inside a 2-cone,
-    # whose cone is extra and whose two halves are missing
+    # whose cone is extra and whose two halves are missing; the evidence is
+    # what the collection and its refinement do not share
     low, high = cone((0, 0, 1), (1, 0, 1)), cone((0, 0, 1), (0, 1, 1))
     fan = (ZERO_CONE, ((0, 0, 1),), ((0, 1, 1),), ((1, 0, 1),), low, high)
     assert not check_fan(fan)
-    _require_fan(fan)
-    head = "curve cones do not form a fan (apply gamma_tr first): "
-    for cones, evidence in [
+    assert set(refine_to_fan(fan)) == set(fan)
+    for cones, extra, missing in [
             (tuple(c for c in fan if c != ((1, 0, 1),)),
-             "missing cone((1, 0, 1),)"),
-            (fan[1:], "missing cone()"),
+             set(), {((1, 0, 1),)}),
+            (fan[1:], set(), {ZERO_CONE}),
             (fan + (((1, 0, 2),),),
-             f"extra cone{low}; missing cone({low[0]}, (1, 0, 2)); "
-             f"missing cone({low[1]}, (1, 0, 2))")]:
+             {low}, {(low[0], (1, 0, 2)), (low[1], (1, 0, 2))})]:
         assert check_fan(cones)
-        with pytest.raises(CrossCheckFailed) as info:
-            _require_fan(cones)
-        assert info.value.code == "CrossCheckFailed:fan_axiom"
-        assert str(info.value) == head + evidence
+        refined = set(refine_to_fan(cones))
+        assert set(cones) - refined == extra
+        assert refined - set(cones) == missing
 
 
 def test_fan_axiom_intersects_only_pairs_of_two_cones(monkeypatch):
-    # fan_model reads the fan a gamma_tr output holds, so the check is run
-    # on Gamma_tr's collection directly
+    # the fixed-point check refines Gamma_tr's own collection
     cones = build_K(gamma_tr(load(str(FIXTURES / "xconfig.json"))[0]))
     pairs = []
     intersect = fanmodel.intersect_cones
@@ -353,7 +344,7 @@ def test_fan_axiom_intersects_only_pairs_of_two_cones(monkeypatch):
         return intersect(c1, c2)
 
     monkeypatch.setattr(fanmodel, "intersect_cones", counted)
-    _require_fan(cones)
+    assert set(refine_to_fan(cones)) == set(cones)
     t = sum(len(c) == 2 for c in cones)
     assert set(pairs) == {(2, 2)}
     # pairs whose height-one slices lie apart are never intersected
@@ -527,8 +518,8 @@ def _param_values(q):
 
 def test_gamma_tr_realizes_refinement():
     # the refined curve's own cone collection IS the refined fan, and the
-    # eta rays are untouched; the refined curve holds that fan, which
-    # fan_model returns, equal to the fan of a fresh copy of the curve
+    # eta rays are untouched; the refined curve holds that fan, equal to
+    # the one gamma_tr returns on a fresh copy of the curve
     curves = [x_configuration(), doubled_line()[0], two_vertex_curve(),
               collinear_overlap()]
     curves += [p for p, _ in corpus(8, 30) + elliptic_corpus(8, 15)]
@@ -537,10 +528,9 @@ def test_gamma_tr_realizes_refinement():
         assert set(build_K(tr)) == set(refine_to_fan(build_K(p)))
         assert not check_fan(build_K(tr))
         assert gamma_tr(tr).curve == tr.curve
-        assert fan_model(tr).eta_rays == eta_rays(p)
+        assert tuple(sorted(tr.fan.l_rho)) == eta_rays(p)
         assert isinstance(tr, fanmodel.RefinedCurve) and tr != p
-        assert fan_model(tr) is tr.fan
-        assert tr.fan == fan_model(_afresh(tr))
+        assert tr.fan == gamma_tr(_afresh(tr)).fan
 
 
 def test_structure_item_derives_slopes_once_per_curve(monkeypatch):
@@ -590,7 +580,7 @@ def test_structure_item_derives_slopes_once_per_curve(monkeypatch):
 def test_structure_item_refines_once_per_curve(monkeypatch):
     # gamma_tr -> stacky_data -> node_stack refines each fresh curve once,
     # on K(p): gamma_tr checks its output against that refinement, and
-    # fan_model reads the fan the output holds
+    # stacky_data and node_stack read the fan the output holds
     refined = []
     refine = fanmodel._refine
     monkeypatch.setattr(fanmodel, "_refine",
@@ -701,7 +691,7 @@ def test_gamma_tr_collinear_overlap():
 def test_fan_model_and_multiplicities():
     dbl, _ = doubled_line()
     tr = gamma_tr(dbl)
-    fm = fan_model(tr)
+    fm = tr.fan
     l_sigma, l_rho = fm.l_sigma, fm.l_rho
     bounded_cones = [c for c, es in fm.cone_edges.items()
                      if any(tr.curve.edge(e).is_bounded for e in es)]
@@ -744,9 +734,7 @@ def test_reduction_exponents():
 
 
 def test_fan_json_shape():
-    tr = gamma_tr(x_configuration())
-    fm = fan_model(tr)
-    data = fan_to_json(fm)
+    data = fan_to_json(gamma_tr(x_configuration()).fan)
     assert len(data["rays"]) == len(data["eta"])
     assert all(len(c) == 2 for c in data["cones"])
     assert set(data["cone_edges"]) == set(data["cone_multiplicities"])

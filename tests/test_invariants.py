@@ -44,7 +44,6 @@ from tropicorr.errors import TropicorrError
 from tropicorr.exactla import CoeffGroup
 from tropicorr.fanmodel import (
     build_K,
-    fan_model,
     gamma_tr,
     intersect_cones,
     ramification,
@@ -376,7 +375,7 @@ def test_cones_are_ascending_tuples_of_primitive_generators():
     for p in curves:
         tr = gamma_tr(p)
         k = build_K(p)
-        cones = list(dict.fromkeys((*k, *refine_to_fan(k), *fan_model(tr).cones)))
+        cones = list(dict.fromkeys((*k, *refine_to_fan(k), *tr.fan.cones)))
         st = stacky_data(tr, ramification(tr, 1)["minimal_a"])
         two = [c for c in cones if len(c) == 2]
         meets = [intersect_cones(c1, c2) for c1, c2 in combinations(two, 2)]

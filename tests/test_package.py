@@ -61,8 +61,7 @@ def records():
     out = [p, p.curve, p.curve.edges[0], pc.edge_geometry(p, "e1"), a,
            a.items[0], a.items[0].space, pc.check_constraint(p, a), rep.spec,
            rep, rep.E2, verdict, verdict.obstruction,
-           exactla.CoeffGroup.units(3), res, res.hypotheses, tr,
-           fanmodel.fan_model(tr),
+           exactla.CoeffGroup.units(3), res, res.hypotheses, tr, tr.fan,
            stacky.stacky_data(tr, fanmodel.ramification(tr, 1)["minimal_a"]),
            stacky.node_stack(tr),
            tropgraph.AttachTree("v0", tropgraph.curve(["r"]), "r")]

@@ -24,7 +24,7 @@ from tropicorr.cli import run
 from tropicorr.curvefile import load
 from tropicorr.errors import CrossCheckFailed, NotReduced
 from tropicorr.exactla import Sublattice, primitive_vector
-from tropicorr.fanmodel import fan_model, gamma_tr, ramification
+from tropicorr.fanmodel import gamma_tr, ramification
 from tropicorr.paramcurve import is_dm, param_curve
 from tropicorr.stacky import (
     _verify_compatibility,
@@ -50,7 +50,7 @@ def test_eta_ray_order_two():
     st = stacky_data(tr, 2)  # lengths 1/2 need ramification 2
     # the eta rays carry multiplicity 2, hence order-2 stabilizers
     eta_orders = [st.stabilizer_order[c] for c in st.fan.cones
-                  if len(c) == 1 and c[0] in set(st.fan.eta_rays)]
+                  if len(c) == 1 and c[0] in st.fan.l_rho]
     assert set(eta_orders) == {2}
 
 
@@ -227,7 +227,7 @@ def test_dependent_rows_fail_the_index_check(monkeypatch, capsys):
     with pytest.raises(CrossCheckFailed) as info:
         stacky_data(tr, ramification(tr, 1)["minimal_a"])
     assert info.value.code == "CrossCheckFailed:stacky_index"
-    c = fan_model(tr).two_cones()[0]
+    c = tr.fan.two_cones()[0]
     assert str(info.value).startswith("the rows ((")
     assert str(info.value).endswith(f" of cone{c} are linearly dependent")
     assert run(["stacky", fixture, "--json"]) == 1
