@@ -292,7 +292,7 @@ def gamma_tr(p: ParamTropicalCurve) -> RefinedCurve:
     fan already."""
     rays, edge_cones = _curve_cones(p)
     chains = _refine(cones := _collection(rays, edge_cones))
-    n, inf_set = p.lattice_rank, set(p.curve.infinite_vertices)
+    n, inf_set = p.lattice_rank, p.curve.infinite_set
     steps = []
     for eid in sorted(edge_cones):
         chain = chains[edge_cones[eid]]

@@ -82,6 +82,8 @@ class ParamTropicalCurve(Record):
         st = tropgraph.stabilize(self.curve)
         if st == self.curve and self.h.keys() == set(st.vertex_ids()):
             return None
+        if missing := [v for v in st.vertex_ids() if v not in self.h]:
+            raise NotBalanced(f"missing h({missing[0]})")
         return ParamTropicalCurve(st, self.lattice_rank,
                                   {v: self.hv(v) for v in st.vertex_ids()})
 
@@ -106,7 +108,7 @@ def _derive_slopes(p: ParamTropicalCurve) -> _Slopes:
     d h(w) - d h(start) over d |e|, or d h(w) over d; it has an EdgeGeometry
     iff that is integral.  Balancing sums are over the edges' common
     denominator, 1 unless some edge is not integral."""
-    c, inf_set = p.curve, set(p.curve.infinite_vertices)
+    c, inf_set = p.curve, p.curve.infinite_set
     d = lcm(*(x.denominator for vec in p.h.values() for x in vec),
             *(e.length.denominator for e in c.bounded_edges()))
     hd = {v: tuple(x.numerator * (d // x.denominator) for x in vec)
@@ -151,6 +153,8 @@ def _collect_violations(p: ParamTropicalCurve) -> list[str]:
             out.append(f"missing h({v})")
         elif len(p.h[v]) != n:
             out.append(f"h({v}) has wrong length")
+    out += [f"h({v}) names no vertex"
+            for v in sorted(p.h.keys() - p.curve.vertex_ids())]
     if out:
         return out
     slopes = p._slopes

@@ -31,7 +31,8 @@ class Edge(NamedTuple):
 class TropicalCurve(Record):
     """An immutable curve.  Its validity verdict, set of infinite vertices,
     edge index, incidence lists, edge split and bounded-edge forest are
-    built on first use and kept on the object."""
+    built on first use and kept on the object.  Validation reads the
+    incidence lists and the infinite set, as every other walk does."""
 
     _fields = ("finite_vertices", "infinite_vertices", "edges")
 
@@ -50,7 +51,6 @@ class TropicalCurve(Record):
 
     @cached_property
     def infinite_set(self) -> frozenset[str]:
-        """For one-vertex queries; a walk over every edge builds its own."""
         return frozenset(self.infinite_vertices)
 
     @cached_property
@@ -114,37 +114,14 @@ def valency(c: TropicalCurve, v: str) -> int:
     return len(c.incidence.get(v, ()))
 
 
-def is_connected(c: TropicalCurve) -> bool:
-    verts = set(c.vertex_ids())
-    if not verts:
-        return False
-    adj: dict[str, list[str]] = {v: [] for v in verts}
-    for e in c.edges:
-        u, w = e.ends
-        if u in adj and w in adj:   # validate reports unknown endpoints
-            adj[u].append(w)
-            adj[w].append(u)
-    seen = set()
-    stack = [next(iter(verts))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v])
-    return seen == verts
-
-
 def validate(c: TropicalCurve) -> list[str]:
     """All violated invariants; empty list iff the curve is valid."""
-    out = []
-    ids = list(c.finite_vertices) + list(c.infinite_vertices)
-    if len(set(ids)) != len(ids):
+    out, ids = [], list(c.vertex_ids())
+    known, infinite = set(ids), c.infinite_set
+    if len(known) != len(ids):
         out.append("duplicate vertex ids")
     if len({e.id for e in c.edges}) != len(c.edges):
         out.append("duplicate edge ids")
-    known = set(ids)
-    infinite = set(c.infinite_vertices)
     for e in c.edges:
         u, w = e.ends
         if u not in known or w not in known:
@@ -160,13 +137,17 @@ def validate(c: TropicalCurve) -> list[str]:
             if n_inf != 1:
                 out.append(f"(p2): unbounded edge {e.id} must join a finite and "
                            "an infinite vertex")
-    # counted here rather than through the incidence lists, so that a curve
-    # that is only validated (a caller's input, say) keeps only its verdict
-    ends = Counter(x for e in c.edges for x in e.ends)
     for v in c.infinite_vertices:
-        if ends[v] != 1:
-            out.append(f"(p2): infinite vertex {v} has valency {ends[v]}")
-    if not is_connected(c):
+        if (k := valency(c, v)) != 1:
+            out.append(f"(p2): infinite vertex {v} has valency {k}")
+    # a walk from the first vertex that never steps to an unknown endpoint
+    seen = set(ids[:1])
+    for v in (queue := ids[:1]):
+        for _, w in c.incidence[v]:
+            if w in known and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    if not known or seen != known:
         out.append("disconnected")
     return out
 

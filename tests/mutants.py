@@ -53,6 +53,7 @@ CNT = "tests/test_counting.py::"
 CPX = "tests/test_complexes.py::"
 EXA = "tests/test_exactla.py::"
 GLD = "tests/test_golden.py::"
+VAL = "tests/test_tropgraph.py::test_validate_lists_every_violation_in_order"
 
 MUTANTS = (
     # the refinement tests only the rays of each 2-cone's intersections,
@@ -115,6 +116,17 @@ MUTANTS = (
             "test_structure_is_covariant_under_lattice_automorphisms",
             "tests/test_paramcurve.py::test_cached_facts_equal_fresh_recomputation",
             GLD + "test_cli_output_matches_golden[xconfig.reduction-data.file]")),
+    # validate's connectivity walk crosses an edge's unknown endpoint, so a
+    # curve with one is also called disconnected
+    Mutant("validate-walks-unknown-endpoints", "tropgraph.py",
+           "            if w in known and w not in seen:\n",
+           "            if w not in seen:\n",
+           (VAL + "[unknown-endpoint]",)),
+    # an infinite vertex no edge reaches passes the valency check
+    Mutant("validate-infinite-valency-above-one", "tropgraph.py",
+           "        if (k := valency(c, v)) != 1:\n",
+           "        if (k := valency(c, v)) > 1:\n",
+           (VAL + "[p2-finite-ends]",)),
 )
 
 

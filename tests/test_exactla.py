@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -582,6 +582,21 @@ def test_base_change_field_and_units():
     assert _tor(g, CoeffGroup.units(2)).finite_order == 3
     assert _tor(g, CoeffGroup.units(0)).finite_order == 12
     assert _tensor(g, CoeffGroup.units(5)).is_trivial
+
+
+def test_primality_agrees_with_trial_division_and_rejects_pseudoprimes():
+    def by_trial(n):
+        return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+
+    assert all(exactla._is_prime(n) == by_trial(n) for n in range(20000))
+    # strong pseudoprimes to bases 2, 3, 5, 7 and to the first nine primes
+    assert not exactla._is_prime(3215031751)
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert not exactla._is_prime(3825123056546413051)
+    assert exactla._is_prime(2 ** 61 - 1)
+    assert not exactla._is_prime(exactla.PRIMALITY_BOUND - 1)    # even
+    with pytest.raises(ValueError, match="primality is decided only below"):
+        exactla._is_prime(exactla.PRIMALITY_BOUND)
 
 
 def test_solve_rational():

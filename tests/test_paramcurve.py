@@ -67,6 +67,28 @@ def test_balancing_examples():
     assert not param_violations(two_vertex_curve())
 
 
+def test_h_of_no_vertex_is_a_violation():
+    # the stray entry's denominator would otherwise enter the slopes' lcm
+    line = tropical_line()
+    p = param_curve(line.curve, 2, {**line.h, "zz": ("1/7", 0)})
+    assert param_violations(p) == ["h(zz) names no vertex"]
+    with pytest.raises(NotBalanced, match=r"h\(zz\) names no vertex"):
+        fanmodel.ramification(p, 1)
+    with pytest.raises(NotBalanced):
+        fanmodel.gamma_tr(p)
+    assert fanmodel.ramification(line, 1)["minimal_a"] == 1
+
+
+def test_missing_h_at_a_stable_vertex_is_named():
+    q = two_vertex_curve()
+    p = ParamTropicalCurve(q.curve, 2, {v: x for v, x in q.h.items() if v != "v1"})
+    assert param_violations(p) == ["missing h(v1)"]
+    with pytest.raises(NotBalanced, match=r"missing h\(v1\)"):
+        stabilize_param(p)
+    with pytest.raises(NotBalanced, match=r"missing h\(v1\)"):
+        pc.is_dm(p, 2)
+
+
 def test_h_is_read_only():
     p = tropical_line()
     with pytest.raises(TypeError):
@@ -344,6 +366,15 @@ def test_check_constraint_examples():
         constraint_set([([(0, 1)], (-1, -5))], 2)
     with pytest.raises(ValueError, match="constraint sublattice must be saturated"):
         constraint_set([([(2, 0, 0)], (0, 0, 0))], 3)
+
+
+def test_check_constraint_names_an_uncontracted_end():
+    # the line's first end u1 has h = (-1, 0); its neighbour v0 is the point
+    rep = check_constraint(tropical_line(), constraint_set([((), (0, 0))], 2))
+    assert rep.satisfies is False and rep.simple is False
+    assert rep.problems == ("constraint 0: h(u1) != 0",)
+    with pytest.raises(ValueError, match="constraint ambient rank mismatch"):
+        check_constraint(tropical_line(), constraint_set([((), (0, 0, 0))], 3))
 
 
 def test_check_constraint_simple_flags():

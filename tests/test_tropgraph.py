@@ -43,17 +43,39 @@ def loop_with_leg():
 def test_validate_examples():
     assert validate(curve(["v"])) == []
     bad = curve(["v", "w"], ["z"], [("e", ("v", "z"), None), ("f", ("w", "z"), None)])
-    assert any("(p2)" in msg for msg in validate(bad))
+    assert validate(bad) == ["(p2): infinite vertex z has valency 2"]
     zero = curve(["v", "w"], [], [("e", ("v", "w"), 0)])
-    assert any("(p3)" in msg for msg in validate(zero))
-    stray = curve(["v", "w"], ["a"], [("e", ("v", "zz"), 1),
-                                      ("f", ("v", "w"), 1), ("r", ("w", "a"), None)])
-    assert "edge e has unknown endpoint" in validate(stray)
+    assert validate(zero) == ["(p3): bounded edge e has non-positive length"]
 
 
 def test_validate_disconnected():
     c = curve(["v", "w"])
-    assert "disconnected" in validate(c)
+    assert validate(c) == ["disconnected"]
+
+
+@pytest.mark.parametrize("c, messages", [
+    (curve(["v", "v"]), ["duplicate vertex ids"]),
+    (curve(["v", "w"], [], [("e", ("v", "w"), 1), ("e", ("v", "w"), 2)]),
+     ["duplicate edge ids"]),
+    (curve(["v"], ["a"], [("e", ("v", "a"), 1)]),
+     ["(p3): bounded edge e touches an infinite vertex"]),
+    (curve(["v", "w"], ["z"], [("e", ("v", "w"), None)]),
+     ["(p2): unbounded edge e must join a finite and an infinite vertex",
+      "(p2): infinite vertex z has valency 0", "disconnected"]),
+    (curve(["v", "w"], ["a"], [("e", ("v", "zz"), 1), ("f", ("v", "w"), 1),
+                               ("r", ("w", "a"), None)]),
+     ["edge e has unknown endpoint"]),
+    (curve(["v", "w"], [], [("e", ("v", "zz"), 1), ("f", ("zz", "w"), 1)]),
+     ["edge e has unknown endpoint", "edge f has unknown endpoint",
+      "disconnected"]),
+    (curve([]), ["disconnected"]),
+], ids=["duplicate-vertex", "duplicate-edge", "p3-infinite-end",
+        "p2-finite-ends", "unknown-endpoint", "unknown-bridge", "empty"])
+def test_validate_lists_every_violation_in_order(c, messages):
+    # an unknown endpoint is no vertex: the walk neither counts it nor
+    # crosses it; and validating indexes no edge ids on the curve
+    assert validate(c) == messages
+    assert "_edge_index" not in vars(c)
 
 
 def test_genus_examples():
